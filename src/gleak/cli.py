@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation or usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -25,7 +26,7 @@ from .core import (
     NumericalError,
     ValidationError,
     identity_gain,
-    joint_from,
+    leakage_of,
     posterior_vulnerability,
     prior_vulnerability,
     sample_joint,
@@ -86,18 +87,10 @@ def cmd_exact(args) -> int:
         posterior_v = scenario.exact_vg
     else:
         raise ValidationError("exact values need an explicit channel matrix")
-    if args.mode == "additive":
-        leak_value = posterior_v - prior_v
-    else:
-        if prior_v == 0.0:
-            raise ValidationError(
-                "multiplicative leakage undefined: prior vulnerability is 0"
-            )
-        leak_value = posterior_v / prior_v
     payload = {
         "prior_vulnerability": prior_v,
         "posterior_vulnerability": posterior_v,
-        "leakage": leak_value,
+        "leakage": leakage_of(prior_v, posterior_v, args.mode),
         "mode": args.mode,
         "wall_time": round(time.perf_counter() - started, 6),
     }
@@ -126,20 +119,12 @@ def _learner_config(args, scenario: Scenario | None, m: int):
         overrides["epochs"] = args.epochs
     if args.batch is not None:
         overrides["batch_size"] = args.batch
-    if overrides:
-        config = MlpConfig(
-            codec=config.codec,
-            hidden=config.hidden,
-            learning_rate=config.learning_rate,
-            epochs=overrides.get("epochs", config.epochs),
-            batch_size=overrides.get("batch_size", config.batch_size),
-        )
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def cmd_estimate(args) -> int:
     prior, channel, gain, scenario = _load_triple(args)
-    source = joint_from(prior, channel) if isinstance(channel, Channel) else (prior, channel)
+    source = (prior, channel)
     name = args.scenario or "files"
 
     if args.method == "channel":

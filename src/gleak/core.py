@@ -130,6 +130,20 @@ class Channel:
     def identity(alphabet: Alphabet) -> "Channel":
         return Channel(alphabet, alphabet, np.eye(alphabet.size))
 
+    def sample(self, xs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        """Draw y ~ C[x, .] for each x in xs as an (n, 1) array.
+
+        One uniform per sample, inverted through the CDF of row x.
+        """
+        u = gen.random(len(xs))
+        ys = np.empty(len(xs), dtype=np.int64)
+        cum = np.cumsum(self.rows, axis=1)
+        for x in np.unique(xs):
+            mask = xs == x
+            idx = np.searchsorted(cum[x], u[mask] * cum[x, -1], side="right")
+            ys[mask] = np.minimum(idx, self.output.size - 1)
+        return ys[:, None]
+
 
 @dataclass(frozen=True)
 class GenerativeChannel:
@@ -336,14 +350,18 @@ def leakage(
     prior: Prior, channel: Channel, gain: GainFunction, mode: str
 ) -> float:
     """Posterior/prior vulnerability ratio or difference."""
-    _require(mode in ("multiplicative", "additive"), f"unknown mode {mode!r}")
     post = posterior_vulnerability(prior, channel, gain)
-    pri = prior_vulnerability(prior, gain)
+    return leakage_of(prior_vulnerability(prior, gain), post, mode)
+
+
+def leakage_of(prior_v: float, posterior_v: float, mode: str) -> float:
+    """Leakage from the two vulnerabilities: their ratio or difference."""
+    _require(mode in ("multiplicative", "additive"), f"unknown mode {mode!r}")
     if mode == "additive":
-        return post - pri
-    if pri == 0.0:
+        return posterior_v - prior_v
+    if prior_v == 0.0:
         raise ValidationError("multiplicative leakage undefined: prior vulnerability is 0")
-    return post / pri
+    return posterior_v / prior_v
 
 
 def joint_from(prior: Prior, channel: Channel) -> JointDistribution:
@@ -417,31 +435,21 @@ def sample_prior(prior: Prior, count: int, gen: np.random.Generator) -> np.ndarr
     return _inverse_cdf(prior.probs, gen.random(count))
 
 
-def sample_outputs(
-    channel: Channel, xs: np.ndarray, gen: np.random.Generator
-) -> np.ndarray:
-    """Draw y ~ C[x, .] for each x in xs. One uniform per sample."""
-    u = gen.random(len(xs))
-    ys = np.empty(len(xs), dtype=np.int64)
-    cum = np.cumsum(channel.rows, axis=1)
-    for x in np.unique(xs):
-        mask = xs == x
-        idx = np.searchsorted(cum[x], u[mask] * cum[x, -1], side="right")
-        ys[mask] = np.minimum(idx, channel.output.size - 1)
-    return ys
-
-
 def sample_joint(
-    source: JointDistribution | tuple[Prior, GenerativeChannel],
+    source: JointDistribution | tuple[Prior, Channel | GenerativeChannel],
     count: int,
     stream: Stream,
 ) -> SampleSet:
     """Draw ``count`` i.i.d. (secret, observable) pairs.
 
-    ``source`` is either a JointDistribution or a (Prior, GenerativeChannel)
-    pair.  Deterministic given the stream's (master seed, name).
+    ``source`` is a (Prior, channel) pair for either channel kind, or a
+    JointDistribution.  A matrix channel is sampled from its flat joint
+    with one uniform per sample.  Deterministic given the stream's
+    (master seed, name).
     """
     _require(count >= 1, "count must be >= 1")
+    if isinstance(source, tuple) and isinstance(source[1], Channel):
+        source = joint_from(*source)
     if isinstance(source, JointDistribution):
         n_y = source.observables.size
         flat = source.probs.ravel()
@@ -464,7 +472,7 @@ def empirical_functional(
     """Mean gain (1/n) sum g(f(y), x) of a predictor on a validation set.
 
     ``predictor`` is anything with ``predict(ys) -> guess indices``:
-    a Strategy, a trained classifier, or an ensemble.
+    a Strategy or a trained classifier.
     """
     if validation.size == 0:
         raise ValidationError("validation set is empty")

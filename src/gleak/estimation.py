@@ -18,16 +18,13 @@ from .core import (
     Channel,
     GainFunction,
     GenerativeChannel,
-    JointDistribution,
+    NumericalError,
     Prior,
     SampleSet,
-    ValidationError,
     _inverse_cdf,
     _require,
     empirical_functional,
-    joint_from,
     sample_joint,
-    sample_outputs,
 )
 from .knn import KnnConfig, knn_train
 from .mlp import MlpConfig, mlp_train
@@ -77,7 +74,8 @@ def _learner_name(config: LearnerConfig) -> str:
     return "knn" if isinstance(config, KnnConfig) else "mlp"
 
 
-def _train_model(config: LearnerConfig, data: WeightedSampleSet, stream: Stream | None):
+def train_model(config: LearnerConfig, data: WeightedSampleSet, stream: Stream | None):
+    """Train the learner ``config`` names; only the MLP draws from ``stream``."""
     if isinstance(config, KnnConfig):
         return knn_train(data, config)
     _require(stream is not None, "MLP training requires an RNG stream")
@@ -86,9 +84,23 @@ def _train_model(config: LearnerConfig, data: WeightedSampleSet, stream: Stream 
 
 def _check_range(estimate: float, gain: GainFunction) -> None:
     a, b = gain.range
-    assert a - RANGE_SLACK <= estimate <= b + RANGE_SLACK, (
-        f"estimate {estimate} escaped gain range [{a}, {b}]"
-    )
+    if not a - RANGE_SLACK <= estimate <= b + RANGE_SLACK:
+        raise NumericalError(f"estimate {estimate} escaped gain range [{a}, {b}]")
+
+
+def train_data_preproc(
+    train: SampleSet,
+    gain: GainFunction,
+    learner_config: LearnerConfig,
+    stream: Stream | None = None,
+) -> tuple[object, int, int]:
+    """Data pre-processing training step: rationalize, expand, train.
+
+    Returns the model, the rationalization scale and the expanded weight.
+    """
+    rational, scale = rationalize_gain(gain)
+    weighted = data_preprocess(train, rational)
+    return train_model(learner_config, weighted, stream), scale, weighted.total_weight
 
 
 def estimate_data_preproc(
@@ -97,14 +109,11 @@ def estimate_data_preproc(
     gain: GainFunction,
     learner_config: LearnerConfig,
     stream: Stream | None = None,
-    expansion_cap: int = 10**6,
 ) -> EstimateReport:
     """Data pre-processing pipeline: rationalize, expand, train, evaluate."""
     _require(train.size > 0 and valid.size > 0, "train and valid must be non-empty")
     started = time.perf_counter()
-    rational, scale = rationalize_gain(gain, expansion_cap)
-    weighted = data_preprocess(train, rational)
-    model = _train_model(learner_config, weighted, stream)
+    model, scale, total_weight = train_data_preproc(train, gain, learner_config, stream)
     estimate = empirical_functional(model, valid, gain)
     _check_range(estimate, gain)
     seeds = {}
@@ -125,8 +134,8 @@ def estimate_data_preproc(
         details={
             "rationalize_scale": scale,
             "descale": "not needed: evaluation uses the original gain",
-            "expanded_total_weight": weighted.total_weight,
-            "expansion_factor": weighted.total_weight / train.size,
+            "expanded_total_weight": total_weight,
+            "expansion_factor": total_weight / train.size,
         },
     )
 
@@ -147,18 +156,8 @@ def sample_preprocessed_pairs(
     deriv = channel_preprocess(prior, gain)
     gen = stream.gen
     ws = _inverse_cdf(deriv.tau.probs, gen.random(m))
-    # x ~ R[w]: one uniform per sample, grouped by guess for vectorization
-    u = gen.random(m)
-    xs = np.empty(m, dtype=np.int64)
-    cum_r = np.cumsum(deriv.R.rows, axis=1)
-    for w in np.unique(ws):
-        mask = ws == w
-        idx = np.searchsorted(cum_r[w], u[mask] * cum_r[w, -1], side="right")
-        xs[mask] = np.minimum(idx, deriv.R.output.size - 1)
-    if isinstance(channel, Channel):
-        ys = sample_outputs(channel, xs, gen)[:, None]
-    else:
-        ys = channel.sample(xs, gen)
+    xs = deriv.R.sample(ws, gen)[:, 0]
+    ys = channel.sample(xs, gen)
     combined = np.concatenate([ws[:, None], ys], axis=1)
     distinct, counts = np.unique(combined, axis=0, return_counts=True)
     return WeightedSampleSet(
@@ -192,13 +191,9 @@ def estimate_channel_preproc(
         prior, channel, gain, m, stream.child("pairs")
     )
     if isinstance(valid, int):
-        valid_stream = stream.child("valid")
-        if isinstance(channel, Channel):
-            valid = sample_joint(joint_from(prior, channel), valid, valid_stream)
-        else:
-            valid = sample_joint((prior, channel), valid, valid_stream)
+        valid = sample_joint((prior, channel), valid, stream.child("valid"))
     _require(valid.size > 0, "validation set is empty")
-    model = _train_model(learner_config, weighted, stream.child("learner"))
+    model = train_model(learner_config, weighted, stream.child("learner"))
     estimate = empirical_functional(model, valid, gain)
     _check_range(estimate, gain)
     seeds = {"pipeline": stream.provenance}
@@ -287,45 +282,3 @@ def frequentist_estimate(
         seeds=seeds,
         wall_time=time.perf_counter() - started,
     )
-
-
-class MajorityEnsemble:
-    """Majority vote over member predictions; ties drawn uniformly at random
-    from the tied set using a dedicated stream."""
-
-    __slots__ = ("models", "n_guesses", "stream")
-
-    def __init__(self, models: list, n_guesses: int, stream: Stream) -> None:
-        self.models = models
-        self.n_guesses = n_guesses
-        self.stream = stream
-
-    def predict(self, ys: np.ndarray) -> np.ndarray:
-        votes = np.zeros((np.asarray(ys).shape[0], self.n_guesses), dtype=np.int64)
-        for model in self.models:
-            preds = np.asarray(model.predict(ys), dtype=np.int64)
-            np.add.at(votes, (np.arange(votes.shape[0]), preds), 1)
-        top = votes.max(axis=1)
-        out = np.empty(votes.shape[0], dtype=np.int64)
-        gen = self.stream.gen
-        for i in range(votes.shape[0]):
-            tied = np.flatnonzero(votes[i] == top[i])
-            out[i] = tied[0] if tied.size == 1 else tied[gen.integers(tied.size)]
-        return out
-
-
-def ensemble_majority(
-    models: list, stream: Stream, n_guesses: int | None = None
-) -> MajorityEnsemble:
-    """Combine trained classifiers by per-observable majority vote."""
-    if not models:
-        raise ValidationError("ensemble needs at least one model")
-    if n_guesses is None:
-        first = models[0]
-        if hasattr(first, "n_guesses"):
-            n_guesses = first.n_guesses
-        elif hasattr(first, "layer_sizes"):
-            n_guesses = first.layer_sizes[-1]
-        else:
-            raise ValidationError("cannot infer guess count; pass n_guesses")
-    return MajorityEnsemble(list(models), int(n_guesses), stream)

@@ -17,20 +17,21 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    Channel,
-    GainFunction,
+    NumericalError,
     SampleSet,
     ValidationError,
     _require,
     empirical_functional,
-    joint_from,
     sample_joint,
 )
-from .estimation import frequentist_predictor, sample_preprocessed_pairs
-from .features import FeatureCodec
-from .knn import DistanceMetric, KnnConfig, knn_train
-from .mlp import MlpConfig, mlp_train
-from .preprocess import data_preprocess, rationalize_gain
+from .estimation import (
+    frequentist_predictor,
+    sample_preprocessed_pairs,
+    train_data_preproc,
+    train_model,
+)
+from .knn import DistanceMetric, KnnConfig
+from .mlp import MlpConfig
 from .rng import stream
 from .scenarios import SCENARIO_NAMES, Scenario, build_scenario
 
@@ -178,7 +179,8 @@ class MetricsReport:
             scenario, method, learner, m, n, exact, deltas, mean, dispersion, total
         )
         residual = abs(dispersion**2 + mean**2 - total**2)
-        assert residual <= 1e-12, f"metrics identity violated by {residual}"
+        if not residual <= 1e-12:
+            raise NumericalError(f"metrics identity violated by {residual}")
         return report
 
     def as_dict(self) -> dict:
@@ -229,35 +231,28 @@ def _train_one(
     sizes: tuple[int, ...],
 ):
     """Train the (method, learner, m, i) model; returns a predictor."""
-    seed = config.master_seed
-    if method in ("data", "frequentist"):
-        train_stream = stream(seed, f"{scenario.name}/train/m{m}/i{i}")
-        if isinstance(scenario.channel, Channel):
-            train = sample_joint(
-                joint_from(scenario.prior, scenario.channel), m, train_stream
-            )
-        else:
-            train = sample_joint((scenario.prior, scenario.channel), m, train_stream)
+    seed, name = config.master_seed, scenario.name
+    if method != "channel":
+        train_stream = stream(seed, f"{name}/train/m{m}/i{i}")
+        train = sample_joint((scenario.prior, scenario.channel), m, train_stream)
         if method == "frequentist":
             return frequentist_predictor(train, scenario.gain)
-        rational, _ = rationalize_gain(scenario.gain)
-        weighted = data_preprocess(train, rational)
-    else:
-        weighted = sample_preprocessed_pairs(
-            scenario.prior,
-            scenario.channel,
-            scenario.gain,
-            m,
-            stream(seed, f"{scenario.name}/chan/m{m}/i{i}"),
-        )
     if learner == "knn":
-        return knn_train(weighted, knn_config_for(scenario))
-    mlp_config = mlp_config_for(scenario, method, config.profile, m, sizes)
-    return mlp_train(
-        weighted,
-        mlp_config,
-        stream(seed, f"{scenario.name}/{method}/mlp/m{m}/i{i}"),
+        learner_config = knn_config_for(scenario)
+    else:
+        learner_config = mlp_config_for(scenario, method, config.profile, m, sizes)
+    # only the MLP draws from this stream
+    learner_stream = stream(seed, f"{name}/{method}/mlp/m{m}/i{i}")
+    if method == "data":
+        return train_data_preproc(train, scenario.gain, learner_config, learner_stream)[0]
+    pairs = sample_preprocessed_pairs(
+        scenario.prior,
+        scenario.channel,
+        scenario.gain,
+        m,
+        stream(seed, f"{name}/chan/m{m}/i{i}"),
     )
+    return train_model(learner_config, pairs, learner_stream)
 
 
 def run_trial_matrix(
@@ -277,17 +272,14 @@ def run_trial_matrix(
     num_j = resolved["num_valid_sets"]
     n = resolved["valid_size"]
 
-    valid_sets: list[SampleSet] = []
-    for j in range(num_j):
-        vstream = stream(config.master_seed, f"{scenario.name}/valid/j{j}")
-        if isinstance(scenario.channel, Channel):
-            valid_sets.append(
-                sample_joint(joint_from(scenario.prior, scenario.channel), n, vstream)
-            )
-        else:
-            valid_sets.append(
-                sample_joint((scenario.prior, scenario.channel), n, vstream)
-            )
+    valid_sets: list[SampleSet] = [
+        sample_joint(
+            (scenario.prior, scenario.channel),
+            n,
+            stream(config.master_seed, f"{scenario.name}/valid/j{j}"),
+        )
+        for j in range(num_j)
+    ]
 
     tasks = [
         (method, learner, m, i)

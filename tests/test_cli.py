@@ -220,6 +220,22 @@ class TestEstimate:
         assert payload["learner"] == "mlp"
         assert 0.0 < payload["estimate"] <= 1.0
 
+    @pytest.mark.parametrize("method", ["data", "channel", "frequentist"])
+    def test_estimate_outside_gain_range_is_numerical_failure(
+        self, capsys, assets, monkeypatch, method
+    ):
+        monkeypatch.setattr(
+            "gleak.estimation.empirical_functional", lambda *args: 2.0
+        )
+        code, _, err = run_cli(
+            capsys,
+            ["estimate"] + self.files(assets)
+            + ["--method", method, "--m", "200", "--n", "200"],
+        )
+        assert code == 3
+        assert err.startswith("numerical failure:")
+        assert "escaped gain range" in err
+
     def test_out_written(self, capsys, assets, tmp_path):
         out_path = tmp_path / "est.json"
         payload = run_json(

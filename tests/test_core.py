@@ -25,6 +25,7 @@ from gleak import (
     stream,
     strategy_gain,
 )
+from gleak.core import leakage_of
 from conftest import (
     loop_posterior_vulnerability,
     loop_prior_vulnerability,
@@ -247,6 +248,24 @@ class TestLeakage:
         with pytest.raises(ValidationError):
             leakage(prior, channel, identity_gain(prior.alphabet), "geometric")
 
+    def test_leakage_of_is_the_arithmetic_of_leakage(self, two_secret_example):
+        prior, channel = two_secret_example
+        g = identity_gain(prior.alphabet)
+        pri = prior_vulnerability(prior, g)
+        post = posterior_vulnerability(prior, channel, g)
+        for mode in ("multiplicative", "additive"):
+            assert leakage_of(pri, post, mode) == leakage(prior, channel, g, mode)
+
+    def test_leakage_of_zero_prior_vulnerability(self):
+        with pytest.raises(
+            ValidationError,
+            match="^multiplicative leakage undefined: prior vulnerability is 0$",
+        ):
+            leakage_of(0.0, 0.5, "multiplicative")
+        assert leakage_of(0.0, 0.5, "additive") == 0.5
+        with pytest.raises(ValidationError, match="unknown mode"):
+            leakage_of(0.5, 0.5, "geometric")
+
 
 class TestSampling:
     def test_sample_joint_determinism(self):
@@ -276,6 +295,34 @@ class TestSampling:
                 p = joint.probs[x, y]
                 sigma = np.sqrt(p * (1 - p) * s.size)
                 assert abs(counts[x, y] - p * s.size) < 4 * sigma + 1
+
+    def test_matrix_pair_draws_from_the_flat_joint(self):
+        X = Alphabet.integers(3)
+        prior = Prior(X, np.array([0.2, 0.3, 0.5]))
+        channel = random_channel(np.random.default_rng(1), X, 4)
+        a = sample_joint((prior, channel), 500, stream(9, "t/pair"))
+        b = sample_joint(joint_from(prior, channel), 500, stream(9, "t/pair"))
+        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
+        assert a.secrets == prior.alphabet and a.provenance == b.provenance
+
+    def test_matrix_pair_alphabet_mismatch(self):
+        prior = Prior.uniform(Alphabet.integers(2))
+        channel = Channel.identity(Alphabet.integers(3))
+        with pytest.raises(ValidationError, match="channel input"):
+            sample_joint((prior, channel), 10, stream(0, "t/bad"))
+
+    def test_channel_sample_inverts_row_cdf(self):
+        # reference: one uniform per sample, inverted through its row's CDF
+        X = Alphabet.integers(3)
+        channel = random_channel(np.random.default_rng(3), X, 5)
+        xs = np.random.default_rng(4).integers(0, 3, 1000)
+        ys = channel.sample(xs, np.random.default_rng(5))
+        assert ys.shape == (1000, 1) and ys.dtype == np.int64
+        u = np.random.default_rng(5).random(1000)
+        for x, y, ui in zip(xs, ys[:, 0], u):
+            cum = np.cumsum(channel.rows[x])
+            expected = min(int(np.searchsorted(cum, ui * cum[-1], side="right")), 4)
+            assert y == expected
 
     def test_generative_channel_path(self):
         X = Alphabet.integers(2)

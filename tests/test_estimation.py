@@ -1,4 +1,4 @@
-"""Black-box estimation pipelines, the frequentist baseline, and ensembles."""
+"""Black-box estimation pipelines and the frequentist baseline."""
 
 import json
 
@@ -12,10 +12,10 @@ from gleak import (
     GenerativeChannel,
     KnnConfig,
     DistanceMetric,
+    NumericalError,
     Prior,
     SampleSet,
     ValidationError,
-    ensemble_majority,
     estimate_channel_preproc,
     estimate_data_preproc,
     frequentist_estimate,
@@ -28,7 +28,7 @@ from gleak import (
     scalar_codec,
     stream,
 )
-from gleak.estimation import TablePredictor
+from gleak.estimation import TablePredictor, _check_range
 
 from conftest import random_channel, random_gain, random_prior
 
@@ -277,82 +277,17 @@ class TestFrequentist:
         assert got.tolist() == [7, 2]
 
 
-class TestEnsemble:
-    def _table(self, mapping, fallback=0):
-        return TablePredictor(
-            {np.array([y], dtype=np.int64).tobytes(): w for y, w in mapping.items()},
-            fallback,
-        )
+class TestRangeCheck:
+    gain = identity_gain(Alphabet.integers(2))
 
-    def test_single_member_is_identity(self):
-        model = self._table({0: 2, 1: 1})
-        ens = ensemble_majority([model], stream(0, "t/ens/one"), n_guesses=3)
-        ys = np.array([[0], [1]])
-        assert ens.predict(ys).tolist() == model.predict(ys).tolist()
+    def test_slack_accepted(self):
+        _check_range(1.0 + 1e-10, self.gain)
+        _check_range(-1e-10, self.gain)
 
-    def test_majority_wins(self):
-        models = [
-            self._table({0: 1}),
-            self._table({0: 1}),
-            self._table({0: 2}),
-        ]
-        ens = ensemble_majority(models, stream(0, "t/ens/maj"), n_guesses=3)
-        assert ens.predict(np.array([[0]])).tolist() == [1]
-
-    def test_tie_randomized_within_tied_set(self):
-        models = [self._table({0: 1}), self._table({0: 2})]
-        ys = np.zeros((4000, 1), dtype=np.int64)
-        ens = ensemble_majority(models, stream(0, "t/ens/tie"), n_guesses=4)
-        picks = ens.predict(ys)
-        assert set(np.unique(picks)) == {1, 2}
-        share = (picks == 1).mean()
-        assert abs(share - 0.5) < 4 * np.sqrt(0.25 / 4000)
-
-    def test_tie_stream_is_deterministic(self):
-        models = [self._table({0: 1}), self._table({0: 2})]
-        ys = np.zeros((64, 1), dtype=np.int64)
-        a = ensemble_majority(models, stream(3, "t/ens/d"), n_guesses=4).predict(ys)
-        b = ensemble_majority(models, stream(3, "t/ens/d"), n_guesses=4).predict(ys)
-        assert (a == b).all()
-
-    def test_guess_count_inferred_from_knn(self, two_secret):
-        prior, channel, gain = two_secret
-        joint = joint_from(prior, channel)
-        train = sample_joint(joint, 300, stream(4, "t/ens/knn"))
-        from gleak import data_preprocess, knn_train
-
-        model = knn_train(data_preprocess(train, gain), scalar_knn())
-        ens = ensemble_majority([model], stream(4, "t/ens/knn2"))
-        assert ens.n_guesses == 2
-
-    def test_empty_ensemble_rejected(self):
-        with pytest.raises(ValidationError):
-            ensemble_majority([], stream(0, "t/ens/none"))
-
-    def test_uninferrable_guess_count_rejected(self):
-        class Opaque:
-            def predict(self, ys):
-                return np.zeros(len(ys), dtype=np.int64)
-
-        with pytest.raises(ValidationError, match="n_guesses"):
-            ensemble_majority([Opaque()], stream(0, "t/ens/opq"))
-
-    def test_majority_of_noisy_models_beats_members(self, two_secret):
-        prior, channel, gain = two_secret
-        joint = joint_from(prior, channel)
-        valid = sample_joint(joint, 4000, stream(8, "t/ens/v"))
-        exact = posterior_vulnerability(prior, channel, gain)
-        members = []
-        for i in range(5):
-            train = sample_joint(joint, 60, stream(8, f"t/ens/m{i}"))
-            members.append(frequentist_predictor(train, gain))
-        from gleak import empirical_functional
-
-        ens = ensemble_majority(
-            members, stream(8, "t/ens/vote"), n_guesses=gain.guesses.size
-        )
-        combined = empirical_functional(ens, valid, gain)
-        assert abs(combined - exact) / exact < 0.15
+    @pytest.mark.parametrize("estimate", [1.5, -0.1, float("nan")])
+    def test_escape_is_numerical_error(self, estimate):
+        with pytest.raises(NumericalError, match="escaped gain range"):
+            _check_range(estimate, self.gain)
 
 
 class TestFrequentistVersusTruthDirection:

@@ -8,6 +8,7 @@ import pytest
 
 from gleak import (
     MetricsReport,
+    NumericalError,
     TrialMatrixConfig,
     ValidationError,
     emit_reports,
@@ -56,6 +57,10 @@ class TestMetricsReport:
         report = MetricsReport.from_deltas("s", "m", "l", 1, 1, 1.0, deltas)
         lhs = report.dispersion**2 + report.mean**2
         assert lhs == pytest.approx(report.total_error**2, abs=1e-12)
+
+    def test_identity_failure_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="metrics identity"):
+            MetricsReport.from_deltas("s", "m", "l", 1, 1, 1.0, np.array([np.nan]))
 
     def test_as_dict_fields(self):
         report = MetricsReport.from_deltas(
