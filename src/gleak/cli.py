@@ -29,13 +29,8 @@ from .core import (
     leakage_of,
     posterior_vulnerability,
     prior_vulnerability,
-    sample_joint,
 )
-from .estimation import (
-    estimate_channel_preproc,
-    estimate_data_preproc,
-    frequentist_estimate,
-)
+from .estimation import estimate
 from .features import scalar_codec
 from .harness import (
     LEARNERS,
@@ -99,6 +94,8 @@ def cmd_exact(args) -> int:
 
 
 def _learner_config(args, scenario: Scenario | None, m: int):
+    if args.method == "frequentist":
+        return None
     if args.learner == "knn":
         if scenario is not None:
             return knn_config_for(scenario)
@@ -124,32 +121,16 @@ def _learner_config(args, scenario: Scenario | None, m: int):
 
 def cmd_estimate(args) -> int:
     prior, channel, gain, scenario = _load_triple(args)
-    source = (prior, channel)
-    name = args.scenario or "files"
-
-    if args.method == "channel":
-        report = estimate_channel_preproc(
-            prior,
-            channel,
-            gain,
-            args.m,
-            args.n,
-            _learner_config(args, scenario, args.m),
-            stream(args.seed, f"{name}/estimate"),
-        )
-    else:
-        train = sample_joint(source, args.m, stream(args.seed, f"{name}/estimate/train"))
-        valid = sample_joint(source, args.n, stream(args.seed, f"{name}/estimate/valid"))
-        if args.method == "frequentist":
-            report = frequentist_estimate(train, valid, gain)
-        else:
-            report = estimate_data_preproc(
-                train,
-                valid,
-                gain,
-                _learner_config(args, scenario, args.m),
-                stream(args.seed, f"{name}/estimate/learner"),
-            )
+    report = estimate(
+        args.method,
+        prior,
+        channel,
+        gain,
+        args.m,
+        args.n,
+        _learner_config(args, scenario, args.m),
+        stream(args.seed, f"{args.scenario or 'files'}/estimate"),
+    )
     payload = report.as_dict()
     if scenario is not None:
         payload["exact"] = scenario.exact_vg

@@ -13,10 +13,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -282,11 +281,6 @@ class SampleSet:
     @property
     def obs_width(self) -> int:
         return int(self.ys.shape[1])
-
-    def pairs(self) -> Iterator[tuple[int, int | tuple[int, ...]]]:
-        width = self.obs_width
-        for x, y in zip(self.xs.tolist(), self.ys.tolist()):
-            yield (x, y[0] if width == 1 else tuple(y))
 
 
 @dataclass(frozen=True, eq=False)

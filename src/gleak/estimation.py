@@ -9,7 +9,7 @@ then implicit in the evaluation and never multiplied in explicitly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -29,6 +29,7 @@ from .core import (
 from .knn import KnnConfig, knn_train
 from .mlp import MlpConfig, mlp_train
 from .preprocess import (
+    ChannelPreprocDerivation,
     WeightedSampleSet,
     channel_preprocess,
     data_preprocess,
@@ -40,6 +41,13 @@ LearnerConfig = Union[KnnConfig, MlpConfig]
 
 RANGE_SLACK = 1e-9
 
+# method name -> the name its reports carry
+METHOD_NAMES = {
+    "data": "data-preproc",
+    "channel": "channel-preproc",
+    "frequentist": "frequentist",
+}
+
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -50,36 +58,12 @@ class EstimateReport:
     learner: str
     m: int
     n: int
-    seeds: dict = field(default_factory=dict)
-    wall_time: float = 0.0
-    details: dict = field(default_factory=dict)
+    seeds: dict
+    wall_time: float
+    details: dict
 
     def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "method": self.method,
-            "learner": self.learner,
-            "m": self.m,
-            "n": self.n,
-            "seeds": {
-                key: {"master_seed": prov.master_seed, "stream": prov.stream}
-                for key, prov in self.seeds.items()
-            },
-            "wall_time": self.wall_time,
-            "details": dict(self.details),
-        }
-
-
-def _learner_name(config: LearnerConfig) -> str:
-    return "knn" if isinstance(config, KnnConfig) else "mlp"
-
-
-def train_model(config: LearnerConfig, data: WeightedSampleSet, stream: Stream | None):
-    """Train the learner ``config`` names; only the MLP draws from ``stream``."""
-    if isinstance(config, KnnConfig):
-        return knn_train(data, config)
-    _require(stream is not None, "MLP training requires an RNG stream")
-    return mlp_train(data, config, stream)
+        return asdict(self)
 
 
 def _check_range(estimate: float, gain: GainFunction) -> None:
@@ -88,62 +72,9 @@ def _check_range(estimate: float, gain: GainFunction) -> None:
         raise NumericalError(f"estimate {estimate} escaped gain range [{a}, {b}]")
 
 
-def train_data_preproc(
-    train: SampleSet,
-    gain: GainFunction,
-    learner_config: LearnerConfig,
-    stream: Stream | None = None,
-) -> tuple[object, int, int]:
-    """Data pre-processing training step: rationalize, expand, train.
-
-    Returns the model, the rationalization scale and the expanded weight.
-    """
-    rational, scale = rationalize_gain(gain)
-    weighted = data_preprocess(train, rational)
-    return train_model(learner_config, weighted, stream), scale, weighted.total_weight
-
-
-def estimate_data_preproc(
-    train: SampleSet,
-    valid: SampleSet,
-    gain: GainFunction,
-    learner_config: LearnerConfig,
-    stream: Stream | None = None,
-) -> EstimateReport:
-    """Data pre-processing pipeline: rationalize, expand, train, evaluate."""
-    _require(train.size > 0 and valid.size > 0, "train and valid must be non-empty")
-    started = time.perf_counter()
-    model, scale, total_weight = train_data_preproc(train, gain, learner_config, stream)
-    estimate = empirical_functional(model, valid, gain)
-    _check_range(estimate, gain)
-    seeds = {}
-    if train.provenance is not None:
-        seeds["train"] = train.provenance
-    if valid.provenance is not None:
-        seeds["valid"] = valid.provenance
-    if stream is not None:
-        seeds["learner"] = stream.provenance
-    return EstimateReport(
-        estimate=estimate,
-        method="data-preproc",
-        learner=_learner_name(learner_config),
-        m=train.size,
-        n=valid.size,
-        seeds=seeds,
-        wall_time=time.perf_counter() - started,
-        details={
-            "rationalize_scale": scale,
-            "descale": "not needed: evaluation uses the original gain",
-            "expanded_total_weight": total_weight,
-            "expansion_factor": total_weight / train.size,
-        },
-    )
-
-
 def sample_preprocessed_pairs(
-    prior: Prior,
+    deriv: ChannelPreprocDerivation,
     channel: Channel | GenerativeChannel,
-    gain: GainFunction,
     m: int,
     stream: Stream,
 ) -> WeightedSampleSet:
@@ -153,7 +84,6 @@ def sample_preprocessed_pairs(
     to k copies for every consumer.
     """
     _require(m >= 1, "m must be >= 1")
-    deriv = channel_preprocess(prior, gain)
     gen = stream.gen
     ws = _inverse_cdf(deriv.tau.probs, gen.random(m))
     xs = deriv.R.sample(ws, gen)[:, 0]
@@ -161,7 +91,7 @@ def sample_preprocessed_pairs(
     combined = np.concatenate([ws[:, None], ys], axis=1)
     distinct, counts = np.unique(combined, axis=0, return_counts=True)
     return WeightedSampleSet(
-        gain.guesses,
+        deriv.tau.alphabet,
         distinct[:, 0],
         distinct[:, 1:],
         counts,
@@ -169,48 +99,97 @@ def sample_preprocessed_pairs(
     )
 
 
-def estimate_channel_preproc(
+def fit(
+    method: str,
     prior: Prior,
     channel: Channel | GenerativeChannel,
     gain: GainFunction,
     m: int,
-    valid: SampleSet | int,
-    learner_config: LearnerConfig,
-    stream: Stream,
-) -> EstimateReport:
-    """Channel pre-processing pipeline with black-box sampling access to C.
+    learner_config: LearnerConfig | None,
+    train_stream: Stream,
+    learner_stream: Stream | None = None,
+) -> tuple[object, dict]:
+    """Draw m training samples for ``method`` and train its predictor.
 
-    ``valid`` may be a prepared SampleSet of (x, y) pairs or a size to draw
-    from pi |> C.  The beta factor never multiplies the result: evaluating
-    the trained classifier with the original gain on (x, y) pairs already
-    yields V_g units.
+    ``"data"`` samples pi |> C, rationalizes the gain and expands the
+    samples; ``"channel"`` samples tau |> RC; ``"frequentist"`` counts
+    pi |> C samples into a decision table and needs no learner.  Only the
+    MLP draws from ``learner_stream``.  Returns the predictor and the
+    method's report details.
     """
-    started = time.perf_counter()
-    deriv = channel_preprocess(prior, gain)
-    weighted = sample_preprocessed_pairs(
-        prior, channel, gain, m, stream.child("pairs")
-    )
-    if isinstance(valid, int):
-        valid = sample_joint((prior, channel), valid, stream.child("valid"))
-    _require(valid.size > 0, "validation set is empty")
-    model = train_model(learner_config, weighted, stream.child("learner"))
-    estimate = empirical_functional(model, valid, gain)
-    _check_range(estimate, gain)
-    seeds = {"pipeline": stream.provenance}
-    if valid.provenance is not None:
-        seeds["valid"] = valid.provenance
-    return EstimateReport(
-        estimate=estimate,
-        method="channel-preproc",
-        learner=_learner_name(learner_config),
-        m=m,
-        n=valid.size,
-        seeds=seeds,
-        wall_time=time.perf_counter() - started,
-        details={
+    _require(method in METHOD_NAMES, f"unknown method {method!r}")
+    if method == "channel":
+        deriv = channel_preprocess(prior, gain)
+        data = sample_preprocessed_pairs(deriv, channel, m, train_stream)
+        details = {
             "beta": deriv.beta,
             "beta_handling": "implicit: evaluation uses the original gain on (x, y) pairs",
-        },
+        }
+    else:
+        train = sample_joint((prior, channel), m, train_stream)
+        if method == "frequentist":
+            return frequentist_predictor(train, gain), {}
+        rational, scale = rationalize_gain(gain)
+        data = data_preprocess(train, rational)
+        details = {
+            "rationalize_scale": scale,
+            "descale": "not needed: evaluation uses the original gain",
+            "expanded_total_weight": data.total_weight,
+            "expansion_factor": data.total_weight / m,
+        }
+    if isinstance(learner_config, KnnConfig):
+        return knn_train(data, learner_config), details
+    _require(
+        isinstance(learner_config, MlpConfig) and learner_stream is not None,
+        f"method {method!r} needs a KnnConfig, or an MlpConfig and a learner stream",
+    )
+    return mlp_train(data, learner_config, learner_stream), details
+
+
+def estimate(
+    method: str,
+    prior: Prior,
+    channel: Channel | GenerativeChannel,
+    gain: GainFunction,
+    m: int,
+    n: int,
+    learner_config: LearnerConfig | None,
+    stream: Stream,
+) -> EstimateReport:
+    """One black-box estimate of V_g(pi, C) by ``method``.
+
+    Fits on m training samples and evaluates with the ORIGINAL gain on n
+    fresh (x, y) pairs from pi |> C, so neither the rationalization scale
+    nor beta ever multiplies the result.  Draws from the children ``train``
+    (``pairs`` for the channel method), ``valid`` and ``learner`` of
+    ``stream``.
+    """
+    started = time.perf_counter()
+    seeds = {
+        "train": stream.child("pairs" if method == "channel" else "train"),
+        "valid": stream.child("valid"),
+        "learner": stream.child("learner"),
+    }
+    valid = sample_joint((prior, channel), n, seeds["valid"])
+    predictor, details = fit(
+        method, prior, channel, gain, m, learner_config, seeds["train"], seeds["learner"]
+    )
+    value = empirical_functional(predictor, valid, gain)
+    _check_range(value, gain)
+    if method == "frequentist":
+        learner = "none"
+        del seeds["learner"]
+    else:
+        learner = "knn" if isinstance(learner_config, KnnConfig) else "mlp"
+    return EstimateReport(
+        estimate=value,
+        method=METHOD_NAMES[method],
+        learner=learner,
+        m=m,
+        n=n,
+        seeds={key: child.provenance for key, child in seeds.items()},
+        wall_time=time.perf_counter() - started,
+        details=details,
     )
 
 
@@ -259,26 +238,3 @@ def frequentist_predictor(train: SampleSet, gain: GainFunction) -> TablePredicto
     fallback = int(np.argmax(gain.matrix[:, x_mode]))
     return TablePredictor(table, fallback)
 
-
-def frequentist_estimate(
-    train: SampleSet, valid: SampleSet, gain: GainFunction
-) -> EstimateReport:
-    """Counting baseline: empirical conditionals pick w(y), evaluated on valid."""
-    started = time.perf_counter()
-    predictor = frequentist_predictor(train, gain)
-    estimate = empirical_functional(predictor, valid, gain)
-    _check_range(estimate, gain)
-    seeds = {}
-    if train.provenance is not None:
-        seeds["train"] = train.provenance
-    if valid.provenance is not None:
-        seeds["valid"] = valid.provenance
-    return EstimateReport(
-        estimate=estimate,
-        method="frequentist",
-        learner="none",
-        m=train.size,
-        n=valid.size,
-        seeds=seeds,
-        wall_time=time.perf_counter() - started,
-    )

@@ -9,9 +9,8 @@ master seed, so a full run is byte-reproducible.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +23,7 @@ from .core import (
     empirical_functional,
     sample_joint,
 )
-from .estimation import (
-    frequentist_predictor,
-    sample_preprocessed_pairs,
-    train_data_preproc,
-    train_model,
-)
+from .estimation import fit
 from .knn import DistanceMetric, KnnConfig
 from .mlp import MlpConfig
 from .rng import stream
@@ -232,27 +226,24 @@ def _train_one(
 ):
     """Train the (method, learner, m, i) model; returns a predictor."""
     seed, name = config.master_seed, scenario.name
-    if method != "channel":
-        train_stream = stream(seed, f"{name}/train/m{m}/i{i}")
-        train = sample_joint((scenario.prior, scenario.channel), m, train_stream)
-        if method == "frequentist":
-            return frequentist_predictor(train, scenario.gain)
+    learner_config = None
     if learner == "knn":
         learner_config = knn_config_for(scenario)
-    else:
+    elif learner == "mlp":
         learner_config = mlp_config_for(scenario, method, config.profile, m, sizes)
-    # only the MLP draws from this stream
-    learner_stream = stream(seed, f"{name}/{method}/mlp/m{m}/i{i}")
-    if method == "data":
-        return train_data_preproc(train, scenario.gain, learner_config, learner_stream)[0]
-    pairs = sample_preprocessed_pairs(
+    train_name = "chan" if method == "channel" else "train"
+    predictor, _ = fit(
+        method,
         scenario.prior,
         scenario.channel,
         scenario.gain,
         m,
-        stream(seed, f"{name}/chan/m{m}/i{i}"),
+        learner_config,
+        stream(seed, f"{name}/{train_name}/m{m}/i{i}"),
+        # only the MLP draws from this stream
+        stream(seed, f"{name}/{method}/mlp/m{m}/i{i}"),
     )
-    return train_model(learner_config, pairs, learner_stream)
+    return predictor
 
 
 def run_trial_matrix(

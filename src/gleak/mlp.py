@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import NumericalError, ValidationError, _freeze, _require
+from .core import NumericalError, _freeze, _require
 from .features import FeatureCodec
 from .preprocess import WeightedSampleSet
 from .rng import Stream
@@ -135,31 +134,6 @@ class MlpClassifier:
 
     def predict(self, ys: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(ys), axis=1)
-
-    def export(self, path: str | Path) -> None:
-        lines = ["gleak-mlp 1", " ".join(str(s) for s in self.layer_sizes)]
-        for w, b in zip(self.weights, self.biases):
-            lines.append(" ".join(repr(v) for v in w.ravel().tolist()))
-            lines.append(" ".join(repr(v) for v in b.tolist()))
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @staticmethod
-    def load(path: str | Path, codec: FeatureCodec) -> "MlpClassifier":
-        lines = Path(path).read_text().splitlines()
-        if not lines or lines[0] != "gleak-mlp 1":
-            raise ValidationError(f"{path}: not a version-1 model dump")
-        sizes = tuple(int(tok) for tok in lines[1].split())
-        weights, biases = [], []
-        row = 2
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w = np.array([float(t) for t in lines[row].split()])
-            b = np.array([float(t) for t in lines[row + 1].split()])
-            if w.size != fan_in * fan_out or b.size != fan_out:
-                raise ValidationError(f"{path}: tensor size mismatch at line {row}")
-            weights.append(w.reshape(fan_in, fan_out))
-            biases.append(b)
-            row += 2
-        return MlpClassifier(codec, weights, biases)
 
 
 def mlp_train(

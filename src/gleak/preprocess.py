@@ -76,10 +76,6 @@ class WeightedSampleSet:
     def total_weight(self) -> int:
         return int(self.weights.sum())
 
-    @property
-    def obs_width(self) -> int:
-        return int(self.ys.shape[1])
-
 
 @dataclass(frozen=True, eq=False)
 class DataPreprocDerivation:

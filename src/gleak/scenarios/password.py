@@ -33,7 +33,6 @@ from ..core import (
     posterior_vulnerability,
 )
 from ..features import scalar_codec
-from ..rng import Stream
 from . import Scenario
 
 AGREE, DISAGREE = 0, 1
@@ -107,22 +106,6 @@ def reduced_channel(config: PasswordScenarioConfig) -> Channel:
         Alphabet.integers(config.buckets, prefix="t"),
         rc,
     )
-
-
-def sample_passwords(
-    config: PasswordScenarioConfig, count: int, stream: Stream
-) -> list[int]:
-    """Uniform full passwords (prefix fixed to zero) as Python integers."""
-    suffix_bits = config.total_bits - config.known_prefix
-    gen = stream.gen
-    halves = gen.integers(0, 2**32, size=(count, (suffix_bits + 31) // 32), dtype=np.uint64)
-    out = []
-    for row in halves:
-        value = 0
-        for word in row.tolist():
-            value = (value << 32) | int(word)
-        out.append(value & ((1 << suffix_bits) - 1))
-    return out
 
 
 def password_scenario(

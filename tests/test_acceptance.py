@@ -39,7 +39,13 @@ from gleak.estimation import sample_preprocessed_pairs
 from gleak.features import scalar_codec
 from gleak.knn import DistanceMetric, KnnClassifier, KnnConfig, k_for, knn_train
 from gleak.mlp import gradient_check
-from gleak.preprocess import WeightedSampleSet, compose, data_preprocess, ideal_derivation
+from gleak.preprocess import (
+    WeightedSampleSet,
+    channel_preprocess,
+    compose,
+    data_preprocess,
+    ideal_derivation,
+)
 from gleak.rng import stream
 from gleak.scenarios import build_scenario
 from gleak.scenarios.password import PasswordScenarioConfig, reduced_channel
@@ -274,7 +280,7 @@ def test_criterion_7_partition_gain_coincidence():
     )
     weighted = data_preprocess(train, scenario.gain)
     pairs = sample_preprocessed_pairs(
-        scenario.prior, scenario.channel, scenario.gain, count,
+        channel_preprocess(scenario.prior, scenario.gain), scenario.channel, count,
         stream(7, "acceptance/pw/chan"),
     )
 

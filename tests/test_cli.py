@@ -195,6 +195,18 @@ class TestEstimate:
             "multi-guess/estimate/learner",
         }
 
+    def test_channel_seeds_name_train_valid_and_learner(self, capsys):
+        payload = run_json(
+            capsys,
+            ["estimate", "--scenario", "multi-guess", "--method", "channel",
+             "--m", "300", "--n", "300"],
+        )
+        assert {key: v["stream"] for key, v in payload["seeds"].items()} == {
+            "train": "multi-guess/estimate/pairs",
+            "valid": "multi-guess/estimate/valid",
+            "learner": "multi-guess/estimate/learner",
+        }
+
     def test_deterministic_given_seed(self, capsys):
         argv = ["estimate", "--scenario", "dp", "--m", "400", "--n", "400", "--seed", "9"]
         first = run_json(capsys, argv)
@@ -235,6 +247,37 @@ class TestEstimate:
         assert code == 3
         assert err.startswith("numerical failure:")
         assert "escaped gain range" in err
+
+    @pytest.mark.parametrize("method", ["data", "channel", "frequentist"])
+    @pytest.mark.parametrize("flag", ["--m", "--n"])
+    def test_empty_sample_size_is_usage_error(self, capsys, assets, method, flag):
+        argv = (
+            ["estimate"] + self.files(assets)
+            + ["--method", method, "--m", "50", "--n", "50"]
+        )
+        argv[argv.index(flag) + 1] = "0"
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_channel_preprocessing_runs_once(self, capsys, monkeypatch):
+        import gleak.estimation
+
+        calls = []
+        original = gleak.estimation.channel_preprocess
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gleak.estimation, "channel_preprocess", counting)
+        run_json(
+            capsys,
+            ["estimate", "--scenario", "multi-guess", "--method", "channel",
+             "--m", "300", "--n", "300"],
+        )
+        assert len(calls) == 1
 
     def test_out_written(self, capsys, assets, tmp_path):
         out_path = tmp_path / "est.json"

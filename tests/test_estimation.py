@@ -12,13 +12,15 @@ from gleak import (
     GenerativeChannel,
     KnnConfig,
     DistanceMetric,
+    MlpConfig,
     NumericalError,
     Prior,
     SampleSet,
     ValidationError,
-    estimate_channel_preproc,
-    estimate_data_preproc,
-    frequentist_estimate,
+    channel_preprocess,
+    empirical_functional,
+    estimate,
+    fit,
     frequentist_predictor,
     identity_gain,
     joint_from,
@@ -53,10 +55,9 @@ def two_secret():
 class TestDataPipeline:
     def test_knn_recovers_posterior_vulnerability(self, two_secret):
         prior, channel, gain = two_secret
-        joint = joint_from(prior, channel)
-        train = sample_joint(joint, 5000, stream(0, "t/est/train"))
-        valid = sample_joint(joint, 5000, stream(0, "t/est/valid"))
-        report = estimate_data_preproc(train, valid, gain, scalar_knn())
+        report = estimate(
+            "data", prior, channel, gain, 5000, 5000, scalar_knn(), stream(0, "t/est")
+        )
         exact = posterior_vulnerability(prior, channel, gain)
         assert abs(report.estimate - exact) / exact < 0.05
         assert report.method == "data-preproc"
@@ -67,12 +68,14 @@ class TestDataPipeline:
         """Rationalization makes the trained model scale-free; only the
         evaluation gain carries units, so estimates scale exactly by 1/K."""
         prior, channel, gain = two_secret
-        joint = joint_from(prior, channel)
-        train = sample_joint(joint, 800, stream(3, "t/est/ktrain"))
-        valid = sample_joint(joint, 800, stream(3, "t/est/kvalid"))
         frac = GainFunction(gain.guesses, gain.secrets, gain.matrix / 2.0)
-        r_int = estimate_data_preproc(train, valid, gain, scalar_knn())
-        r_frac = estimate_data_preproc(train, valid, frac, scalar_knn())
+        # one stream, so both runs draw the same training and validation sets
+        r_int, r_frac = (
+            estimate(
+                "data", prior, channel, g, 800, 800, scalar_knn(), stream(3, "t/est/k")
+            )
+            for g in (gain, frac)
+        )
         assert r_frac.estimate * 2.0 == pytest.approx(r_int.estimate, abs=1e-12)
         assert r_frac.details["rationalize_scale"] == 2
         assert r_int.details["rationalize_scale"] == 1
@@ -81,48 +84,54 @@ class TestDataPipeline:
         X = Alphabet.integers(4)
         prior = Prior.uniform(X)
         channel = Channel(X, Alphabet.integers(4, "y"), np.eye(4))
-        joint = joint_from(prior, channel)
-        train = sample_joint(joint, 400, stream(1, "t/est/nl-train"))
-        valid = sample_joint(joint, 400, stream(1, "t/est/nl-valid"))
-        report = estimate_data_preproc(train, valid, identity_gain(X), scalar_knn())
+        report = estimate(
+            "data", prior, channel, identity_gain(X), 400, 400, scalar_knn(),
+            stream(1, "t/est/nl"),
+        )
         assert report.estimate == 1.0
 
     def test_expansion_factor_reported(self, two_secret):
         prior, channel, _ = two_secret
         X = prior.alphabet
         gain = GainFunction(Alphabet.integers(2, "w"), X, np.array([[3.0, 0.0], [0.0, 2.0]]))
-        joint = joint_from(prior, channel)
-        train = sample_joint(joint, 200, stream(2, "t/est/exp-train"))
-        valid = sample_joint(joint, 200, stream(2, "t/est/exp-valid"))
-        report = estimate_data_preproc(train, valid, gain, scalar_knn())
+        report = estimate(
+            "data", prior, channel, gain, 200, 200, scalar_knn(), stream(2, "t/est/exp")
+        )
+        # the training set estimate() drew from its "train" child stream
+        train = sample_joint((prior, channel), 200, stream(2, "t/est/exp/train"))
         weights = gain.matrix[:, train.xs].sum(axis=0)
         assert report.details["expanded_total_weight"] == int(weights.sum())
         assert report.details["expansion_factor"] == weights.sum() / 200
 
     def test_empty_sets_rejected(self, two_secret):
         prior, channel, gain = two_secret
-        joint = joint_from(prior, channel)
-        some = sample_joint(joint, 10, stream(0, "t/est/e"))
-        empty = SampleSet(
-            prior.alphabet,
-            np.empty(0, dtype=np.int64),
-            np.empty((0, 1), dtype=np.int64),
-        )
-        with pytest.raises(ValidationError):
-            estimate_data_preproc(empty, some, gain, scalar_knn())
-        with pytest.raises(ValidationError):
-            estimate_data_preproc(some, empty, gain, scalar_knn())
+        for method in ("data", "channel", "frequentist"):
+            for m, n in ((0, 10), (10, 0)):
+                with pytest.raises(ValidationError):
+                    estimate(
+                        method, prior, channel, gain, m, n, scalar_knn(),
+                        stream(0, "t/est/e"),
+                    )
+
+    def test_learner_method_needs_a_learner(self, two_secret):
+        prior, channel, gain = two_secret
+        mlp = MlpConfig(scalar_codec(), (4,), 1e-3, epochs=1, batch_size=8)
+        for config, learner_stream in ((None, stream(0, "t/est/l")), (mlp, None)):
+            with pytest.raises(ValidationError, match="needs a KnnConfig"):
+                fit(
+                    "data", prior, channel, gain, 50, config, stream(0, "t/est/t"),
+                    learner_stream,
+                )
 
     def test_report_round_trips_through_json(self, two_secret):
         prior, channel, gain = two_secret
-        joint = joint_from(prior, channel)
-        train = sample_joint(joint, 100, stream(7, "t/est/j-train"))
-        valid = sample_joint(joint, 100, stream(7, "t/est/j-valid"))
-        report = estimate_data_preproc(train, valid, gain, scalar_knn())
+        report = estimate(
+            "data", prior, channel, gain, 100, 100, scalar_knn(), stream(7, "t/est/j")
+        )
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["seeds"]["train"] == {
             "master_seed": 7,
-            "stream": "t/est/j-train",
+            "stream": "t/est/j/train",
         }
         assert payload["estimate"] == report.estimate
 
@@ -135,7 +144,7 @@ class TestChannelPipeline:
         channel = Channel(X, Alphabet.integers(3, "y"), np.eye(3))
         m = 20_000
         weighted = sample_preprocessed_pairs(
-            prior, channel, gain, m, stream(0, "t/est/tau")
+            channel_preprocess(prior, gain), channel, m, stream(0, "t/est/tau")
         )
         assert int(weighted.weights.sum()) == m
         # identity gain: tau == prior, R == identity, so y == w on a
@@ -149,8 +158,9 @@ class TestChannelPipeline:
 
     def test_knn_recovers_posterior_vulnerability(self, two_secret):
         prior, channel, gain = two_secret
-        report = estimate_channel_preproc(
-            prior, channel, gain, 5000, 5000, scalar_knn(), stream(0, "t/est/chan")
+        report = estimate(
+            "channel", prior, channel, gain, 5000, 5000, scalar_knn(),
+            stream(0, "t/est/chan"),
         )
         exact = posterior_vulnerability(prior, channel, gain)
         assert abs(report.estimate - exact) / exact < 0.05
@@ -161,21 +171,13 @@ class TestChannelPipeline:
         prior, channel, _ = two_secret
         X = prior.alphabet
         gain = GainFunction(Alphabet.integers(2, "w"), X, 2.0 * np.eye(2))
-        report = estimate_channel_preproc(
-            prior, channel, gain, 2000, 2000, scalar_knn(), stream(1, "t/est/beta")
+        report = estimate(
+            "channel", prior, channel, gain, 2000, 2000, scalar_knn(),
+            stream(1, "t/est/beta"),
         )
         assert report.details["beta"] == pytest.approx(2.0)
         exact = posterior_vulnerability(prior, channel, gain)
         assert abs(report.estimate - exact) / exact < 0.1
-
-    def test_prepared_validation_set_accepted(self, two_secret):
-        prior, channel, gain = two_secret
-        valid = sample_joint(joint_from(prior, channel), 1000, stream(5, "t/est/pv"))
-        report = estimate_channel_preproc(
-            prior, channel, gain, 1000, valid, scalar_knn(), stream(5, "t/est/pc")
-        )
-        assert report.n == 1000
-        assert report.seeds["valid"].stream == "t/est/pv"
 
     def test_generative_channel_path(self, two_secret):
         prior, channel, gain = two_secret
@@ -190,8 +192,9 @@ class TestChannelPipeline:
             return np.minimum(out, rows.shape[1] - 1)
 
         gen_channel = GenerativeChannel(prior.alphabet, 1, sampler, "boxed")
-        report = estimate_channel_preproc(
-            prior, gen_channel, gain, 4000, 4000, scalar_knn(), stream(2, "t/est/gen")
+        report = estimate(
+            "channel", prior, gen_channel, gain, 4000, 4000, scalar_knn(),
+            stream(2, "t/est/gen"),
         )
         exact = posterior_vulnerability(prior, channel, gain)
         assert abs(report.estimate - exact) / exact < 0.1
@@ -199,8 +202,9 @@ class TestChannelPipeline:
     def test_deterministic_given_stream(self, two_secret):
         prior, channel, gain = two_secret
         runs = [
-            estimate_channel_preproc(
-                prior, channel, gain, 500, 500, scalar_knn(), stream(9, "t/est/det")
+            estimate(
+                "channel", prior, channel, gain, 500, 500, scalar_knn(),
+                stream(9, "t/est/det"),
             ).estimate
             for _ in range(2)
         ]
@@ -214,8 +218,8 @@ class TestChannelPipeline:
         channel = random_channel(gen, X, int(gen.integers(2, 5)))
         gain = random_gain(gen, int(gen.integers(2, 4)), X)
         exact = posterior_vulnerability(prior, channel, gain)
-        report = estimate_channel_preproc(
-            prior, channel, gain, 6000, 6000, scalar_knn(),
+        report = estimate(
+            "channel", prior, channel, gain, 6000, 6000, scalar_knn(),
             stream(trial, "t/est/rand"),
         )
         scale = max(abs(exact), 1.0)
@@ -262,10 +266,9 @@ class TestFrequentist:
 
     def test_estimate_converges_on_small_example(self, two_secret):
         prior, channel, gain = two_secret
-        joint = joint_from(prior, channel)
-        train = sample_joint(joint, 8000, stream(0, "t/freq/train"))
-        valid = sample_joint(joint, 8000, stream(0, "t/freq/valid"))
-        report = frequentist_estimate(train, valid, gain)
+        report = estimate(
+            "frequentist", prior, channel, gain, 8000, 8000, None, stream(0, "t/freq")
+        )
         exact = posterior_vulnerability(prior, channel, gain)
         assert abs(report.estimate - exact) / exact < 0.05
         assert report.method == "frequentist" and report.learner == "none"
@@ -300,13 +303,14 @@ class TestFrequentistVersusTruthDirection:
         prior = random_prior(gen, 3)
         channel = random_channel(gen, X, 40)
         gain = identity_gain(X)
-        joint = joint_from(prior, channel)
         exact = posterior_vulnerability(prior, channel, gain)
-        valid = sample_joint(joint, 20_000, stream(0, "t/freq/big-v"))
-        small = frequentist_estimate(
-            sample_joint(joint, 50, stream(0, "t/freq/small")), valid, gain
+        valid = sample_joint(joint_from(prior, channel), 20_000, stream(0, "t/freq/big-v"))
+        small, large = (
+            empirical_functional(
+                fit("frequentist", prior, channel, gain, m, None, stream(0, name))[0],
+                valid,
+                gain,
+            )
+            for m, name in ((50, "t/freq/small"), (50_000, "t/freq/large"))
         )
-        large = frequentist_estimate(
-            sample_joint(joint, 50_000, stream(0, "t/freq/large")), valid, gain
-        )
-        assert abs(large.estimate - exact) < abs(small.estimate - exact)
+        assert abs(large - exact) < abs(small - exact)

@@ -199,38 +199,6 @@ class TestTraining:
             MlpConfig(codec, hidden=(4,), learning_rate=0.0, epochs=1, batch_size=1)
 
 
-class TestExport:
-    def test_round_trip(self, tmp_path):
-        config = MlpConfig(scalar_codec(0.01), (6, 5), 1e-3, epochs=3, batch_size=8)
-        model = mlp_train(separable_data(), config, stream(5, "t/io"))
-        path = tmp_path / "model.txt"
-        model.export(path)
-        clone = MlpClassifier.load(path, config.codec)
-        assert clone.layer_sizes == model.layer_sizes
-        queries = np.arange(0, 100, 3)[:, None]
-        np.testing.assert_array_equal(clone.predict(queries), model.predict(queries))
-        np.testing.assert_array_equal(
-            clone.predict_proba(queries), model.predict_proba(queries)
-        )
-
-    def test_load_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "bogus.txt"
-        path.write_text("not a model\n")
-        with pytest.raises(ValidationError):
-            MlpClassifier.load(path, scalar_codec(1.0))
-
-    def test_load_rejects_truncated_dump(self, tmp_path):
-        config = MlpConfig(scalar_codec(0.01), (4,), 1e-3, epochs=1, batch_size=8)
-        model = mlp_train(separable_data(), config, stream(6, "t/trunc"))
-        path = tmp_path / "model.txt"
-        model.export(path)
-        lines = path.read_text().splitlines()
-        lines[2] = "0.0 1.0"  # wrong tensor size
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValidationError):
-            MlpClassifier.load(path, config.codec)
-
-
 class TestFeatureCodecs:
     def test_scalar_codec(self):
         codec = scalar_codec(0.5, offset=1.0)

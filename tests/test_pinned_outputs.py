@@ -2,7 +2,9 @@
 the trial-matrix artifacts and the `leak estimate` estimates unchanged.
 
 The expected values were recorded before the estimation pipelines were
-shared between `leak estimate` and `leak scenario`.  Only kNN and the
+shared between `leak estimate` and `leak scenario`; the location and
+password estimates and every payload's details were recorded before all
+three methods went through one `estimate` function.  Only kNN and the
 frequentist baseline are pinned: MLP training sums through BLAS, whose
 summation order is not portable across builds.
 """
@@ -38,13 +40,41 @@ ARTIFACT_SHA256 = {
     ),
 }
 
-ESTIMATE_REPR = {
-    ("multi-guess", "data"): "0.2925",
-    ("multi-guess", "channel"): "0.1775",
-    ("multi-guess", "frequentist"): "0.21",
-    ("dp", "data"): "1.285",
-    ("dp", "channel"): "1.405",
-    ("dp", "frequentist"): "1.02",
+DATA_DETAILS = {
+    "descale": "not needed: evaluation uses the original gain",
+    "rationalize_scale": 1,
+}
+BETA_HANDLING = "implicit: evaluation uses the original gain on (x, y) pairs"
+
+# (scenario, method) -> (repr of the estimate, the payload's details)
+ESTIMATE_PINS = {
+    ("multi-guess", "data"): (
+        "0.2925",
+        {**DATA_DETAILS, "expanded_total_weight": 3600, "expansion_factor": 9.0},
+    ),
+    ("multi-guess", "channel"): ("0.1775", {"beta": 9.0, "beta_handling": BETA_HANDLING}),
+    ("multi-guess", "frequentist"): ("0.21", {}),
+    ("location", "data"): (
+        "0.455",
+        {**DATA_DETAILS, "expanded_total_weight": 7914, "expansion_factor": 19.785},
+    ),
+    ("location", "channel"): (
+        "0.275",
+        {"beta": 19.831856473984022, "beta_handling": BETA_HANDLING},
+    ),
+    ("location", "frequentist"): ("0.3275", {}),
+    ("dp", "data"): (
+        "1.285",
+        {**DATA_DETAILS, "expanded_total_weight": 800, "expansion_factor": 2.0},
+    ),
+    ("dp", "channel"): ("1.405", {"beta": 2.0, "beta_handling": BETA_HANDLING}),
+    ("dp", "frequentist"): ("1.02", {}),
+    ("password", "data"): (
+        "0.7525",
+        {**DATA_DETAILS, "expanded_total_weight": 400, "expansion_factor": 1.0},
+    ),
+    ("password", "channel"): ("0.7525", {"beta": 1.0, "beta_handling": BETA_HANDLING}),
+    ("password", "frequentist"): ("0.7475", {}),
 }
 
 
@@ -66,12 +96,13 @@ def test_trial_matrix_artifacts(scenario, tmp_path):
     assert digests == ARTIFACT_SHA256[scenario]
 
 
-@pytest.mark.parametrize("scenario,method", sorted(ESTIMATE_REPR))
+@pytest.mark.parametrize("scenario,method", sorted(ESTIMATE_PINS))
 def test_estimate(scenario, method, capsys):
     code = main([
         "estimate", "--scenario", scenario, "--method", method,
         "--learner", "knn", "--m", "400", "--n", "400", "--seed", "5",
     ])
     assert code == 0
-    estimate = json.loads(capsys.readouterr().out)["estimate"]
-    assert repr(estimate) == ESTIMATE_REPR[(scenario, method)]
+    payload = json.loads(capsys.readouterr().out)
+    pinned = ESTIMATE_PINS[(scenario, method)]
+    assert (repr(payload["estimate"]), payload["details"]) == pinned

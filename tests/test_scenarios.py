@@ -41,7 +41,6 @@ from gleak.scenarios.password import (
     PasswordScenarioConfig,
     password_scenario,
     reduced_channel,
-    sample_passwords,
 )
 
 
@@ -512,14 +511,6 @@ class TestPasswordScenario:
         exact = posterior_vulnerability(prior, rc, gain)
         brute = enumerate_strategies_vulnerability(prior, rc, gain)
         assert exact == pytest.approx(brute, abs=1e-12)
-
-    def test_sample_passwords_deterministic_and_bounded(self):
-        config = PasswordScenarioConfig()
-        pws = sample_passwords(config, 50, stream(4, "t/pw/s"))
-        again = sample_passwords(config, 50, stream(4, "t/pw/s"))
-        assert pws == again
-        assert all(0 <= p < 2**122 for p in pws)
-        assert len(set(pws)) == 50  # 122-bit collisions are implausible
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

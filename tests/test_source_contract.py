@@ -1,12 +1,18 @@
-"""Library code keeps the CLI's 0/2/3 exit-code contract: no bare ``assert``.
+"""Source-level contracts of the package.
 
+Library code keeps the CLI's 0/2/3 exit-code contract: no bare ``assert``.
 An ``assert`` vanishes under ``python -O`` and otherwise escapes ``main()``
 as an ``AssertionError`` with exit code 1; library checks raise
 ``ValidationError`` or ``NumericalError`` instead.
+
+``gleak.__all__`` lists each public name the package imports, once.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
+
+import gleak
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "gleak"
 
@@ -23,3 +29,22 @@ def test_no_assert_in_library_code():
             if isinstance(node, ast.Assert)
         )
     assert not found, "bare assert in library code: " + ", ".join(found)
+
+
+def test_all_matches_package_imports():
+    exported = gleak.__all__
+    duplicates = sorted(name for name, count in Counter(exported).items() if count > 1)
+    assert not duplicates, f"duplicated in __all__: {duplicates}"
+    unresolved = sorted(name for name in exported if not hasattr(gleak, name))
+    assert not unresolved, f"in __all__ but not defined: {unresolved}"
+    tree = ast.parse((SOURCE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    missing = sorted(
+        name for name in imported - set(exported) if not name.startswith("_")
+    )
+    assert not missing, f"imported by gleak but missing from __all__: {missing}"
