@@ -10,11 +10,9 @@ nothing is re-proved here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .core import ValidationError, _require
+from .core import ValidationError, _pair_gains, _require
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -61,9 +59,7 @@ def worst_case_sigma2(value_range: tuple[float, float]) -> float:
 
 def plugin_sigma2(predictor, validation, gain) -> float:
     """Sample variance of g(f(y), x) for a fixed predictor on held-out pairs."""
-    guesses = np.asarray(predictor.predict(validation.ys), dtype=np.int64)
-    values = gain.matrix[guesses, validation.xs] - gain.shift
-    return float(values.var())
+    return float((_pair_gains(predictor, validation, gain) - gain.shift).var())
 
 
 def hypothesis_count(
@@ -134,15 +130,7 @@ class BoundReport:
     N: int
 
     def as_dict(self) -> dict:
-        return {
-            "validation_deviation_prob": self.validation_deviation_prob,
-            "training_suboptimality_prob": self.training_suboptimality_prob,
-            "expected_validation_gap": self.expected_validation_gap,
-            "expected_training_gap": self.expected_training_gap,
-            "branch": self.branch,
-            "M": self.M,
-            "N": self.N,
-        }
+        return asdict(self)
 
 
 def validation_deviation_prob(

@@ -136,11 +136,9 @@ class Channel:
         """
         u = gen.random(len(xs))
         ys = np.empty(len(xs), dtype=np.int64)
-        cum = np.cumsum(self.rows, axis=1)
         for x in np.unique(xs):
             mask = xs == x
-            idx = np.searchsorted(cum[x], u[mask] * cum[x, -1], side="right")
-            ys[mask] = np.minimum(idx, self.output.size - 1)
+            ys[mask] = _inverse_cdf(self.rows[x], u[mask])
         return ys[:, None]
 
 
@@ -224,28 +222,6 @@ class GainFunction:
 def identity_gain(alphabet: Alphabet) -> GainFunction:
     """g(w, x) = 1 iff w == x; recovers Bayes vulnerability."""
     return GainFunction(alphabet, alphabet, np.eye(alphabet.size))
-
-
-@dataclass(frozen=True, eq=False)
-class JointDistribution:
-    """Joint distribution over secrets x observables."""
-
-    secrets: Alphabet
-    observables: Alphabet
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        _require(
-            probs.shape == (self.secrets.size, self.observables.size),
-            "joint shape mismatch",
-        )
-        _require(bool((probs >= 0).all()), "joint entries must be non-negative")
-        _require(
-            abs(math.fsum(probs.ravel().tolist()) - 1.0) <= ROW_TOL,
-            "joint must sum to 1 within 1e-9",
-        )
-        object.__setattr__(self, "probs", _freeze(probs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,28 +334,22 @@ def leakage_of(prior_v: float, posterior_v: float, mode: str) -> float:
     return posterior_v / prior_v
 
 
-def joint_from(prior: Prior, channel: Channel) -> JointDistribution:
-    _require(channel.input == prior.alphabet, "channel input != prior alphabet")
-    return JointDistribution(
-        prior.alphabet, channel.output, prior.probs[:, None] * channel.rows
-    )
-
-
 def strategy_gain(
-    strategy: Strategy, joint: JointDistribution, gain: GainFunction
+    strategy: Strategy, prior: Prior, channel: Channel, gain: GainFunction
 ) -> float:
-    """Expected gain sum_{x,y} g(f(y), x) P(x, y) of a fixed strategy."""
-    _require(gain.secrets == joint.secrets, "gain secrets != joint secrets")
+    """Expected gain sum_{x,y} g(f(y), x) pi_x C[x, y] of a fixed strategy."""
+    _check_triple(prior, channel, gain)
     _require(
-        strategy.mapping.size == joint.observables.size,
-        "strategy not total on joint observables",
+        strategy.mapping.size == channel.output.size,
+        "strategy not total on channel outputs",
     )
     _require(
         int(strategy.mapping.max()) < gain.guesses.size,
         "strategy guess index outside gain",
     )
     values = gain.matrix[strategy.mapping, :]  # (Y, X): g(f(y), x)
-    return float(np.sum(joint.probs * values.T)) - gain.shift
+    joint = prior.probs[:, None] * channel.rows
+    return float(np.sum(joint * values.T)) - gain.shift
 
 
 def optimal_strategy(
@@ -389,30 +359,6 @@ def optimal_strategy(
     _check_triple(prior, channel, gain)
     scores = _score_matrix(prior, channel, gain)
     return Strategy(np.argmax(scores, axis=0))
-
-
-def enumerate_strategies_vulnerability(
-    prior: Prior, channel: Channel, gain: GainFunction, cap: int = 10**6
-) -> float:
-    """Brute-force max of strategy_gain over all |W|^|Y| total strategies.
-
-    Test oracle for posterior_vulnerability; refuses instances with more
-    than ``cap`` strategies.
-    """
-    _check_triple(prior, channel, gain)
-    n_w = gain.guesses.size
-    n_y = channel.output.size
-    if n_w**n_y > cap:
-        raise ValidationError(
-            f"strategy space {n_w}^{n_y} exceeds enumeration cap {cap}"
-        )
-    joint = prior.probs[:, None] * channel.rows
-    contrib = gain.matrix @ joint  # (W, Y): per-observable contribution
-    # Outer-sum expansion: totals holds the value of every strategy prefix.
-    totals = np.zeros(1)
-    for y in range(n_y):
-        totals = (totals[:, None] + contrib[:, y][None, :]).ravel()
-    return float(totals.max()) - gain.shift
 
 
 # ---------------------------------------------------------------------------
@@ -430,40 +376,31 @@ def sample_prior(prior: Prior, count: int, gen: np.random.Generator) -> np.ndarr
 
 
 def sample_joint(
-    source: JointDistribution | tuple[Prior, Channel | GenerativeChannel],
-    count: int,
-    stream: Stream,
+    source: tuple[Prior, Channel | GenerativeChannel], count: int, stream: Stream
 ) -> SampleSet:
-    """Draw ``count`` i.i.d. (secret, observable) pairs.
+    """Draw ``count`` i.i.d. (secret, observable) pairs from a (Prior, channel) pair.
 
-    ``source`` is a (Prior, channel) pair for either channel kind, or a
-    JointDistribution.  A matrix channel is sampled from its flat joint
-    with one uniform per sample.  Deterministic given the stream's
+    A matrix channel is sampled from its flat joint pi_x C[x, y] with one
+    uniform per sample; a generative channel draws the secrets from the
+    prior, then runs its sampler.  Deterministic given the stream's
     (master seed, name).
     """
     _require(count >= 1, "count must be >= 1")
-    if isinstance(source, tuple) and isinstance(source[1], Channel):
-        source = joint_from(*source)
-    if isinstance(source, JointDistribution):
-        n_y = source.observables.size
-        flat = source.probs.ravel()
+    prior, channel = source
+    _require(channel.input == prior.alphabet, "channel input != prior alphabet")
+    if isinstance(channel, Channel):
+        n_y = channel.output.size
+        flat = (prior.probs[:, None] * channel.rows).ravel()
         idx = _inverse_cdf(flat, stream.gen.random(count))
-        xs = idx // n_y
-        ys = (idx % n_y)[:, None]
-        return SampleSet(source.secrets, xs, ys, stream.provenance)
-    prior, gchannel = source
-    _require(
-        gchannel.input == prior.alphabet, "generative channel input != prior alphabet"
-    )
-    xs = sample_prior(prior, count, stream.gen)
-    ys = gchannel.sample(xs, stream.gen)
+        xs, ys = idx // n_y, (idx % n_y)[:, None]
+    else:
+        xs = sample_prior(prior, count, stream.gen)
+        ys = channel.sample(xs, stream.gen)
     return SampleSet(prior.alphabet, xs, ys, stream.provenance)
 
 
-def empirical_functional(
-    predictor, validation: SampleSet, gain: GainFunction
-) -> float:
-    """Mean gain (1/n) sum g(f(y), x) of a predictor on a validation set.
+def _pair_gains(predictor, validation: SampleSet, gain: GainFunction) -> np.ndarray:
+    """Stored (shifted) gains g(f(y), x) of a predictor on each validation pair.
 
     ``predictor`` is anything with ``predict(ys) -> guess indices``:
     a Strategy or a trained classifier.
@@ -472,5 +409,11 @@ def empirical_functional(
         raise ValidationError("validation set is empty")
     guesses = np.asarray(predictor.predict(validation.ys), dtype=np.int64)
     _require(guesses.shape == (validation.size,), "predictor output shape mismatch")
-    values = gain.matrix[guesses, validation.xs]
-    return float(values.mean()) - gain.shift
+    return gain.matrix[guesses, validation.xs]
+
+
+def empirical_functional(
+    predictor, validation: SampleSet, gain: GainFunction
+) -> float:
+    """Mean gain (1/n) sum g(f(y), x) of a predictor on a validation set."""
+    return float(_pair_gains(predictor, validation, gain).mean()) - gain.shift

@@ -21,6 +21,7 @@ from .core import (
     NumericalError,
     Prior,
     SampleSet,
+    _freeze,
     _inverse_cdf,
     _require,
     empirical_functional,
@@ -195,20 +196,26 @@ def estimate(
 
 class TablePredictor:
     """Frequentist decision table: one guess per seen observable, a fallback
-    guess for unseen ones."""
+    guess for unseen ones.  ``keys`` are the distinct seen observable rows,
+    ``guesses`` their guesses."""
 
-    __slots__ = ("table", "fallback")
+    __slots__ = ("keys", "guesses", "fallback")
 
-    def __init__(self, table: dict[bytes, int], fallback: int) -> None:
-        self.table = table
+    def __init__(self, keys: np.ndarray, guesses: np.ndarray, fallback: int) -> None:
+        self.keys = _freeze(np.asarray(keys, dtype=np.int64))
+        self.guesses = _freeze(np.asarray(guesses, dtype=np.int64))
         self.fallback = fallback
 
     def predict(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.ascontiguousarray(np.asarray(ys, dtype=np.int64))
-        out = np.empty(ys.shape[0], dtype=np.int64)
-        for i in range(ys.shape[0]):
-            out[i] = self.table.get(ys[i].tobytes(), self.fallback)
-        return out
+        l = self.keys.shape[0]
+        distinct, inverse = np.unique(
+            np.concatenate([self.keys, np.asarray(ys, dtype=np.int64)]),
+            axis=0,
+            return_inverse=True,
+        )
+        table = np.full(distinct.shape[0], self.fallback, dtype=np.int64)
+        table[inverse[:l]] = self.guesses
+        return table[inverse[l:]]
 
 
 def frequentist_predictor(train: SampleSet, gain: GainFunction) -> TablePredictor:
@@ -229,12 +236,7 @@ def frequentist_predictor(train: SampleSet, gain: GainFunction) -> TablePredicto
     np.add.at(cond_counts, (y_inverse, x_vals), counts.astype(np.float64))
     # argmax_w sum_x counts(x|y) g(w,x); normalization by count(y) cancels
     scores = cond_counts @ gain.matrix.T
-    best = np.argmax(scores, axis=1)
-    table = {
-        np.ascontiguousarray(y_distinct[i]).tobytes(): int(best[i])
-        for i in range(y_distinct.shape[0])
-    }
     x_mode = int(np.argmax(np.bincount(train.xs, minlength=train.secrets.size)))
     fallback = int(np.argmax(gain.matrix[:, x_mode]))
-    return TablePredictor(table, fallback)
+    return TablePredictor(y_distinct, np.argmax(scores, axis=1), fallback)
 

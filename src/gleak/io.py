@@ -120,24 +120,40 @@ def write_samples(samples: SampleSet, path: str | Path) -> None:
             writer.writerow([samples.secrets.label(int(x)), _encode_obs(y)])
 
 
-def read_samples(path: str | Path, secrets: Alphabet) -> SampleSet:
+def _read_rows(
+    path: str | Path, alphabet: Alphabet, header: str, empty: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label indices, observables and integer weights of ``header`` CSV rows.
+
+    Blank rows are skipped; the weights column is empty unless ``header``
+    has a third field.
+    """
     path = Path(path)
-    xs: list[int] = []
+    labels: list[int] = []
     ys: list[list[int]] = []
+    weights: list[int] = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row:
                 continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}: expected 'x_label,y_encoding' rows")
-            xs.append(secrets.index(row[0]))
+            if len(row) != header.count(",") + 1:
+                raise ValidationError(f"{path}: expected '{header}' rows")
+            labels.append(alphabet.index(row[0]))
             ys.append(_decode_obs(row[1], path))
-    if not xs:
-        raise ValidationError(f"{path}: no samples")
-    widths = {len(y) for y in ys}
-    if len(widths) != 1:
+            try:
+                weights.extend(int(tok) for tok in row[2:])
+            except ValueError:
+                raise ValidationError(f"{path}: weight must be an integer") from None
+    if not labels:
+        raise ValidationError(f"{path}: no {empty}")
+    if len({len(y) for y in ys}) != 1:
         raise ValidationError(f"{path}: inconsistent observable widths")
-    return SampleSet(secrets, np.array(xs), np.array(ys))
+    return np.array(labels), np.array(ys), np.array(weights)
+
+
+def read_samples(path: str | Path, secrets: Alphabet) -> SampleSet:
+    xs, ys, _ = _read_rows(path, secrets, "x_label,y_encoding", "samples")
+    return SampleSet(secrets, xs, ys)
 
 
 def write_weighted(weighted: WeightedSampleSet, path: str | Path) -> None:
@@ -150,27 +166,5 @@ def write_weighted(weighted: WeightedSampleSet, path: str | Path) -> None:
 
 
 def read_weighted(path: str | Path, guesses: Alphabet) -> WeightedSampleSet:
-    path = Path(path)
-    ws: list[int] = []
-    ys: list[list[int]] = []
-    weights: list[int] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValidationError(
-                    f"{path}: expected 'w_label,y_encoding,weight' rows"
-                )
-            ws.append(guesses.index(row[0]))
-            ys.append(_decode_obs(row[1], path))
-            try:
-                weights.append(int(row[2]))
-            except ValueError:
-                raise ValidationError(f"{path}: weight must be an integer") from None
-    if not ws:
-        raise ValidationError(f"{path}: no entries")
-    widths = {len(y) for y in ys}
-    if len(widths) != 1:
-        raise ValidationError(f"{path}: inconsistent observable widths")
-    return WeightedSampleSet(guesses, np.array(ws), np.array(ys), np.array(weights))
+    ws, ys, weights = _read_rows(path, guesses, "w_label,y_encoding,weight", "entries")
+    return WeightedSampleSet(guesses, ws, ys, weights)

@@ -19,6 +19,7 @@ from .features import FeatureCodec
 from .preprocess import WeightedSampleSet
 
 METRIC_KINDS = ("absolute", "euclidean", "manhattan")
+QUERY_CHUNK = 256  # queries per (q, l) distance block
 
 
 @dataclass(frozen=True)
@@ -76,17 +77,17 @@ class KnnClassifier:
     def n_indexed(self) -> int:
         return int(self.features.shape[0])
 
-    def predict(self, ys: np.ndarray, chunk: int = 256) -> np.ndarray:
+    def predict(self, ys: np.ndarray) -> np.ndarray:
         queries = self.metric.codec.encode(ys)
         out = np.empty(queries.shape[0], dtype=np.int64)
         k = min(self.k, self.n_indexed)
-        for start in range(0, queries.shape[0], chunk):
-            block = queries[start : start + chunk]
+        for start in range(0, queries.shape[0], QUERY_CHUNK):
+            block = queries[start : start + QUERY_CHUNK]
             dists = self.metric.pairwise(block, self.features)
             kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
             included = dists <= kth[:, None]  # all ties at the k-th distance
             votes = included.astype(np.float64) @ self.tallies
-            out[start : start + chunk] = np.argmax(votes, axis=1)
+            out[start : start + QUERY_CHUNK] = np.argmax(votes, axis=1)
         return out
 
 

@@ -180,55 +180,3 @@ def mlp_train(
             loss_first = mean_loss
         loss_final = mean_loss
     return MlpClassifier(config.codec, weights, biases, loss_first, loss_final)
-
-
-def _loss_and_pattern(
-    weights: list[np.ndarray], biases: list[np.ndarray], x, labels
-) -> tuple[float, bytes]:
-    acts, logp = _forward(weights, biases, x)
-    loss = -float(logp[np.arange(x.shape[0]), labels].mean())
-    pattern = b"".join((a > 0.0).tobytes() for a in acts[1:])
-    return loss, pattern
-
-
-def gradient_check(
-    layer_sizes: tuple[int, ...],
-    x: np.ndarray,
-    labels: np.ndarray,
-    stream: Stream,
-    h: float = 1e-5,
-) -> float:
-    """Max relative error of analytic vs central-finite-difference gradients.
-
-    Relative to gradient magnitude floored at 1, so near-zero components are
-    compared absolutely.  Coordinates whose +/-h perturbations land on
-    different rectifier activation patterns are skipped: the loss is not
-    differentiable across a kink, so the central difference is meaningless
-    there.  Intended for small architectures (a few dozen parameters); cost
-    is two forward passes per parameter.
-    """
-    weights, biases = _init_params(layer_sizes, stream.gen)
-    _, grads_w, grads_b = _loss_and_grads(weights, biases, x, labels)
-    analytic = grads_w + grads_b
-    params = weights + biases
-    worst = 0.0
-    checked = 0
-    for p, g in zip(params, analytic):
-        flat = p.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up, pattern_up = _loss_and_pattern(weights, biases, x, labels)
-            flat[i] = orig - h
-            down, pattern_down = _loss_and_pattern(weights, biases, x, labels)
-            flat[i] = orig
-            if pattern_up != pattern_down:
-                continue
-            checked += 1
-            numeric = (up - down) / (2 * h)
-            ga = float(g.ravel()[i])
-            err = abs(ga - numeric) / max(1.0, abs(ga) + abs(numeric))
-            worst = max(worst, err)
-    if checked == 0:
-        raise NumericalError("every coordinate crossed a rectifier kink")
-    return worst

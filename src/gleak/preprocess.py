@@ -27,13 +27,16 @@ from .core import (
     Prior,
     SampleSet,
     ValidationError,
+    _check_triple,
     _freeze,
     _require,
+    _score_matrix,
 )
 from .rng import SeedProvenance
 
 SNAP_DENOMINATOR = 10**6
 SNAP_TOL = 1e-9
+EXPANSION_CAP = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,22 +136,20 @@ def data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
     )
 
 
-def rationalize_gain(
-    gain: GainFunction, expansion_cap: int = 10**6
-) -> tuple[GainFunction, int]:
+def rationalize_gain(gain: GainFunction) -> tuple[GainFunction, int]:
     """Scale a non-negative rational gain to integers by the denominator lcm.
 
-    Entries are snapped to rationals with denominator <= 10^6; the snap must
-    reproduce each entry within 1e-9 or the gain is declared
+    Each distinct entry is snapped once to a rational with denominator
+    <= 10^6; the snap must reproduce it within 1e-9 or the gain is declared
     non-rationalizable.  Returns (K*G, K); vulnerabilities under K*G are
     exactly K times those under G, so callers de-scale estimates by K (the
     pipelines here avoid that by always evaluating with the original gain).
-    Raises when K or the largest scaled entry exceeds ``expansion_cap``
+    Raises when K or the largest scaled entry exceeds ``EXPANSION_CAP``
     (fall back to channel pre-processing).
     """
-    flat = gain.matrix.ravel()
+    values, inverse = np.unique(gain.matrix, return_inverse=True)
     fracs = []
-    for v in flat.tolist():
+    for v in values.tolist():
         frac = Fraction(v).limit_denominator(SNAP_DENOMINATOR)
         if abs(float(frac) - v) > SNAP_TOL * max(1.0, abs(v)):
             raise ValidationError(
@@ -156,22 +157,42 @@ def rationalize_gain(
                 f"{SNAP_DENOMINATOR}; cannot rationalize"
             )
         fracs.append(frac)
-    scale = math.lcm(*(frac.denominator for frac in fracs)) if fracs else 1
-    if scale > expansion_cap:
+    scale = math.lcm(*(frac.denominator for frac in fracs))
+    if scale > EXPANSION_CAP:
         raise ValidationError(
-            f"denominator lcm {scale} exceeds expansion cap {expansion_cap}; "
+            f"denominator lcm {scale} exceeds expansion cap {EXPANSION_CAP}; "
             "use channel pre-processing"
         )
-    scaled = np.array(
-        [int(frac * scale) for frac in fracs], dtype=np.int64
-    ).reshape(gain.matrix.shape)
-    if scaled.size and int(scaled.max()) > expansion_cap:
+    scaled = np.array([int(frac * scale) for frac in fracs], dtype=np.int64)
+    if int(scaled.max()) > EXPANSION_CAP:
         raise ValidationError(
             f"scaled gain entry {int(scaled.max())} exceeds expansion cap "
-            f"{expansion_cap}; use channel pre-processing"
+            f"{EXPANSION_CAP}; use channel pre-processing"
         )
-    out = GainFunction(gain.guesses, gain.secrets, scaled.astype(np.float64))
-    return out, scale
+    matrix = scaled[inverse].reshape(gain.matrix.shape).astype(np.float64)
+    return GainFunction(gain.guesses, gain.secrets, matrix), scale
+
+
+def _split(
+    scores: np.ndarray, guesses: Alphabet, outputs: Alphabet
+) -> tuple[float, Prior, Channel]:
+    """Total mass, row marginal and normalized rows of a (W, .) score matrix.
+
+    A zero row belongs to a guess of marginal 0, so its content is irrelevant;
+    it is kept uniform.
+    """
+    mass = math.fsum(scores.ravel().tolist())
+    if mass <= 0.0:
+        raise ValidationError("degenerate input: pi_x * g(w,x) is zero everywhere")
+    row_sums = scores.sum(axis=1)
+    rows = np.full_like(scores, 1.0 / outputs.size)
+    np.divide(scores, row_sums[:, None], out=rows, where=row_sums[:, None] > 0.0)
+    marginal = row_sums / mass
+    return (
+        mass,
+        Prior(guesses, marginal / marginal.sum()),  # absorb rounding before the 1e-9 check
+        Channel(guesses, outputs, _renormalize(rows)),
+    )
 
 
 def ideal_derivation(
@@ -183,51 +204,18 @@ def ideal_derivation(
     construction the identity alpha * V_gid(xi, E) = V_g(pi, C) holds for the
     shifted gain, i.e. equals the original-unit value plus the shift.
     """
-    _require(channel.input == prior.alphabet, "channel input != prior alphabet")
-    _require(gain.secrets == prior.alphabet, "gain secrets != prior alphabet")
-    U = (gain.matrix * prior.probs[None, :]) @ channel.rows
-    alpha = math.fsum(U.ravel().tolist())
-    if alpha <= 0.0:
-        raise ValidationError("degenerate input: pi_x * g(w,x) is zero everywhere")
-    p_wy = U / alpha
-    xi = p_wy.sum(axis=1)
-    rows = np.empty_like(p_wy)
-    n_y = channel.output.size
-    for w in range(gain.guesses.size):
-        if xi[w] > 0.0:
-            rows[w] = p_wy[w] / xi[w]
-        else:
-            rows[w] = 1.0 / n_y  # content irrelevant: the guess never occurs
-    xi = xi / xi.sum()  # absorb rounding so Prior's 1e-9 check is exact
-    return DataPreprocDerivation(
-        U=_freeze(U),
-        alpha=alpha,
-        xi=Prior(gain.guesses, xi),
-        E=Channel(gain.guesses, channel.output, _renormalize(rows)),
-    )
+    _check_triple(prior, channel, gain)
+    U = _score_matrix(prior, channel, gain)
+    alpha, xi, E = _split(U, gain.guesses, channel.output)
+    return DataPreprocDerivation(U=_freeze(U), alpha=alpha, xi=xi, E=E)
 
 
 def channel_preprocess(prior: Prior, gain: GainFunction) -> ChannelPreprocDerivation:
     """(beta, tau, R) from the prior and gain alone (independent of C)."""
     _require(gain.secrets == prior.alphabet, "gain secrets != prior alphabet")
     scores = gain.matrix * prior.probs[None, :]  # (W, X): pi_x g(w, x)
-    beta = math.fsum(scores.ravel().tolist())
-    if beta <= 0.0:
-        raise ValidationError("degenerate input: pi_x * g(w,x) is zero everywhere")
-    row_sums = scores.sum(axis=1)
-    tau = row_sums / beta
-    n_x = prior.alphabet.size
-    rows = np.empty_like(scores)
-    for w in range(gain.guesses.size):
-        if row_sums[w] > 0.0:
-            rows[w] = scores[w] / row_sums[w]
-        else:
-            rows[w] = 1.0 / n_x  # tau_w = 0: any row works, keep it uniform
-    return ChannelPreprocDerivation(
-        beta=beta,
-        tau=Prior(gain.guesses, tau / tau.sum()),
-        R=Channel(gain.guesses, prior.alphabet, _renormalize(rows)),
-    )
+    beta, tau, R = _split(scores, gain.guesses, prior.alphabet)
+    return ChannelPreprocDerivation(beta=beta, tau=tau, R=R)
 
 
 def compose(r: Channel, c: Channel) -> Channel:

@@ -1,0 +1,97 @@
+"""Test-only oracles: brute-force and finite-difference references that the
+package's exact and analytic computations are checked against.
+
+They are kept out of the package because no command, scenario or pipeline
+uses them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gleak.core import (
+    Channel,
+    GainFunction,
+    NumericalError,
+    Prior,
+    ValidationError,
+    _check_triple,
+)
+from gleak.mlp import _forward, _init_params, _loss_and_grads
+from gleak.rng import Stream
+
+
+def enumerate_strategies_vulnerability(
+    prior: Prior, channel: Channel, gain: GainFunction, cap: int = 10**6
+) -> float:
+    """Brute-force max of strategy_gain over all |W|^|Y| total strategies.
+
+    Test oracle for posterior_vulnerability; refuses instances with more
+    than ``cap`` strategies.
+    """
+    _check_triple(prior, channel, gain)
+    n_w = gain.guesses.size
+    n_y = channel.output.size
+    if n_w**n_y > cap:
+        raise ValidationError(
+            f"strategy space {n_w}^{n_y} exceeds enumeration cap {cap}"
+        )
+    joint = prior.probs[:, None] * channel.rows
+    contrib = gain.matrix @ joint  # (W, Y): per-observable contribution
+    # Outer-sum expansion: totals holds the value of every strategy prefix.
+    totals = np.zeros(1)
+    for y in range(n_y):
+        totals = (totals[:, None] + contrib[:, y][None, :]).ravel()
+    return float(totals.max()) - gain.shift
+
+
+def _loss_and_pattern(
+    weights: list[np.ndarray], biases: list[np.ndarray], x, labels
+) -> tuple[float, bytes]:
+    acts, logp = _forward(weights, biases, x)
+    loss = -float(logp[np.arange(x.shape[0]), labels].mean())
+    pattern = b"".join((a > 0.0).tobytes() for a in acts[1:])
+    return loss, pattern
+
+
+def gradient_check(
+    layer_sizes: tuple[int, ...],
+    x: np.ndarray,
+    labels: np.ndarray,
+    stream: Stream,
+    h: float = 1e-5,
+) -> float:
+    """Max relative error of analytic vs central-finite-difference gradients.
+
+    Relative to gradient magnitude floored at 1, so near-zero components are
+    compared absolutely.  Coordinates whose +/-h perturbations land on
+    different rectifier activation patterns are skipped: the loss is not
+    differentiable across a kink, so the central difference is meaningless
+    there.  Intended for small architectures (a few dozen parameters); cost
+    is two forward passes per parameter.
+    """
+    weights, biases = _init_params(layer_sizes, stream.gen)
+    _, grads_w, grads_b = _loss_and_grads(weights, biases, x, labels)
+    analytic = grads_w + grads_b
+    params = weights + biases
+    worst = 0.0
+    checked = 0
+    for p, g in zip(params, analytic):
+        flat = p.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up, pattern_up = _loss_and_pattern(weights, biases, x, labels)
+            flat[i] = orig - h
+            down, pattern_down = _loss_and_pattern(weights, biases, x, labels)
+            flat[i] = orig
+            if pattern_up != pattern_down:
+                continue
+            checked += 1
+            numeric = (up - down) / (2 * h)
+            ga = float(g.ravel()[i])
+            err = abs(ga - numeric) / max(1.0, abs(ga) + abs(numeric))
+            worst = max(worst, err)
+    if checked == 0:
+        raise NumericalError("every coordinate crossed a rectifier kink")
+    return worst

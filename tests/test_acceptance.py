@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import random_channel, random_gain, random_prior
+from oracles import enumerate_strategies_vulnerability, gradient_check
 from gleak import (
     Alphabet,
     read_channel,
@@ -29,16 +30,13 @@ from gleak.cli import main
 from gleak.core import (
     Strategy,
     empirical_functional,
-    enumerate_strategies_vulnerability,
     identity_gain,
-    joint_from,
     sample_joint,
     strategy_gain,
 )
 from gleak.estimation import sample_preprocessed_pairs
 from gleak.features import scalar_codec
 from gleak.knn import DistanceMetric, KnnClassifier, KnnConfig, k_for, knn_train
-from gleak.mlp import gradient_check
 from gleak.preprocess import (
     WeightedSampleSet,
     channel_preprocess,
@@ -165,7 +163,7 @@ def test_criterion_4_combinatorics(tmp_path):
 
     # every training pair expands to sum_w g(w, x) = 9 weighted copies
     train = sample_joint(
-        joint_from(scenario.prior, scenario.channel), 500, stream(4, "acceptance/expand")
+        (scenario.prior, scenario.channel), 500, stream(4, "acceptance/expand")
     )
     write_samples(train, tmp_path / "train.csv")
     write_gain(scenario.gain, tmp_path / "gain.txt")
@@ -343,10 +341,10 @@ def test_criterion_8_bound_calculators():
     # Monte Carlo: the deviation bound dominates observed frequencies
     secrets = Alphabet.integers(2)
     prior = random_prior(np.random.default_rng(8), 2)
-    joint = joint_from(prior, random_channel(np.random.default_rng(9), secrets, 4))
+    channel = random_channel(np.random.default_rng(9), secrets, 4)
     fixed = Strategy(np.array([0, 0, 1, 1]))
     gain = identity_gain(secrets)
-    truth = strategy_gain(fixed, joint, gain)
+    truth = strategy_gain(fixed, prior, channel, gain)
     sigma2 = truth * (1.0 - truth)  # exact: per-sample values are 0/1
     n, eps, resamples = 100, 0.08, 2000
     bound = leak(
@@ -356,7 +354,7 @@ def test_criterion_8_bound_calculators():
     )["validation_deviation_prob"]
     hits = 0
     for r in range(resamples):
-        valid = sample_joint(joint, n, stream(r, "acceptance/mc"))
+        valid = sample_joint((prior, channel), n, stream(r, "acceptance/mc"))
         if abs(empirical_functional(fixed, valid, gain) - truth) >= eps:
             hits += 1
     observed = hits / resamples

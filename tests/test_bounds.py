@@ -13,6 +13,7 @@ from gleak import (
     BoundInputs,
     Channel,
     Prior,
+    SampleSet,
     Strategy,
     ValidationError,
     bound_report,
@@ -21,7 +22,6 @@ from gleak import (
     expected_error_bounds,
     hypothesis_count,
     identity_gain,
-    joint_from,
     plugin_sigma2,
     sample_complexity,
     sample_joint,
@@ -232,9 +232,9 @@ class TestEmpiricalSoundness:
             np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]]),
         )
         gain = identity_gain(X)
-        joint = joint_from(prior, channel)
+        joint = (prior, channel)
         f = Strategy(np.array([0, 0, 1, 1]))
-        truth = strategy_gain(f, joint, gain)
+        truth = strategy_gain(f, prior, channel, gain)
         # exact Var(g(f(Y), X)): indicator of a correct guess
         sigma2 = truth * (1.0 - truth)
         n, eps, reps = 100, 0.08, 2000
@@ -256,8 +256,14 @@ class TestEmpiricalSoundness:
             X, Alphabet.integers(2, "y"), np.array([[0.9, 0.1], [0.2, 0.8]])
         )
         gain = identity_gain(X)
-        valid = sample_joint(joint_from(prior, channel), 2000, stream(1, "t/plug"))
+        valid = sample_joint((prior, channel), 2000, stream(1, "t/plug"))
         f = Strategy(np.array([0, 1]))
         est = plugin_sigma2(f, valid, gain)
         correct = (f.predict(valid.ys) == valid.xs).astype(float)
         assert est == pytest.approx(correct.var(), abs=1e-12)
+
+    def test_plugin_sigma2_rejects_empty_set(self):
+        X = Alphabet.integers(2)
+        empty = SampleSet(X, np.zeros(0, dtype=np.int64), np.zeros((0, 1), dtype=np.int64))
+        with pytest.raises(ValidationError, match="empty"):
+            plugin_sigma2(Strategy(np.array([0, 1])), empty, identity_gain(X))

@@ -28,7 +28,7 @@ from gleak import (
     write_samples,
 )
 from gleak.cli import main
-from gleak.core import joint_from, sample_joint
+from gleak.core import sample_joint
 from gleak.rng import stream
 
 
@@ -47,7 +47,7 @@ def assets(tmp_path_factory):
     write_channel(channel, root / "chan.txt")
     write_gain(identity_gain(secrets), root / "gain.txt")
     write_gain(GainFunction(secrets, secrets, np.zeros((2, 2))), root / "zero.txt")
-    train = sample_joint(joint_from(prior, channel), 500, stream(3, "cli/train"))
+    train = sample_joint((prior, channel), 500, stream(3, "cli/train"))
     write_samples(train, root / "samples.csv")
     return root
 

@@ -8,15 +8,12 @@ from gleak import (
     Channel,
     GainFunction,
     GenerativeChannel,
-    JointDistribution,
     Prior,
     SampleSet,
     Strategy,
     ValidationError,
     empirical_functional,
-    enumerate_strategies_vulnerability,
     identity_gain,
-    joint_from,
     leakage,
     optimal_strategy,
     posterior_vulnerability,
@@ -26,6 +23,7 @@ from gleak import (
     strategy_gain,
 )
 from gleak.core import leakage_of
+from oracles import enumerate_strategies_vulnerability
 from conftest import (
     loop_posterior_vulnerability,
     loop_prior_vulnerability,
@@ -128,10 +126,9 @@ class TestPosteriorVulnerability:
         best = optimal_strategy(prior, channel, g)
         # joint columns: (0.24, 0.28) and (0.06, 0.42) -> guess x2 both times
         assert best.mapping.tolist() == [1, 1]
-        joint = joint_from(prior, channel)
-        assert strategy_gain(best, joint, g) == pytest.approx(0.70, abs=1e-12)
+        assert strategy_gain(best, prior, channel, g) == pytest.approx(0.70, abs=1e-12)
         worst = Strategy(np.array([0, 0]))
-        assert strategy_gain(worst, joint, g) == pytest.approx(0.30, abs=1e-12)
+        assert strategy_gain(worst, prior, channel, g) == pytest.approx(0.30, abs=1e-12)
 
     def test_noiseless_channel_reaches_max_gain(self):
         X = Alphabet.integers(3)
@@ -212,11 +209,10 @@ class TestStrategyEnumeration:
         prior = random_prior(gen, 3)
         channel = random_channel(gen, prior.alphabet, 3)
         gain = random_gain(gen, 3, prior.alphabet)
-        joint = joint_from(prior, channel)
         best = posterior_vulnerability(prior, channel, gain)
         for _ in range(100):
             mapping = gen.integers(0, 3, size=3)
-            assert strategy_gain(Strategy(mapping), joint, gain) <= best + 1e-12
+            assert strategy_gain(Strategy(mapping), prior, channel, gain) <= best + 1e-12
 
     def test_enumeration_cap(self):
         X = Alphabet.integers(4)
@@ -270,7 +266,7 @@ class TestLeakage:
 class TestSampling:
     def test_sample_joint_determinism(self):
         X = Alphabet.integers(3)
-        joint = joint_from(
+        joint = (
             Prior(X, np.array([0.2, 0.3, 0.5])),
             random_channel(np.random.default_rng(1), X, 4),
         )
@@ -283,16 +279,16 @@ class TestSampling:
 
     def test_sample_joint_frequencies(self):
         X = Alphabet.integers(2)
-        joint = JointDistribution(
-            X, Alphabet.integers(2, "y"), np.array([[0.5, 0.1], [0.1, 0.3]])
-        )
-        s = sample_joint(joint, 200_000, stream(5, "t/freq"))
+        probs = np.array([[0.5, 0.1], [0.1, 0.3]])
+        prior = Prior(X, probs.sum(axis=1))
+        channel = Channel(X, Alphabet.integers(2, "y"), probs / probs.sum(axis=1)[:, None])
+        s = sample_joint((prior, channel), 200_000, stream(5, "t/freq"))
         counts = np.zeros((2, 2))
         np.add.at(counts, (s.xs, s.ys[:, 0]), 1.0)
         # binomial 4-sigma envelope per cell
         for x in range(2):
             for y in range(2):
-                p = joint.probs[x, y]
+                p = probs[x, y]
                 sigma = np.sqrt(p * (1 - p) * s.size)
                 assert abs(counts[x, y] - p * s.size) < 4 * sigma + 1
 
@@ -301,9 +297,15 @@ class TestSampling:
         prior = Prior(X, np.array([0.2, 0.3, 0.5]))
         channel = random_channel(np.random.default_rng(1), X, 4)
         a = sample_joint((prior, channel), 500, stream(9, "t/pair"))
-        b = sample_joint(joint_from(prior, channel), 500, stream(9, "t/pair"))
-        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
-        assert a.secrets == prior.alphabet and a.provenance == b.provenance
+        # reference: one uniform per sample, inverted through the CDF of the
+        # row-major flat joint pi_x C[x, y]
+        flat = [prior.probs[x] * channel.rows[x, y] for x in range(3) for y in range(4)]
+        cum = np.cumsum(flat)
+        u = stream(9, "t/pair").gen.random(500)
+        idx = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(flat) - 1)
+        assert np.array_equal(a.xs, idx // 4) and np.array_equal(a.ys[:, 0], idx % 4)
+        assert a.secrets == prior.alphabet
+        assert a.provenance == stream(9, "t/pair").provenance
 
     def test_matrix_pair_alphabet_mismatch(self):
         prior = Prior.uniform(Alphabet.integers(2))
@@ -353,11 +355,10 @@ class TestEmpiricalFunctional:
             X, Alphabet.integers(2, "y"), np.array([[0.8, 0.2], [0.4, 0.6]])
         )
         g = identity_gain(X)
-        joint = joint_from(prior, channel)
         xs, ys = [], []
         for x in range(2):
             for y in range(2):
-                reps = int(round(joint.probs[x, y] * 100))
+                reps = int(round(prior.probs[x] * channel.rows[x, y] * 100))
                 xs += [x] * reps
                 ys += [[y]] * reps
         valid = SampleSet(X, np.array(xs), np.array(ys))
@@ -371,8 +372,8 @@ class TestEmpiricalFunctional:
         channel = random_channel(gen, X, 3)
         gain = random_gain(gen, 3, X)
         strategy = optimal_strategy(prior, channel, gain)
-        joint = joint_from(prior, channel)
-        truth = strategy_gain(strategy, joint, gain)
+        joint = (prior, channel)
+        truth = strategy_gain(strategy, prior, channel, gain)
         n, reps = 400, 300
         values = [
             empirical_functional(

@@ -23,7 +23,6 @@ from gleak import (
     fit,
     frequentist_predictor,
     identity_gain,
-    joint_from,
     posterior_vulnerability,
     sample_joint,
     sample_preprocessed_pairs,
@@ -274,10 +273,33 @@ class TestFrequentist:
         assert report.method == "frequentist" and report.learner == "none"
 
     def test_table_predictor_lookup(self):
-        table = {np.array([3], dtype=np.int64).tobytes(): 7}
-        predictor = TablePredictor(table, fallback=2)
+        predictor = TablePredictor(np.array([[3]]), np.array([7]), fallback=2)
         got = predictor.predict(np.array([[3], [4]]))
         assert got.tolist() == [7, 2]
+
+    @pytest.mark.parametrize("width", [1, 5])
+    def test_table_predictor_matches_dict_reference(self, width):
+        gen = np.random.default_rng(width)
+        xs = gen.integers(0, 4, size=300)
+        train = SampleSet(
+            Alphabet.integers(4), xs, gen.integers(0, 3, size=(300, width)) + xs[:, None] % 2
+        )
+        gain = random_gain(gen, 5, train.secrets)
+        predictor = frequentist_predictor(train, gain)
+        # queries hold seen and unseen rows, repeats, and rows beyond the seen range
+        queries = gen.integers(-1, 5, size=(500, width))
+        assert (predictor.predict(queries) == reference_table_predict(predictor, queries)).all()
+        assert predictor.predict(queries[:0]).shape == (0,)
+
+
+def reference_table_predict(predictor, ys):
+    """The original lookup: row bytes as dict keys, one query at a time."""
+    table = {
+        np.ascontiguousarray(key).tobytes(): int(guess)
+        for key, guess in zip(predictor.keys, predictor.guesses)
+    }
+    ys = np.ascontiguousarray(ys, dtype=np.int64)
+    return np.array([table.get(row.tobytes(), predictor.fallback) for row in ys])
 
 
 class TestRangeCheck:
@@ -304,7 +326,7 @@ class TestFrequentistVersusTruthDirection:
         channel = random_channel(gen, X, 40)
         gain = identity_gain(X)
         exact = posterior_vulnerability(prior, channel, gain)
-        valid = sample_joint(joint_from(prior, channel), 20_000, stream(0, "t/freq/big-v"))
+        valid = sample_joint((prior, channel), 20_000, stream(0, "t/freq/big-v"))
         small, large = (
             empirical_functional(
                 fit("frequentist", prior, channel, gain, m, None, stream(0, name))[0],

@@ -12,7 +12,6 @@ from gleak import (
     ValidationError,
     data_preprocess,
     identity_gain,
-    joint_from,
     read_channel,
     read_gain,
     read_prior,
@@ -153,7 +152,7 @@ class TestSampleFormat:
 
     def test_sampled_set_round_trip(self, tmp_path, two_secret_example):
         prior, channel = two_secret_example
-        samples = sample_joint(joint_from(prior, channel), 200, stream(0, "t/io"))
+        samples = sample_joint((prior, channel), 200, stream(0, "t/io"))
         path = tmp_path / "samples.csv"
         write_samples(samples, path)
         back = read_samples(path, prior.alphabet)
@@ -194,7 +193,7 @@ class TestWeightedFormat:
     def make_weighted(self, two_secret_example):
         prior, channel = two_secret_example
         gain = identity_gain(prior.alphabet)
-        samples = sample_joint(joint_from(prior, channel), 300, stream(1, "t/io/w"))
+        samples = sample_joint((prior, channel), 300, stream(1, "t/io/w"))
         return data_preprocess(samples, gain), gain
 
     def test_round_trip(self, tmp_path, two_secret_example):

@@ -16,6 +16,7 @@ from gleak import (
     scalar_codec,
     tuple_codec,
 )
+from gleak import knn
 
 
 def weighted(ws, ys, weights, n_guesses=None):
@@ -123,7 +124,7 @@ class TestPrediction:
         model = knn_train(data, scalar_config())
         assert model.predict(np.array([[0], [100]])).tolist() == [0, 0]
 
-    def test_chunked_prediction_matches_unchunked(self):
+    def test_chunked_prediction_matches_unchunked(self, monkeypatch):
         gen = np.random.default_rng(11)
         data = weighted(
             gen.integers(0, 4, size=300),
@@ -133,9 +134,10 @@ class TestPrediction:
         )
         model = knn_train(data, scalar_config())
         queries = gen.integers(0, 50, size=(700, 1))
-        np.testing.assert_array_equal(
-            model.predict(queries, chunk=7), model.predict(queries, chunk=10_000)
-        )
+        monkeypatch.setattr(knn, "QUERY_CHUNK", 7)
+        chunked = model.predict(queries)
+        monkeypatch.setattr(knn, "QUERY_CHUNK", 10_000)
+        np.testing.assert_array_equal(chunked, model.predict(queries))
 
 
 class TestMetrics:

@@ -10,12 +10,12 @@ from gleak import (
     TrainingDiverged,
     ValidationError,
     WeightedSampleSet,
-    gradient_check,
     mlp_train,
     scalar_codec,
     stream,
     tuple_codec,
 )
+from oracles import gradient_check
 
 
 def make_weighted(ws, ys, weights, n_guesses):

@@ -4,9 +4,11 @@ the trial-matrix artifacts and the `leak estimate` estimates unchanged.
 The expected values were recorded before the estimation pipelines were
 shared between `leak estimate` and `leak scenario`; the location and
 password estimates and every payload's details were recorded before all
-three methods went through one `estimate` function.  Only kNN and the
-frequentist baseline are pinned: MLP training sums through BLAS, whose
-summation order is not portable across builds.
+three methods went through one `estimate` function; the `leak bounds` and
+`leak preprocess` outputs before the two pre-processing derivations shared
+one split of their score matrix.  Only kNN and the frequentist baseline are
+pinned: MLP training sums through BLAS, whose summation order is not
+portable across builds.
 """
 
 import hashlib
@@ -106,3 +108,74 @@ def test_estimate(scenario, method, capsys):
     payload = json.loads(capsys.readouterr().out)
     pinned = ESTIMATE_PINS[(scenario, method)]
     assert (repr(payload["estimate"]), payload["details"]) == pinned
+
+
+def test_bounds_payload(capsys):
+    # the README example
+    code = main([
+        "bounds", "--m", "10000", "--n", "10000", "--sigma2", "0.25", "--range", "0", "1",
+        "--hypotheses", "2025", "--epsilon", "0.1", "--delta", "0.05", "--split", "0.025",
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "M": 2560,
+        "N": 249,
+        "branch": "erf",
+        "expected_training_gap": 54.82622657873587,
+        "expected_validation_gap": 0.01447202509116535,
+        "training_suboptimality_prob": 1.7778748401532204e-17,
+        "validation_deviation_prob": 4.579597470869879e-77,
+    }
+
+
+@pytest.fixture
+def preprocess_inputs(tmp_path):
+    """A 3x4 gain of halves, thirds and quarters with a zero row, a prior and
+    60 samples, as files."""
+    (tmp_path / "gain.txt").write_text(
+        "3 4\n"
+        "1.0 0.5 0.0 0.3333333333333333\n"
+        "0.0 0.0 0.0 0.0\n"
+        "0.5 1.0 0.6666666666666666 0.25\n"
+    )
+    (tmp_path / "prior.txt").write_text("0.15 0.35 0.2 0.3\n")
+    (tmp_path / "samples.csv").write_text(
+        "".join(f"{(7 * i) % 4},{(i * i + 3 * i) % 5}\n" for i in range(60))
+    )
+    return tmp_path
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_preprocess_channel_artifacts(preprocess_inputs, capsys):
+    root = preprocess_inputs
+    code = main([
+        "preprocess", "--mode", "channel", "--prior", str(root / "prior.txt"),
+        "--gain", str(root / "gain.txt"), "--out", str(root / "art"),
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["beta"] == 1.0583333333333333
+    assert _sha256(root / "art.tau.txt") == (
+        "ae61e945783018ac8789b685ecb5549c4cd68b275a0dcac2f64f3b24787838e2"
+    )
+    assert _sha256(root / "art.R.txt") == (
+        "961ed0acb961a6888e3c2f4b4f4cdd3870a1fce676a8e2c5e4f5a7c5f55373fc"
+    )
+
+
+def test_preprocess_data_artifact(preprocess_inputs, capsys):
+    root = preprocess_inputs
+    code = main([
+        "preprocess", "--mode", "data", "--samples", str(root / "samples.csv"),
+        "--gain", str(root / "gain.txt"), "--out", str(root / "art"),
+    ])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["entries"], payload["total_weight"], payload["rationalize_scale"]) == (
+        21, 765, 12
+    )
+    assert _sha256(root / "art.weighted.csv") == (
+        "f332ec48f5edff74a3b97fef861d19f6de471d4eba89b700806658c4981d721e"
+    )

@@ -1,5 +1,8 @@
 """Reductions to Bayes classification and their correctness equalities."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,12 +19,13 @@ from gleak import (
     data_preprocess,
     ideal_derivation,
     identity_gain,
-    joint_from,
     posterior_vulnerability,
     rationalize_gain,
     sample_joint,
     stream,
 )
+from gleak.preprocess import SNAP_DENOMINATOR
+from gleak.scenarios import build_scenario
 from gleak.scenarios.multi_guess import two_tries_gain
 from conftest import random_channel, random_gain, random_prior
 
@@ -65,7 +69,7 @@ class TestDataPreprocess:
         for _ in range(20):
             prior, channel, gain = random_instance(gen, max_size=5)
             train = sample_joint(
-                joint_from(prior, channel), 300, stream(int(gen.integers(1 << 30)), "t")
+                (prior, channel), 300, stream(int(gen.integers(1 << 30)), "t")
             )
             weighted = data_preprocess(train, gain)
             g = gain.matrix.astype(np.int64)
@@ -75,7 +79,7 @@ class TestDataPreprocess:
     def test_equivalent_to_physical_duplication(self):
         gen = np.random.default_rng(7)
         prior, channel, gain = random_instance(gen, max_size=4)
-        train = sample_joint(joint_from(prior, channel), 150, stream(1, "t/dup"))
+        train = sample_joint((prior, channel), 150, stream(1, "t/dup"))
         weighted = data_preprocess(train, gain)
         g = gain.matrix.astype(np.int64)
         expanded = []
@@ -136,7 +140,7 @@ class TestRationalizeGain:
             Alphabet.integers(1, "w"), X, np.array([[1.0 / 10**7, 1.0]])
         )
         with pytest.raises(ValidationError, match="rational"):
-            rationalize_gain(gain, expansion_cap=10**6)
+            rationalize_gain(gain)
 
     def test_expansion_cap_on_lcm(self):
         X = Alphabet.integers(2)
@@ -145,7 +149,7 @@ class TestRationalizeGain:
             Alphabet.integers(1, "w"), X, np.array([[1.0 / 3.0, 1.0 / 999983.0]])
         )
         with pytest.raises(ValidationError, match="cap"):
-            rationalize_gain(gain, expansion_cap=10**6)
+            rationalize_gain(gain)
 
     def test_expansion_cap_on_entry_magnitude(self):
         X = Alphabet.integers(2)
@@ -154,7 +158,7 @@ class TestRationalizeGain:
             Alphabet.integers(1, "w"), X, np.array([[2e6, 0.5]])
         )
         with pytest.raises(ValidationError, match="cap"):
-            rationalize_gain(gain, expansion_cap=10**6)
+            rationalize_gain(gain)
 
     def test_vulnerability_scales_by_k(self):
         gen = np.random.default_rng(13)
@@ -170,6 +174,44 @@ class TestRationalizeGain:
             assert posterior_vulnerability(prior, channel, scaled) == pytest.approx(
                 k * posterior_vulnerability(prior, channel, gain), rel=1e-9
             )
+
+
+    def test_matches_per_entry_reference(self):
+        gen = np.random.default_rng(29)
+        for _ in range(20):
+            shape = tuple(int(v) for v in gen.integers(1, 6, size=2))
+            numer = gen.integers(0, 9, size=shape)
+            denom = gen.choice((1, 2, 3, 4, 6, 7), size=shape)
+            gain = GainFunction(
+                Alphabet.integers(shape[0], "w"), Alphabet.integers(shape[1]), numer / denom
+            )
+            scaled, k = rationalize_gain(gain)
+            ref_matrix, ref_k = reference_rationalize(gain)
+            assert k == ref_k
+            np.testing.assert_array_equal(scaled.matrix, ref_matrix)
+
+    def test_snaps_each_distinct_entry_once(self, monkeypatch):
+        gain = build_scenario("location").gain
+        calls = []
+        snap = Fraction.limit_denominator
+
+        def counting(self, max_denominator=10**6):
+            calls.append(1)
+            return snap(self, max_denominator)
+
+        monkeypatch.setattr(Fraction, "limit_denominator", counting)
+        rationalize_gain(gain)
+        assert len(calls) == np.unique(gain.matrix).size < gain.matrix.size
+
+
+def reference_rationalize(gain):
+    """Per-entry snap and scale, in row-major order: the original loop."""
+    fracs = [
+        Fraction(v).limit_denominator(SNAP_DENOMINATOR) for v in gain.matrix.ravel().tolist()
+    ]
+    scale = math.lcm(*(frac.denominator for frac in fracs))
+    scaled = np.array([int(frac * scale) for frac in fracs], dtype=np.int64)
+    return scaled.reshape(gain.matrix.shape).astype(np.float64), scale
 
 
 class TestIdealDerivation:
@@ -309,7 +351,7 @@ class TestEmpiricalIdealConsistency:
         gen = np.random.default_rng(47)
         prior, channel, gain = random_instance(gen, max_size=5)
         deriv = ideal_derivation(prior, channel, gain)
-        train = sample_joint(joint_from(prior, channel), 100_000, stream(12, "t/tv"))
+        train = sample_joint((prior, channel), 100_000, stream(12, "t/tv"))
         weighted = data_preprocess(train, gain)
         empirical = np.zeros_like(deriv.U)
         np.add.at(

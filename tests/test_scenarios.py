@@ -12,7 +12,6 @@ from gleak import (
     build_scenario,
     channel_preprocess,
     data_preprocess,
-    enumerate_strategies_vulnerability,
     identity_gain,
     posterior_vulnerability,
     prior_vulnerability,
@@ -20,6 +19,7 @@ from gleak import (
     stream,
 )
 from gleak.scenarios import SCENARIO_NAMES
+from oracles import enumerate_strategies_vulnerability
 from gleak.scenarios.dp import (
     DpScenarioConfig,
     cleveland_histogram,
