@@ -50,16 +50,9 @@ def _clip01(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def worst_case_sigma2(value_range: tuple[float, float]) -> float:
-    """Variance proxy with no distribution knowledge: (b-a)^2 / 4."""
-    a, b = value_range
-    _require(b > a, "range must satisfy a < b")
-    return (b - a) ** 2 / 4.0
-
-
 def plugin_sigma2(predictor, validation, gain) -> float:
     """Sample variance of g(f(y), x) for a fixed predictor on held-out pairs."""
-    return float((_pair_gains(predictor, validation, gain) - gain.shift).var())
+    return float((_pair_gains(predictor, [validation], gain)[0] - gain.shift).var())
 
 
 def hypothesis_count(

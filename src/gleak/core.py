@@ -259,29 +259,6 @@ class SampleSet:
         return int(self.ys.shape[1])
 
 
-@dataclass(frozen=True, eq=False)
-class Strategy:
-    """Total function table observable-index -> guess-index."""
-
-    mapping: np.ndarray
-
-    def __post_init__(self) -> None:
-        mapping = np.asarray(self.mapping, dtype=np.int64)
-        _require(mapping.ndim == 1 and mapping.size > 0, "mapping must be 1-D")
-        _require(bool((mapping >= 0).all()), "guess indices must be >= 0")
-        object.__setattr__(self, "mapping", _freeze(mapping))
-
-    def predict(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=np.int64)
-        _require(ys.ndim == 2 and ys.shape[1] == 1, "strategy needs index observables")
-        idx = ys[:, 0]
-        _require(
-            bool((idx >= 0).all()) and bool((idx < self.mapping.size).all()),
-            "observable index outside strategy table",
-        )
-        return self.mapping[idx]
-
-
 # ---------------------------------------------------------------------------
 # exact operations
 
@@ -335,30 +312,17 @@ def leakage_of(prior_v: float, posterior_v: float, mode: str) -> float:
 
 
 def strategy_gain(
-    strategy: Strategy, prior: Prior, channel: Channel, gain: GainFunction
+    predictor, prior: Prior, channel: Channel, gain: GainFunction
 ) -> float:
-    """Expected gain sum_{x,y} g(f(y), x) pi_x C[x, y] of a fixed strategy."""
+    """Expected gain sum_{x,y} g(f(y), x) pi_x C[x, y] of a fixed predictor.
+
+    f is read off the predictor once, over the output indices of the channel.
+    """
     _check_triple(prior, channel, gain)
-    _require(
-        strategy.mapping.size == channel.output.size,
-        "strategy not total on channel outputs",
-    )
-    _require(
-        int(strategy.mapping.max()) < gain.guesses.size,
-        "strategy guess index outside gain",
-    )
-    values = gain.matrix[strategy.mapping, :]  # (Y, X): g(f(y), x)
+    outputs = np.arange(channel.output.size)[:, None]
+    values = gain.matrix[_decide(predictor, outputs, gain), :]  # (Y, X): g(f(y), x)
     joint = prior.probs[:, None] * channel.rows
     return float(np.sum(joint * values.T)) - gain.shift
-
-
-def optimal_strategy(
-    prior: Prior, channel: Channel, gain: GainFunction
-) -> Strategy:
-    """Per-observable argmax_w sum_x pi_x C[x,y] g(w,x); lowest index on ties."""
-    _check_triple(prior, channel, gain)
-    scores = _score_matrix(prior, channel, gain)
-    return Strategy(np.argmax(scores, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +363,53 @@ def sample_joint(
     return SampleSet(prior.alphabet, xs, ys, stream.provenance)
 
 
-def _pair_gains(predictor, validation: SampleSet, gain: GainFunction) -> np.ndarray:
-    """Stored (shifted) gains g(f(y), x) of a predictor on each validation pair.
+def _decide(predictor, rows: np.ndarray, gain: GainFunction) -> np.ndarray:
+    """The guess of ``predictor`` on each of the distinct observable ``rows``.
 
-    ``predictor`` is anything with ``predict(ys) -> guess indices``:
-    a Strategy or a trained classifier.
+    ``predictor`` is anything with ``predict(ys) -> guess indices``: a
+    decision table or a trained classifier.  Every predictor is scored
+    through this call, which checks one guess per row inside the gain.
     """
-    if validation.size == 0:
+    guesses = np.asarray(predictor.predict(rows), dtype=np.int64)
+    _require(guesses.shape == (rows.shape[0],), "predictor output shape mismatch")
+    _require(
+        bool(((guesses >= 0) & (guesses < gain.guesses.size)).all()),
+        "predictor guess index outside gain",
+    )
+    return guesses
+
+
+def _distinct_rows(sets: Sequence[SampleSet]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Distinct observable rows of the union of ``sets`` and, per set, the
+    index of each pair's row among them."""
+    if any(s.size == 0 for s in sets):
         raise ValidationError("validation set is empty")
-    guesses = np.asarray(predictor.predict(validation.ys), dtype=np.int64)
-    _require(guesses.shape == (validation.size,), "predictor output shape mismatch")
-    return gain.matrix[guesses, validation.xs]
+    rows, inverse = np.unique(
+        np.concatenate([s.ys for s in sets]), axis=0, return_inverse=True
+    )
+    ends = np.cumsum([s.size for s in sets])
+    return rows, np.split(inverse.reshape(-1), ends[:-1])
+
+
+def _pair_gains(
+    predictor,
+    sets: Sequence[SampleSet],
+    gain: GainFunction,
+    distinct: tuple[np.ndarray, list[np.ndarray]] | None = None,
+) -> list[np.ndarray]:
+    """Stored (shifted) gains g(f(y), x) of a predictor on each pair of each set.
+
+    The predictor is asked once, on the distinct rows of the sets' union;
+    ``distinct`` passes ``_distinct_rows(sets)`` when several predictors
+    are scored on the same sets.  Each set keeps its pairs in their order.
+    """
+    rows, inverses = _distinct_rows(sets) if distinct is None else distinct
+    guesses = _decide(predictor, rows, gain)
+    return [gain.matrix[guesses[inv], s.xs] for inv, s in zip(inverses, sets)]
 
 
 def empirical_functional(
     predictor, validation: SampleSet, gain: GainFunction
 ) -> float:
     """Mean gain (1/n) sum g(f(y), x) of a predictor on a validation set."""
-    return float(_pair_gains(predictor, validation, gain).mean()) - gain.shift
+    return float(_pair_gains(predictor, [validation], gain)[0].mean()) - gain.shift

@@ -195,27 +195,50 @@ def estimate(
 
 
 class TablePredictor:
-    """Frequentist decision table: one guess per seen observable, a fallback
-    guess for unseen ones.  ``keys`` are the distinct seen observable rows,
-    ``guesses`` their guesses."""
+    """Decision table: one guess per listed observable row, a fallback guess
+    for every other row.  ``keys`` are the distinct rows, ``guesses`` their
+    guesses.  The frequentist baseline is such a table over the seen rows; a
+    fixed strategy of a matrix channel is one keyed by output index,
+    ``keys = arange(|Y|)[:, None]``."""
 
-    __slots__ = ("keys", "guesses", "fallback")
+    __slots__ = ("keys", "guesses", "fallback", "_sorted", "_sorted_guesses")
 
     def __init__(self, keys: np.ndarray, guesses: np.ndarray, fallback: int) -> None:
-        self.keys = _freeze(np.asarray(keys, dtype=np.int64))
-        self.guesses = _freeze(np.asarray(guesses, dtype=np.int64))
+        keys = np.asarray(keys, dtype=np.int64)
+        guesses = np.asarray(guesses, dtype=np.int64)
+        _require(
+            keys.ndim == 2 and keys.shape[0] >= 1 and guesses.shape == keys.shape[:1],
+            "table needs one guess per key row",
+        )
+        self.keys = _freeze(keys)
+        self.guesses = _freeze(guesses)
         self.fallback = fallback
+        # rows sorted as byte strings, so a lookup is one binary search per
+        # query row; only equality matters, not numeric order
+        packed = _as_bytes(self.keys)
+        order = np.argsort(packed)
+        self._sorted = packed[order]
+        _require(
+            bool((self._sorted[1:] != self._sorted[:-1]).all()),
+            "table keys must be distinct",
+        )
+        self._sorted_guesses = self.guesses[order]
 
     def predict(self, ys: np.ndarray) -> np.ndarray:
-        l = self.keys.shape[0]
-        distinct, inverse = np.unique(
-            np.concatenate([self.keys, np.asarray(ys, dtype=np.int64)]),
-            axis=0,
-            return_inverse=True,
+        ys = np.asarray(ys, dtype=np.int64)
+        _require(
+            ys.ndim == 2 and ys.shape[1] == self.keys.shape[1], "table key width mismatch"
         )
-        table = np.full(distinct.shape[0], self.fallback, dtype=np.int64)
-        table[inverse[:l]] = self.guesses
-        return table[inverse[l:]]
+        packed = _as_bytes(ys)
+        at = np.minimum(np.searchsorted(self._sorted, packed), self._sorted.size - 1)
+        hit = self._sorted[at] == packed
+        return np.where(hit, self._sorted_guesses[at], self.fallback)
+
+
+def _as_bytes(rows: np.ndarray) -> np.ndarray:
+    """One fixed-size byte string per int64 row; equal rows, equal strings."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
 
 
 def frequentist_predictor(train: SampleSet, gain: GainFunction) -> TablePredictor:

@@ -19,8 +19,9 @@ from .core import (
     NumericalError,
     SampleSet,
     ValidationError,
+    _distinct_rows,
+    _pair_gains,
     _require,
-    empirical_functional,
     sample_joint,
 )
 from .estimation import fit
@@ -279,13 +280,15 @@ def run_trial_matrix(
         for i in range(num_i)
     ]
 
+    # every model is asked once, on the distinct observables of all J sets
+    distinct = _distinct_rows(valid_sets)
+    gain = scenario.gain
+
     def run_task(task):
         method, learner, m, i = task
         model = _train_one(scenario, config, method, learner, m, i, sizes)
-        estimates = [
-            empirical_functional(model, valid, scenario.gain) for valid in valid_sets
-        ]
-        return task, estimates
+        gains = _pair_gains(model, valid_sets, gain, distinct)
+        return task, [float(g.mean()) - gain.shift for g in gains]
 
     if config.workers == 1:
         results = dict(run_task(task) for task in tasks)

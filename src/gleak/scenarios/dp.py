@@ -58,30 +58,6 @@ class DpScenarioConfig:
         return 2.0 if self.removed_label in (3, 4) else 1.0
 
 
-def cleveland_histogram(path: str, column: int = 13) -> tuple[int, ...]:
-    """5-bin severity histogram from a comma-separated records file."""
-    counts = [0] * 5
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read records file: {exc}") from None
-    for line in lines:
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) <= column:
-            raise ValidationError(f"record has no column {column}: {line!r}")
-        try:
-            label = int(float(fields[column]))
-        except ValueError:
-            raise ValidationError(f"malformed severity value {fields[column]!r}") from None
-        if not 0 <= label <= 4:
-            raise ValidationError(f"severity {label} outside 0..4")
-        counts[label] += 1
-    return tuple(counts)
-
-
 def _geometric_noise(
     shape: tuple[int, ...], nu: float, gen: np.random.Generator
 ) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Test-only oracles: brute-force and finite-difference references that the
-package's exact and analytic computations are checked against.
+package's exact and analytic computations are checked against, and the
+strategy tables the tests score.
 
 They are kept out of the package because no command, scenario or pipeline
 uses them.
@@ -16,9 +17,32 @@ from gleak.core import (
     Prior,
     ValidationError,
     _check_triple,
+    _score_matrix,
 )
+from gleak.estimation import TablePredictor
 from gleak.mlp import _forward, _init_params, _loss_and_grads
 from gleak.rng import Stream
+
+
+def fixed_strategy(mapping) -> TablePredictor:
+    """The strategy y -> mapping[y]: a decision table keyed by output index."""
+    mapping = np.asarray(mapping)
+    return TablePredictor(np.arange(mapping.size)[:, None], mapping, fallback=0)
+
+
+def optimal_strategy(
+    prior: Prior, channel: Channel, gain: GainFunction
+) -> TablePredictor:
+    """Per-observable argmax_w sum_x pi_x C[x,y] g(w,x); lowest index on ties."""
+    _check_triple(prior, channel, gain)
+    scores = _score_matrix(prior, channel, gain)
+    return fixed_strategy(np.argmax(scores, axis=0))
+
+
+def reference_empirical_functional(predictor, validation, gain) -> float:
+    """The per-row path: predict on every validation row, then the mean."""
+    guesses = np.asarray(predictor.predict(validation.ys), dtype=np.int64)
+    return float(gain.matrix[guesses, validation.xs].mean()) - gain.shift
 
 
 def enumerate_strategies_vulnerability(

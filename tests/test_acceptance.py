@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import random_channel, random_gain, random_prior
-from oracles import enumerate_strategies_vulnerability, gradient_check
+from oracles import enumerate_strategies_vulnerability, fixed_strategy, gradient_check
 from gleak import (
     Alphabet,
     read_channel,
@@ -28,7 +28,6 @@ from gleak import (
 )
 from gleak.cli import main
 from gleak.core import (
-    Strategy,
     empirical_functional,
     identity_gain,
     sample_joint,
@@ -342,7 +341,7 @@ def test_criterion_8_bound_calculators():
     secrets = Alphabet.integers(2)
     prior = random_prior(np.random.default_rng(8), 2)
     channel = random_channel(np.random.default_rng(9), secrets, 4)
-    fixed = Strategy(np.array([0, 0, 1, 1]))
+    fixed = fixed_strategy([0, 0, 1, 1])
     gain = identity_gain(secrets)
     truth = strategy_gain(fixed, prior, channel, gain)
     sigma2 = truth * (1.0 - truth)  # exact: per-sample values are 0/1

@@ -14,7 +14,6 @@ from gleak import (
     Channel,
     Prior,
     SampleSet,
-    Strategy,
     ValidationError,
     bound_report,
     empirical_functional,
@@ -29,8 +28,8 @@ from gleak import (
     stream,
     training_suboptimality_prob,
     validation_deviation_prob,
-    worst_case_sigma2,
 )
+from oracles import fixed_strategy
 
 
 def inputs(**overrides):
@@ -210,10 +209,6 @@ class TestBoundInputs:
             "N",
         }
 
-    def test_worst_case_sigma2(self):
-        assert worst_case_sigma2((0.0, 1.0)) == 0.25
-        assert worst_case_sigma2((-1.0, 3.0)) == 4.0
-
     def test_hypothesis_count_and_truncation(self):
         assert hypothesis_count(2, 3) == (8, False)
         assert hypothesis_count(1, 50) == (1, False)
@@ -233,7 +228,7 @@ class TestEmpiricalSoundness:
         )
         gain = identity_gain(X)
         joint = (prior, channel)
-        f = Strategy(np.array([0, 0, 1, 1]))
+        f = fixed_strategy([0, 0, 1, 1])
         truth = strategy_gain(f, prior, channel, gain)
         # exact Var(g(f(Y), X)): indicator of a correct guess
         sigma2 = truth * (1.0 - truth)
@@ -257,7 +252,7 @@ class TestEmpiricalSoundness:
         )
         gain = identity_gain(X)
         valid = sample_joint((prior, channel), 2000, stream(1, "t/plug"))
-        f = Strategy(np.array([0, 1]))
+        f = fixed_strategy([0, 1])
         est = plugin_sigma2(f, valid, gain)
         correct = (f.predict(valid.ys) == valid.xs).astype(float)
         assert est == pytest.approx(correct.var(), abs=1e-12)
@@ -266,4 +261,4 @@ class TestEmpiricalSoundness:
         X = Alphabet.integers(2)
         empty = SampleSet(X, np.zeros(0, dtype=np.int64), np.zeros((0, 1), dtype=np.int64))
         with pytest.raises(ValidationError, match="empty"):
-            plugin_sigma2(Strategy(np.array([0, 1])), empty, identity_gain(X))
+            plugin_sigma2(fixed_strategy([0, 1]), empty, identity_gain(X))

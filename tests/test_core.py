@@ -10,12 +10,10 @@ from gleak import (
     GenerativeChannel,
     Prior,
     SampleSet,
-    Strategy,
     ValidationError,
     empirical_functional,
     identity_gain,
     leakage,
-    optimal_strategy,
     posterior_vulnerability,
     prior_vulnerability,
     sample_joint,
@@ -23,7 +21,8 @@ from gleak import (
     strategy_gain,
 )
 from gleak.core import leakage_of
-from oracles import enumerate_strategies_vulnerability
+from gleak.estimation import TablePredictor
+from oracles import enumerate_strategies_vulnerability, fixed_strategy, optimal_strategy
 from conftest import (
     loop_posterior_vulnerability,
     loop_prior_vulnerability,
@@ -125,9 +124,9 @@ class TestPosteriorVulnerability:
         g = identity_gain(prior.alphabet)
         best = optimal_strategy(prior, channel, g)
         # joint columns: (0.24, 0.28) and (0.06, 0.42) -> guess x2 both times
-        assert best.mapping.tolist() == [1, 1]
+        assert best.guesses.tolist() == [1, 1]
         assert strategy_gain(best, prior, channel, g) == pytest.approx(0.70, abs=1e-12)
-        worst = Strategy(np.array([0, 0]))
+        worst = fixed_strategy([0, 0])
         assert strategy_gain(worst, prior, channel, g) == pytest.approx(0.30, abs=1e-12)
 
     def test_noiseless_channel_reaches_max_gain(self):
@@ -212,7 +211,7 @@ class TestStrategyEnumeration:
         best = posterior_vulnerability(prior, channel, gain)
         for _ in range(100):
             mapping = gen.integers(0, 3, size=3)
-            assert strategy_gain(Strategy(mapping), prior, channel, gain) <= best + 1e-12
+            assert strategy_gain(fixed_strategy(mapping), prior, channel, gain) <= best + 1e-12
 
     def test_enumeration_cap(self):
         X = Alphabet.integers(4)
@@ -394,3 +393,28 @@ class TestEmpiricalFunctional:
 
         with pytest.raises(ValidationError):
             empirical_functional(Bad(), valid, identity_gain(X))
+
+    @pytest.mark.parametrize("guess", [-1, 2])
+    def test_guess_outside_gain_is_rejected(self, two_secret_example, guess):
+        # a negative guess used to wrap around to the last row of the gain,
+        # a guess of |W| to escape as an IndexError
+        prior, channel = two_secret_example
+        g = identity_gain(prior.alphabet)
+        f = TablePredictor(np.array([[0], [1]]), np.array([guess, guess]), 0)
+        valid = sample_joint((prior, channel), 50, stream(0, "t/range"))
+        with pytest.raises(ValidationError, match="outside gain"):
+            empirical_functional(f, valid, g)
+        with pytest.raises(ValidationError, match="outside gain"):
+            strategy_gain(f, prior, channel, g)
+
+    def test_strategy_gain_scores_any_predictor(self, two_secret_example):
+        prior, channel = two_secret_example
+        g = identity_gain(prior.alphabet)
+
+        class Constant:
+            def predict(self, ys):
+                return np.ones(len(ys), dtype=np.int64)
+
+        # a predictor over output indices is a strategy: y -> 1 for both y
+        expected = strategy_gain(fixed_strategy([1, 1]), prior, channel, g)
+        assert strategy_gain(Constant(), prior, channel, g) == expected

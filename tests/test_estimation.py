@@ -290,6 +290,18 @@ class TestFrequentist:
         queries = gen.integers(-1, 5, size=(500, width))
         assert (predictor.predict(queries) == reference_table_predict(predictor, queries)).all()
         assert predictor.predict(queries[:0]).shape == (0,)
+        # a fixed strategy: the table keyed by output index, queried over Y
+        strategy = TablePredictor(np.arange(300)[:, None], gen.integers(0, 5, size=300), 2)
+        outputs = gen.integers(-3, 303, size=(500, 1))
+        assert (strategy.predict(outputs) == reference_table_predict(strategy, outputs)).all()
+
+    def test_table_predictor_rejects_malformed_tables(self):
+        with pytest.raises(ValidationError, match="distinct"):
+            TablePredictor(np.array([[1, 2], [1, 2]]), np.array([0, 1]), 0)
+        with pytest.raises(ValidationError, match="one guess per key"):
+            TablePredictor(np.array([[1], [2]]), np.array([0]), 0)
+        with pytest.raises(ValidationError, match="width"):
+            TablePredictor(np.array([[1, 2]]), np.array([0]), 0).predict(np.array([[1]]))
 
 
 def reference_table_predict(predictor, ys):

@@ -13,9 +13,13 @@ from gleak import (
     ValidationError,
     emit_reports,
     run_trial_matrix,
+    sample_joint,
+    stream,
 )
+from gleak import harness
 from gleak.harness import PROFILES, knn_config_for, mlp_config_for
 from gleak.scenarios import build_scenario
+from oracles import reference_empirical_functional
 
 
 def tiny_config(**overrides):
@@ -223,6 +227,52 @@ class TestRunTrialMatrix:
         config = tiny_config(sizes=(300,), num_train_sets=1, num_valid_sets=1)
         metrics, rows = run_trial_matrix(config, scenario=scenario)
         assert rows[0].exact == scenario.exact_vg
+
+    def test_each_model_predicts_once_on_distinct_rows(self, run, monkeypatch):
+        """With J = 3 every model is asked once, on the distinct rows of the
+        three validation sets, and each estimate equals the per-set path."""
+        config, (_, rows) = run
+        models, real_fit = [], harness.fit
+
+        class Counting:
+            def __init__(self, inner):
+                self.inner, self.calls = inner, []
+
+            def predict(self, ys):
+                self.calls.append(np.array(ys))
+                return self.inner.predict(ys)
+
+        def counting_fit(*args, **kwargs):
+            predictor, details = real_fit(*args, **kwargs)
+            models.append(Counting(predictor))
+            return models[-1], details
+
+        monkeypatch.setattr(harness, "fit", counting_fit)
+        harness.run_trial_matrix(config)
+        assert len(models) == 2 * 2 * 2  # combos x sizes x I
+        for model in models:
+            assert len(model.calls) == 1
+            asked = model.calls[0]
+            assert np.unique(asked, axis=0).shape[0] == asked.shape[0]
+
+        scenario = build_scenario("multi-guess")
+        valid_sets = [
+            sample_joint(
+                (scenario.prior, scenario.channel), 400, stream(0, f"multi-guess/valid/j{j}")
+            )
+            for j in range(3)
+        ]
+        tasks = [
+            (method, learner, m, i)
+            for method, learner in (("data", "knn"), ("frequentist", "none"))
+            for m in (300, 600)
+            for i in range(2)
+        ]
+        estimates = {(r.method, r.learner, r.m, r.i, r.j): r.estimate for r in rows}
+        for model, task in zip(models, tasks):
+            for j, valid in enumerate(valid_sets):
+                per_set = reference_empirical_functional(model.inner, valid, scenario.gain)
+                assert estimates[(*task, j)] == per_set
 
 
 class TestEmitReports:

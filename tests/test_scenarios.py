@@ -22,7 +22,6 @@ from gleak.scenarios import SCENARIO_NAMES
 from oracles import enumerate_strategies_vulnerability
 from gleak.scenarios.dp import (
     DpScenarioConfig,
-    cleveland_histogram,
     dp_scenario,
     exact_dp_vulnerability,
 )
@@ -428,26 +427,6 @@ class TestDpScenario:
             DpScenarioConfig(removed_label=7)
         with pytest.raises(ValidationError):
             DpScenarioConfig(label_counts=(164, 55, 36, 35, 0))
-
-    def test_cleveland_histogram_ingestion(self, tmp_path):
-        rows = []
-        for label, copies in ((0, 3), (2, 1), (4, 2)):
-            rows += [",".join(["63.0"] * 13 + [f"{label}.0"])] * copies
-        path = tmp_path / "records.csv"
-        path.write_text("\n".join(rows) + "\n\n")
-        assert cleveland_histogram(str(path)) == (3, 0, 1, 0, 2)
-
-    def test_cleveland_histogram_rejects_bad_rows(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1,2,3\n")
-        with pytest.raises(ValidationError, match="column"):
-            cleveland_histogram(str(path))
-        path.write_text(",".join(["1"] * 13 + ["9"]) + "\n")
-        with pytest.raises(ValidationError, match="0..4"):
-            cleveland_histogram(str(path))
-        path.write_text(",".join(["1"] * 13 + ["bad"]) + "\n")
-        with pytest.raises(ValidationError, match="malformed"):
-            cleveland_histogram(str(path))
 
     def test_build_scenario_codec(self):
         scenario = build_scenario("dp")

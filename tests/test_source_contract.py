@@ -6,6 +6,10 @@ as an ``AssertionError`` with exit code 1; library checks raise
 ``ValidationError`` or ``NumericalError`` instead.
 
 ``gleak.__all__`` lists each public name the package imports, once.
+
+Every predictor is scored through one call, ``core._decide``, which asks it
+once per distinct observable and checks its guesses; no other library code
+calls ``.predict(``.
 """
 
 import ast
@@ -48,3 +52,35 @@ def test_all_matches_package_imports():
         name for name in imported - set(exported) if not name.startswith("_")
     )
     assert not missing, f"imported by gleak but missing from __all__: {missing}"
+
+
+def _predict_calls(tree: ast.AST, scope: str = "<module>"):
+    """(enclosing function, line) of every ``<expr>.predict(...)`` call."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "predict"
+        ):
+            yield scope, node.lineno
+        yield from _predict_calls(node, inner)
+
+
+def test_predictors_are_scored_in_one_place():
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(
+            (str(path.relative_to(SOURCE.parent)), scope, line)
+            for scope, line in _predict_calls(tree)
+        )
+    outside = [
+        f"{path}:{line} in {scope}"
+        for path, scope, line in found
+        if (path, scope) != ("gleak/core.py", "_decide")
+    ]
+    assert not outside, ".predict( called outside core._decide: " + ", ".join(outside)
+    assert len(found) == 1, f"core._decide should call .predict( once: {found}"
