@@ -379,16 +379,48 @@ def _decide(predictor, rows: np.ndarray, gain: GainFunction) -> np.ndarray:
     return guesses
 
 
+def _unique_rows(
+    a: np.ndarray, return_inverse: bool = False, return_counts: bool = False
+):
+    """What ``np.unique(a, axis=0, ...)`` returns for a 2-D array: the
+    distinct rows in lexicographic order and, as asked, the index of each
+    row among them and each distinct row's count.
+
+    ``np.unique(axis=0)`` sorts the rows as a structured dtype; here a
+    single column goes through ``np.unique`` on the column and wider rows
+    through one ``np.lexsort`` and a mask of where each run of equal rows
+    starts.
+    """
+    a = np.asarray(a)
+    if a.shape[1] == 1:
+        out = np.unique(a[:, 0], return_inverse=return_inverse, return_counts=return_counts)
+        if not (return_inverse or return_counts):
+            return out[:, None]
+        return (out[0][:, None], *out[1:])
+    order = np.lexsort(a.T[::-1])  # the last key sorts first: column 0 leads
+    ordered = a[order]
+    starts = np.ones(ordered.shape[0], dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    out = [ordered[starts]]
+    if return_inverse:
+        inverse = np.empty(order.size, dtype=np.intp)
+        inverse[order] = np.cumsum(starts) - 1
+        out.append(inverse)
+    if return_counts:
+        out.append(np.diff(np.append(np.flatnonzero(starts), order.size)))
+    return out[0] if len(out) == 1 else tuple(out)
+
+
 def _distinct_rows(sets: Sequence[SampleSet]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Distinct observable rows of the union of ``sets`` and, per set, the
     index of each pair's row among them."""
     if any(s.size == 0 for s in sets):
         raise ValidationError("validation set is empty")
-    rows, inverse = np.unique(
-        np.concatenate([s.ys for s in sets]), axis=0, return_inverse=True
+    rows, inverse = _unique_rows(
+        np.concatenate([s.ys for s in sets]), return_inverse=True
     )
     ends = np.cumsum([s.size for s in sets])
-    return rows, np.split(inverse.reshape(-1), ends[:-1])
+    return rows, np.split(inverse, ends[:-1])
 
 
 def _pair_gains(

@@ -24,6 +24,7 @@ from .core import (
     _freeze,
     _inverse_cdf,
     _require,
+    _unique_rows,
     empirical_functional,
     sample_joint,
 )
@@ -90,7 +91,7 @@ def sample_preprocessed_pairs(
     xs = deriv.R.sample(ws, gen)[:, 0]
     ys = channel.sample(xs, gen)
     combined = np.concatenate([ws[:, None], ys], axis=1)
-    distinct, counts = np.unique(combined, axis=0, return_counts=True)
+    distinct, counts = _unique_rows(combined, return_counts=True)
     return WeightedSampleSet(
         deriv.tau.alphabet,
         distinct[:, 0],
@@ -251,10 +252,10 @@ def frequentist_predictor(train: SampleSet, gain: GainFunction) -> TablePredicto
     """
     _require(train.size > 0, "training set is empty")
     combined = np.concatenate([train.ys, train.xs[:, None]], axis=1)
-    distinct, counts = np.unique(combined, axis=0, return_counts=True)
+    distinct, counts = _unique_rows(combined, return_counts=True)
     y_rows = distinct[:, :-1]
     x_vals = distinct[:, -1]
-    y_distinct, y_inverse = np.unique(y_rows, axis=0, return_inverse=True)
+    y_distinct, y_inverse = _unique_rows(y_rows, return_inverse=True)
     cond_counts = np.zeros((y_distinct.shape[0], train.secrets.size))
     np.add.at(cond_counts, (y_inverse, x_vals), counts.astype(np.float64))
     # argmax_w sum_x counts(x|y) g(w,x); normalization by count(y) cancels

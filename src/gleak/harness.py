@@ -122,6 +122,15 @@ class TrialMatrixConfig:
         _require(all(m in METHODS for m in self.methods), "unknown method")
         _require(all(l in LEARNERS for l in self.learners), "unknown learner")
         _require(self.workers >= 1, "workers must be >= 1")
+        for field in ("num_train_sets", "num_valid_sets", "valid_size"):
+            value = getattr(self, field)
+            _require(value is None or value >= 1, f"{field} must be >= 1, got {value}")
+        if self.sizes is not None:
+            _require(len(self.sizes) > 0, "sizes must not be empty")
+            _require(
+                all(m >= 1 for m in self.sizes),
+                f"every entry of sizes must be >= 1, got {self.sizes}",
+            )
 
     def resolved(self) -> dict:
         base = PROFILES[self.profile]
@@ -132,13 +141,17 @@ class TrialMatrixConfig:
             "profile": self.profile,
             "methods": list(self.methods),
             "learners": list(self.learners),
-            "sizes": list(self.sizes or base.sizes),
-            "num_train_sets": self.num_train_sets or base.num_train_sets,
-            "num_valid_sets": self.num_valid_sets or base.num_valid_sets,
-            "valid_size": self.valid_size or base.valid_size,
+            "sizes": list(base.sizes if self.sizes is None else self.sizes),
+            "num_train_sets": _given(self.num_train_sets, base.num_train_sets),
+            "num_valid_sets": _given(self.num_valid_sets, base.num_valid_sets),
+            "valid_size": _given(self.valid_size, base.valid_size),
             "workers": self.workers,
             "gowalla_path": self.gowalla_path,
         }
+
+
+def _given(value: int | None, default: int) -> int:
+    return default if value is None else value
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .core import (
     _freeze,
     _require,
     _score_matrix,
+    _unique_rows,
 )
 from .rng import SeedProvenance
 
@@ -119,7 +120,7 @@ def data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
         )
     g_int = np.round(gain.matrix).astype(np.int64)
     combined = np.concatenate([train.xs[:, None], train.ys], axis=1)
-    distinct, counts = np.unique(combined, axis=0, return_counts=True)
+    distinct, counts = _unique_rows(combined, return_counts=True)
     xs_d = distinct[:, 0]
     ys_d = distinct[:, 1:]
     # weights_full[w, p] = multiplicity(p) * g(w, x_p)

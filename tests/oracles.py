@@ -45,6 +45,37 @@ def reference_empirical_functional(predictor, validation, gain) -> float:
     return float(gain.matrix[guesses, validation.xs].mean()) - gain.shift
 
 
+REFERENCE_CHUNK = 256  # queries per (q, l) distance block
+
+
+def reference_pairwise(metric, queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(q, dim) x (l, dim) -> (q, l) distances through a (q, l, dim) difference."""
+    if metric.kind == "absolute":
+        return np.abs(queries[:, 0][:, None] - points[:, 0][None, :])
+    diff = queries[:, None, :] - points[None, :, :]
+    if metric.kind == "manhattan":
+        return np.abs(diff).sum(axis=2)
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def reference_knn_predict(model, ys: np.ndarray) -> np.ndarray:
+    """The k-NN vote over every indexed observable: all (q, l) distances, a
+    partition for the k-th, and the included rows' tallies summed by one
+    product; ties at the k-th distance are all included, the argmax takes
+    the lowest guess index."""
+    queries = model.metric.codec.encode(ys)
+    out = np.empty(queries.shape[0], dtype=np.int64)
+    k = min(model.k, model.n_indexed)
+    for start in range(0, queries.shape[0], REFERENCE_CHUNK):
+        block = queries[start : start + REFERENCE_CHUNK]
+        dists = reference_pairwise(model.metric, block, model.features)
+        kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
+        included = dists <= kth[:, None]  # all ties at the k-th distance
+        votes = included.astype(np.float64) @ model.tallies
+        out[start : start + REFERENCE_CHUNK] = np.argmax(votes, axis=1)
+    return out
+
+
 def enumerate_strategies_vulnerability(
     prior: Prior, channel: Channel, gain: GainFunction, cap: int = 10**6
 ) -> float:

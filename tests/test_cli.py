@@ -320,6 +320,25 @@ class TestScenarioCommand:
         code, _, _ = run_cli(capsys, ["scenario", "bogus"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--valid-sets", "0", "num_valid_sets"),
+            ("--train-sets", "-1", "num_train_sets"),
+            ("--valid-size", "0", "valid_size"),
+            ("--sizes", "300,0", "sizes"),
+        ],
+    )
+    def test_counts_below_one_rejected(self, capsys, tmp_path, flag, value, field):
+        code, _, err = run_cli(
+            capsys,
+            ["scenario", "multi-guess", "--methods", "frequentist", "--learners", "knn",
+             flag, value, "--out", str(tmp_path / "run")],
+        )
+        assert code == 2
+        assert err.startswith("error:") and field in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestBounds:
     def base(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gleak import (
     Alphabet,
@@ -20,7 +22,7 @@ from gleak import (
     stream,
     strategy_gain,
 )
-from gleak.core import leakage_of
+from gleak.core import _unique_rows, leakage_of
 from gleak.estimation import TablePredictor
 from oracles import enumerate_strategies_vulnerability, fixed_strategy, optimal_strategy
 from conftest import (
@@ -418,3 +420,36 @@ class TestEmpiricalFunctional:
         # a predictor over output indices is a strategy: y -> 1 for both y
         expected = strategy_gain(fixed_strategy([1, 1]), prior, channel, g)
         assert strategy_gain(Constant(), prior, channel, g) == expected
+
+
+def _row_arrays():
+    """(n, width) int64 arrays: widths 1 to 6, negative values, few
+    distinct values so rows repeat, n = 0 and a single row included."""
+    return st.integers(1, 6).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(-4, 4), min_size=width, max_size=width), max_size=40
+        ).map(lambda rows: np.array(rows, dtype=np.int64).reshape(-1, width))
+    )
+
+
+class TestUniqueRows:
+    @settings(max_examples=200, deadline=None)
+    @given(a=_row_arrays())
+    @example(a=np.zeros((0, 1), dtype=np.int64))
+    @example(a=np.zeros((0, 4), dtype=np.int64))
+    @example(a=np.array([[-3, 5, 0]]))
+    @example(a=np.array([[7]]))
+    @example(a=np.full((9, 2), -2))
+    @example(a=np.full((9, 1), 4))
+    @example(a=np.array([[2**40, -(2**40)], [-(2**40), 2**40], [2**40, -(2**40)]]))
+    def test_matches_numpy_unique_over_rows(self, a):
+        for flags in ({}, {"return_inverse": True}, {"return_counts": True},
+                      {"return_inverse": True, "return_counts": True}):
+            expected = np.unique(a, axis=0, **flags)
+            got = _unique_rows(a, **flags)
+            if not flags:
+                expected, got = (expected,), (got,)
+            assert len(got) == len(expected)
+            for g, e in zip(got, expected):
+                assert g.dtype == e.dtype and g.shape == e.shape
+                np.testing.assert_array_equal(g, e)

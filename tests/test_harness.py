@@ -85,6 +85,21 @@ class TestTrialMatrixConfig:
         assert resolved["num_valid_sets"] == 10
         assert resolved["valid_size"] == 10000
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_train_sets", 0),
+            ("num_valid_sets", 0),
+            ("num_valid_sets", -1),
+            ("valid_size", 0),
+            ("sizes", ()),
+            ("sizes", (2000, -5)),
+        ],
+    )
+    def test_counts_below_one_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrialMatrixConfig(scenario="dp", **{field: value})
+
     def test_paper_profile_matches_reference_grid(self):
         profile = PROFILES["paper"]
         assert profile.num_train_sets == 5

@@ -1,9 +1,18 @@
-"""Modified k-NN: k rule, tie inclusion, weighted voting."""
+"""Modified k-NN: k rule, tie inclusion, weighted voting.
+
+The query kernel (a (q, l) distance buffer filled a dimension at a time,
+and a sorted-feature window for the 1-D metric) is checked against
+``oracles.reference_knn_predict``, the kernel it replaced: every (q, l)
+distance through a (q, l, dim) temporary, a partition for the k-th and the
+included rows' tallies summed by one product.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gleak import (
     Alphabet,
@@ -17,6 +26,8 @@ from gleak import (
     tuple_codec,
 )
 from gleak import knn
+from gleak.knn import METRIC_KINDS, KnnClassifier
+from oracles import reference_knn_predict, reference_pairwise
 
 
 def weighted(ws, ys, weights, n_guesses=None):
@@ -29,6 +40,18 @@ def weighted(ws, ys, weights, n_guesses=None):
 
 def scalar_config():
     return KnnConfig(DistanceMetric("absolute", scalar_codec(1.0)))
+
+
+# scalar codecs whose features round: thirds and tenths, and offsets at which
+# neighbouring integers land one float apart or on the same float
+SCALAR_CODECS = [
+    scalar_codec(1.0),
+    scalar_codec(0.5),
+    scalar_codec(0.1, 0.3),
+    scalar_codec(1 / 3, -7.25),
+    scalar_codec(1.0, 3e15),
+    scalar_codec(1.0, 1e16),
+]
 
 
 class TestKRule:
@@ -126,18 +149,126 @@ class TestPrediction:
 
     def test_chunked_prediction_matches_unchunked(self, monkeypatch):
         gen = np.random.default_rng(11)
-        data = weighted(
-            gen.integers(0, 4, size=300),
-            gen.integers(0, 50, size=(300, 1)),
-            gen.integers(1, 6, size=300),
-            n_guesses=4,
+        for config, width in (
+            (scalar_config(), 1),
+            (KnnConfig(DistanceMetric("manhattan", tuple_codec(3, 0.5))), 3),
+        ):
+            data = weighted(
+                gen.integers(0, 4, size=300),
+                gen.integers(0, 50, size=(300, width)),
+                gen.integers(1, 6, size=300),
+                n_guesses=4,
+            )
+            model = knn_train(data, config)
+            queries = gen.integers(0, 50, size=(700, width))
+            monkeypatch.setattr(knn, "QUERY_CHUNK", 7)
+            chunked = model.predict(queries)
+            monkeypatch.setattr(knn, "QUERY_CHUNK", 10_000)
+            np.testing.assert_array_equal(chunked, model.predict(queries))
+
+    @pytest.mark.parametrize("query", [5, -1, 11])
+    def test_one_dimensional_ties_on_both_sides(self, query):
+        # features 2, 4 left of 5 and 6, 8 right of it: with k = 1 the two
+        # at distance 1 both vote, and for queries outside the range the
+        # nearest edge feature alone does
+        model = KnnClassifier(
+            np.array([[2.0], [4.0], [6.0], [8.0]]),
+            np.array([[0.0, 3.0], [2.0, 0.0], [0.0, 1.0], [4.0, 0.0]]),
+            1,
+            scalar_config().metric,
         )
-        model = knn_train(data, scalar_config())
-        queries = gen.integers(0, 50, size=(700, 1))
-        monkeypatch.setattr(knn, "QUERY_CHUNK", 7)
-        chunked = model.predict(queries)
-        monkeypatch.setattr(knn, "QUERY_CHUNK", 10_000)
-        np.testing.assert_array_equal(chunked, model.predict(queries))
+        expected = {5: 0, -1: 1, 11: 0}[query]
+        assert model.predict(np.array([[query]])).tolist() == [expected]
+        assert reference_knn_predict(model, np.array([[query]])).tolist() == [expected]
+
+    @pytest.mark.parametrize("codec", SCALAR_CODECS, ids=lambda c: c.name)
+    def test_one_dimensional_runs_include_what_the_reference_includes(self, codec):
+        # one guess per feature, so the votes are the inclusion mask itself;
+        # on these grids the searched run edges are off in every direction
+        # for some query and k, and must be settled by the exact comparison
+        features = codec.encode(np.arange(-60, 61)[:, None])
+        queries = codec.encode(np.arange(-70, 71)[:, None])[:, 0]
+        metric = DistanceMetric("absolute", codec)
+        model = KnnClassifier(features, np.eye(features.shape[0]), 1, metric)
+        dists = reference_pairwise(metric, queries[:, None], features)
+        for k in range(1, 9):
+            kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
+            expected = (dists <= kth[:, None]).astype(np.float64)
+            np.testing.assert_array_equal(model._run_votes(queries, k), expected)
+
+    def test_tallies_must_be_counts(self):
+        metric = scalar_config().metric
+        for tallies in ([[0.5, 1.0]], [[-1.0, 2.0]], [[2.0**53, 0.0]]):
+            with pytest.raises(ValidationError):
+                KnnClassifier(np.array([[0.0]]), np.array(tallies), 1, metric)
+
+
+@st.composite
+def knn_case(draw, kind):
+    """A kNN model and queries over small integer ranges, so distances tie
+    often: repeated and collinear features, l below k and l = 1, queries
+    outside the features' range and queries equal to a feature."""
+    if kind == "absolute":
+        width = 1
+        codec = draw(st.sampled_from(SCALAR_CODECS))
+    else:
+        width = draw(st.integers(1, 6))
+        codec = tuple_codec(width, draw(st.sampled_from([1.0, 0.5, 0.1, 1 / 3])))
+    # a small range makes ties, a wide one inexact differences under the
+    # rounding codecs, which the 1-D run edges must settle exactly
+    hi = draw(st.integers(1, 6) | st.just(60))
+    row = st.lists(st.integers(-hi, hi), min_size=width, max_size=width)
+    l = draw(st.integers(1, 14))
+    if draw(st.booleans()):  # collinear: multiples of one direction
+        direction = np.array(draw(row))
+        steps = draw(st.lists(st.integers(-3, 3), min_size=l, max_size=l))
+        keys = np.array([t * direction for t in steps])
+    else:
+        keys = np.array(draw(st.lists(row, min_size=l, max_size=l)))
+    n_guesses = draw(st.integers(1, 4))
+    size = l * n_guesses
+    tallies = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    model = KnnClassifier(
+        codec.encode(keys),
+        np.reshape(tallies, (l, n_guesses)).astype(np.float64),
+        draw(st.integers(1, 8)),
+        DistanceMetric(kind, codec),
+    )
+    wide = st.lists(st.integers(-hi - 3, hi + 3), min_size=width, max_size=width)
+    query = st.one_of(wide, st.sampled_from(keys.tolist()))
+    queries = draw(st.lists(query, min_size=1, max_size=40))
+    return model, np.array(queries)
+
+
+@pytest.mark.parametrize("kind", METRIC_KINDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_predict_matches_reference_kernel(kind, data):
+    model, queries = data.draw(knn_case(kind))
+    chunk = data.draw(st.integers(1, 5))  # several blocks and a short last one
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knn, "QUERY_CHUNK", chunk)
+        got = model.predict(queries)
+    np.testing.assert_array_equal(got, reference_knn_predict(model, queries))
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pairwise_matches_reference_distances(kind, data):
+    """Bit-identical to the (q, l, dim) sum for up to seven dimensions, the
+    range over which ``.sum(axis=2)`` adds left to right."""
+    width = data.draw(st.integers(1, 7))
+    rows = st.lists(
+        st.lists(st.integers(-50, 50), min_size=width, max_size=width),
+        min_size=1,
+        max_size=8,
+    )
+    queries, points = np.array(data.draw(rows)), np.array(data.draw(rows))
+    codec = tuple_codec(width, 1 / 7)
+    metric = DistanceMetric(kind, codec)
+    q, p = codec.encode(queries), codec.encode(points)
+    np.testing.assert_array_equal(metric.pairwise(q, p), reference_pairwise(metric, q, p))
 
 
 class TestMetrics:

@@ -10,6 +10,10 @@ as an ``AssertionError`` with exit code 1; library checks raise
 Every predictor is scored through one call, ``core._decide``, which asks it
 once per distinct observable and checks its guesses; no other library code
 calls ``.predict(``.
+
+Distinct rows are taken in one place, ``core._unique_rows``; no other
+library code calls ``np.unique(..., axis=...)``, which sorts the rows as a
+structured dtype.
 """
 
 import ast
@@ -54,29 +58,44 @@ def test_all_matches_package_imports():
     assert not missing, f"imported by gleak but missing from __all__: {missing}"
 
 
-def _predict_calls(tree: ast.AST, scope: str = "<module>"):
-    """(enclosing function, line) of every ``<expr>.predict(...)`` call."""
+def _calls(tree: ast.AST, matches, scope: str = "<module>"):
+    """(enclosing function, line) of every call node that ``matches``."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = node.name
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "predict"
-        ):
+        if isinstance(node, ast.Call) and matches(node):
             yield scope, node.lineno
-        yield from _predict_calls(node, inner)
+        yield from _calls(node, matches, inner)
 
 
-def test_predictors_are_scored_in_one_place():
+def _found(matches) -> list[tuple[str, str, int]]:
+    """(file, enclosing function, line) of each matching call under ``src/gleak``."""
     found = []
     for path in sorted(SOURCE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found.extend(
             (str(path.relative_to(SOURCE.parent)), scope, line)
-            for scope, line in _predict_calls(tree)
+            for scope, line in _calls(tree, matches)
         )
+    return found
+
+
+def _is_predict(call: ast.Call) -> bool:
+    return isinstance(call.func, ast.Attribute) and call.func.attr == "predict"
+
+
+def _is_row_unique(call: ast.Call) -> bool:
+    """``<expr>.unique(..., axis=...)``: numpy's structured sort of rows."""
+    return (
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr == "unique"
+        and any(keyword.arg == "axis" for keyword in call.keywords)
+    )
+
+
+def test_predictors_are_scored_in_one_place():
+    found = _found(_is_predict)
     outside = [
         f"{path}:{line} in {scope}"
         for path, scope, line in found
@@ -84,3 +103,14 @@ def test_predictors_are_scored_in_one_place():
     ]
     assert not outside, ".predict( called outside core._decide: " + ", ".join(outside)
     assert len(found) == 1, f"core._decide should call .predict( once: {found}"
+
+
+def test_rows_are_deduplicated_in_one_place():
+    outside = [
+        f"{path}:{line} in {scope}"
+        for path, scope, line in _found(_is_row_unique)
+        if (path, scope) != ("gleak/core.py", "_unique_rows")
+    ]
+    assert not outside, (
+        "np.unique(..., axis=...) outside core._unique_rows: " + ", ".join(outside)
+    )
