@@ -5,20 +5,12 @@ reduces the problem to Bayes classification through two pre-processing
 transformations (sample rewriting and channel prepending), trains k-NN or
 neural-network classifiers, and reports normalized estimation errors with
 distribution-free deviation bounds.
+
+The names exported here are the library surface that README "Library use"
+documents; everything else is imported from its submodule.
 """
 
-from .bounds import (
-    BoundInputs,
-    BoundReport,
-    bound_report,
-    erf,
-    expected_error_bounds,
-    hypothesis_count,
-    plugin_sigma2,
-    sample_complexity,
-    training_suboptimality_prob,
-    validation_deviation_prob,
-)
+from .bounds import plugin_sigma2
 from .core import (
     Alphabet,
     Channel,
@@ -34,127 +26,40 @@ from .core import (
     posterior_vulnerability,
     prior_vulnerability,
     sample_joint,
-    sample_prior,
     strategy_gain,
 )
-from .estimation import (
-    EstimateReport,
-    TablePredictor,
-    estimate,
-    fit,
-    frequentist_predictor,
-    sample_preprocessed_pairs,
-)
-from .features import FeatureCodec, grid_codec, scalar_codec, tuple_codec
-from .io import (
-    read_channel,
-    read_gain,
-    read_prior,
-    read_samples,
-    read_weighted,
-    write_channel,
-    write_gain,
-    write_prior,
-    write_samples,
-    write_weighted,
-)
-from .harness import (
-    PROFILES,
-    MetricsReport,
-    TrialMatrixConfig,
-    emit_reports,
-    run_trial_matrix,
-)
-from .knn import DistanceMetric, KnnClassifier, KnnConfig, k_for, knn_train
-from .mlp import MlpClassifier, MlpConfig, TrainingDiverged, mlp_train
-from .preprocess import (
-    ChannelPreprocDerivation,
-    DataPreprocDerivation,
-    WeightedSampleSet,
-    channel_preprocess,
-    compose,
-    data_preprocess,
-    ideal_derivation,
-    rationalize_gain,
-)
-from .rng import SeedProvenance, Stream, stream
-from .scenarios import SCENARIO_NAMES, Scenario, build_scenario
+from .estimation import EstimateReport, TablePredictor, estimate, fit
+from .features import scalar_codec
+from .knn import DistanceMetric, KnnConfig
+from .mlp import MlpConfig
+from .rng import stream
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "BoundInputs",
-    "BoundReport",
     "Channel",
-    "ChannelPreprocDerivation",
-    "DataPreprocDerivation",
     "DistanceMetric",
     "EstimateReport",
-    "FeatureCodec",
     "GainFunction",
     "GenerativeChannel",
-    "KnnClassifier",
     "KnnConfig",
-    "MetricsReport",
-    "MlpClassifier",
     "MlpConfig",
     "NumericalError",
-    "PROFILES",
     "Prior",
-    "SCENARIO_NAMES",
     "SampleSet",
-    "Scenario",
-    "SeedProvenance",
-    "Stream",
     "TablePredictor",
-    "TrainingDiverged",
-    "TrialMatrixConfig",
     "ValidationError",
-    "WeightedSampleSet",
-    "bound_report",
-    "build_scenario",
-    "channel_preprocess",
-    "compose",
-    "data_preprocess",
-    "emit_reports",
     "empirical_functional",
-    "erf",
     "estimate",
-    "expected_error_bounds",
     "fit",
-    "frequentist_predictor",
-    "grid_codec",
-    "hypothesis_count",
     "identity_gain",
-    "ideal_derivation",
-    "k_for",
-    "knn_train",
     "leakage",
-    "mlp_train",
     "plugin_sigma2",
     "posterior_vulnerability",
     "prior_vulnerability",
-    "rationalize_gain",
-    "read_channel",
-    "read_gain",
-    "read_prior",
-    "read_samples",
-    "read_weighted",
-    "run_trial_matrix",
-    "sample_complexity",
     "sample_joint",
-    "sample_preprocessed_pairs",
-    "sample_prior",
     "scalar_codec",
     "strategy_gain",
     "stream",
-    "training_suboptimality_prob",
-    "tuple_codec",
-    "validation_deviation_prob",
-    "write_channel",
-    "write_gain",
-    "write_prior",
-    "write_samples",
-    "write_weighted",
 ]

@@ -10,6 +10,7 @@ nothing is re-proved here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 from .core import ValidationError, _pair_gains, _require
@@ -55,24 +56,6 @@ def plugin_sigma2(predictor, validation, gain) -> float:
     return float((_pair_gains(predictor, [validation], gain)[0] - gain.shift).var())
 
 
-def hypothesis_count(
-    n_guesses: int, n_observables: int, cap: int = 10**9
-) -> tuple[int, bool]:
-    """|H| = |W|^|Y| for the all-functions class, truncated at ``cap``.
-
-    Returns (count, truncated).  When truncated the resulting bounds are
-    best-effort lower envelopes of the true (vacuous) values; callers should
-    surface the flag.
-    """
-    _require(n_guesses >= 1 and n_observables >= 1, "sizes must be >= 1")
-    _require(cap >= 1, "cap must be >= 1")
-    if n_guesses == 1:
-        return 1, False
-    if n_observables * math.log(n_guesses) > math.log(cap):
-        return cap, True
-    return n_guesses**n_observables, False
-
-
 @dataclass(frozen=True)
 class BoundInputs:
     """Inputs shared by the bound calculators.
@@ -81,7 +64,8 @@ class BoundInputs:
     never exceed (b-a)^2/4, which is asserted.  hypothesis_count is the
     (finite) hypothesis-class size |H| and must be supplied by the caller;
     for learners over huge observable spaces the resulting bounds are
-    documented as vacuous rather than silently truncated.
+    documented as vacuous rather than silently truncated.  The closed forms
+    are evaluated in floating point, so |H| may not exceed the largest float.
     """
 
     m: int
@@ -103,6 +87,10 @@ class BoundInputs:
             "sigma2 exceeds Popoviciu bound (b-a)^2/4",
         )
         _require(self.hypothesis_count >= 1, "hypothesis count must be >= 1")
+        _require(
+            self.hypothesis_count <= sys.float_info.max,
+            f"hypothesis count must be <= {sys.float_info.max!r}, the largest float",
+        )
         _require(self.epsilon > 0, "epsilon must be positive")
         _require(0 < self.split < self.delta, "need 0 < split < delta")
 

@@ -38,8 +38,7 @@ from .harness import (
     PROFILES,
     TrialMatrixConfig,
     emit_reports,
-    knn_config_for,
-    mlp_config_for,
+    learner_config,
     run_trial_matrix,
 )
 from .knn import DistanceMetric, KnnConfig
@@ -93,16 +92,15 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def _learner_config(args, scenario: Scenario | None, m: int):
-    if args.method == "frequentist":
-        return None
-    if args.learner == "knn":
-        if scenario is not None:
-            return knn_config_for(scenario)
-        return KnnConfig(DistanceMetric("absolute", scalar_codec(1.0)))
+def _learner_config(args, scenario: Scenario | None):
+    """The scenario's learner config, or the defaults for channel files; the
+    MLP takes the --epochs and --batch overrides."""
     if scenario is not None:
-        sizes = tuple(PROFILES[args.profile].sizes)
-        config = mlp_config_for(scenario, args.method, args.profile, m, sizes)
+        config = learner_config(scenario, args.method, args.learner, args.profile, args.m)
+    elif args.method == "frequentist":
+        config = None
+    elif args.learner == "knn":
+        config = KnnConfig(DistanceMetric("absolute", scalar_codec(1.0)))
     else:
         config = MlpConfig(
             codec=scalar_codec(1.0),
@@ -111,6 +109,8 @@ def _learner_config(args, scenario: Scenario | None, m: int):
             epochs=100,
             batch_size=200,
         )
+    if not isinstance(config, MlpConfig):
+        return config
     overrides = {}
     if args.epochs is not None:
         overrides["epochs"] = args.epochs
@@ -128,7 +128,7 @@ def cmd_estimate(args) -> int:
         gain,
         args.m,
         args.n,
-        _learner_config(args, scenario, args.m),
+        _learner_config(args, scenario),
         stream(args.seed, f"{args.scenario or 'files'}/estimate"),
     )
     payload = report.as_dict()

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import SeedProvenance, Stream
+from .rng import Stream
 
 ROW_TOL = 1e-9
 
@@ -155,7 +155,6 @@ class GenerativeChannel:
     input: Alphabet
     obs_width: int
     sampler: Callable[[np.ndarray, np.random.Generator], np.ndarray]
-    name: str = ""
 
     def sample(self, xs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         ys = np.asarray(self.sampler(xs, gen), dtype=np.int64)
@@ -206,10 +205,6 @@ class GainFunction:
         self.shift = shift
         self.range = (a, b)
 
-    @property
-    def span(self) -> float:
-        return self.range[1] - self.range[0]
-
     def original(self) -> np.ndarray:
         """Gain entries in original (unshifted) units."""
         return self.matrix - self.shift
@@ -235,7 +230,6 @@ class SampleSet:
     secrets: Alphabet
     xs: np.ndarray
     ys: np.ndarray
-    provenance: SeedProvenance | None = None
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=np.int64)
@@ -253,10 +247,6 @@ class SampleSet:
     @property
     def size(self) -> int:
         return int(self.xs.shape[0])
-
-    @property
-    def obs_width(self) -> int:
-        return int(self.ys.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +350,7 @@ def sample_joint(
     else:
         xs = sample_prior(prior, count, stream.gen)
         ys = channel.sample(xs, stream.gen)
-    return SampleSet(prior.alphabet, xs, ys, stream.provenance)
+    return SampleSet(prior.alphabet, xs, ys)
 
 
 def _decide(predictor, rows: np.ndarray, gain: GainFunction) -> np.ndarray:

@@ -92,13 +92,7 @@ def sample_preprocessed_pairs(
     ys = channel.sample(xs, gen)
     combined = np.concatenate([ws[:, None], ys], axis=1)
     distinct, counts = _unique_rows(combined, return_counts=True)
-    return WeightedSampleSet(
-        deriv.tau.alphabet,
-        distinct[:, 0],
-        distinct[:, 1:],
-        counts,
-        stream.provenance,
-    )
+    return WeightedSampleSet(deriv.tau.alphabet, distinct[:, 0], distinct[:, 1:], counts)
 
 
 def fit(

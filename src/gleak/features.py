@@ -14,7 +14,6 @@ from .core import _require
 class FeatureCodec:
     """Maps (n, width) integer observable encodings to (n, dim) float features."""
 
-    name: str
     dim: int
     transform: Callable[[np.ndarray], np.ndarray]
 
@@ -32,7 +31,7 @@ def scalar_codec(scale: float = 1.0, offset: float = 0.0) -> FeatureCodec:
     def transform(ys: np.ndarray) -> np.ndarray:
         return ys[:, :1] * scale + offset
 
-    return FeatureCodec(f"scalar(x{scale:g}{offset:+g})", 1, transform)
+    return FeatureCodec(1, transform)
 
 
 def grid_codec(rows: int, cols: int) -> FeatureCodec:
@@ -43,7 +42,7 @@ def grid_codec(rows: int, cols: int) -> FeatureCodec:
         idx = ys[:, 0]
         return np.stack([idx // cols, idx % cols], axis=1) / div
 
-    return FeatureCodec(f"grid({rows}x{cols})", 2, transform)
+    return FeatureCodec(2, transform)
 
 
 def tuple_codec(width: int, scale: float) -> FeatureCodec:
@@ -52,4 +51,4 @@ def tuple_codec(width: int, scale: float) -> FeatureCodec:
     def transform(ys: np.ndarray) -> np.ndarray:
         return ys * scale
 
-    return FeatureCodec(f"tuple({width}x{scale:g})", width, transform)
+    return FeatureCodec(width, transform)

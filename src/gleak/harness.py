@@ -24,19 +24,18 @@ from .core import (
     _require,
     sample_joint,
 )
-from .estimation import fit
+from .estimation import METHOD_NAMES, fit
 from .knn import DistanceMetric, KnnConfig
 from .mlp import MlpConfig
 from .rng import stream
 from .scenarios import SCENARIO_NAMES, Scenario, build_scenario
 
-METHODS = ("data", "channel", "frequentist")
+METHODS = tuple(METHOD_NAMES)
 LEARNERS = ("knn", "mlp")
 
 
 @dataclass(frozen=True)
 class Profile:
-    name: str
     num_train_sets: int
     num_valid_sets: int
     sizes: tuple[int, ...]
@@ -44,12 +43,12 @@ class Profile:
 
 
 PROFILES = {
-    "desk": Profile("desk", 3, 10, (2000, 10000, 30000), 10000),
-    "paper": Profile("paper", 5, 50, (10000, 30000, 50000), 50000),
+    "desk": Profile(3, 10, (2000, 10000, 30000), 10000),
+    "paper": Profile(5, 50, (10000, 30000, 50000), 50000),
 }
 
-# Published table: (hidden widths, learning rate, epochs, batch size); tuples
-# select per training-set size, smallest first.
+# Published table: (hidden widths, learning rate, epochs, batch size); a tuple
+# has one entry per size of the paper profile, smallest first.
 _PAPER_MLP = {
     ("multi-guess", "data"): ((100, 100, 100), 1e-3, 700, 1000),
     ("multi-guess", "channel"): ((100, 100, 100), 1e-3, 500, 1000),
@@ -84,11 +83,23 @@ def _per_size(value, m: int, sizes: tuple[int, ...]):
         return value[-1]
 
 
-def mlp_config_for(
-    scenario: Scenario, method: str, profile: str, m: int, sizes: tuple[int, ...]
-) -> MlpConfig:
+def learner_config(
+    scenario: Scenario, method: str, learner: str, profile: str, m: int
+) -> KnnConfig | MlpConfig | None:
+    """The config the (method, learner) model of ``scenario`` trains with at size m.
+
+    The frequentist method takes none; kNN uses the scenario's metric; the
+    MLP reads the profile's table, where a per-size tuple is indexed by m's
+    place among the profile's sizes (the largest size's entry when m is not
+    one of them).
+    """
+    if method == "frequentist":
+        return None
+    if learner == "knn":
+        return KnnConfig(DistanceMetric(scenario.metric_kind, scenario.codec))
     table = _PAPER_MLP if profile == "paper" else _DESK_MLP
     hidden, lr, epochs, batch = table[(scenario.name, method)]
+    sizes = PROFILES[profile].sizes
     return MlpConfig(
         codec=scenario.codec,
         hidden=hidden,
@@ -96,10 +107,6 @@ def mlp_config_for(
         epochs=_per_size(epochs, m, sizes),
         batch_size=_per_size(batch, m, sizes),
     )
-
-
-def knn_config_for(scenario: Scenario) -> KnnConfig:
-    return KnnConfig(DistanceMetric(scenario.metric_kind, scenario.codec))
 
 
 @dataclass(frozen=True)
@@ -125,8 +132,12 @@ class TrialMatrixConfig:
         for field in ("num_train_sets", "num_valid_sets", "valid_size"):
             value = getattr(self, field)
             _require(value is None or value >= 1, f"{field} must be >= 1, got {value}")
+        for field in ("methods", "learners", "sizes"):
+            value = getattr(self, field)
+            if value is not None:
+                _require(len(value) > 0, f"{field} must not be empty")
+                _require(len(set(value)) == len(value), f"{field} repeats an entry: {value}")
         if self.sizes is not None:
-            _require(len(self.sizes) > 0, "sizes must not be empty")
             _require(
                 all(m >= 1 for m in self.sizes),
                 f"every entry of sizes must be >= 1, got {self.sizes}",
@@ -230,21 +241,10 @@ def _combos(config: TrialMatrixConfig) -> list[tuple[str, str]]:
 
 
 def _train_one(
-    scenario: Scenario,
-    config: TrialMatrixConfig,
-    method: str,
-    learner: str,
-    m: int,
-    i: int,
-    sizes: tuple[int, ...],
+    scenario: Scenario, config: TrialMatrixConfig, method: str, learner: str, m: int, i: int
 ):
     """Train the (method, learner, m, i) model; returns a predictor."""
     seed, name = config.master_seed, scenario.name
-    learner_config = None
-    if learner == "knn":
-        learner_config = knn_config_for(scenario)
-    elif learner == "mlp":
-        learner_config = mlp_config_for(scenario, method, config.profile, m, sizes)
     train_name = "chan" if method == "channel" else "train"
     predictor, _ = fit(
         method,
@@ -252,7 +252,7 @@ def _train_one(
         scenario.channel,
         scenario.gain,
         m,
-        learner_config,
+        learner_config(scenario, method, learner, config.profile, m),
         stream(seed, f"{name}/{train_name}/m{m}/i{i}"),
         # only the MLP draws from this stream
         stream(seed, f"{name}/{method}/mlp/m{m}/i{i}"),
@@ -299,7 +299,7 @@ def run_trial_matrix(
 
     def run_task(task):
         method, learner, m, i = task
-        model = _train_one(scenario, config, method, learner, m, i, sizes)
+        model = _train_one(scenario, config, method, learner, m, i)
         gains = _pair_gains(model, valid_sets, gain, distinct)
         return task, [float(g.mean()) - gain.shift for g in gains]
 

@@ -3,8 +3,8 @@
 Channel file: first line ``|X| |Y|``, then |X| lines of |Y| decimals.
 Prior file: a single line of |X| decimals.
 Gain file: first line ``|W| |X|``, then |W| lines (original, unshifted units).
-SampleSet file: CSV lines ``x_label,y_encoding``.
-WeightedSampleSet file: CSV lines ``w_label,y_encoding,weight``.
+SampleSet file (read): CSV lines ``x_label,y_encoding``.
+WeightedSampleSet file (written): CSV lines ``w_label,y_encoding,weight``.
 
 Tuple observable encodings are serialized with ``|`` between components.
 Floats are written with repr, which round-trips exactly.
@@ -69,102 +69,48 @@ def write_channel(channel: Channel, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_channel(
-    path: str | Path,
-    input_alphabet: Alphabet | None = None,
-    output_alphabet: Alphabet | None = None,
-) -> Channel:
+def read_channel(path: str | Path) -> Channel:
     matrix = _read_matrix(Path(path), "channel")
-    if input_alphabet is None:
-        input_alphabet = Alphabet.integers(matrix.shape[0])
-    if output_alphabet is None:
-        output_alphabet = Alphabet.integers(matrix.shape[1])
-    return Channel(input_alphabet, output_alphabet, matrix)
+    return Channel(
+        Alphabet.integers(matrix.shape[0]), Alphabet.integers(matrix.shape[1]), matrix
+    )
 
 
-def write_gain(gain: GainFunction, path: str | Path) -> None:
-    lines = [f"{gain.guesses.size} {gain.secrets.size}"]
-    lines.extend(_fmt_row(row) for row in gain.original())
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_gain(
-    path: str | Path,
-    guesses: Alphabet | None = None,
-    secrets: Alphabet | None = None,
-    value_range: tuple[float, float] | None = None,
-) -> GainFunction:
+def read_gain(path: str | Path, secrets: Alphabet | None = None) -> GainFunction:
     matrix = _read_matrix(Path(path), "gain")
-    if guesses is None:
-        guesses = Alphabet.integers(matrix.shape[0], prefix="w")
     if secrets is None:
         secrets = Alphabet.integers(matrix.shape[1])
-    return GainFunction(guesses, secrets, matrix, value_range)
+    return GainFunction(Alphabet.integers(matrix.shape[0], prefix="w"), secrets, matrix)
 
 
-def _encode_obs(row: np.ndarray) -> str:
-    return "|".join(str(int(v)) for v in row)
-
-
-def _decode_obs(token: str, path: Path) -> list[int]:
-    try:
-        return [int(part) for part in token.split("|")]
-    except ValueError:
-        raise ValidationError(f"{path}: malformed observable encoding {token!r}") from None
-
-
-def write_samples(samples: SampleSet, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for x, y in zip(samples.xs, samples.ys):
-            writer.writerow([samples.secrets.label(int(x)), _encode_obs(y)])
-
-
-def _read_rows(
-    path: str | Path, alphabet: Alphabet, header: str, empty: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Label indices, observables and integer weights of ``header`` CSV rows.
-
-    Blank rows are skipped; the weights column is empty unless ``header``
-    has a third field.
-    """
+def read_samples(path: str | Path, secrets: Alphabet) -> SampleSet:
+    """The ``x_label,y_encoding`` rows of a CSV file; blank rows are skipped."""
     path = Path(path)
-    labels: list[int] = []
+    xs: list[int] = []
     ys: list[list[int]] = []
-    weights: list[int] = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row:
                 continue
-            if len(row) != header.count(",") + 1:
-                raise ValidationError(f"{path}: expected '{header}' rows")
-            labels.append(alphabet.index(row[0]))
-            ys.append(_decode_obs(row[1], path))
+            if len(row) != 2:
+                raise ValidationError(f"{path}: expected 'x_label,y_encoding' rows")
+            xs.append(secrets.index(row[0]))
             try:
-                weights.extend(int(tok) for tok in row[2:])
+                ys.append([int(part) for part in row[1].split("|")])
             except ValueError:
-                raise ValidationError(f"{path}: weight must be an integer") from None
-    if not labels:
-        raise ValidationError(f"{path}: no {empty}")
+                raise ValidationError(
+                    f"{path}: malformed observable encoding {row[1]!r}"
+                ) from None
+    if not xs:
+        raise ValidationError(f"{path}: no samples")
     if len({len(y) for y in ys}) != 1:
         raise ValidationError(f"{path}: inconsistent observable widths")
-    return np.array(labels), np.array(ys), np.array(weights)
-
-
-def read_samples(path: str | Path, secrets: Alphabet) -> SampleSet:
-    xs, ys, _ = _read_rows(path, secrets, "x_label,y_encoding", "samples")
-    return SampleSet(secrets, xs, ys)
+    return SampleSet(secrets, np.array(xs), np.array(ys))
 
 
 def write_weighted(weighted: WeightedSampleSet, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for w, y, wt in zip(weighted.ws, weighted.ys, weighted.weights):
-            writer.writerow(
-                [weighted.guesses.label(int(w)), _encode_obs(y), int(wt)]
-            )
-
-
-def read_weighted(path: str | Path, guesses: Alphabet) -> WeightedSampleSet:
-    ws, ys, weights = _read_rows(path, guesses, "w_label,y_encoding,weight", "entries")
-    return WeightedSampleSet(guesses, ws, ys, weights)
+            encoding = "|".join(str(int(v)) for v in y)
+            writer.writerow([weighted.guesses.label(int(w)), encoding, int(wt)])

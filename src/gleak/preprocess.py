@@ -27,13 +27,10 @@ from .core import (
     Prior,
     SampleSet,
     ValidationError,
-    _check_triple,
     _freeze,
     _require,
-    _score_matrix,
     _unique_rows,
 )
-from .rng import SeedProvenance
 
 SNAP_DENOMINATOR = 10**6
 SNAP_TOL = 1e-9
@@ -53,7 +50,6 @@ class WeightedSampleSet:
     ws: np.ndarray
     ys: np.ndarray
     weights: np.ndarray
-    provenance: SeedProvenance | None = None
 
     def __post_init__(self) -> None:
         ws = np.asarray(self.ws, dtype=np.int64)
@@ -79,21 +75,6 @@ class WeightedSampleSet:
     @property
     def total_weight(self) -> int:
         return int(self.weights.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class DataPreprocDerivation:
-    """Ideal counterpart of data pre-processing: U, alpha, xi, E.
-
-    U(w, y) = sum_x pi_x C[x, y] g(w, x) is the ideal copy proportion,
-    alpha its total mass, xi the row marginal of U/alpha, and E the
-    normalized rows, so that V_g(pi, C) = alpha * V_gid(xi, E).
-    """
-
-    U: np.ndarray
-    alpha: float
-    xi: Prior
-    E: Channel
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,13 +109,7 @@ def data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
     w_idx, p_idx = np.nonzero(weights_full)
     if w_idx.size == 0:
         raise ValidationError("gain is zero on every sampled secret")
-    return WeightedSampleSet(
-        gain.guesses,
-        w_idx,
-        ys_d[p_idx],
-        weights_full[w_idx, p_idx],
-        train.provenance,
-    )
+    return WeightedSampleSet(gain.guesses, w_idx, ys_d[p_idx], weights_full[w_idx, p_idx])
 
 
 def rationalize_gain(gain: GainFunction) -> tuple[GainFunction, int]:
@@ -196,33 +171,12 @@ def _split(
     )
 
 
-def ideal_derivation(
-    prior: Prior, channel: Channel, gain: GainFunction
-) -> DataPreprocDerivation:
-    """Ideal joint of data pre-processing (U, alpha, xi, E).
-
-    Computed from the stored non-negative gain; when the gain was shifted at
-    construction the identity alpha * V_gid(xi, E) = V_g(pi, C) holds for the
-    shifted gain, i.e. equals the original-unit value plus the shift.
-    """
-    _check_triple(prior, channel, gain)
-    U = _score_matrix(prior, channel, gain)
-    alpha, xi, E = _split(U, gain.guesses, channel.output)
-    return DataPreprocDerivation(U=_freeze(U), alpha=alpha, xi=xi, E=E)
-
-
 def channel_preprocess(prior: Prior, gain: GainFunction) -> ChannelPreprocDerivation:
     """(beta, tau, R) from the prior and gain alone (independent of C)."""
     _require(gain.secrets == prior.alphabet, "gain secrets != prior alphabet")
     scores = gain.matrix * prior.probs[None, :]  # (W, X): pi_x g(w, x)
     beta, tau, R = _split(scores, gain.guesses, prior.alphabet)
     return ChannelPreprocDerivation(beta=beta, tau=tau, R=R)
-
-
-def compose(r: Channel, c: Channel) -> Channel:
-    """Matrix product of two channels: (RC)[w, y] = sum_x R[w,x] C[x,y]."""
-    _require(r.output == c.input, "inner alphabets do not match")
-    return Channel(r.input, c.output, _renormalize(r.rows @ c.rows))
 
 
 def _renormalize(rows: np.ndarray) -> np.ndarray:

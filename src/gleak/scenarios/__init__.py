@@ -27,7 +27,12 @@ class Scenario:
 
 
 def build_scenario(name: str, profile: str = "desk", **kwargs) -> Scenario:
-    """Build one of: multi-guess, location, dp, password."""
+    """Build one of: multi-guess, location, dp, password.
+
+    ``profile`` is "desk" or "paper"; only multi-guess changes size with it.
+    ``kwargs`` override fields of the scenario's config dataclass (and, for
+    location, give ``gowalla_path``).
+    """
     from . import dp, location, multi_guess, password
 
     builders = {
@@ -40,6 +45,8 @@ def build_scenario(name: str, profile: str = "desk", **kwargs) -> Scenario:
         raise ValidationError(
             f"unknown scenario {name!r}; expected one of {sorted(builders)}"
         )
+    if profile not in ("desk", "paper"):
+        raise ValidationError(f"unknown profile {profile!r}")
     return builders[name](profile=profile, **kwargs)
 
 

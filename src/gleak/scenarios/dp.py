@@ -22,7 +22,6 @@ from ..core import (
     GainFunction,
     GenerativeChannel,
     Prior,
-    ValidationError,
     _require,
 )
 from ..features import tuple_codec
@@ -92,10 +91,10 @@ def exact_dp_vulnerability(config: DpScenarioConfig, prior: Prior) -> float:
     return config.gain_value * float(math.fsum(per_z.tolist()))
 
 
-def dp_scenario(
-    config: DpScenarioConfig = DpScenarioConfig(),
-) -> tuple[Prior, GenerativeChannel, GainFunction, float]:
-    """(prior over the 2 adjacent databases, noisy-counts sampler, gain, exact V_g)."""
+def build(profile: str = "desk", **overrides) -> Scenario:
+    """Uniform prior over the two adjacent databases, the noisy-counts
+    sampler, the 3-case gain and the 1-D oracle's exact V_g."""
+    config = DpScenarioConfig(**overrides)
     secrets = Alphabet(("full", "minus-one"))
     prior = Prior.uniform(secrets)
     counts = np.array(config.label_counts, dtype=np.int64)
@@ -106,24 +105,13 @@ def dp_scenario(
         noise = _geometric_noise((len(xs), 5), config.nu, gen)
         return table[xs] + noise
 
-    channel = GenerativeChannel(secrets, 5, sampler, name="dp-noisy-histogram")
     c = config.gain_value
-    gain = GainFunction(secrets, secrets, c * np.eye(2), value_range=(0.0, c))
-    exact = exact_dp_vulnerability(config, prior)
-    return prior, channel, gain, exact
-
-
-def build(profile: str = "desk", **overrides) -> Scenario:
-    if profile not in ("desk", "paper"):
-        raise ValidationError(f"unknown profile {profile!r}")
-    config = DpScenarioConfig(**overrides)
-    prior, channel, gain, exact = dp_scenario(config)
     return Scenario(
         name="dp",
         prior=prior,
-        channel=channel,
-        gain=gain,
-        exact_vg=exact,
+        channel=GenerativeChannel(secrets, 5, sampler),
+        gain=GainFunction(secrets, secrets, c * np.eye(2), value_range=(0.0, c)),
+        exact_vg=exact_dp_vulnerability(config, prior),
         codec=tuple_codec(5, 1.0 / config.total),
         metric_kind="manhattan",
         details={

@@ -161,8 +161,6 @@ def synthetic_prior(rows: int = 20, cols: int = 20) -> Prior:
 def build(
     profile: str = "desk", gowalla_path: str | None = None, **overrides
 ) -> Scenario:
-    if profile not in ("desk", "paper"):
-        raise ValidationError(f"unknown profile {profile!r}")
     config = GridScenarioConfig(**overrides)
     if gowalla_path is not None:
         ingest = gowalla_ingest(gowalla_path, rows=config.rows, cols=config.cols)

@@ -18,7 +18,6 @@ from ..core import (
     Channel,
     GainFunction,
     Prior,
-    ValidationError,
     _require,
     posterior_vulnerability,
 )
@@ -96,10 +95,8 @@ def two_tries_gain(num_secrets: int, k: int = 2) -> GainFunction:
 def build(profile: str = "desk", **overrides) -> Scenario:
     if profile == "paper":
         config = GeometricChannelConfig(scale=1000.0, **overrides)
-    elif profile == "desk":
-        config = GeometricChannelConfig(observables=1600, **overrides)
     else:
-        raise ValidationError(f"unknown profile {profile!r}")
+        config = GeometricChannelConfig(observables=1600, **overrides)
     channel = geometric_channel(config)
     prior = Prior.uniform(channel.input)
     gain = two_tries_gain(config.secrets, 2)

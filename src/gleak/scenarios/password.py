@@ -24,10 +24,8 @@ import numpy as np
 from ..core import (
     Alphabet,
     Channel,
-    GainFunction,
     GenerativeChannel,
     Prior,
-    ValidationError,
     _require,
     identity_gain,
     posterior_vulnerability,
@@ -108,18 +106,19 @@ def reduced_channel(config: PasswordScenarioConfig) -> Channel:
     )
 
 
-def password_scenario(
-    config: PasswordScenarioConfig = PasswordScenarioConfig(),
-) -> tuple[Prior, GenerativeChannel, GainFunction, float]:
-    """(class prior, timing sampler, partition gain, exact V_g).
+def build(profile: str = "desk", **overrides) -> Scenario:
+    """Uniform class prior, the timing sampler, the partition gain and the
+    exact V_g of the reduced channel.
 
     The sampler simulates the checker honestly on the class-conditioned bit
     law: a geometric draw gives the first mismatch among the fair suffix
     bits, then the delay is added and clamped.  Observables are encoded as
     the 1-based bucket index.
     """
+    config = PasswordScenarioConfig(**overrides)
     classes = Alphabet(("agree", "disagree"))
     prior = Prior.uniform(classes)
+    gain = identity_gain(classes)
     t = config.target_bit
     n = config.buckets
 
@@ -141,27 +140,13 @@ def password_scenario(
             noisy = np.clip(times + delay, 1, n)
         return noisy[:, None]
 
-    channel = GenerativeChannel(classes, 1, sampler, name="password-timing")
-    gain = identity_gain(classes)
-    rc = reduced_channel(config)
-    exact = posterior_vulnerability(prior, rc, identity_gain(classes))
-    return prior, channel, gain, exact
-
-
-def build(profile: str = "desk", **overrides) -> Scenario:
-    if profile not in ("desk", "paper"):
-        raise ValidationError(f"unknown profile {profile!r}")
-    config = PasswordScenarioConfig(**overrides)
-    prior, channel, gain, exact = password_scenario(config)
     return Scenario(
         name="password",
         prior=prior,
-        channel=channel,
+        channel=GenerativeChannel(classes, 1, sampler),
         gain=gain,
-        exact_vg=exact,
-        codec=scalar_codec(
-            scale=1.0 / (config.buckets - 1), offset=-1.0 / (config.buckets - 1)
-        ),
+        exact_vg=posterior_vulnerability(prior, reduced_channel(config), gain),
+        codec=scalar_codec(scale=1.0 / (n - 1), offset=-1.0 / (n - 1)),
         metric_kind="absolute",
-        details={"delay_nu": config.delay_nu, "target_bit": config.target_bit},
+        details={"delay_nu": config.delay_nu, "target_bit": t},
     )

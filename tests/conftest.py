@@ -1,4 +1,5 @@
-"""Shared helpers: random instance generators and reference implementations.
+"""Shared helpers: random instance generators, reference implementations
+and writers of the gain and sample files that ``leak`` reads.
 
 The reference implementations are deliberately written in plain loops so
 they share no code path with the package.
@@ -7,11 +8,12 @@ they share no code path with the package.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gleak import Alphabet, Channel, GainFunction, Prior
+from gleak import Alphabet, Channel, GainFunction, Prior, SampleSet
 
 
 def random_prior(gen: np.random.Generator, n: int, allow_zero: bool = False) -> Prior:
@@ -47,6 +49,22 @@ def random_gain(
     else:
         values = gen.random((n_guess, secrets.size)) * max_value
     return GainFunction(Alphabet.integers(n_guess, prefix="w"), secrets, values)
+
+
+def write_gain(gain: GainFunction, path) -> None:
+    """A gain file: a ``|W| |X|`` header, then the rows in original units."""
+    rows = (" ".join(repr(float(v)) for v in row) for row in gain.original())
+    Path(path).write_text(f"{gain.guesses.size} {gain.secrets.size}\n" + "\n".join(rows) + "\n")
+
+
+def write_samples(samples: SampleSet, path) -> None:
+    """A sample CSV: one ``x_label,y_encoding`` line per pair, ``|`` between
+    the components of a multi-part observable."""
+    lines = (
+        samples.secrets.label(int(x)) + "," + "|".join(str(int(v)) for v in y)
+        for x, y in zip(samples.xs, samples.ys)
+    )
+    Path(path).write_text("".join(line + "\n" for line in lines))
 
 
 def loop_prior_vulnerability(prior: Prior, gain: GainFunction) -> float:

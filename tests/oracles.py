@@ -1,12 +1,15 @@
 """Test-only oracles: brute-force and finite-difference references that the
-package's exact and analytic computations are checked against, and the
-strategy tables the tests score.
+package's exact and analytic computations are checked against, the ideal
+joints of the two pre-processing theorems, and the strategy tables the
+tests score.
 
 They are kept out of the package because no command, scenario or pipeline
 uses them.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +20,13 @@ from gleak.core import (
     Prior,
     ValidationError,
     _check_triple,
+    _freeze,
+    _require,
     _score_matrix,
 )
 from gleak.estimation import TablePredictor
 from gleak.mlp import _forward, _init_params, _loss_and_grads
+from gleak.preprocess import _renormalize, _split
 from gleak.rng import Stream
 
 
@@ -74,6 +80,42 @@ def reference_knn_predict(model, ys: np.ndarray) -> np.ndarray:
         votes = included.astype(np.float64) @ model.tallies
         out[start : start + REFERENCE_CHUNK] = np.argmax(votes, axis=1)
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class DataPreprocDerivation:
+    """Ideal counterpart of data pre-processing: U, alpha, xi, E.
+
+    U(w, y) = sum_x pi_x C[x, y] g(w, x) is the ideal copy proportion,
+    alpha its total mass, xi the row marginal of U/alpha, and E the
+    normalized rows, so that V_g(pi, C) = alpha * V_gid(xi, E).
+    """
+
+    U: np.ndarray
+    alpha: float
+    xi: Prior
+    E: Channel
+
+
+def ideal_derivation(
+    prior: Prior, channel: Channel, gain: GainFunction
+) -> DataPreprocDerivation:
+    """Ideal joint of data pre-processing (U, alpha, xi, E).
+
+    Computed from the stored non-negative gain; when the gain was shifted at
+    construction the identity alpha * V_gid(xi, E) = V_g(pi, C) holds for the
+    shifted gain, i.e. equals the original-unit value plus the shift.
+    """
+    _check_triple(prior, channel, gain)
+    U = _score_matrix(prior, channel, gain)
+    alpha, xi, E = _split(U, gain.guesses, channel.output)
+    return DataPreprocDerivation(U=_freeze(U), alpha=alpha, xi=xi, E=E)
+
+
+def compose(r: Channel, c: Channel) -> Channel:
+    """Matrix product of two channels: (RC)[w, y] = sum_x R[w,x] C[x,y]."""
+    _require(r.output == c.input, "inner alphabets do not match")
+    return Channel(r.input, c.output, _renormalize(r.rows @ c.rows))
 
 
 def enumerate_strategies_vulnerability(

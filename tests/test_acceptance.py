@@ -16,16 +16,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_channel, random_gain, random_prior
-from oracles import enumerate_strategies_vulnerability, fixed_strategy, gradient_check
-from gleak import (
-    Alphabet,
-    read_channel,
-    write_channel,
-    write_gain,
-    write_prior,
-    write_samples,
+from conftest import random_channel, random_gain, random_prior, write_gain, write_samples
+from oracles import (
+    compose,
+    enumerate_strategies_vulnerability,
+    fixed_strategy,
+    gradient_check,
+    ideal_derivation,
 )
+from gleak import Alphabet
 from gleak.cli import main
 from gleak.core import (
     empirical_functional,
@@ -35,14 +34,9 @@ from gleak.core import (
 )
 from gleak.estimation import sample_preprocessed_pairs
 from gleak.features import scalar_codec
+from gleak.io import read_channel, write_channel, write_prior
 from gleak.knn import DistanceMetric, KnnClassifier, KnnConfig, k_for, knn_train
-from gleak.preprocess import (
-    WeightedSampleSet,
-    channel_preprocess,
-    compose,
-    data_preprocess,
-    ideal_derivation,
-)
+from gleak.preprocess import WeightedSampleSet, channel_preprocess, data_preprocess
 from gleak.rng import stream
 from gleak.scenarios import build_scenario
 from gleak.scenarios.password import PasswordScenarioConfig, reduced_channel
@@ -110,7 +104,7 @@ def test_criterion_2_preprocessing_theorem_equalities(tmp_path):
             "preprocess", "--mode", "channel", "--prior", p["prior"],
             "--gain", p["gain"], "--out", str(tmp_path / "pre"),
         )
-        r = read_channel(pre["R"], output_alphabet=channel.input)
+        r = read_channel(pre["R"])
         write_channel(compose(r, channel), p["rc"])
         v_id = leak("exact", "--prior", pre["tau"], "--channel", p["rc"])[
             "posterior_vulnerability"

@@ -10,22 +10,23 @@ from hypothesis import strategies as st
 
 from gleak import (
     Alphabet,
-    BoundInputs,
     Channel,
     Prior,
     SampleSet,
     ValidationError,
-    bound_report,
     empirical_functional,
-    erf,
-    expected_error_bounds,
-    hypothesis_count,
     identity_gain,
     plugin_sigma2,
-    sample_complexity,
     sample_joint,
     strategy_gain,
     stream,
+)
+from gleak.bounds import (
+    BoundInputs,
+    bound_report,
+    erf,
+    expected_error_bounds,
+    sample_complexity,
     training_suboptimality_prob,
     validation_deviation_prob,
 )
@@ -208,12 +209,6 @@ class TestBoundInputs:
             "M",
             "N",
         }
-
-    def test_hypothesis_count_and_truncation(self):
-        assert hypothesis_count(2, 3) == (8, False)
-        assert hypothesis_count(1, 50) == (1, False)
-        count, truncated = hypothesis_count(45, 16_000, cap=10**9)
-        assert truncated and count == 10**9
 
 
 class TestEmpiricalSoundness:

@@ -13,23 +13,10 @@ import numpy as np
 import pytest
 
 import gleak
-from gleak import (
-    Alphabet,
-    Channel,
-    GainFunction,
-    Prior,
-    identity_gain,
-    read_channel,
-    read_prior,
-    read_weighted,
-    write_channel,
-    write_gain,
-    write_prior,
-    write_samples,
-)
+from conftest import write_gain, write_samples
+from gleak import Alphabet, Channel, GainFunction, Prior, identity_gain, sample_joint, stream
 from gleak.cli import main
-from gleak.core import sample_joint
-from gleak.rng import stream
+from gleak.io import read_channel, read_prior, write_channel, write_prior
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +314,9 @@ class TestScenarioCommand:
             ("--train-sets", "-1", "num_train_sets"),
             ("--valid-size", "0", "valid_size"),
             ("--sizes", "300,0", "sizes"),
+            ("--methods", "frequentist,frequentist", "methods"),
+            ("--learners", "knn,knn", "learners"),
+            ("--sizes", "200,200", "sizes"),
         ],
     )
     def test_counts_below_one_rejected(self, capsys, tmp_path, flag, value, field):
@@ -363,13 +353,14 @@ class TestBounds:
         assert code == 2
         assert "split" in err
 
-    def test_oversized_hypothesis_count_is_numerical_failure(self, capsys):
-        # |H| beyond float range overflows the closed forms: exit 3, not 2
+    def test_oversized_hypothesis_count_rejected(self, capsys):
+        # |H| beyond the largest float is an input the closed forms cannot
+        # take: a validation error naming the limit, exit 2
         argv = self.base()
         argv[argv.index("--hypotheses") + 1] = "1" + "0" * 400
         code, _, err = run_cli(capsys, argv)
-        assert code == 3
-        assert err.startswith("numerical failure:")
+        assert code == 2
+        assert err.startswith("error:") and repr(sys.float_info.max) in err
 
     def test_out_written(self, capsys, tmp_path):
         out_path = tmp_path / "bounds.json"
@@ -389,9 +380,10 @@ class TestPreprocess:
         assert payload["total_weight"] == 500
         assert payload["entries"] <= 2 * 3
         assert payload["rationalize_scale"] == 1
-        weighted = read_weighted(payload["file"], Alphabet.integers(2, prefix="w"))
-        assert weighted.total_weight == 500
-        assert weighted.size == payload["entries"]
+        rows = Path(payload["file"]).read_text().splitlines()
+        assert len(rows) == payload["entries"]
+        assert sum(int(row.split(",")[2]) for row in rows) == 500
+        assert {row.split(",")[0] for row in rows} <= {"w0", "w1"}
 
     def test_channel_mode(self, capsys, assets, tmp_path):
         prefix = tmp_path / "art"

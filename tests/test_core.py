@@ -66,7 +66,6 @@ class TestDomainTypes:
         assert (g.matrix >= 0).all()
         np.testing.assert_allclose(g.original(), [[-1.0, 1.0], [0.5, -0.5]])
         assert g.range == (-1.0, 1.0)
-        assert g.span == 2.0
 
     def test_gain_range_must_cover_entries(self):
         X = Alphabet.integers(2)
@@ -276,7 +275,6 @@ class TestSampling:
         c = sample_joint(joint, 500, stream(9, "t/other"))
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
         assert not np.array_equal(a.xs, c.xs)
-        assert a.provenance.stream == "t/samples"
 
     def test_sample_joint_frequencies(self):
         X = Alphabet.integers(2)
@@ -306,7 +304,6 @@ class TestSampling:
         idx = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(flat) - 1)
         assert np.array_equal(a.xs, idx // 4) and np.array_equal(a.ys[:, 0], idx % 4)
         assert a.secrets == prior.alphabet
-        assert a.provenance == stream(9, "t/pair").provenance
 
     def test_matrix_pair_alphabet_mismatch(self):
         prior = Prior.uniform(Alphabet.integers(2))
@@ -336,7 +333,7 @@ class TestSampling:
 
         gch = GenerativeChannel(X, 1, sampler)
         s = sample_joint((Prior.uniform(X), gch), 1000, stream(2, "t/gen"))
-        assert s.size == 1000 and s.obs_width == 1
+        assert s.ys.shape == (1000, 1)
         agree = (s.xs == s.ys[:, 0]).mean()
         assert agree > 0.8
 
@@ -382,7 +379,8 @@ class TestEmpiricalFunctional:
             )
             for s in range(reps)
         ]
-        sem = gain.span / 2 / np.sqrt(n * reps)  # conservative scale bound
+        a, b = gain.range
+        sem = (b - a) / 2 / np.sqrt(n * reps)  # conservative scale bound
         assert abs(np.mean(values) - truth) < 5 * sem
 
     def test_prediction_shape_mismatch(self):

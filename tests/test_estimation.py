@@ -17,19 +17,22 @@ from gleak import (
     Prior,
     SampleSet,
     ValidationError,
-    channel_preprocess,
     empirical_functional,
     estimate,
     fit,
-    frequentist_predictor,
     identity_gain,
     posterior_vulnerability,
     sample_joint,
-    sample_preprocessed_pairs,
     scalar_codec,
     stream,
 )
-from gleak.estimation import TablePredictor, _check_range
+from gleak.estimation import (
+    TablePredictor,
+    _check_range,
+    frequentist_predictor,
+    sample_preprocessed_pairs,
+)
+from gleak.preprocess import channel_preprocess
 
 from conftest import random_channel, random_gain, random_prior
 
@@ -190,7 +193,7 @@ class TestChannelPipeline:
                 out[i, 0] = np.searchsorted(cum[x], u[i] * cum[x, -1], side="right")
             return np.minimum(out, rows.shape[1] - 1)
 
-        gen_channel = GenerativeChannel(prior.alphabet, 1, sampler, "boxed")
+        gen_channel = GenerativeChannel(prior.alphabet, 1, sampler)
         report = estimate(
             "channel", prior, gen_channel, gain, 4000, 4000, scalar_knn(),
             stream(2, "t/est/gen"),

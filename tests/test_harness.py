@@ -6,18 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from gleak import (
+from gleak import NumericalError, ValidationError, sample_joint, stream
+from gleak import harness
+from gleak.estimation import TablePredictor
+from gleak.harness import (
+    PROFILES,
     MetricsReport,
-    NumericalError,
     TrialMatrixConfig,
-    ValidationError,
     emit_reports,
     run_trial_matrix,
-    sample_joint,
-    stream,
 )
-from gleak import harness
-from gleak.harness import PROFILES, knn_config_for, mlp_config_for
 from gleak.scenarios import build_scenario
 from oracles import reference_empirical_functional
 
@@ -94,6 +92,11 @@ class TestTrialMatrixConfig:
             ("valid_size", 0),
             ("sizes", ()),
             ("sizes", (2000, -5)),
+            ("sizes", (200, 200)),
+            ("methods", ()),
+            ("methods", ("frequentist", "frequentist")),
+            ("learners", ()),
+            ("learners", ("knn", "knn")),
         ],
     )
     def test_counts_below_one_rejected(self, field, value):
@@ -128,32 +131,50 @@ class TestTrialMatrixConfig:
 class TestLearnerConfigTables:
     def test_knn_uses_scenario_metric(self):
         scenario = build_scenario("dp")
-        config = knn_config_for(scenario)
+        config = harness.learner_config(scenario, "data", "knn", "desk", 2000)
         assert config.metric.kind == "manhattan"
         assert config.metric.codec is scenario.codec
+        assert harness.learner_config(scenario, "frequentist", "none", "desk", 2000) is None
 
     def test_mlp_published_parameters(self):
         scenario = build_scenario("multi-guess")
-        config = mlp_config_for(scenario, "data", "paper", 10000, (10000, 30000, 50000))
+        config = harness.learner_config(scenario, "data", "mlp", "paper", 10000)
         assert config.hidden == (100, 100, 100)
         assert config.learning_rate == 1e-3
         assert config.epochs == 700 and config.batch_size == 1000
 
     def test_mlp_per_size_selection(self):
         scenario = build_scenario("location")
-        sizes = (10000, 30000, 50000)
-        small = mlp_config_for(scenario, "channel", "paper", 10000, sizes)
-        large = mlp_config_for(scenario, "channel", "paper", 50000, sizes)
+        small = harness.learner_config(scenario, "channel", "mlp", "paper", 10000)
+        large = harness.learner_config(scenario, "channel", "mlp", "paper", 50000)
         assert (small.epochs, small.batch_size) == (200, 20)
         assert (large.epochs, large.batch_size) == (1000, 500)
-        off_grid = mlp_config_for(scenario, "channel", "paper", 777, sizes)
+        off_grid = harness.learner_config(scenario, "channel", "mlp", "paper", 777)
         assert (off_grid.epochs, off_grid.batch_size) == (1000, 500)
 
     def test_desk_budgets_are_smaller(self):
         scenario = build_scenario("password")
-        desk = mlp_config_for(scenario, "data", "desk", 2000, (2000,))
-        paper = mlp_config_for(scenario, "data", "paper", 10000, (10000,))
+        desk = harness.learner_config(scenario, "data", "mlp", "desk", 2000)
+        paper = harness.learner_config(scenario, "data", "mlp", "paper", 10000)
         assert desk.epochs < paper.epochs
+
+    def test_trial_matrix_selects_paper_settings_by_profile_sizes(self, monkeypatch):
+        # a run over --sizes 50000 alone trains with the 50k entries of the
+        # paper table, as `leak estimate --m 50000` does, not the first ones
+        seen = []
+
+        def fake_fit(method, prior, channel, gain, m, config, *streams):
+            seen.append((m, config.epochs, config.batch_size))
+            return TablePredictor(np.zeros((1, 1)), np.zeros(1), fallback=0), {}
+
+        monkeypatch.setattr(harness, "fit", fake_fit)
+        config = TrialMatrixConfig(
+            scenario="location", profile="paper", methods=("channel",),
+            learners=("mlp",), sizes=(50000,), num_train_sets=1,
+            num_valid_sets=1, valid_size=10,
+        )
+        run_trial_matrix(config)
+        assert seen == [(50000, 1000, 500)]
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,16 @@
-"""Text formats: exact round-trips and malformed-file rejection."""
+"""Text formats: exact round-trips and malformed-file rejection.
+
+Gain and sample files are read by ``leak`` and written by the tests'
+own writers; weighted sample files are written by ``leak preprocess`` and
+parsed here.
+"""
+
+import csv
 
 import numpy as np
 import pytest
 
+from conftest import write_gain, write_samples
 from gleak import (
     Alphabet,
     Channel,
@@ -10,21 +18,20 @@ from gleak import (
     Prior,
     SampleSet,
     ValidationError,
-    data_preprocess,
     identity_gain,
+    sample_joint,
+    stream,
+)
+from gleak.io import (
     read_channel,
     read_gain,
     read_prior,
     read_samples,
-    read_weighted,
-    sample_joint,
-    stream,
     write_channel,
-    write_gain,
     write_prior,
-    write_samples,
     write_weighted,
 )
+from gleak.preprocess import data_preprocess
 
 
 class TestPriorFormat:
@@ -111,13 +118,6 @@ class TestGainFormat:
         assert back.shift == gain.shift
         assert back.range == gain.range
 
-    def test_value_range_override(self, tmp_path):
-        gain = identity_gain(Alphabet.integers(2))
-        path = tmp_path / "gain.txt"
-        write_gain(gain, path)
-        back = read_gain(path, value_range=(0.0, 4.0))
-        assert back.range == (0.0, 4.0)
-
     def test_header_shape_mismatch(self, tmp_path):
         path = tmp_path / "gain.txt"
         path.write_text("2 3\n1 0 0\n0 1\n")
@@ -200,26 +200,8 @@ class TestWeightedFormat:
         weighted, gain = self.make_weighted(two_secret_example)
         path = tmp_path / "weighted.csv"
         write_weighted(weighted, path)
-        back = read_weighted(path, gain.guesses)
-        assert (back.ws == weighted.ws).all()
-        assert (back.ys == weighted.ys).all()
-        assert (back.weights == weighted.weights).all()
-        assert back.total_weight == weighted.total_weight
-
-    def test_wrong_column_count_rejected(self, tmp_path):
-        path = tmp_path / "weighted.csv"
-        path.write_text("w0,3\n")
-        with pytest.raises(ValidationError, match="w_label"):
-            read_weighted(path, Alphabet.integers(2, "w"))
-
-    def test_non_integer_weight_rejected(self, tmp_path):
-        path = tmp_path / "weighted.csv"
-        path.write_text("w0,3,1.5\n")
-        with pytest.raises(ValidationError, match="integer"):
-            read_weighted(path, Alphabet.integers(2, "w"))
-
-    def test_empty_rejected(self, tmp_path):
-        path = tmp_path / "weighted.csv"
-        path.write_text("\n")
-        with pytest.raises(ValidationError, match="no entries"):
-            read_weighted(path, Alphabet.integers(2, "w"))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [gain.guesses.index(row[0]) for row in rows] == weighted.ws.tolist()
+        assert [[int(row[1])] for row in rows] == weighted.ys.tolist()
+        assert [int(row[2]) for row in rows] == weighted.weights.tolist()

@@ -14,19 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gleak import (
-    Alphabet,
-    DistanceMetric,
-    KnnConfig,
-    ValidationError,
-    WeightedSampleSet,
-    k_for,
-    knn_train,
-    scalar_codec,
-    tuple_codec,
-)
+from gleak import Alphabet, DistanceMetric, KnnConfig, ValidationError, scalar_codec
 from gleak import knn
-from gleak.knn import METRIC_KINDS, KnnClassifier
+from gleak.features import tuple_codec
+from gleak.knn import METRIC_KINDS, KnnClassifier, k_for, knn_train
+from gleak.preprocess import WeightedSampleSet
 from oracles import reference_knn_predict, reference_pairwise
 
 
@@ -43,15 +35,14 @@ def scalar_config():
 
 
 # scalar codecs whose features round: thirds and tenths, and offsets at which
-# neighbouring integers land one float apart or on the same float
-SCALAR_CODECS = [
-    scalar_codec(1.0),
-    scalar_codec(0.5),
-    scalar_codec(0.1, 0.3),
-    scalar_codec(1 / 3, -7.25),
-    scalar_codec(1.0, 3e15),
-    scalar_codec(1.0, 1e16),
-]
+# neighbouring integers land one float apart or on the same float; keyed by
+# a label of their scale and offset
+SCALAR_CODECS = {
+    f"scalar(x{scale:g}{offset:+g})": scalar_codec(scale, offset)
+    for scale, offset in [
+        (1.0, 0.0), (0.5, 0.0), (0.1, 0.3), (1 / 3, -7.25), (1.0, 3e15), (1.0, 1e16)
+    ]
+}
 
 
 class TestKRule:
@@ -181,7 +172,7 @@ class TestPrediction:
         assert model.predict(np.array([[query]])).tolist() == [expected]
         assert reference_knn_predict(model, np.array([[query]])).tolist() == [expected]
 
-    @pytest.mark.parametrize("codec", SCALAR_CODECS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("codec", SCALAR_CODECS.values(), ids=SCALAR_CODECS.keys())
     def test_one_dimensional_runs_include_what_the_reference_includes(self, codec):
         # one guess per feature, so the votes are the inclusion mask itself;
         # on these grids the searched run edges are off in every direction
@@ -210,7 +201,7 @@ def knn_case(draw, kind):
     outside the features' range and queries equal to a feature."""
     if kind == "absolute":
         width = 1
-        codec = draw(st.sampled_from(SCALAR_CODECS))
+        codec = draw(st.sampled_from(list(SCALAR_CODECS.values())))
     else:
         width = draw(st.integers(1, 6))
         codec = tuple_codec(width, draw(st.sampled_from([1.0, 0.5, 0.1, 1 / 3])))

@@ -3,18 +3,10 @@
 import numpy as np
 import pytest
 
-from gleak import (
-    Alphabet,
-    MlpClassifier,
-    MlpConfig,
-    TrainingDiverged,
-    ValidationError,
-    WeightedSampleSet,
-    mlp_train,
-    scalar_codec,
-    stream,
-    tuple_codec,
-)
+from gleak import Alphabet, MlpConfig, ValidationError, scalar_codec, stream
+from gleak.features import tuple_codec
+from gleak.mlp import MlpClassifier, TrainingDiverged, mlp_train
+from gleak.preprocess import WeightedSampleSet
 from oracles import gradient_check
 
 

@@ -16,8 +16,8 @@ import json
 
 import pytest
 
-from gleak import TrialMatrixConfig, emit_reports, run_trial_matrix
 from gleak.cli import main
+from gleak.harness import TrialMatrixConfig, emit_reports, run_trial_matrix
 
 ARTIFACT_SHA256 = {
     "multi-guess": (

@@ -13,21 +13,22 @@ from gleak import (
     Prior,
     SampleSet,
     ValidationError,
-    WeightedSampleSet,
-    channel_preprocess,
-    compose,
-    data_preprocess,
-    ideal_derivation,
     identity_gain,
     posterior_vulnerability,
-    rationalize_gain,
     sample_joint,
     stream,
 )
-from gleak.preprocess import SNAP_DENOMINATOR
+from gleak.preprocess import (
+    SNAP_DENOMINATOR,
+    WeightedSampleSet,
+    channel_preprocess,
+    data_preprocess,
+    rationalize_gain,
+)
 from gleak.scenarios import build_scenario
 from gleak.scenarios.multi_guess import two_tries_gain
 from conftest import random_channel, random_gain, random_prior
+from oracles import compose, ideal_derivation
 
 
 def random_instance(gen, max_size=8, max_gain=5):

@@ -9,22 +9,16 @@ import pytest
 from gleak import (
     Prior,
     ValidationError,
-    build_scenario,
-    channel_preprocess,
-    data_preprocess,
     identity_gain,
     posterior_vulnerability,
     prior_vulnerability,
     sample_joint,
     stream,
 )
-from gleak.scenarios import SCENARIO_NAMES
+from gleak.preprocess import channel_preprocess, data_preprocess
+from gleak.scenarios import SCENARIO_NAMES, build_scenario
 from oracles import enumerate_strategies_vulnerability
-from gleak.scenarios.dp import (
-    DpScenarioConfig,
-    dp_scenario,
-    exact_dp_vulnerability,
-)
+from gleak.scenarios.dp import DpScenarioConfig, exact_dp_vulnerability
 from gleak.scenarios.location import (
     diamond_gain,
     gowalla_ingest,
@@ -36,11 +30,7 @@ from gleak.scenarios.multi_guess import (
     geometric_channel,
     two_tries_gain,
 )
-from gleak.scenarios.password import (
-    PasswordScenarioConfig,
-    password_scenario,
-    reduced_channel,
-)
+from gleak.scenarios.password import PasswordScenarioConfig, reduced_channel
 
 
 class TestTwoTriesGain:
@@ -353,7 +343,8 @@ class TestDpScenario:
         assert config.total == 303
 
     def test_exact_value_matches_closed_form(self):
-        _, _, gain, exact = dp_scenario()
+        scenario = build_scenario("dp")
+        gain, exact = scenario.gain, scenario.exact_vg
         assert exact == pytest.approx(1.4621171572589988, abs=1e-12)
         # nu=1 collapses the truncated sum to 2e/(e+1)
         assert exact == pytest.approx(2 * math.e / (math.e + 1), abs=1e-10)
@@ -364,26 +355,29 @@ class TestDpScenario:
         low = DpScenarioConfig(removed_label=0)
         high = DpScenarioConfig(removed_label=3)
         assert low.gain_value == 1.0 and high.gain_value == 2.0
-        prior = Prior.uniform(dp_scenario(low)[0].alphabet)
+        prior = build_scenario("dp", removed_label=0).prior
         v_low = exact_dp_vulnerability(low, prior)
         v_high = exact_dp_vulnerability(high, prior)
         # the 1-D sum is translation invariant, so only the gain scales
         assert v_high == pytest.approx(2 * v_low, rel=1e-12)
 
     def test_truncation_radius_converged(self):
-        prior = Prior.uniform(dp_scenario()[0].alphabet)
+        prior = build_scenario("dp").prior
         coarse = exact_dp_vulnerability(DpScenarioConfig(tail_eps=1e-9), prior)
         fine = exact_dp_vulnerability(DpScenarioConfig(tail_eps=1e-15), prior)
         assert coarse == pytest.approx(fine, abs=1e-8)
 
     def test_noiseless_limit(self):
-        prior, _, _, exact = dp_scenario(DpScenarioConfig(nu=50.0))
-        expected = sum(prior.probs * 2.0)  # observation reveals the secret
-        assert exact == pytest.approx(expected, abs=1e-12)
+        scenario = build_scenario("dp", nu=50.0)
+        expected = sum(scenario.prior.probs * 2.0)  # observation reveals the secret
+        assert scenario.exact_vg == pytest.approx(expected, abs=1e-12)
 
     def test_monte_carlo_cross_check(self):
         config = DpScenarioConfig()
-        prior, channel, gain, exact = dp_scenario(config)
+        scenario = build_scenario("dp")
+        prior, channel, gain, exact = (
+            scenario.prior, scenario.channel, scenario.gain, scenario.exact_vg
+        )
 
         class OracleRule:
             """True optimal decision from the 1-D likelihood of count 4."""
@@ -402,7 +396,7 @@ class TestDpScenario:
         assert abs(estimate - exact) <= 3 * sem
 
     def test_noise_law_matches_two_sided_geometric(self):
-        _, channel, _, _ = dp_scenario()
+        channel = build_scenario("dp").channel
         n = 200_000
         xs = np.zeros(n, dtype=np.int64)
         ys = channel.sample(xs, stream(1, "t/dp/noise").gen)
@@ -415,7 +409,8 @@ class TestDpScenario:
             assert abs(observed - expected) < 4 * sigma
 
     def test_data_preproc_expansion_factor_equals_gain_value(self):
-        prior, channel, gain, _ = dp_scenario()
+        scenario = build_scenario("dp")
+        prior, channel, gain = scenario.prior, scenario.channel, scenario.gain
         train = sample_joint((prior, channel), 2000, stream(2, "t/dp/exp"))
         weighted = data_preprocess(train, gain)
         assert weighted.total_weight == 2 * train.size
@@ -442,13 +437,14 @@ class TestPasswordScenario:
         assert (rc.rows > 0).all()
 
     def test_exact_value(self):
-        _, _, _, exact = password_scenario()
+        exact = build_scenario("password").exact_vg
         assert exact == pytest.approx(0.783139106826576, abs=1e-11)
 
     def test_no_delay_separates_the_classes(self):
         config = PasswordScenarioConfig(delay_nu=math.inf)
         rc = reduced_channel(config)
-        _, channel, gain, exact = password_scenario(config)
+        scenario = build_scenario("password", delay_nu=math.inf)
+        channel, exact = scenario.channel, scenario.exact_vg
         assert exact == pytest.approx(1.0, abs=1e-12)
         # disagreeing passwords always stop exactly at the target bit
         assert rc.rows[1, 6] == 1.0
@@ -466,7 +462,7 @@ class TestPasswordScenario:
     def test_sampler_matches_reduced_channel(self):
         config = PasswordScenarioConfig()
         rc = reduced_channel(config)
-        _, channel, _, _ = password_scenario(config)
+        channel = build_scenario("password").channel
         n = 100_000
         for cls in (0, 1):
             xs = np.full(n, cls, dtype=np.int64)
@@ -476,7 +472,8 @@ class TestPasswordScenario:
             assert tv <= 0.02
 
     def test_partition_gain_makes_preprocessings_coincide(self):
-        prior, _, gain, _ = password_scenario()
+        scenario = build_scenario("password")
+        prior, gain = scenario.prior, scenario.gain
         deriv = channel_preprocess(prior, gain)
         assert deriv.beta == pytest.approx(1.0, abs=1e-15)
         assert np.allclose(deriv.tau.probs, prior.probs, atol=1e-15)

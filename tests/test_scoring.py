@@ -25,9 +25,9 @@ from gleak import (
     sample_joint,
     scalar_codec,
     stream,
-    tuple_codec,
 )
-from gleak.harness import mlp_config_for
+from gleak.features import tuple_codec
+from gleak.harness import learner_config
 from gleak.knn import KnnClassifier
 from gleak.scenarios import SCENARIO_NAMES, build_scenario
 from oracles import reference_empirical_functional
@@ -99,7 +99,7 @@ def test_mlp_argmax_unchanged_on_distinct_rows(name):
     """A smaller BLAS batch may move the network's probabilities by ulps;
     the guess on every validation row stays the same."""
     scenario = build_scenario(name)
-    config = replace(mlp_config_for(scenario, "data", "desk", 2000, (2000,)), epochs=1)
+    config = replace(learner_config(scenario, "data", "mlp", "desk", 2000), epochs=1)
     model, _ = fit(
         "data", scenario.prior, scenario.channel, scenario.gain, 2000, config,
         stream(1, f"t/{name}/train"), stream(1, f"t/{name}/mlp"),

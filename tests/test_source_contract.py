@@ -5,7 +5,10 @@ An ``assert`` vanishes under ``python -O`` and otherwise escapes ``main()``
 as an ``AssertionError`` with exit code 1; library checks raise
 ``ValidationError`` or ``NumericalError`` instead.
 
-``gleak.__all__`` lists each public name the package imports, once.
+``gleak.__all__`` lists each public name the package imports, once, and
+every one of them is documented in README "Library use".  Every other
+public module-level function or class is reached from other library code:
+what only tests call belongs in the tests.
 
 Every predictor is scored through one call, ``core._decide``, which asks it
 once per distinct observable and checks its guesses; no other library code
@@ -17,12 +20,14 @@ structured dtype.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import gleak
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "gleak"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "gleak"
 
 
 def test_no_assert_in_library_code():
@@ -56,6 +61,55 @@ def test_all_matches_package_imports():
         name for name in imported - set(exported) if not name.startswith("_")
     )
     assert not missing, f"imported by gleak but missing from __all__: {missing}"
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    """Every name ``node`` loads, reads as an attribute or imports."""
+    used = set()
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name):
+            used.add(inner.id)
+        elif isinstance(inner, ast.Attribute):
+            used.add(inner.attr)
+        elif isinstance(inner, ast.ImportFrom):
+            used.update(alias.name for alias in inner.names)
+    return used
+
+
+def test_every_public_definition_is_reached():
+    """A public module-level def or class that no other library code names
+    must be exported; re-exports in ``__init__.py`` do not count as uses."""
+    definitions = []  # (file, name) of each public module-level def or class
+    uses = []  # (file, enclosing top-level name or None, names used)
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path.name == "__init__.py" and path.parent == SOURCE:
+            continue
+        where = str(path.relative_to(SOURCE.parent))
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            name = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_"):
+                definitions.append((where, name))
+            uses.append((where, name, _names_used(node)))
+    unreached = sorted(
+        f"{where}:{name}"
+        for where, name in definitions
+        if name not in gleak.__all__
+        and not any(
+            name in used and (path, owner) != (where, name) for path, owner, used in uses
+        )
+    )
+    assert not unreached, "public but reached by no library code: " + ", ".join(unreached)
+
+
+def test_exports_are_documented():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    undocumented = [
+        name for name in gleak.__all__ if not re.search(rf"\b{re.escape(name)}\b", section)
+    ]
+    assert not undocumented, (
+        "exported by gleak but not in README 'Library use': " + ", ".join(undocumented)
+    )
 
 
 def _calls(tree: ast.AST, matches, scope: str = "<module>"):
