@@ -30,7 +30,7 @@ from .core import (
 )
 from .estimation import EstimateReport, TablePredictor, estimate, fit
 from .features import scalar_codec
-from .knn import DistanceMetric, KnnConfig
+from .knn import DistanceMetric
 from .mlp import MlpConfig
 from .rng import stream
 
@@ -43,7 +43,6 @@ __all__ = [
     "EstimateReport",
     "GainFunction",
     "GenerativeChannel",
-    "KnnConfig",
     "MlpConfig",
     "NumericalError",
     "Prior",

@@ -18,35 +18,6 @@ from .core import ValidationError, _pair_gains, _require
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def erf(x: float) -> float:
-    """Error function, implemented independently of the standard library.
-
-    Maclaurin series for |x| < 3, complemented continued fraction for
-    |x| >= 3; accurate to better than 1e-10 over [0, 6] (tested against two
-    independent oracles).
-    """
-    if x < 0.0:
-        return -erf(-x)
-    if x == 0.0:
-        return 0.0
-    if x < 3.0:
-        # erf(x) = 2/sqrt(pi) * sum_k (-1)^k x^(2k+1) / (k! (2k+1))
-        term = x
-        total = x
-        k = 0
-        while abs(term) > 1e-18 * abs(total) and k < 200:
-            k += 1
-            term *= -x * x / k
-            total += term / (2 * k + 1)
-        return 2.0 / _SQRT_PI * total
-    # erfc(x) = exp(-x^2)/sqrt(pi) / (x + 1/2/(x + 1/(x + 3/2/(x + ...))))
-    frac = 0.0
-    for k in range(60, 0, -1):
-        frac = (k / 2.0) / (x + frac)
-    erfc = math.exp(-x * x) / (_SQRT_PI * (x + frac))
-    return 1.0 - erfc
-
-
 def _clip01(p: float) -> float:
     return min(1.0, max(0.0, p))
 
@@ -167,13 +138,13 @@ def expected_error_bounds(inputs: BoundInputs) -> tuple[float, float]:
 
     r_n = math.sqrt(2.0 * s2 * eta / n)
     validation_gap = (4.0 * eta / n) * math.exp(-n * s2 / (2.0 * eta)) + (
-        r_n * _SQRT_PI * erf(s2 / r_n)
+        r_n * _SQRT_PI * math.erf(s2 / r_n)
     )
 
     r_m = math.sqrt(4.0 * s2 * (1.0 + eta) / m)
     training_gap = h * (8.0 * (1.0 + eta) / m) * math.exp(
         -m * s2 / (4.0 * (1.0 + eta))
-    ) + h * r_m * _SQRT_PI * erf(s2 / r_m)
+    ) + h * r_m * _SQRT_PI * math.erf(s2 / r_m)
 
     return validation_gap, training_gap
 
@@ -190,6 +161,9 @@ def sample_complexity(
 
     M = ceil[(8 s^2 + 4(b-a) eps/3) / eps^2 * ln(2|H| / (delta - split))]
     N = ceil[(2 s^2 + 2(b-a) eps/3) / eps^2 * ln(2 / split)]
+
+    The log of M is taken as a sum of logs, so no |H| up to the largest
+    float overflows the quotient 2|H| / (delta - split).
     """
     _require(epsilon > 0, "epsilon must be positive")
     if not 0 < split < delta:
@@ -200,7 +174,7 @@ def sample_complexity(
     m_bound = (
         (8.0 * sigma2 + 4.0 * (b - a) * epsilon / 3.0)
         / epsilon**2
-        * math.log(2.0 * hypothesis_count / (delta - split))
+        * (math.log(2.0) + math.log(hypothesis_count) - math.log(delta - split))
     )
     n_bound = (
         (2.0 * sigma2 + 2.0 * (b - a) * epsilon / 3.0)

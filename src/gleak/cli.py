@@ -22,7 +22,6 @@ from pathlib import Path
 from . import io
 from .bounds import BoundInputs, bound_report
 from .core import (
-    Channel,
     NumericalError,
     ValidationError,
     identity_gain,
@@ -41,7 +40,7 @@ from .harness import (
     learner_config,
     run_trial_matrix,
 )
-from .knn import DistanceMetric, KnnConfig
+from .knn import DistanceMetric
 from .mlp import MlpConfig
 from .preprocess import channel_preprocess, data_preprocess, rationalize_gain
 from .rng import stream
@@ -56,7 +55,8 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _load_triple(args) -> tuple:
-    """(prior, channel, gain) from --scenario or from files."""
+    """(prior, channel, gain, scenario) from --scenario, or from files with
+    scenario None."""
     if args.scenario:
         scenario = build_scenario(args.scenario, profile=args.profile)
         return scenario.prior, scenario.channel, scenario.gain, scenario
@@ -75,12 +75,10 @@ def cmd_exact(args) -> int:
     started = time.perf_counter()
     prior, channel, gain, scenario = _load_triple(args)
     prior_v = prior_vulnerability(prior, gain)
-    if isinstance(channel, Channel):
-        posterior_v = posterior_vulnerability(prior, channel, gain)
-    elif scenario is not None:
+    if scenario is not None:
         posterior_v = scenario.exact_vg
     else:
-        raise ValidationError("exact values need an explicit channel matrix")
+        posterior_v = posterior_vulnerability(prior, channel, gain)
     payload = {
         "prior_vulnerability": prior_v,
         "posterior_vulnerability": posterior_v,
@@ -100,7 +98,7 @@ def _learner_config(args, scenario: Scenario | None):
     elif args.method == "frequentist":
         config = None
     elif args.learner == "knn":
-        config = KnnConfig(DistanceMetric("absolute", scalar_codec(1.0)))
+        config = DistanceMetric("absolute", scalar_codec(1.0))
     else:
         config = MlpConfig(
             codec=scalar_codec(1.0),

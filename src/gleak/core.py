@@ -166,7 +166,8 @@ class GenerativeChannel:
 
 
 class GainFunction:
-    """Gain matrix g(w, x) over guesses W x secrets X with range [a, b].
+    """Gain matrix g(w, x) over guesses W x secrets X; its ``range`` is
+    (min, max) of the entries.
 
     Entries are stored shifted by ``shift = max(0, -min g)`` so the stored
     matrix is non-negative (required by the data pre-processing reduction);
@@ -181,7 +182,6 @@ class GainFunction:
         guesses: Alphabet,
         secrets: Alphabet,
         values: Sequence[Sequence[float]] | np.ndarray,
-        value_range: tuple[float, float] | None = None,
     ) -> None:
         arr = np.asarray(values, dtype=np.float64)
         _require(
@@ -189,21 +189,12 @@ class GainFunction:
         )
         _require(bool(np.isfinite(arr).all()), "gain entries must be finite")
         lo = float(arr.min())
-        hi = float(arr.max())
-        if value_range is None:
-            value_range = (lo, hi)
-        a, b = float(value_range[0]), float(value_range[1])
-        _require(a <= b, "gain range must satisfy a <= b")
-        _require(
-            a <= lo + 1e-12 and b >= hi - 1e-12,
-            "gain range must cover all entries",
-        )
         shift = max(0.0, -lo)
         self.guesses = guesses
         self.secrets = secrets
         self.matrix = _freeze(arr + shift)
         self.shift = shift
-        self.range = (a, b)
+        self.range = (lo, float(arr.max()))
 
     def original(self) -> np.ndarray:
         """Gain entries in original (unshifted) units."""

@@ -22,13 +22,13 @@ from .core import (
     Prior,
     SampleSet,
     _freeze,
-    _inverse_cdf,
     _require,
     _unique_rows,
     empirical_functional,
     sample_joint,
+    sample_prior,
 )
-from .knn import KnnConfig, knn_train
+from .knn import DistanceMetric, knn_train
 from .mlp import MlpConfig, mlp_train
 from .preprocess import (
     ChannelPreprocDerivation,
@@ -39,7 +39,7 @@ from .preprocess import (
 )
 from .rng import Stream
 
-LearnerConfig = Union[KnnConfig, MlpConfig]
+LearnerConfig = Union[DistanceMetric, MlpConfig]  # kNN is configured by its metric
 
 RANGE_SLACK = 1e-9
 
@@ -87,7 +87,7 @@ def sample_preprocessed_pairs(
     """
     _require(m >= 1, "m must be >= 1")
     gen = stream.gen
-    ws = _inverse_cdf(deriv.tau.probs, gen.random(m))
+    ws = sample_prior(deriv.tau, m, gen)
     xs = deriv.R.sample(ws, gen)[:, 0]
     ys = channel.sample(xs, gen)
     combined = np.concatenate([ws[:, None], ys], axis=1)
@@ -133,11 +133,11 @@ def fit(
             "expanded_total_weight": data.total_weight,
             "expansion_factor": data.total_weight / m,
         }
-    if isinstance(learner_config, KnnConfig):
+    if isinstance(learner_config, DistanceMetric):
         return knn_train(data, learner_config), details
     _require(
         isinstance(learner_config, MlpConfig) and learner_stream is not None,
-        f"method {method!r} needs a KnnConfig, or an MlpConfig and a learner stream",
+        f"method {method!r} needs a DistanceMetric, or an MlpConfig and a learner stream",
     )
     return mlp_train(data, learner_config, learner_stream), details
 
@@ -176,7 +176,7 @@ def estimate(
         learner = "none"
         del seeds["learner"]
     else:
-        learner = "knn" if isinstance(learner_config, KnnConfig) else "mlp"
+        learner = "knn" if isinstance(learner_config, DistanceMetric) else "mlp"
     return EstimateReport(
         estimate=value,
         method=METHOD_NAMES[method],

@@ -25,7 +25,7 @@ from .core import (
     sample_joint,
 )
 from .estimation import METHOD_NAMES, fit
-from .knn import DistanceMetric, KnnConfig
+from .knn import DistanceMetric
 from .mlp import MlpConfig
 from .rng import stream
 from .scenarios import SCENARIO_NAMES, Scenario, build_scenario
@@ -85,10 +85,10 @@ def _per_size(value, m: int, sizes: tuple[int, ...]):
 
 def learner_config(
     scenario: Scenario, method: str, learner: str, profile: str, m: int
-) -> KnnConfig | MlpConfig | None:
+) -> DistanceMetric | MlpConfig | None:
     """The config the (method, learner) model of ``scenario`` trains with at size m.
 
-    The frequentist method takes none; kNN uses the scenario's metric; the
+    The frequentist method takes none; kNN takes the scenario's metric; the
     MLP reads the profile's table, where a per-size tuple is indexed by m's
     place among the profile's sizes (the largest size's entry when m is not
     one of them).
@@ -96,7 +96,7 @@ def learner_config(
     if method == "frequentist":
         return None
     if learner == "knn":
-        return KnnConfig(DistanceMetric(scenario.metric_kind, scenario.codec))
+        return DistanceMetric(scenario.metric_kind, scenario.codec)
     table = _PAPER_MLP if profile == "paper" else _DESK_MLP
     hidden, lr, epochs, batch = table[(scenario.name, method)]
     sizes = PROFILES[profile].sizes
@@ -129,6 +129,10 @@ class TrialMatrixConfig:
         _require(all(m in METHODS for m in self.methods), "unknown method")
         _require(all(l in LEARNERS for l in self.learners), "unknown learner")
         _require(self.workers >= 1, "workers must be >= 1")
+        _require(
+            self.gowalla_path is None or self.scenario == "location",
+            f"gowalla_path is read only by the location scenario, not {self.scenario!r}",
+        )
         for field in ("num_train_sets", "num_valid_sets", "valid_size"):
             value = getattr(self, field)
             _require(value is None or value >= 1, f"{field} must be >= 1, got {value}")
@@ -261,15 +265,12 @@ def _train_one(
 
 
 def run_trial_matrix(
-    config: TrialMatrixConfig, scenario: Scenario | None = None
+    config: TrialMatrixConfig,
 ) -> tuple[list[MetricsReport], list[TrialRow]]:
     """Execute the full grid; returns per-cell metrics and per-trial rows."""
     resolved = config.resolved()
-    if scenario is None:
-        extra = {}
-        if config.gowalla_path and config.scenario == "location":
-            extra["gowalla_path"] = config.gowalla_path
-        scenario = build_scenario(config.scenario, profile=config.profile, **extra)
+    extra = {"gowalla_path": config.gowalla_path} if config.gowalla_path else {}
+    scenario = build_scenario(config.scenario, profile=config.profile, **extra)
     if scenario.exact_vg <= 0:
         raise ValidationError("exact V_g must be positive to normalize errors")
     sizes = tuple(resolved["sizes"])

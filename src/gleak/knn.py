@@ -64,11 +64,6 @@ class DistanceMetric:
         return out
 
 
-@dataclass(frozen=True)
-class KnnConfig:
-    metric: DistanceMetric
-
-
 def k_for(l: int) -> int:
     """Neighbor count rule: max(1, floor(ln l))."""
     _require(l >= 1, "l must be >= 1")
@@ -165,13 +160,13 @@ class KnnClassifier:
             hi += hi_out.astype(np.intp) - hi_in
 
 
-def knn_train(data: WeightedSampleSet, config: KnnConfig) -> KnnClassifier:
-    """Build the deduplicated index and weighted guess tallies."""
+def knn_train(data: WeightedSampleSet, metric: DistanceMetric) -> KnnClassifier:
+    """Build the deduplicated index and weighted guess tallies under ``metric``."""
     if data.size == 0:
         raise ValidationError("cannot train k-NN on empty data")
     distinct, inverse = _unique_rows(data.ys, return_inverse=True)
     l = distinct.shape[0]
     tallies = np.zeros((l, data.guesses.size))
     np.add.at(tallies, (inverse, data.ws), data.weights.astype(np.float64))
-    features = config.metric.codec.encode(distinct)
-    return KnnClassifier(features, tallies, k_for(l), config.metric)
+    features = metric.codec.encode(distinct)
+    return KnnClassifier(features, tallies, k_for(l), metric)

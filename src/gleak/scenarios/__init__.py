@@ -7,7 +7,7 @@ codec / distance-metric choices the learners use on its observables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from ..core import Channel, GainFunction, GenerativeChannel, Prior, ValidationError
@@ -23,15 +23,14 @@ class Scenario:
     exact_vg: float
     codec: FeatureCodec
     metric_kind: str
-    details: dict = field(default_factory=dict)
 
 
 def build_scenario(name: str, profile: str = "desk", **kwargs) -> Scenario:
     """Build one of: multi-guess, location, dp, password.
 
     ``profile`` is "desk" or "paper"; only multi-guess changes size with it.
-    ``kwargs`` override fields of the scenario's config dataclass (and, for
-    location, give ``gowalla_path``).
+    ``kwargs`` override fields of the scenario's config dataclass; location
+    has none and takes only ``gowalla_path``.
     """
     from . import dp, location, multi_guess, password
 

@@ -105,18 +105,12 @@ def build(profile: str = "desk", **overrides) -> Scenario:
         noise = _geometric_noise((len(xs), 5), config.nu, gen)
         return table[xs] + noise
 
-    c = config.gain_value
     return Scenario(
         name="dp",
         prior=prior,
         channel=GenerativeChannel(secrets, 5, sampler),
-        gain=GainFunction(secrets, secrets, c * np.eye(2), value_range=(0.0, c)),
+        gain=GainFunction(secrets, secrets, config.gain_value * np.eye(2)),
         exact_vg=exact_dp_vulnerability(config, prior),
         codec=tuple_codec(5, 1.0 / config.total),
         metric_kind="manhattan",
-        details={
-            "label_counts": list(config.label_counts),
-            "removed_label": config.removed_label,
-            "nu": config.nu,
-        },
     )

@@ -1,7 +1,7 @@
 """Location-privacy scenario: grid prior, obfuscation channel, diamond gain.
 
-Locations are cells of a rows x cols grid (250 m sides in the reference
-setup).  The prior comes from a Gowalla check-in dump restricted to a square
+Locations are the cells of a GRID_SIDE x GRID_SIDE grid of CELL_M-meter
+cells; the setup is fixed by the module constants.  The prior comes from a Gowalla check-in dump restricted to a square
 region, or from a synthetic two-hotspot mixture when no dump is supplied.
 The obfuscation mechanism is a planar geometric channel on cell distance
 (a stand-in: the estimation pipeline is mechanism-agnostic and accepts any
@@ -29,21 +29,14 @@ from ..features import grid_codec
 from . import Scenario
 
 KM_PER_DEGREE_LAT = 111.32
-
-
-@dataclass(frozen=True)
-class GridScenarioConfig:
-    rows: int = 20
-    cols: int = 20
-    cell_m: float = 250.0
-    gamma: float = 4.0
-    alpha: float = 0.95
-    mechanism_nu: float = 0.5
-
-    def __post_init__(self) -> None:
-        _require(self.rows >= 1 and self.cols >= 1, "grid sizes must be >= 1")
-        _require(self.cell_m > 0, "cell size must be positive")
-        _require(self.mechanism_nu > 0, "mechanism nu must be positive")
+GRID_SIDE = 20  # cells per side of the reference grid
+CELL_M = 250.0
+GAMMA = 4.0  # diamond gain of an exact guess
+ALPHA = 0.95  # diamond decay per cell
+MECHANISM_NU = 0.5
+REGION_CENTER = (37.755, -122.440)  # San Francisco, (lat, lon)
+REGION_SIDE_KM = 5.0
+LAT_COL, LON_COL = 2, 3  # fields of a Gowalla check-in record
 
 
 def _cell_centers_m(rows: int, cols: int, cell_m: float) -> np.ndarray:
@@ -51,30 +44,22 @@ def _cell_centers_m(rows: int, cols: int, cell_m: float) -> np.ndarray:
     return np.stack([r, c], axis=1) * cell_m + cell_m / 2.0
 
 
-def diamond_gain(
-    rows: int = 20,
-    cols: int = 20,
-    gamma: float = 4.0,
-    alpha: float = 0.95,
-    cell_m: float = 250.0,
-) -> GainFunction:
-    """g(w, x) = round(gamma * exp(-alpha * d(w, x) / cell_m)).
+def diamond_gain(rows: int = GRID_SIDE, cols: int = GRID_SIDE) -> GainFunction:
+    """g(w, x) = round(GAMMA * exp(-ALPHA * d(w, x) / CELL_M)).
 
     d is the Euclidean distance in meters between cell centers.  Rounding is
     half-up (floor(v + 0.5)); no value in the reference configuration lands
     on an exact half, so this matches ordinary rounding and is deterministic.
     """
-    centers = _cell_centers_m(rows, cols, cell_m)
+    centers = _cell_centers_m(rows, cols, CELL_M)
     diff = centers[:, None, :] - centers[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
-    values = np.floor(gamma * np.exp(-alpha * dist / cell_m) + 0.5)
+    values = np.floor(GAMMA * np.exp(-ALPHA * dist / CELL_M) + 0.5)
     alphabet = Alphabet.integers(rows * cols)
-    return GainFunction(alphabet, alphabet, values, value_range=(0.0, gamma))
+    return GainFunction(alphabet, alphabet, values)
 
 
-def grid_geometric_mechanism(
-    rows: int = 20, cols: int = 20, nu: float = 0.5
-) -> Channel:
+def grid_geometric_mechanism(rows: int, cols: int, nu: float) -> Channel:
     """C[x, y] proportional to exp(-nu * d(x, y)) with d in cell units."""
     _require(nu > 0, "nu must be positive")
     centers = _cell_centers_m(rows, cols, 1.0)
@@ -93,29 +78,22 @@ class GowallaIngest:
     total: int
 
 
-def gowalla_ingest(
-    path: str,
-    center: tuple[float, float] = (37.755, -122.440),
-    side_km: float = 5.0,
-    rows: int = 20,
-    cols: int = 20,
-    lat_col: int = 2,
-    lon_col: int = 3,
-) -> GowallaIngest:
-    """Count check-ins per grid cell inside a square region.
+def gowalla_ingest(path: str) -> GowallaIngest:
+    """Count check-ins per cell of the reference grid inside its square region.
 
     The dump has whitespace/tab-separated records (user, timestamp,
-    latitude, longitude, location-id by default).  The region is the square
-    of side ``side_km`` centered at ``center``; its edges are included.
+    latitude, longitude, location-id).  The region is the square of side
+    REGION_SIDE_KM centered at REGION_CENTER; its edges are included.
     Check-ins exactly on an interior cell boundary belong to the lower-index
-    cell: index = min(max(ceil(offset_cells) - 1, 0), size - 1) per axis,
-    with row 0 at the south edge.
+    cell: index = min(max(ceil(offset_cells) - 1, 0), GRID_SIDE - 1) per
+    axis, with row 0 at the south edge.
     """
-    lat0, lon0 = center
-    half = side_km / 2.0
+    lat0, lon0 = REGION_CENTER
+    side, half = REGION_SIDE_KM, REGION_SIDE_KM / 2.0
     km_per_lon = KM_PER_DEGREE_LAT * math.cos(math.radians(lat0))
-    cell_km = side_km / rows
-    counts = np.zeros((rows, cols))
+    cell_km = side / GRID_SIDE
+    last = GRID_SIDE - 1
+    counts = np.zeros((GRID_SIDE, GRID_SIDE))
     total = 0
     in_region = 0
     try:
@@ -125,29 +103,29 @@ def gowalla_ingest(
     with fh:
         for line in fh:
             parts = line.split()
-            if len(parts) <= max(lat_col, lon_col):
+            if len(parts) <= max(LAT_COL, LON_COL):
                 continue
             total += 1
             try:
-                lat = float(parts[lat_col])
-                lon = float(parts[lon_col])
+                lat = float(parts[LAT_COL])
+                lon = float(parts[LON_COL])
             except ValueError:
                 continue
             north_km = (lat - lat0) * KM_PER_DEGREE_LAT + half
             east_km = (lon - lon0) * km_per_lon + half
-            if not (0.0 <= north_km <= side_km and 0.0 <= east_km <= side_km):
+            if not (0.0 <= north_km <= side and 0.0 <= east_km <= side):
                 continue
             in_region += 1
-            r = min(max(math.ceil(north_km / cell_km) - 1, 0), rows - 1)
-            c = min(max(math.ceil(east_km / (side_km / cols)) - 1, 0), cols - 1)
+            r = min(max(math.ceil(north_km / cell_km) - 1, 0), last)
+            c = min(max(math.ceil(east_km / cell_km) - 1, 0), last)
             counts[r, c] += 1
     if in_region == 0:
         raise ValidationError("no check-ins inside the region")
-    prior = Prior(Alphabet.integers(rows * cols), counts.ravel() / in_region)
+    prior = Prior(Alphabet.integers(GRID_SIDE**2), counts.ravel() / in_region)
     return GowallaIngest(prior=prior, in_region=in_region, total=total)
 
 
-def synthetic_prior(rows: int = 20, cols: int = 20) -> Prior:
+def synthetic_prior(rows: int, cols: int) -> Prior:
     """Two-hotspot Gaussian mixture over the grid; documented stand-in used
     when no check-in dump is available."""
     r, c = np.divmod(np.arange(rows * cols), cols)
@@ -158,29 +136,21 @@ def synthetic_prior(rows: int = 20, cols: int = 20) -> Prior:
     return Prior(Alphabet.integers(rows * cols), dens / dens.sum())
 
 
-def build(
-    profile: str = "desk", gowalla_path: str | None = None, **overrides
-) -> Scenario:
-    config = GridScenarioConfig(**overrides)
+def build(profile: str = "desk", gowalla_path: str | None = None) -> Scenario:
+    """The reference grid with the Gowalla prior when a dump is given, the
+    synthetic prior otherwise."""
     if gowalla_path is not None:
-        ingest = gowalla_ingest(gowalla_path, rows=config.rows, cols=config.cols)
-        prior = ingest.prior
-        prior_source = f"gowalla:{ingest.in_region}/{ingest.total}"
+        prior = gowalla_ingest(gowalla_path).prior
     else:
-        prior = synthetic_prior(config.rows, config.cols)
-        prior_source = "synthetic"
-    channel = grid_geometric_mechanism(config.rows, config.cols, config.mechanism_nu)
-    gain = diamond_gain(
-        config.rows, config.cols, config.gamma, config.alpha, config.cell_m
-    )
-    exact = posterior_vulnerability(prior, channel, gain)
+        prior = synthetic_prior(GRID_SIDE, GRID_SIDE)
+    channel = grid_geometric_mechanism(GRID_SIDE, GRID_SIDE, MECHANISM_NU)
+    gain = diamond_gain()
     return Scenario(
         name="location",
         prior=prior,
         channel=channel,
         gain=gain,
-        exact_vg=exact,
-        codec=grid_codec(config.rows, config.cols),
+        exact_vg=posterior_vulnerability(prior, channel, gain),
+        codec=grid_codec(GRID_SIDE, GRID_SIDE),
         metric_kind="euclidean",
-        details={"prior_source": prior_source, "mechanism_nu": config.mechanism_nu},
     )

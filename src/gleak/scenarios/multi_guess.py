@@ -29,16 +29,15 @@ from . import Scenario
 class GeometricChannelConfig:
     """Decay nu, grid sizes, and the secret-center rescale r(x) = scale*x + offset.
 
-    When scale/offset are omitted the centers are spread evenly and the
-    block of centers is centered on the observable grid:
-    scale = |Y| / |X|, offset = (|Y|-1)/2 - scale (|X|-1)/2.
+    When scale is omitted the centers are spread evenly, scale = |Y| / |X|;
+    the block of centers is always centered on the observable grid,
+    offset = (|Y|-1)/2 - scale (|X|-1)/2.
     """
 
     nu: float = 0.002
     secrets: int = 10
     observables: int = 16000
     scale: float | None = None
-    offset: float | None = None
 
     def __post_init__(self) -> None:
         _require(self.nu > 0, "nu must be positive")
@@ -54,8 +53,6 @@ class GeometricChannelConfig:
 
     @property
     def resolved_offset(self) -> float:
-        if self.offset is not None:
-            return self.offset
         s = self.resolved_scale
         return (self.observables - 1) / 2.0 - s * (self.secrets - 1) / 2.0
 
@@ -100,19 +97,12 @@ def build(profile: str = "desk", **overrides) -> Scenario:
     channel = geometric_channel(config)
     prior = Prior.uniform(channel.input)
     gain = two_tries_gain(config.secrets, 2)
-    exact = posterior_vulnerability(prior, channel, gain)
     return Scenario(
         name="multi-guess",
         prior=prior,
         channel=channel,
         gain=gain,
-        exact_vg=exact,
+        exact_vg=posterior_vulnerability(prior, channel, gain),
         codec=scalar_codec(scale=1.0 / (config.observables - 1)),
         metric_kind="absolute",
-        details={
-            "nu": config.nu,
-            "lambda": config.lam,
-            "scale": config.resolved_scale,
-            "offset": config.resolved_offset,
-        },
     )

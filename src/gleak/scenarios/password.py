@@ -38,7 +38,7 @@ AGREE, DISAGREE = 0, 1
 
 @dataclass(frozen=True)
 class PasswordScenarioConfig:
-    total_bits: int = 128
+    total_bits: int = 128  # also the number of time buckets, one per checked bit
     known_prefix: int = 6
     delay_nu: float = 1.0  # math.inf disables the delay
 
@@ -55,20 +55,16 @@ class PasswordScenarioConfig:
         """1-based index of the first unknown bit (7 in the reference setup)."""
         return self.known_prefix + 1
 
-    @property
-    def buckets(self) -> int:
-        return self.total_bits
-
 
 def base_time_law(config: PasswordScenarioConfig) -> np.ndarray:
-    """(2, buckets) law of the checker's stop time per bit-7 class, no delay.
+    """(2, total_bits) law of the checker's stop time per bit-7 class, no delay.
 
     Disagreeing passwords always stop at the target bit.  Agreeing ones stop
     at bit t+j with probability 2^-j (the remaining bits are fair coins) and
     report the full-scan time for a stop at the last bit or a complete match.
     """
     t = config.target_bit
-    n = config.buckets
+    n = config.total_bits
     law = np.zeros((2, n + 1))  # 1-based columns, column 0 unused
     law[DISAGREE, t] = 1.0
     for j in range(1, n - t):
@@ -78,8 +74,8 @@ def base_time_law(config: PasswordScenarioConfig) -> np.ndarray:
 
 
 def _delay_kernel(config: PasswordScenarioConfig) -> np.ndarray:
-    """(buckets, buckets) transition: true time t -> clamped noisy bucket y."""
-    n = config.buckets
+    """(total_bits, total_bits) transition: true time t -> clamped noisy bucket y."""
+    n = config.total_bits
     if math.isinf(config.delay_nu):
         return np.eye(n)
     nu = config.delay_nu
@@ -101,7 +97,7 @@ def reduced_channel(config: PasswordScenarioConfig) -> Channel:
     rc /= rc.sum(axis=1, keepdims=True)
     return Channel(
         Alphabet(("agree", "disagree")),
-        Alphabet.integers(config.buckets, prefix="t"),
+        Alphabet.integers(config.total_bits, prefix="t"),
         rc,
     )
 
@@ -120,7 +116,7 @@ def build(profile: str = "desk", **overrides) -> Scenario:
     prior = Prior.uniform(classes)
     gain = identity_gain(classes)
     t = config.target_bit
-    n = config.buckets
+    n = config.total_bits
 
     def sampler(xs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         count = len(xs)
@@ -148,5 +144,4 @@ def build(profile: str = "desk", **overrides) -> Scenario:
         exact_vg=posterior_vulnerability(prior, reduced_channel(config), gain),
         codec=scalar_codec(scale=1.0 / (n - 1), offset=-1.0 / (n - 1)),
         metric_kind="absolute",
-        details={"delay_nu": config.delay_nu, "target_bit": t},
     )

@@ -35,7 +35,7 @@ from gleak.core import (
 from gleak.estimation import sample_preprocessed_pairs
 from gleak.features import scalar_codec
 from gleak.io import read_channel, write_channel, write_prior
-from gleak.knn import DistanceMetric, KnnClassifier, KnnConfig, k_for, knn_train
+from gleak.knn import DistanceMetric, KnnClassifier, k_for, knn_train
 from gleak.preprocess import WeightedSampleSet, channel_preprocess, data_preprocess
 from gleak.rng import stream
 from gleak.scenarios import build_scenario
@@ -210,7 +210,7 @@ def test_criterion_5_learner_validity():
         np.ones(10, dtype=np.int64),
     )
     metric = DistanceMetric("absolute", scalar_codec())
-    model = knn_train(data, KnnConfig(metric))
+    model = knn_train(data, metric)
     assert model.n_indexed == 3 and model.k == 1
 
     # all ties at the k-th distance vote: the heavier far neighbor wins

@@ -1,8 +1,7 @@
-"""Deviation probabilities, expected-gap bounds, sample complexity, erf."""
+"""Deviation probabilities, expected-gap bounds, sample complexity."""
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,6 @@ from gleak import (
 from gleak.bounds import (
     BoundInputs,
     bound_report,
-    erf,
     expected_error_bounds,
     sample_complexity,
     training_suboptimality_prob,
@@ -46,31 +44,6 @@ def inputs(**overrides):
     )
     base.update(overrides)
     return BoundInputs(**base)
-
-
-class TestErf:
-    def test_against_stdlib_oracle(self):
-        for x in np.linspace(0.0, 6.0, 1201):
-            assert abs(erf(float(x)) - math.erf(float(x))) <= 1e-10
-
-    def test_against_high_precision_oracle(self):
-        mpmath.mp.dps = 40
-        for x in np.linspace(0.0, 6.0, 241):
-            assert abs(erf(float(x)) - float(mpmath.erf(x))) <= 1e-10
-
-    def test_landmarks(self):
-        assert erf(0.0) == 0.0
-        assert erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-12)
-        assert erf(10.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_odd_symmetry(self):
-        for x in (0.1, 0.5, 1.7, 3.3, 5.0):
-            assert erf(-x) == -erf(x)
-
-    def test_branch_seam_is_continuous(self):
-        below = erf(3.0 - 1e-12)
-        above = erf(3.0 + 1e-12)
-        assert abs(below - above) < 1e-10
 
 
 class TestDeviationProbabilities:

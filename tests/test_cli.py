@@ -1,6 +1,7 @@
 """End-to-end tests of the `leak` command line, driven through main(argv)."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -317,6 +318,7 @@ class TestScenarioCommand:
             ("--methods", "frequentist,frequentist", "methods"),
             ("--learners", "knn,knn", "learners"),
             ("--sizes", "200,200", "sizes"),
+            ("--gowalla", "/nonexistent/dump.txt", "gowalla_path"),
         ],
     )
     def test_counts_below_one_rejected(self, capsys, tmp_path, flag, value, field):
@@ -361,6 +363,16 @@ class TestBounds:
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert err.startswith("error:") and repr(sys.float_info.max) in err
+
+    def test_hypothesis_count_near_float_limit(self, capsys):
+        # 2|H| / (delta - split) is beyond the largest float here, but |H|
+        # itself is not: M comes out finite, the log taken as a sum of logs
+        argv = self.base()
+        argv[argv.index("--hypotheses") + 1] = "1" + "0" * 307
+        payload = run_json(capsys, argv)
+        ln_m = math.log(2.0 / 0.025) + 307 * math.log(10.0)
+        assert abs(payload["M"] - (8 * 0.25 + 4 * 0.1 / 3) / 0.1**2 * ln_m) <= 1
+        assert payload["N"] == 249
 
     def test_out_written(self, capsys, tmp_path):
         out_path = tmp_path / "bounds.json"

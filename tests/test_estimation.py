@@ -10,7 +10,6 @@ from gleak import (
     Channel,
     GainFunction,
     GenerativeChannel,
-    KnnConfig,
     DistanceMetric,
     MlpConfig,
     NumericalError,
@@ -38,11 +37,11 @@ from conftest import random_channel, random_gain, random_prior
 
 
 def scalar_knn():
-    return KnnConfig(DistanceMetric("absolute", scalar_codec()))
+    return DistanceMetric("absolute", scalar_codec())
 
 
 def euclid_knn():
-    return KnnConfig(DistanceMetric("euclidean", scalar_codec()))
+    return DistanceMetric("euclidean", scalar_codec())
 
 
 @pytest.fixture
@@ -119,7 +118,7 @@ class TestDataPipeline:
         prior, channel, gain = two_secret
         mlp = MlpConfig(scalar_codec(), (4,), 1e-3, epochs=1, batch_size=8)
         for config, learner_stream in ((None, stream(0, "t/est/l")), (mlp, None)):
-            with pytest.raises(ValidationError, match="needs a KnnConfig"):
+            with pytest.raises(ValidationError, match="needs a DistanceMetric"):
                 fit(
                     "data", prior, channel, gain, 50, config, stream(0, "t/est/t"),
                     learner_stream,

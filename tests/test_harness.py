@@ -97,6 +97,7 @@ class TestTrialMatrixConfig:
             ("methods", ("frequentist", "frequentist")),
             ("learners", ()),
             ("learners", ("knn", "knn")),
+            ("gowalla_path", "dump.txt"),
         ],
     )
     def test_counts_below_one_rejected(self, field, value):
@@ -132,8 +133,8 @@ class TestLearnerConfigTables:
     def test_knn_uses_scenario_metric(self):
         scenario = build_scenario("dp")
         config = harness.learner_config(scenario, "data", "knn", "desk", 2000)
-        assert config.metric.kind == "manhattan"
-        assert config.metric.codec is scenario.codec
+        assert config.kind == "manhattan"
+        assert config.codec is scenario.codec
         assert harness.learner_config(scenario, "frequentist", "none", "desk", 2000) is None
 
     def test_mlp_published_parameters(self):
@@ -257,12 +258,6 @@ class TestRunTrialMatrix:
         metrics, rows = run_trial_matrix(config)
         assert len(rows) == 2
         assert {r.method for r in rows} == {"channel"}
-
-    def test_prepared_scenario_bypasses_builder(self):
-        scenario = build_scenario("multi-guess")
-        config = tiny_config(sizes=(300,), num_train_sets=1, num_valid_sets=1)
-        metrics, rows = run_trial_matrix(config, scenario=scenario)
-        assert rows[0].exact == scenario.exact_vg
 
     def test_each_model_predicts_once_on_distinct_rows(self, run, monkeypatch):
         """With J = 3 every model is asked once, on the distinct rows of the

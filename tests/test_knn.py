@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gleak import Alphabet, DistanceMetric, KnnConfig, ValidationError, scalar_codec
+from gleak import Alphabet, DistanceMetric, ValidationError, scalar_codec
 from gleak import knn
 from gleak.features import tuple_codec
 from gleak.knn import METRIC_KINDS, KnnClassifier, k_for, knn_train
@@ -30,8 +30,8 @@ def weighted(ws, ys, weights, n_guesses=None):
     )
 
 
-def scalar_config():
-    return KnnConfig(DistanceMetric("absolute", scalar_codec(1.0)))
+def scalar_metric():
+    return DistanceMetric("absolute", scalar_codec(1.0))
 
 
 # scalar codecs whose features round: thirds and tenths, and offsets at which
@@ -74,7 +74,7 @@ class TestTraining:
             ys=[[3], [3], [5], [3]],
             weights=[2, 1, 4, 6],
         )
-        model = knn_train(data, scalar_config())
+        model = knn_train(data, scalar_metric())
         assert model.n_indexed == 2  # distinct observables {3, 5}
         assert model.k == 1
         np.testing.assert_array_equal(model.tallies, [[2.0, 7.0], [4.0, 0.0]])
@@ -88,8 +88,8 @@ class TestTraining:
         ws_dup = np.repeat(ws, weights)
         ys_dup = np.repeat(ys, weights, axis=0)
         duplicated = weighted(ws_dup, ys_dup, np.ones(ws_dup.size, dtype=int), 3)
-        a = knn_train(compact, scalar_config())
-        b = knn_train(duplicated, scalar_config())
+        a = knn_train(compact, scalar_metric())
+        b = knn_train(duplicated, scalar_metric())
         assert a.k == b.k
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.tallies, b.tallies)
@@ -100,7 +100,7 @@ class TestTraining:
 class TestPrediction:
     def test_single_neighbor_vote(self):
         data = weighted(ws=[0, 1], ys=[[0], [10]], weights=[1, 1])
-        model = knn_train(data, scalar_config())
+        model = knn_train(data, scalar_metric())
         assert model.predict(np.array([[1], [9]])).tolist() == [0, 1]
 
     def test_distance_ties_include_all(self):
@@ -111,7 +111,7 @@ class TestPrediction:
             ys=[[0], [1], [2], [4], [6], [8], [11], [12]],
             weights=[1, 1, 1, 3, 1, 3, 1, 1],
         )
-        model = knn_train(data, scalar_config())
+        model = knn_train(data, scalar_metric())
         assert model.k == 2
         # query 3: distances to 2 and 4 are both 1 = kth distance -> both in;
         # votes w1: 1 (from 2) + 3 (from 4) vs w0: 0 -> guess 1
@@ -122,27 +122,27 @@ class TestPrediction:
     def test_kth_distance_tie_pulls_in_extra_neighbors(self):
         # k = 1 (l = 3) but two points tie at the nearest distance
         data = weighted(ws=[0, 1, 1], ys=[[4], [6], [20]], weights=[1, 2, 1])
-        model = knn_train(data, scalar_config())
+        model = knn_train(data, scalar_metric())
         assert model.k == 1
         # query 5: both 4 and 6 at distance 1; votes w0=1, w1=2 -> 1
         assert model.predict(np.array([[5]])).tolist() == [1]
 
     def test_vote_ties_break_to_lowest_guess_index(self):
         data = weighted(ws=[2, 1], ys=[[4], [6]], weights=[5, 5], n_guesses=3)
-        model = knn_train(data, scalar_config())
+        model = knn_train(data, scalar_metric())
         # query 5: equidistant, equal votes for guesses 1 and 2 -> lowest (1)
         assert model.predict(np.array([[5]])).tolist() == [1]
 
     def test_k_capped_by_index_size(self):
         data = weighted(ws=[0], ys=[[7]], weights=[9])
-        model = knn_train(data, scalar_config())
+        model = knn_train(data, scalar_metric())
         assert model.predict(np.array([[0], [100]])).tolist() == [0, 0]
 
     def test_chunked_prediction_matches_unchunked(self, monkeypatch):
         gen = np.random.default_rng(11)
         for config, width in (
-            (scalar_config(), 1),
-            (KnnConfig(DistanceMetric("manhattan", tuple_codec(3, 0.5))), 3),
+            (scalar_metric(), 1),
+            (DistanceMetric("manhattan", tuple_codec(3, 0.5)), 3),
         ):
             data = weighted(
                 gen.integers(0, 4, size=300),
@@ -166,7 +166,7 @@ class TestPrediction:
             np.array([[2.0], [4.0], [6.0], [8.0]]),
             np.array([[0.0, 3.0], [2.0, 0.0], [0.0, 1.0], [4.0, 0.0]]),
             1,
-            scalar_config().metric,
+            scalar_metric(),
         )
         expected = {5: 0, -1: 1, 11: 0}[query]
         assert model.predict(np.array([[query]])).tolist() == [expected]
@@ -188,7 +188,7 @@ class TestPrediction:
             np.testing.assert_array_equal(model._run_votes(queries, k), expected)
 
     def test_tallies_must_be_counts(self):
-        metric = scalar_config().metric
+        metric = scalar_metric()
         for tallies in ([[0.5, 1.0]], [[-1.0, 2.0]], [[2.0**53, 0.0]]):
             with pytest.raises(ValidationError):
                 KnnClassifier(np.array([[0.0]]), np.array(tallies), 1, metric)
@@ -282,7 +282,7 @@ class TestMetrics:
 
     def test_tuple_metric_prediction(self):
         codec = tuple_codec(2, 1.0)
-        config = KnnConfig(DistanceMetric("manhattan", codec))
+        config = DistanceMetric("manhattan", codec)
         data = WeightedSampleSet(
             Alphabet.integers(2, "w"),
             np.array([0, 1]),
