@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-from .core import ValidationError, _pair_gains, _require
+from .core import NumericalError, ValidationError, _pair_gains, _require
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -185,7 +185,12 @@ def sample_complexity(
 
 
 def bound_report(inputs: BoundInputs) -> BoundReport:
-    """Evaluate every calculator on one BoundInputs."""
+    """Evaluate every calculator on one BoundInputs.
+
+    A field that comes out infinite or NaN (the expected training gap grows
+    with |H| and overflows near the largest float) is a numerical failure:
+    JSON has no token for it.
+    """
     v_gap, t_gap = expected_error_bounds(inputs)
     m_req, n_req = sample_complexity(
         inputs.epsilon,
@@ -195,7 +200,7 @@ def bound_report(inputs: BoundInputs) -> BoundReport:
         inputs.range,
         inputs.hypothesis_count,
     )
-    return BoundReport(
+    report = BoundReport(
         validation_deviation_prob=validation_deviation_prob(
             inputs.n, inputs.sigma2, inputs.range, inputs.epsilon
         ),
@@ -212,3 +217,10 @@ def bound_report(inputs: BoundInputs) -> BoundReport:
         M=m_req,
         N=n_req,
     )
+    unbounded = [
+        name for name, value in report.as_dict().items()
+        if isinstance(value, float) and not math.isfinite(value)
+    ]
+    if unbounded:
+        raise NumericalError(f"bound is not finite: {', '.join(unbounded)}")
+    return report

@@ -245,13 +245,9 @@ def frequentist_predictor(train: SampleSet, gain: GainFunction) -> TablePredicto
     break toward the lowest index throughout.
     """
     _require(train.size > 0, "training set is empty")
-    combined = np.concatenate([train.ys, train.xs[:, None]], axis=1)
-    distinct, counts = _unique_rows(combined, return_counts=True)
-    y_rows = distinct[:, :-1]
-    x_vals = distinct[:, -1]
-    y_distinct, y_inverse = _unique_rows(y_rows, return_inverse=True)
+    y_distinct, y_inverse = _unique_rows(train.ys, return_inverse=True)
     cond_counts = np.zeros((y_distinct.shape[0], train.secrets.size))
-    np.add.at(cond_counts, (y_inverse, x_vals), counts.astype(np.float64))
+    np.add.at(cond_counts, (y_inverse, train.xs), 1.0)
     # argmax_w sum_x counts(x|y) g(w,x); normalization by count(y) cancels
     scores = cond_counts @ gain.matrix.T
     x_mode = int(np.argmax(np.bincount(train.xs, minlength=train.secrets.size)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -96,12 +96,12 @@ def learner_config(
     if method == "frequentist":
         return None
     if learner == "knn":
-        return DistanceMetric(scenario.metric_kind, scenario.codec)
+        return scenario.metric
     table = _PAPER_MLP if profile == "paper" else _DESK_MLP
     hidden, lr, epochs, batch = table[(scenario.name, method)]
     sizes = PROFILES[profile].sizes
     return MlpConfig(
-        codec=scenario.codec,
+        codec=scenario.metric.codec,
         hidden=hidden,
         learning_rate=lr,
         epochs=_per_size(epochs, m, sizes),
@@ -111,6 +111,8 @@ def learner_config(
 
 @dataclass(frozen=True)
 class TrialMatrixConfig:
+    """One trial matrix; counts and sizes left None take the profile's."""
+
     scenario: str
     master_seed: int = 0
     profile: str = "desk"
@@ -129,44 +131,26 @@ class TrialMatrixConfig:
         _require(all(m in METHODS for m in self.methods), "unknown method")
         _require(all(l in LEARNERS for l in self.learners), "unknown learner")
         _require(self.workers >= 1, "workers must be >= 1")
-        _require(
-            self.gowalla_path is None or self.scenario == "location",
-            f"gowalla_path is read only by the location scenario, not {self.scenario!r}",
-        )
+        base = PROFILES[self.profile]
+        for field in ("sizes", "num_train_sets", "num_valid_sets", "valid_size"):
+            if getattr(self, field) is None:
+                object.__setattr__(self, field, getattr(base, field))
         for field in ("num_train_sets", "num_valid_sets", "valid_size"):
             value = getattr(self, field)
-            _require(value is None or value >= 1, f"{field} must be >= 1, got {value}")
+            _require(value >= 1, f"{field} must be >= 1, got {value}")
         for field in ("methods", "learners", "sizes"):
             value = getattr(self, field)
-            if value is not None:
-                _require(len(value) > 0, f"{field} must not be empty")
-                _require(len(set(value)) == len(value), f"{field} repeats an entry: {value}")
-        if self.sizes is not None:
-            _require(
-                all(m >= 1 for m in self.sizes),
-                f"every entry of sizes must be >= 1, got {self.sizes}",
-            )
+            _require(len(value) > 0, f"{field} must not be empty")
+            _require(len(set(value)) == len(value), f"{field} repeats an entry: {value}")
+        _require(
+            all(m >= 1 for m in self.sizes),
+            f"every entry of sizes must be >= 1, got {self.sizes}",
+        )
 
     def resolved(self) -> dict:
-        base = PROFILES[self.profile]
-        return {
-            "schema": 1,
-            "scenario": self.scenario,
-            "master_seed": self.master_seed,
-            "profile": self.profile,
-            "methods": list(self.methods),
-            "learners": list(self.learners),
-            "sizes": list(base.sizes if self.sizes is None else self.sizes),
-            "num_train_sets": _given(self.num_train_sets, base.num_train_sets),
-            "num_valid_sets": _given(self.num_valid_sets, base.num_valid_sets),
-            "valid_size": _given(self.valid_size, base.valid_size),
-            "workers": self.workers,
-            "gowalla_path": self.gowalla_path,
-        }
-
-
-def _given(value: int | None, default: int) -> int:
-    return default if value is None else value
+        """The config as ``summary.json`` records it, tuples as lists."""
+        fields = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        return {"schema": 1, **fields}
 
 
 @dataclass(frozen=True)
@@ -268,15 +252,13 @@ def run_trial_matrix(
     config: TrialMatrixConfig,
 ) -> tuple[list[MetricsReport], list[TrialRow]]:
     """Execute the full grid; returns per-cell metrics and per-trial rows."""
-    resolved = config.resolved()
-    extra = {"gowalla_path": config.gowalla_path} if config.gowalla_path else {}
-    scenario = build_scenario(config.scenario, profile=config.profile, **extra)
+    scenario = build_scenario(config.scenario, config.profile, config.gowalla_path)
     if scenario.exact_vg <= 0:
         raise ValidationError("exact V_g must be positive to normalize errors")
-    sizes = tuple(resolved["sizes"])
-    num_i = resolved["num_train_sets"]
-    num_j = resolved["num_valid_sets"]
-    n = resolved["valid_size"]
+    sizes = config.sizes
+    num_i = config.num_train_sets
+    num_j = config.num_valid_sets
+    n = config.valid_size
 
     valid_sets: list[SampleSet] = [
         sample_joint(

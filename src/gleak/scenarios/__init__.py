@@ -1,17 +1,21 @@
 """Experiment scenario generators.
 
 Each scenario bundles a prior, a channel (matrix or generative), a gain, the
-exact g-vulnerability (closed form or analytic oracle), and the feature
-codec / distance-metric choices the learners use on its observables.
+exact g-vulnerability (closed form or analytic oracle), and the distance
+metric, with its feature codec, that the learners use on its observables.
+Every scenario's setup is fixed by its module's constants.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from ..core import Channel, GainFunction, GenerativeChannel, Prior, ValidationError
-from ..features import FeatureCodec
+from ..knn import DistanceMetric
 
 
 @dataclass(frozen=True)
@@ -21,22 +25,40 @@ class Scenario:
     channel: Union[Channel, GenerativeChannel]
     gain: GainFunction
     exact_vg: float
-    codec: FeatureCodec
-    metric_kind: str
+    metric: DistanceMetric
 
 
-def build_scenario(name: str, profile: str = "desk", **kwargs) -> Scenario:
+def geometric_lambda(nu: float) -> float:
+    """Normalizer of the two-sided geometric law P(d) = lambda exp(-nu |d|)
+    over the integers."""
+    return (math.exp(nu) - 1.0) / (math.exp(nu) + 1.0)
+
+
+def two_sided_geometric(
+    shape: int | tuple[int, ...], nu: float, gen: np.random.Generator
+) -> np.ndarray:
+    """Two-sided geometric (discrete Laplace) draws with P(d) ~ exp(-nu |d|),
+    sampled as the difference of two geometrics."""
+    p = 1.0 - math.exp(-nu)
+    return (gen.geometric(p, size=shape) - gen.geometric(p, size=shape)).astype(
+        np.int64
+    )
+
+
+def build_scenario(
+    name: str, profile: str = "desk", gowalla_path: str | None = None
+) -> Scenario:
     """Build one of: multi-guess, location, dp, password.
 
     ``profile`` is "desk" or "paper"; only multi-guess changes size with it.
-    ``kwargs`` override fields of the scenario's config dataclass; location
-    has none and takes only ``gowalla_path``.
+    ``gowalla_path`` is a check-in dump for the location prior and is read
+    by no other scenario.
     """
     from . import dp, location, multi_guess, password
 
     builders = {
-        "multi-guess": multi_guess.build,
-        "location": location.build,
+        "multi-guess": lambda: multi_guess.build(profile),
+        "location": lambda: location.build(gowalla_path),
         "dp": dp.build,
         "password": password.build,
     }
@@ -46,7 +68,11 @@ def build_scenario(name: str, profile: str = "desk", **kwargs) -> Scenario:
         )
     if profile not in ("desk", "paper"):
         raise ValidationError(f"unknown profile {profile!r}")
-    return builders[name](profile=profile, **kwargs)
+    if gowalla_path is not None and name != "location":
+        raise ValidationError(
+            f"gowalla_path is read only by the location scenario, not {name!r}"
+        )
+    return builders[name]()
 
 
 SCENARIO_NAMES = ("multi-guess", "location", "dp", "password")

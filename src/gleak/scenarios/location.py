@@ -26,6 +26,7 @@ from ..core import (
     posterior_vulnerability,
 )
 from ..features import grid_codec
+from ..knn import DistanceMetric
 from . import Scenario
 
 KM_PER_DEGREE_LAT = 111.32
@@ -136,7 +137,7 @@ def synthetic_prior(rows: int, cols: int) -> Prior:
     return Prior(Alphabet.integers(rows * cols), dens / dens.sum())
 
 
-def build(profile: str = "desk", gowalla_path: str | None = None) -> Scenario:
+def build(gowalla_path: str | None) -> Scenario:
     """The reference grid with the Gowalla prior when a dump is given, the
     synthetic prior otherwise."""
     if gowalla_path is not None:
@@ -151,6 +152,5 @@ def build(profile: str = "desk", gowalla_path: str | None = None) -> Scenario:
         channel=channel,
         gain=gain,
         exact_vg=posterior_vulnerability(prior, channel, gain),
-        codec=grid_codec(GRID_SIDE, GRID_SIDE),
-        metric_kind="euclidean",
+        metric=DistanceMetric("euclidean", grid_codec(GRID_SIDE, GRID_SIDE)),
     )

@@ -8,8 +8,6 @@ adversary may name a k-subset of secrets and gains 1 if the secret is in it.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,62 +20,34 @@ from ..core import (
     posterior_vulnerability,
 )
 from ..features import scalar_codec
-from . import Scenario
+from ..knn import DistanceMetric
+from . import Scenario, geometric_lambda
+
+NU = 0.002
+SECRETS = 10
+# profile -> observable grid size and spacing of the secret centers: the
+# desk grid spreads the centers evenly, the paper grid rescales them
+OBSERVABLES = {"desk": 1600, "paper": 16000}
+SCALE = {"desk": 160.0, "paper": 1000.0}
 
 
-@dataclass(frozen=True)
-class GeometricChannelConfig:
-    """Decay nu, grid sizes, and the secret-center rescale r(x) = scale*x + offset.
-
-    When scale is omitted the centers are spread evenly, scale = |Y| / |X|;
-    the block of centers is always centered on the observable grid,
-    offset = (|Y|-1)/2 - scale (|X|-1)/2.
-    """
-
-    nu: float = 0.002
-    secrets: int = 10
-    observables: int = 16000
-    scale: float | None = None
-
-    def __post_init__(self) -> None:
-        _require(self.nu > 0, "nu must be positive")
-        _require(self.secrets >= 1 and self.observables >= 1, "sizes must be >= 1")
-
-    @property
-    def lam(self) -> float:
-        return (math.exp(self.nu) - 1.0) / (math.exp(self.nu) + 1.0)
-
-    @property
-    def resolved_scale(self) -> float:
-        return self.observables / self.secrets if self.scale is None else self.scale
-
-    @property
-    def resolved_offset(self) -> float:
-        s = self.resolved_scale
-        return (self.observables - 1) / 2.0 - s * (self.secrets - 1) / 2.0
-
-    def center(self, x: int) -> float:
-        return self.resolved_scale * x + self.resolved_offset
-
-
-def geometric_channel(config: GeometricChannelConfig) -> Channel:
+def geometric_channel(nu: float, secrets: int, observables: int, scale: float) -> Channel:
     """C[x, y] proportional to lambda * exp(-nu |r(x) - y|), rows renormalized.
 
+    The centers r(x) = scale*x + offset form a block centered on the
+    observable grid, offset = (observables-1)/2 - scale (secrets-1)/2.
     Renormalization completes the truncation to the finite grid; with the
     paper parameters the off-grid tail is far below the row tolerance.
     """
-    ys = np.arange(config.observables, dtype=np.float64)
-    centers = np.array([config.center(x) for x in range(config.secrets)])
-    rows = config.lam * np.exp(-config.nu * np.abs(centers[:, None] - ys[None, :]))
+    ys = np.arange(observables, dtype=np.float64)
+    offset = (observables - 1) / 2.0 - scale * (secrets - 1) / 2.0
+    centers = scale * np.arange(secrets) + offset
+    rows = geometric_lambda(nu) * np.exp(-nu * np.abs(centers[:, None] - ys[None, :]))
     rows /= rows.sum(axis=1, keepdims=True)
-    return Channel(
-        Alphabet.integers(config.secrets),
-        Alphabet.integers(config.observables),
-        rows,
-    )
+    return Channel(Alphabet.integers(secrets), Alphabet.integers(observables), rows)
 
 
-def two_tries_gain(num_secrets: int, k: int = 2) -> GainFunction:
+def two_tries_gain(num_secrets: int, k: int) -> GainFunction:
     """Guesses are all k-subsets of secrets; gain 1 iff the secret is in the set."""
     _require(1 <= k < num_secrets, "need 1 <= k < num_secrets")
     secrets = Alphabet.integers(num_secrets)
@@ -89,20 +59,16 @@ def two_tries_gain(num_secrets: int, k: int = 2) -> GainFunction:
     return GainFunction(guesses, secrets, matrix)
 
 
-def build(profile: str = "desk", **overrides) -> Scenario:
-    if profile == "paper":
-        config = GeometricChannelConfig(scale=1000.0, **overrides)
-    else:
-        config = GeometricChannelConfig(observables=1600, **overrides)
-    channel = geometric_channel(config)
+def build(profile: str) -> Scenario:
+    observables = OBSERVABLES[profile]
+    channel = geometric_channel(NU, SECRETS, observables, SCALE[profile])
     prior = Prior.uniform(channel.input)
-    gain = two_tries_gain(config.secrets, 2)
+    gain = two_tries_gain(SECRETS, 2)
     return Scenario(
         name="multi-guess",
         prior=prior,
         channel=channel,
         gain=gain,
         exact_vg=posterior_vulnerability(prior, channel, gain),
-        codec=scalar_codec(scale=1.0 / (config.observables - 1)),
-        metric_kind="absolute",
+        metric=DistanceMetric("absolute", scalar_codec(scale=1.0 / (observables - 1))),
     )

@@ -17,7 +17,6 @@ Bayes vulnerability of the analytic 2 x 128 reduced channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,45 +25,30 @@ from ..core import (
     Channel,
     GenerativeChannel,
     Prior,
-    _require,
     identity_gain,
     posterior_vulnerability,
 )
 from ..features import scalar_codec
-from . import Scenario
+from ..knn import DistanceMetric
+from . import Scenario, geometric_lambda, two_sided_geometric
 
 AGREE, DISAGREE = 0, 1
+TOTAL_BITS = 128  # also the number of time buckets, one per checked bit
+KNOWN_PREFIX = 6  # so the target is bit 7, the first unknown one
+DELAY_NU = 1.0
 
 
-@dataclass(frozen=True)
-class PasswordScenarioConfig:
-    total_bits: int = 128  # also the number of time buckets, one per checked bit
-    known_prefix: int = 6
-    delay_nu: float = 1.0  # math.inf disables the delay
+def base_time_law(total_bits: int, known_prefix: int) -> np.ndarray:
+    """(2, total_bits) law of the checker's stop time per target-bit class,
+    no delay.
 
-    def __post_init__(self) -> None:
-        _require(self.total_bits >= 2, "need at least 2 bits")
-        _require(
-            0 <= self.known_prefix <= self.total_bits - 2,
-            "prefix must leave at least 2 unknown bits",
-        )
-        _require(self.delay_nu > 0, "delay nu must be positive")
-
-    @property
-    def target_bit(self) -> int:
-        """1-based index of the first unknown bit (7 in the reference setup)."""
-        return self.known_prefix + 1
-
-
-def base_time_law(config: PasswordScenarioConfig) -> np.ndarray:
-    """(2, total_bits) law of the checker's stop time per bit-7 class, no delay.
-
-    Disagreeing passwords always stop at the target bit.  Agreeing ones stop
-    at bit t+j with probability 2^-j (the remaining bits are fair coins) and
-    report the full-scan time for a stop at the last bit or a complete match.
+    Disagreeing passwords always stop at the target bit t = known_prefix + 1.
+    Agreeing ones stop at bit t+j with probability 2^-j (the remaining bits
+    are fair coins) and report the full-scan time for a stop at the last bit
+    or a complete match.
     """
-    t = config.target_bit
-    n = config.total_bits
+    t = known_prefix + 1
+    n = total_bits
     law = np.zeros((2, n + 1))  # 1-based columns, column 0 unused
     law[DISAGREE, t] = 1.0
     for j in range(1, n - t):
@@ -73,17 +57,16 @@ def base_time_law(config: PasswordScenarioConfig) -> np.ndarray:
     return law[:, 1:]
 
 
-def _delay_kernel(config: PasswordScenarioConfig) -> np.ndarray:
-    """(total_bits, total_bits) transition: true time t -> clamped noisy bucket y."""
-    n = config.total_bits
-    if math.isinf(config.delay_nu):
+def _delay_kernel(total_bits: int, delay_nu: float) -> np.ndarray:
+    """(total_bits, total_bits) transition: true time t -> clamped noisy
+    bucket y; ``delay_nu = math.inf`` is no delay."""
+    n = total_bits
+    if math.isinf(delay_nu):
         return np.eye(n)
-    nu = config.delay_nu
-    q = math.exp(-nu)
-    lam = (1.0 - q) / (1.0 + q)
+    q = math.exp(-delay_nu)
     ts = np.arange(1, n + 1)
     ys = np.arange(1, n + 1)
-    kernel = lam * np.power(q, np.abs(ys[None, :] - ts[:, None]))
+    kernel = geometric_lambda(delay_nu) * np.power(q, np.abs(ys[None, :] - ts[:, None]))
     # boundary absorption: P(bucket 1) = P(D <= 1 - t) = q^(t-1) / (1 + q)
     # and symmetrically for bucket n; the formulas cover t = 1 and t = n too
     kernel[:, 0] = np.power(q, ts - 1) / (1.0 + q)
@@ -91,18 +74,18 @@ def _delay_kernel(config: PasswordScenarioConfig) -> np.ndarray:
     return kernel
 
 
-def reduced_channel(config: PasswordScenarioConfig) -> Channel:
-    """Analytic 2 x 128 channel from bit-7 class to observed bucket."""
-    rc = base_time_law(config) @ _delay_kernel(config)
+def reduced_channel(total_bits: int, known_prefix: int, delay_nu: float) -> Channel:
+    """Analytic 2 x total_bits channel from target-bit class to observed bucket."""
+    rc = base_time_law(total_bits, known_prefix) @ _delay_kernel(total_bits, delay_nu)
     rc /= rc.sum(axis=1, keepdims=True)
     return Channel(
         Alphabet(("agree", "disagree")),
-        Alphabet.integers(config.total_bits, prefix="t"),
+        Alphabet.integers(total_bits, prefix="t"),
         rc,
     )
 
 
-def build(profile: str = "desk", **overrides) -> Scenario:
+def build() -> Scenario:
     """Uniform class prior, the timing sampler, the partition gain and the
     exact V_g of the reduced channel.
 
@@ -111,12 +94,11 @@ def build(profile: str = "desk", **overrides) -> Scenario:
     bits, then the delay is added and clamped.  Observables are encoded as
     the 1-based bucket index.
     """
-    config = PasswordScenarioConfig(**overrides)
     classes = Alphabet(("agree", "disagree"))
     prior = Prior.uniform(classes)
     gain = identity_gain(classes)
-    t = config.target_bit
-    n = config.total_bits
+    t = KNOWN_PREFIX + 1
+    n = TOTAL_BITS
 
     def sampler(xs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         count = len(xs)
@@ -126,22 +108,19 @@ def build(profile: str = "desk", **overrides) -> Scenario:
         # last checkable position means a stop there or a full match
         firsts = gen.geometric(0.5, size=count)
         times[agree] = np.minimum(t + firsts[agree], n)
-        if math.isinf(config.delay_nu):
-            noisy = times
-        else:
-            p = 1.0 - math.exp(-config.delay_nu)
-            delay = (
-                gen.geometric(p, size=count) - gen.geometric(p, size=count)
-            ).astype(np.int64)
-            noisy = np.clip(times + delay, 1, n)
+        noisy = np.clip(times + two_sided_geometric(count, DELAY_NU, gen), 1, n)
         return noisy[:, None]
 
+    exact = posterior_vulnerability(
+        prior, reduced_channel(TOTAL_BITS, KNOWN_PREFIX, DELAY_NU), gain
+    )
     return Scenario(
         name="password",
         prior=prior,
         channel=GenerativeChannel(classes, 1, sampler),
         gain=gain,
-        exact_vg=posterior_vulnerability(prior, reduced_channel(config), gain),
-        codec=scalar_codec(scale=1.0 / (n - 1), offset=-1.0 / (n - 1)),
-        metric_kind="absolute",
+        exact_vg=exact,
+        metric=DistanceMetric(
+            "absolute", scalar_codec(scale=1.0 / (n - 1), offset=-1.0 / (n - 1))
+        ),
     )

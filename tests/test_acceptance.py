@@ -39,7 +39,7 @@ from gleak.knn import DistanceMetric, KnnClassifier, k_for, knn_train
 from gleak.preprocess import WeightedSampleSet, channel_preprocess, data_preprocess
 from gleak.rng import stream
 from gleak.scenarios import build_scenario
-from gleak.scenarios.password import PasswordScenarioConfig, reduced_channel
+from gleak.scenarios.password import DELAY_NU, KNOWN_PREFIX, TOTAL_BITS, reduced_channel
 
 
 def leak(*argv: str) -> dict:
@@ -283,7 +283,7 @@ def test_criterion_7_partition_gain_coincidence():
     tv = 0.5 * np.abs(histogram(weighted) - histogram(pairs)).sum()
     assert tv <= 0.02
 
-    rc = reduced_channel(PasswordScenarioConfig())
+    rc = reduced_channel(TOTAL_BITS, KNOWN_PREFIX, DELAY_NU)
     assert rc.rows.shape == (2, 128)
     np.testing.assert_allclose(rc.rows.sum(axis=1), 1.0, atol=1e-9)
 

@@ -331,6 +331,18 @@ class TestScenarioCommand:
         assert err.startswith("error:") and field in err
         assert not list(tmp_path.iterdir())
 
+    def test_empty_gowalla_path_is_read(self, capsys, tmp_path):
+        # an empty path names no file; it is not taken as "no dump"
+        code, out, err = run_cli(
+            capsys,
+            ["scenario", "location", "--gowalla", "", "--methods", "frequentist",
+             "--sizes", "300", "--train-sets", "1", "--valid-sets", "1",
+             "--valid-size", "300", "--out", str(tmp_path / "run")],
+        )
+        assert code == 2
+        assert err.startswith("error: cannot read check-in dump")
+        assert out == "" and not list(tmp_path.iterdir())
+
 
 class TestBounds:
     def base(self):
@@ -373,6 +385,18 @@ class TestBounds:
         ln_m = math.log(2.0 / 0.025) + 307 * math.log(10.0)
         assert abs(payload["M"] - (8 * 0.25 + 4 * 0.1 / 3) / 0.1**2 * ln_m) <= 1
         assert payload["N"] == 249
+
+    @pytest.mark.parametrize("leading", ["1", "17"])
+    def test_infinite_training_gap_is_numerical_failure(self, capsys, leading):
+        # with m = 1, |H| * r_m overflows though |H| itself is a float; JSON
+        # cannot carry the infinity, so nothing is printed and the exit is 3
+        argv = self.base()
+        argv[argv.index("--m") + 1] = "1"
+        argv[argv.index("--hypotheses") + 1] = leading + "0" * 307
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert err.startswith("numerical failure:") and "expected_training_gap" in err
+        assert out == ""
 
     def test_out_written(self, capsys, tmp_path):
         out_path = tmp_path / "bounds.json"

@@ -76,6 +76,7 @@ class TestMetricsReport:
 class TestTrialMatrixConfig:
     def test_defaults_resolve_from_profile(self):
         config = TrialMatrixConfig(scenario="dp")
+        assert config.sizes == (2000, 10000, 30000)
         resolved = config.resolved()
         assert resolved["schema"] == 1
         assert resolved["sizes"] == [2000, 10000, 30000]
@@ -97,7 +98,6 @@ class TestTrialMatrixConfig:
             ("methods", ("frequentist", "frequentist")),
             ("learners", ()),
             ("learners", ("knn", "knn")),
-            ("gowalla_path", "dump.txt"),
         ],
     )
     def test_counts_below_one_rejected(self, field, value):
@@ -134,7 +134,7 @@ class TestLearnerConfigTables:
         scenario = build_scenario("dp")
         config = harness.learner_config(scenario, "data", "knn", "desk", 2000)
         assert config.kind == "manhattan"
-        assert config.codec is scenario.codec
+        assert config is scenario.metric
         assert harness.learner_config(scenario, "frequentist", "none", "desk", 2000) is None
 
     def test_mlp_published_parameters(self):
@@ -250,6 +250,11 @@ class TestRunTrialMatrix:
         config, (metrics, rows) = run
         _, rows2 = run_trial_matrix(tiny_config(master_seed=1))
         assert any(a.estimate != b.estimate for a, b in zip(rows, rows2))
+
+    def test_gowalla_path_rejected_outside_location(self):
+        # checked where the scenario is built, before any sampling
+        with pytest.raises(ValidationError, match="gowalla_path"):
+            run_trial_matrix(tiny_config(scenario="dp", gowalla_path="dump.txt"))
 
     def test_channel_method_runs(self):
         config = tiny_config(

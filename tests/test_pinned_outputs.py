@@ -6,7 +6,8 @@ shared between `leak estimate` and `leak scenario`; the location and
 password estimates and every payload's details were recorded before all
 three methods went through one `estimate` function; the `leak bounds` and
 `leak preprocess` outputs before the two pre-processing derivations shared
-one split of their score matrix.  Only kNN and the frequentist baseline are
+one split of their score matrix; the exact V_g of every scenario and profile
+before the scenario config dataclasses became module constants.  Only kNN and the frequentist baseline are
 pinned: MLP training sums through BLAS, whose summation order is not
 portable across builds.
 """
@@ -18,6 +19,7 @@ import pytest
 
 from gleak.cli import main
 from gleak.harness import TrialMatrixConfig, emit_reports, run_trial_matrix
+from gleak.scenarios import build_scenario
 
 ARTIFACT_SHA256 = {
     "multi-guess": (
@@ -40,6 +42,18 @@ ARTIFACT_SHA256 = {
         "2f75512e8846dd532c93eeb0a1b0d6948cf5a9502ce10c691c7685d4a20a8b87",
         "5402de0c8cc6addb14712b69c6a93bf413ce1313e59f1aaa42342090b87d8c0e",
     ),
+}
+
+# (scenario, profile) -> repr of the exact V_g
+EXACT_VG = {
+    ("multi-guess", "desk"): "0.394053718697675",
+    ("multi-guess", "paper"): "0.89172643515224",
+    ("location", "desk"): "0.686018320516057",
+    ("location", "paper"): "0.686018320516057",
+    ("dp", "desk"): "1.4621171572589988",
+    ("dp", "paper"): "1.4621171572589988",
+    ("password", "desk"): "0.783139106826576",
+    ("password", "paper"): "0.783139106826576",
 }
 
 DATA_DETAILS = {
@@ -96,6 +110,12 @@ def test_trial_matrix_artifacts(scenario, tmp_path):
     paths = emit_reports(metrics, rows, config.resolved(), tmp_path / scenario)
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
     assert digests == ARTIFACT_SHA256[scenario]
+
+
+@pytest.mark.parametrize("scenario,profile", sorted(EXACT_VG))
+def test_exact_vg(scenario, profile):
+    exact = build_scenario(scenario, profile=profile).exact_vg
+    assert repr(exact) == EXACT_VG[(scenario, profile)]
 
 
 @pytest.mark.parametrize("scenario,method", sorted(ESTIMATE_PINS))

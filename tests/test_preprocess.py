@@ -43,7 +43,7 @@ def random_instance(gen, max_size=8, max_gain=5):
 class TestDataPreprocess:
     def test_single_sample_two_tries_hand_example(self):
         X = Alphabet.integers(3)
-        gain = two_tries_gain(3)
+        gain = two_tries_gain(3, 2)
         train = SampleSet(X, np.array([0]), np.array([[5]]))
         weighted = data_preprocess(train, gain)
         assert weighted.total_weight == 2

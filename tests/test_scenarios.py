@@ -16,21 +16,22 @@ from gleak import (
     stream,
 )
 from gleak.preprocess import channel_preprocess, data_preprocess
-from gleak.scenarios import SCENARIO_NAMES, build_scenario
+from gleak.scenarios import SCENARIO_NAMES, build_scenario, geometric_lambda
 from oracles import enumerate_strategies_vulnerability
-from gleak.scenarios.dp import DpScenarioConfig, exact_dp_vulnerability
+from gleak.scenarios import dp
+from gleak.scenarios.dp import exact_dp_vulnerability
 from gleak.scenarios.location import (
     diamond_gain,
     gowalla_ingest,
     grid_geometric_mechanism,
     synthetic_prior,
 )
-from gleak.scenarios.multi_guess import (
-    GeometricChannelConfig,
-    geometric_channel,
-    two_tries_gain,
-)
-from gleak.scenarios.password import PasswordScenarioConfig, reduced_channel
+from gleak.scenarios.multi_guess import geometric_channel, two_tries_gain
+from gleak.scenarios.password import reduced_channel
+
+DESK_CHANNEL = (0.002, 10, 1600, 160.0)  # nu, secrets, observables, scale
+PAPER_CHANNEL = (0.002, 10, 16000, 1000.0)
+PASSWORD = (128, 6, 1.0)  # total bits, known prefix, delay nu
 
 
 class TestTwoTriesGain:
@@ -68,32 +69,29 @@ class TestTwoTriesGain:
 
 class TestGeometricChannel:
     def test_rows_stochastic(self):
-        for config in (
-            GeometricChannelConfig(),
-            GeometricChannelConfig(nu=0.5, secrets=4, observables=30),
-        ):
-            channel = geometric_channel(config)
+        for args in (PAPER_CHANNEL, (0.5, 4, 30, 7.5)):
+            channel = geometric_channel(*args)
             assert np.allclose(channel.rows.sum(axis=1), 1.0, atol=1e-9)
 
     def test_lambda_normalizer(self):
-        config = GeometricChannelConfig(nu=0.002)
-        assert config.lam == pytest.approx(
+        assert geometric_lambda(0.002) == pytest.approx(
             (math.exp(0.002) - 1) / (math.exp(0.002) + 1), rel=1e-15
         )
+        # the law sums to one over the integers: lambda (1 + 2 q / (1 - q))
+        q = math.exp(-1.0)
+        assert geometric_lambda(1.0) * (1 + 2 * q / (1 - q)) == pytest.approx(1.0, abs=1e-15)
 
     def test_reference_centers(self):
-        paper = GeometricChannelConfig(scale=1000.0)
-        assert paper.resolved_scale == 1000.0
-        assert paper.resolved_offset == 3499.5
-        assert paper.center(0) == 3499.5
-        assert paper.center(9) == 12499.5
-        desk = GeometricChannelConfig(observables=1600)
-        assert desk.resolved_scale == 160.0
-        assert desk.resolved_offset == 79.5
-        assert desk.center(9) == 1519.5
+        # each row peaks on the two cells bracketing its half-integer center
+        expected = {PAPER_CHANNEL: (3499.5, 12499.5), DESK_CHANNEL: (79.5, 1519.5)}
+        for args, centers in expected.items():
+            rows = geometric_channel(*args).rows
+            for x, center in zip((0, 9), centers):
+                lo, hi = int(math.floor(center)), int(math.ceil(center))
+                assert rows[x, lo] == rows[x, hi] == rows[x].max()
 
     def test_rows_peak_at_bracketing_cells(self):
-        channel = geometric_channel(GeometricChannelConfig(observables=1600))
+        channel = geometric_channel(*DESK_CHANNEL)
         for x in range(10):
             row = channel.rows[x]
             center = 160.0 * x + 79.5
@@ -102,20 +100,13 @@ class TestGeometricChannel:
             assert row.max() == pytest.approx(row[lo], rel=1e-12)
 
     def test_decay_rate_between_adjacent_cells(self):
-        config = GeometricChannelConfig(nu=0.01, secrets=2, observables=200)
-        channel = geometric_channel(config)
+        channel = geometric_channel(0.01, 2, 200, 100.0)
         row = channel.rows[0]
-        center = int(math.floor(config.center(0)))
+        center = 49  # floor of r(0) = 199/2 - 100/2
         # moving one cell away from the center multiplies mass by e^-nu
         assert row[center + 5] / row[center + 4] == pytest.approx(
             math.exp(-0.01), rel=1e-9
         )
-
-    def test_invalid_config(self):
-        with pytest.raises(ValidationError):
-            GeometricChannelConfig(nu=0.0)
-        with pytest.raises(ValidationError):
-            GeometricChannelConfig(secrets=0)
 
 
 class TestMultiGuessScenario:
@@ -139,26 +130,29 @@ class TestMultiGuessScenario:
 
     def test_details_record_rescale(self):
         scenario = build_scenario("multi-guess", profile="paper")
-        rescaled = geometric_channel(GeometricChannelConfig(scale=1000.0))
+        rescaled = geometric_channel(*PAPER_CHANNEL)
         np.testing.assert_array_equal(scenario.channel.rows, rescaled.rows)
-        assert scenario.metric_kind == "absolute"
+        assert scenario.metric.kind == "absolute"
 
     def test_enumeration_oracle_on_shrunken_replica(self):
-        config = GeometricChannelConfig(nu=0.5, secrets=4, observables=5)
-        channel = geometric_channel(config)
+        channel = geometric_channel(0.5, 4, 5, 1.25)
         prior = Prior.uniform(channel.input)
         gain = two_tries_gain(4, 2)  # 6^5 = 7776 strategies
         exact = posterior_vulnerability(prior, channel, gain)
         brute = enumerate_strategies_vulnerability(prior, channel, gain)
         assert exact == pytest.approx(brute, abs=1e-12)
 
+    @staticmethod
+    def desk_vulnerability(nu):
+        channel = geometric_channel(nu, *DESK_CHANNEL[1:])
+        prior = Prior.uniform(channel.input)
+        return posterior_vulnerability(prior, channel, two_tries_gain(10, 2))
+
     def test_noiseless_limit(self):
-        scenario = build_scenario("multi-guess", profile="desk", nu=20.0)
-        assert scenario.exact_vg > 1.0 - 1e-9
+        assert self.desk_vulnerability(20.0) > 1.0 - 1e-9
 
     def test_uninformative_limit(self):
-        scenario = build_scenario("multi-guess", profile="desk", nu=1e-8)
-        assert scenario.exact_vg == pytest.approx(0.2, abs=1e-4)
+        assert self.desk_vulnerability(1e-8) == pytest.approx(0.2, abs=1e-4)
 
     def test_unknown_profile(self):
         with pytest.raises(ValidationError):
@@ -323,7 +317,7 @@ class TestLocationScenario:
         scenario = build_scenario("location")
         assert scenario.exact_vg == pytest.approx(0.686018320516057, abs=1e-11)
         np.testing.assert_array_equal(scenario.prior.probs, synthetic_prior(20, 20).probs)
-        assert scenario.metric_kind == "euclidean"
+        assert scenario.metric.kind == "euclidean"
 
     def test_gowalla_prior_used_when_given(self, tmp_path):
         helper = TestGowallaIngest()
@@ -340,9 +334,9 @@ class TestLocationScenario:
 
 class TestDpScenario:
     def test_cleveland_default_counts(self):
-        config = DpScenarioConfig()
-        assert config.label_counts == (164, 55, 36, 35, 13)
-        assert config.total == 303
+        assert dp.CLEVELAND_COUNTS == (164, 55, 36, 35, 13)
+        assert sum(dp.CLEVELAND_COUNTS) == 303
+        assert (dp.REMOVED_LABEL, dp.GAIN_VALUE) == (4, 2.0)
 
     def test_exact_value_matches_closed_form(self):
         scenario = build_scenario("dp")
@@ -354,28 +348,27 @@ class TestDpScenario:
         assert gain.range == (0.0, 2.0)
 
     def test_gain_value_depends_on_removed_label(self):
-        low = DpScenarioConfig(removed_label=0)
-        high = DpScenarioConfig(removed_label=3)
-        assert low.gain_value == 1.0 and high.gain_value == 2.0
-        prior = build_scenario("dp", removed_label=0).prior
-        v_low = exact_dp_vulnerability(low, prior)
-        v_high = exact_dp_vulnerability(high, prior)
+        # removing a severity-0 record (count 164) has gain 1, a severity-3
+        # record (count 35) gain 2
+        prior = build_scenario("dp").prior
+        v_low = exact_dp_vulnerability(prior, 164, 1.0, 1.0, 1e-12)
+        v_high = exact_dp_vulnerability(prior, 35, 1.0, 2.0, 1e-12)
         # the 1-D sum is translation invariant, so only the gain scales
         assert v_high == pytest.approx(2 * v_low, rel=1e-12)
 
     def test_truncation_radius_converged(self):
         prior = build_scenario("dp").prior
-        coarse = exact_dp_vulnerability(DpScenarioConfig(tail_eps=1e-9), prior)
-        fine = exact_dp_vulnerability(DpScenarioConfig(tail_eps=1e-15), prior)
+        coarse = exact_dp_vulnerability(prior, 13, 1.0, 2.0, 1e-9)
+        fine = exact_dp_vulnerability(prior, 13, 1.0, 2.0, 1e-15)
         assert coarse == pytest.approx(fine, abs=1e-8)
 
     def test_noiseless_limit(self):
-        scenario = build_scenario("dp", nu=50.0)
-        expected = sum(scenario.prior.probs * 2.0)  # observation reveals the secret
-        assert scenario.exact_vg == pytest.approx(expected, abs=1e-12)
+        prior = build_scenario("dp").prior
+        expected = sum(prior.probs * 2.0)  # observation reveals the secret
+        exact = exact_dp_vulnerability(prior, 13, 50.0, 2.0, 1e-12)
+        assert exact == pytest.approx(expected, abs=1e-12)
 
     def test_monte_carlo_cross_check(self):
-        config = DpScenarioConfig()
         scenario = build_scenario("dp")
         prior, channel, gain, exact = (
             scenario.prior, scenario.channel, scenario.gain, scenario.exact_vg
@@ -385,10 +378,8 @@ class TestDpScenario:
             """True optimal decision from the 1-D likelihood of count 4."""
 
             def predict(self, ys):
-                z = np.asarray(ys)[:, config.removed_label]
-                return (z < config.label_counts[config.removed_label]).astype(
-                    np.int64
-                )
+                z = np.asarray(ys)[:, dp.REMOVED_LABEL]
+                return (z < dp.CLEVELAND_COUNTS[dp.REMOVED_LABEL]).astype(np.int64)
 
         n = 1_000_000
         sampled = sample_joint((prior, channel), n, stream(0, "t/dp/mc"))
@@ -417,23 +408,15 @@ class TestDpScenario:
         weighted = data_preprocess(train, gain)
         assert weighted.total_weight == 2 * train.size
 
-    def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            DpScenarioConfig(label_counts=(1, 2, 3))
-        with pytest.raises(ValidationError):
-            DpScenarioConfig(removed_label=7)
-        with pytest.raises(ValidationError):
-            DpScenarioConfig(label_counts=(164, 55, 36, 35, 0))
-
     def test_build_scenario_codec(self):
         scenario = build_scenario("dp")
-        assert scenario.metric_kind == "manhattan"
-        assert scenario.codec.dim == 5
+        assert scenario.metric.kind == "manhattan"
+        assert scenario.metric.codec.dim == 5
 
 
 class TestPasswordScenario:
     def test_reduced_channel_shape_and_stochasticity(self):
-        rc = reduced_channel(PasswordScenarioConfig())
+        rc = reduced_channel(*PASSWORD)
         assert rc.rows.shape == (2, 128)
         assert np.allclose(rc.rows.sum(axis=1), 1.0, atol=1e-12)
         assert (rc.rows > 0).all()
@@ -443,27 +426,23 @@ class TestPasswordScenario:
         assert exact == pytest.approx(0.783139106826576, abs=1e-11)
 
     def test_no_delay_separates_the_classes(self):
-        config = PasswordScenarioConfig(delay_nu=math.inf)
-        rc = reduced_channel(config)
-        scenario = build_scenario("password", delay_nu=math.inf)
-        channel, exact = scenario.channel, scenario.exact_vg
+        rc = reduced_channel(128, 6, math.inf)
+        prior = Prior.uniform(rc.input)
+        exact = posterior_vulnerability(prior, rc, identity_gain(rc.input))
         assert exact == pytest.approx(1.0, abs=1e-12)
         # disagreeing passwords always stop exactly at the target bit
         assert rc.rows[1, 6] == 1.0
         assert rc.rows[0, 6] == 0.0
-        ys = channel.sample(np.ones(500, dtype=np.int64), stream(0, "t/pw/nd").gen)
-        assert (ys[:, 0] == 7).all()
 
     def test_agree_row_is_the_fair_bit_law(self):
-        rc = reduced_channel(PasswordScenarioConfig(delay_nu=math.inf))
+        rc = reduced_channel(128, 6, math.inf)
         # stop at bit 7+j with probability 2^-j for the agreeing class
         assert rc.rows[0, 7] == pytest.approx(0.5, abs=1e-15)
         assert rc.rows[0, 8] == pytest.approx(0.25, abs=1e-15)
         assert rc.rows[0, 127] == pytest.approx(2.0**-120, rel=1e-12)
 
     def test_sampler_matches_reduced_channel(self):
-        config = PasswordScenarioConfig()
-        rc = reduced_channel(config)
+        rc = reduced_channel(*PASSWORD)
         channel = build_scenario("password").channel
         n = 100_000
         for cls in (0, 1):
@@ -482,24 +461,17 @@ class TestPasswordScenario:
         assert np.allclose(deriv.R.rows, np.eye(2), atol=1e-15)
 
     def test_enumeration_oracle_on_shrunken_replica(self):
-        config = PasswordScenarioConfig(total_bits=5, known_prefix=2)
-        rc = reduced_channel(config)
+        rc = reduced_channel(5, 2, 1.0)
         prior = Prior.uniform(rc.input)
         gain = identity_gain(rc.input)
         exact = posterior_vulnerability(prior, rc, gain)
         brute = enumerate_strategies_vulnerability(prior, rc, gain)
         assert exact == pytest.approx(brute, abs=1e-12)
 
-    def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            PasswordScenarioConfig(total_bits=1)
-        with pytest.raises(ValidationError):
-            PasswordScenarioConfig(known_prefix=127)
-
     def test_build_scenario_codec_normalizes_buckets(self):
         scenario = build_scenario("password")
-        lo = scenario.codec.encode(np.array([[1]], dtype=np.int64))
-        hi = scenario.codec.encode(np.array([[128]], dtype=np.int64))
+        lo = scenario.metric.codec.encode(np.array([[1]], dtype=np.int64))
+        hi = scenario.metric.codec.encode(np.array([[128]], dtype=np.int64))
         assert lo[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert hi[0, 0] == pytest.approx(1.0, abs=1e-15)
 
@@ -508,6 +480,11 @@ class TestBuildScenarioDispatch:
     def test_unknown_name(self):
         with pytest.raises(ValidationError, match="unknown scenario"):
             build_scenario("fingerprinting")
+
+    @pytest.mark.parametrize("name", ["multi-guess", "dp", "password"])
+    def test_gowalla_path_only_for_location(self, name):
+        with pytest.raises(ValidationError, match="gowalla_path"):
+            build_scenario(name, gowalla_path="dump.txt")
 
     def test_names_registry(self):
         assert SCENARIO_NAMES == ("multi-guess", "location", "dp", "password")

@@ -14,6 +14,9 @@ Every predictor is scored through one call, ``core._decide``, which asks it
 once per distinct observable and checks its guesses; no other library code
 calls ``.predict(``.
 
+No function takes a ``**`` catch-all: each parameter a caller may set is
+named in the signature, so a misspelt or unread setting fails at the call.
+
 Distinct rows are taken in one place, ``core._unique_rows``; no other
 library code calls ``np.unique(..., axis=...)``, which sorts the rows as a
 structured dtype.
@@ -168,3 +171,16 @@ def test_rows_are_deduplicated_in_one_place():
     assert not outside, (
         "np.unique(..., axis=...) outside core._unique_rows: " + ", ".join(outside)
     )
+
+
+def test_no_catch_all_keyword_parameters():
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(
+            f"{path.relative_to(SOURCE.parent)}:{node.lineno} {node.name}(**{node.args.kwarg.arg})"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.args.kwarg is not None
+        )
+    assert not found, "** parameter in library code: " + ", ".join(found)
