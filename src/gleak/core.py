@@ -132,14 +132,27 @@ class Channel:
     def sample(self, xs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         """Draw y ~ C[x, .] for each x in xs as an (n, 1) array.
 
-        One uniform per sample, inverted through the CDF of row x.
+        One uniform per sample, inverted through the CDF of row x: the
+        number of CDF entries <= u * cdf[x, -1], capped at the last output.
+        All samples search at once, building that count a power of two at a
+        time.  A probe past the end of row x reads its last entry instead:
+        that entry exceeds the target unless every entry is <= it, and then
+        the cap gives the last output either way.
         """
         u = gen.random(len(xs))
-        ys = np.empty(len(xs), dtype=np.int64)
-        for x in np.unique(xs):
-            mask = xs == x
-            ys[mask] = _inverse_cdf(self.rows[x], u[mask])
-        return ys[:, None]
+        cdf = np.cumsum(self.rows, axis=1)
+        n_y = self.output.size
+        target = u * cdf[xs, -1]
+        flat = cdf.ravel()
+        before = xs * n_y - 1  # flat index just before row x
+        last = before + n_y
+        count = np.zeros(len(xs), dtype=np.int64)
+        step = 1 << (n_y.bit_length() - 1)
+        while step:
+            grown = count + step
+            count = np.where(flat[np.minimum(before + grown, last)] <= target, grown, count)
+            step >>= 1
+        return np.minimum(count, n_y - 1)[:, None]
 
 
 @dataclass(frozen=True)

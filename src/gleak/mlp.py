@@ -50,17 +50,6 @@ class MlpConfig:
         _require(self.learning_rate > 0, "learning rate must be positive")
 
 
-def _init_params(
-    layer_sizes: tuple[int, ...], gen: np.random.Generator
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(gen.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return weights, biases
-
-
 def _forward(
     weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -76,26 +65,72 @@ def _forward(
     return acts, logits - log_norm
 
 
-def _loss_and_grads(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-    x: np.ndarray,
-    labels: np.ndarray,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    acts, logp = _forward(weights, biases, x)
-    batch = x.shape[0]
-    loss = -float(logp[np.arange(batch), labels].mean())
-    delta = np.exp(logp)
-    delta[np.arange(batch), labels] -= 1.0
-    delta /= batch
-    grads_w: list[np.ndarray] = [np.empty(0)] * len(weights)
-    grads_b: list[np.ndarray] = [np.empty(0)] * len(biases)
-    for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ weights[layer].T) * (acts[layer] > 0.0)
-    return loss, grads_w, grads_b
+def _dense(h: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = h @ w; a width-1 h is a broadcast product, the same bits."""
+    if h.shape[1] == 1:
+        return np.multiply(h, w, out=out)
+    return np.matmul(h, w, out=out)
+
+
+class _Network:
+    """A network's parameters and the buffers of one training batch.
+
+    Weights and biases are views into one flat vector, and their gradients
+    views into another of the same layout, so the optimizer updates all of
+    them in a few whole-vector operations.  ``loss_and_grads`` is the
+    training step's forward and backward pass; it writes every batch-sized
+    intermediate into buffers allocated here, once per training call.
+    """
+
+    def __init__(
+        self, layer_sizes: tuple[int, ...], batch: int, gen: np.random.Generator
+    ) -> None:
+        pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+        shapes = [*pairs, *((fan_out,) for _, fan_out in pairs)]
+        ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+        spans = list(zip([0, *ends[:-1]], ends, shapes))
+        self.params = np.zeros(ends[-1])
+        self.grads = np.zeros(ends[-1])
+        params = [self.params[a:b].reshape(shape) for a, b, shape in spans]
+        grads = [self.grads[a:b].reshape(shape) for a, b, shape in spans]
+        self.weights, self.biases = params[: len(pairs)], params[len(pairs) :]
+        self.grads_w, self.grads_b = grads[: len(pairs)], grads[len(pairs) :]
+        for w, (fan_in, fan_out) in zip(self.weights, pairs):
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            w[...] = gen.uniform(-limit, limit, size=(fan_in, fan_out))
+        hidden = layer_sizes[1:-1]
+        self.x = np.empty((batch, layer_sizes[0]))
+        self.acts = [np.empty((batch, width)) for width in hidden]
+        self.deltas = [np.empty((batch, width)) for width in hidden]
+        self.active = [np.empty((batch, width), dtype=bool) for width in hidden]
+        self.logp = np.empty((batch, layer_sizes[-1]))
+        self.probs = np.empty((batch, layer_sizes[-1]))
+        self.rows = np.arange(batch)
+
+    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray) -> float:
+        """Mean cross-entropy of the batch; its gradients go to ``grads``."""
+        h = x
+        for w, b, out in zip(self.weights, self.biases, self.acts):
+            _dense(h, w, out)
+            out += b
+            h = np.maximum(out, 0.0, out=out)
+        logp = _dense(h, self.weights[-1], self.logp)
+        logp += self.biases[-1]
+        logp -= logp.max(axis=1, keepdims=True)
+        logp -= np.log(np.exp(logp, out=self.probs).sum(axis=1, keepdims=True))
+        loss = -float(logp[self.rows, labels].mean())
+        delta = np.exp(logp, out=self.probs)
+        delta[self.rows, labels] -= 1.0
+        delta /= x.shape[0]
+        inputs = [x, *self.acts]
+        for layer in range(len(self.weights) - 1, -1, -1):
+            np.matmul(inputs[layer].T, delta, out=self.grads_w[layer])
+            np.sum(delta, axis=0, out=self.grads_b[layer])
+            if layer > 0:
+                below = np.matmul(delta, self.weights[layer].T, out=self.deltas[layer - 1])
+                active = np.greater(inputs[layer], 0.0, out=self.active[layer - 1])
+                delta = np.multiply(below, active, out=below)
+        return loss
 
 
 class MlpClassifier:
@@ -146,37 +181,38 @@ def mlp_train(
     total = int(cum_weights[-1])
     layer_sizes = (config.codec.dim, *config.hidden, data.guesses.size)
     gen = stream.gen
-    weights, biases = _init_params(layer_sizes, gen)
-    moments = [
-        (np.zeros_like(w), np.zeros_like(w)) for w in weights
-    ] + [(np.zeros_like(b), np.zeros_like(b)) for b in biases]
+    net = _Network(layer_sizes, config.batch_size, gen)
+    params, grads = net.params, net.grads
+    m1, m2 = np.zeros_like(params), np.zeros_like(params)
+    step, denom = np.empty_like(params), np.empty_like(params)
     steps_per_epoch = max(1, math.ceil(total / config.batch_size))
     step_count = 0
     loss_first = loss_final = math.nan
     for epoch in range(config.epochs):
         epoch_losses = np.empty(steps_per_epoch)
-        for step in range(steps_per_epoch):
+        for i in range(steps_per_epoch):
             draws = gen.integers(0, total, size=config.batch_size)
             idx = np.searchsorted(cum_weights, draws, side="right")
-            loss, grads_w, grads_b = _loss_and_grads(
-                weights, biases, x_all[idx], labels_all[idx]
-            )
-            epoch_losses[step] = loss
+            # idx is in range by construction; "clip" lets take write unbuffered
+            x = np.take(x_all, idx, axis=0, out=net.x, mode="clip")
+            epoch_losses[i] = net.loss_and_grads(x, labels_all[idx])
             step_count += 1
-            params = weights + biases
-            grads = grads_w + grads_b
-            for p, g, (m1, m2) in zip(params, grads, moments):
-                m1 *= ADAM_BETA1
-                m1 += (1 - ADAM_BETA1) * g
-                m2 *= ADAM_BETA2
-                m2 += (1 - ADAM_BETA2) * (g * g)
-                hat1 = m1 / (1 - ADAM_BETA1**step_count)
-                hat2 = m2 / (1 - ADAM_BETA2**step_count)
-                p -= config.learning_rate * hat1 / (np.sqrt(hat2) + ADAM_EPS)
+            # Adam, elementwise over the flat parameter vector
+            m1 *= ADAM_BETA1
+            m1 += np.multiply(grads, 1 - ADAM_BETA1, out=step)
+            m2 *= ADAM_BETA2
+            np.multiply(grads, grads, out=step)
+            m2 += np.multiply(step, 1 - ADAM_BETA2, out=step)
+            np.divide(m1, 1 - ADAM_BETA1**step_count, out=step)
+            step *= config.learning_rate
+            np.divide(m2, 1 - ADAM_BETA2**step_count, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            params -= np.divide(step, denom, out=step)
         mean_loss = float(epoch_losses.mean())
         if not math.isfinite(mean_loss):
             raise TrainingDiverged(epoch)
         if epoch == 0:
             loss_first = mean_loss
         loss_final = mean_loss
-    return MlpClassifier(config.codec, weights, biases, loss_first, loss_final)
+    return MlpClassifier(config.codec, net.weights, net.biases, loss_first, loss_final)

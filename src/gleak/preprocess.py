@@ -104,12 +104,24 @@ def data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
     distinct, counts = _unique_rows(combined, return_counts=True)
     xs_d = distinct[:, 0]
     ys_d = distinct[:, 1:]
-    # weights_full[w, p] = multiplicity(p) * g(w, x_p)
-    weights_full = counts[None, :] * g_int[:, xs_d]
-    w_idx, p_idx = np.nonzero(weights_full)
-    if w_idx.size == 0:
+    # Entry (w, p) for every guess w with g(w, x_p) > 0, in the row-major
+    # order of the dense (W, P) matrix counts[p] * g(w, x_p): guess-major,
+    # then pair.  The MLP batch draw depends on that order.  The distinct
+    # pairs are sorted with x leading, so each secret's pairs form one run,
+    # and the order is each positive (w, x), guess-major, expanded into the
+    # run of x.
+    runs = np.bincount(xs_d, minlength=g_int.shape[1])
+    run_start = np.cumsum(runs) - runs
+    nz_w, nz_x = np.nonzero(g_int)
+    per_entry = runs[nz_x]
+    total = int(per_entry.sum())
+    if total == 0:
         raise ValidationError("gain is zero on every sampled secret")
-    return WeightedSampleSet(gain.guesses, w_idx, ys_d[p_idx], weights_full[w_idx, p_idx])
+    entry_start = np.cumsum(per_entry) - per_entry
+    w_idx = np.repeat(nz_w, per_entry)
+    p_idx = np.arange(total) + np.repeat(run_start[nz_x] - entry_start, per_entry)
+    weights = counts[p_idx] * g_int[w_idx, xs_d[p_idx]]
+    return WeightedSampleSet(gain.guesses, w_idx, ys_d[p_idx], weights)
 
 
 def rationalize_gain(gain: GainFunction) -> tuple[GainFunction, int]:
@@ -157,7 +169,7 @@ def _split(
     A zero row belongs to a guess of marginal 0, so its content is irrelevant;
     it is kept uniform.
     """
-    mass = math.fsum(scores.ravel().tolist())
+    mass = math.fsum(scores[scores != 0.0].tolist())  # zeros add nothing to the exact sum
     if mass <= 0.0:
         raise ValidationError("degenerate input: pi_x * g(w,x) is zero everywhere")
     row_sums = scores.sum(axis=1)

@@ -40,9 +40,14 @@ REGION_SIDE_KM = 5.0
 LAT_COL, LON_COL = 2, 3  # fields of a Gowalla check-in record
 
 
-def _cell_centers_m(rows: int, cols: int, cell_m: float) -> np.ndarray:
+def _center_distances(rows: int, cols: int, cell_m: float) -> np.ndarray:
+    """(cells, cells) Euclidean distances between the centers of cell_m cells."""
     r, c = np.divmod(np.arange(rows * cols), cols)
-    return np.stack([r, c], axis=1) * cell_m + cell_m / 2.0
+    r = r * cell_m + cell_m / 2.0
+    c = c * cell_m + cell_m / 2.0
+    dr = r[:, None] - r[None, :]
+    dc = c[:, None] - c[None, :]
+    return np.sqrt(dr * dr + dc * dc)
 
 
 def diamond_gain(rows: int = GRID_SIDE, cols: int = GRID_SIDE) -> GainFunction:
@@ -52,9 +57,7 @@ def diamond_gain(rows: int = GRID_SIDE, cols: int = GRID_SIDE) -> GainFunction:
     half-up (floor(v + 0.5)); no value in the reference configuration lands
     on an exact half, so this matches ordinary rounding and is deterministic.
     """
-    centers = _cell_centers_m(rows, cols, CELL_M)
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = _center_distances(rows, cols, CELL_M)
     values = np.floor(GAMMA * np.exp(-ALPHA * dist / CELL_M) + 0.5)
     alphabet = Alphabet.integers(rows * cols)
     return GainFunction(alphabet, alphabet, values)
@@ -63,9 +66,7 @@ def diamond_gain(rows: int = GRID_SIDE, cols: int = GRID_SIDE) -> GainFunction:
 def grid_geometric_mechanism(rows: int, cols: int, nu: float) -> Channel:
     """C[x, y] proportional to exp(-nu * d(x, y)) with d in cell units."""
     _require(nu > 0, "nu must be positive")
-    centers = _cell_centers_m(rows, cols, 1.0)
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = _center_distances(rows, cols, 1.0)
     rows_mat = np.exp(-nu * dist)
     rows_mat /= rows_mat.sum(axis=1, keepdims=True)
     alphabet = Alphabet.integers(rows * cols)

@@ -1,7 +1,8 @@
 """Test-only oracles: brute-force and finite-difference references that the
 package's exact and analytic computations are checked against, the ideal
-joints of the two pre-processing theorems, and the strategy tables the
-tests score.
+joints of the two pre-processing theorems, the strategy tables the tests
+score, and the straightforward implementations that the package's fast
+paths must match bit for bit.
 
 They are kept out of the package because no command, scenario or pipeline
 uses them.
@@ -9,6 +10,7 @@ uses them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +20,27 @@ from gleak.core import (
     GainFunction,
     NumericalError,
     Prior,
+    SampleSet,
     ValidationError,
     _check_triple,
     _freeze,
+    _inverse_cdf,
     _require,
     _score_matrix,
+    _unique_rows,
 )
 from gleak.estimation import TablePredictor
-from gleak.mlp import _forward, _init_params, _loss_and_grads
-from gleak.preprocess import _renormalize, _split
+from gleak.mlp import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    MlpClassifier,
+    MlpConfig,
+    TrainingDiverged,
+    _forward,
+    _Network,
+)
+from gleak.preprocess import WeightedSampleSet, _renormalize, _split
 from gleak.rng import Stream
 
 
@@ -142,12 +156,100 @@ def enumerate_strategies_vulnerability(
     return float(totals.max()) - gain.shift
 
 
-def _loss_and_pattern(
-    weights: list[np.ndarray], biases: list[np.ndarray], x, labels
-) -> tuple[float, bytes]:
+def reference_data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
+    """Data pre-processing through the dense (W, P) weight matrix: entries are
+    its non-zeros in row-major order, guess-major, then distinct pair."""
+    g_int = np.round(gain.matrix).astype(np.int64)
+    combined = np.concatenate([train.xs[:, None], train.ys], axis=1)
+    distinct, counts = _unique_rows(combined, return_counts=True)
+    xs_d = distinct[:, 0]
+    ys_d = distinct[:, 1:]
+    weights_full = counts[None, :] * g_int[:, xs_d]
+    w_idx, p_idx = np.nonzero(weights_full)
+    if w_idx.size == 0:
+        raise ValidationError("gain is zero on every sampled secret")
+    return WeightedSampleSet(gain.guesses, w_idx, ys_d[p_idx], weights_full[w_idx, p_idx])
+
+
+def reference_channel_sample(
+    channel: Channel, xs: np.ndarray, gen: np.random.Generator
+) -> np.ndarray:
+    """Channel sampling one distinct secret at a time, through a mask."""
+    u = gen.random(len(xs))
+    ys = np.empty(len(xs), dtype=np.int64)
+    for x in np.unique(xs):
+        mask = xs == x
+        ys[mask] = _inverse_cdf(channel.rows[x], u[mask])
+    return ys[:, None]
+
+
+def _reference_loss_and_grads(weights, biases, x, labels):
     acts, logp = _forward(weights, biases, x)
-    loss = -float(logp[np.arange(x.shape[0]), labels].mean())
-    pattern = b"".join((a > 0.0).tobytes() for a in acts[1:])
+    batch = x.shape[0]
+    loss = -float(logp[np.arange(batch), labels].mean())
+    delta = np.exp(logp)
+    delta[np.arange(batch), labels] -= 1.0
+    delta /= batch
+    grads_w = [np.empty(0)] * len(weights)
+    grads_b = [np.empty(0)] * len(biases)
+    for layer in range(len(weights) - 1, -1, -1):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * (acts[layer] > 0.0)
+    return loss, grads_w, grads_b
+
+
+def reference_mlp_train(
+    data: WeightedSampleSet, config: MlpConfig, stream: Stream
+) -> MlpClassifier:
+    """The training loop with per-layer arrays, fresh temporaries every step
+    and a per-array optimizer update."""
+    x_all = config.codec.encode(data.ys)
+    cum_weights = np.cumsum(data.weights)
+    total = int(cum_weights[-1])
+    layer_sizes = (config.codec.dim, *config.hidden, data.guesses.size)
+    gen = stream.gen
+    weights, biases = [], []
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(gen.uniform(-limit, limit, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    params = weights + biases
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    steps_per_epoch = max(1, math.ceil(total / config.batch_size))
+    step_count = 0
+    loss_first = loss_final = math.nan
+    for epoch in range(config.epochs):
+        epoch_losses = np.empty(steps_per_epoch)
+        for step in range(steps_per_epoch):
+            draws = gen.integers(0, total, size=config.batch_size)
+            idx = np.searchsorted(cum_weights, draws, side="right")
+            loss, grads_w, grads_b = _reference_loss_and_grads(
+                weights, biases, x_all[idx], data.ws[idx]
+            )
+            epoch_losses[step] = loss
+            step_count += 1
+            for p, g, (m1, m2) in zip(params, grads_w + grads_b, moments):
+                m1 *= ADAM_BETA1
+                m1 += (1 - ADAM_BETA1) * g
+                m2 *= ADAM_BETA2
+                m2 += (1 - ADAM_BETA2) * (g * g)
+                hat1 = m1 / (1 - ADAM_BETA1**step_count)
+                hat2 = m2 / (1 - ADAM_BETA2**step_count)
+                p -= config.learning_rate * hat1 / (np.sqrt(hat2) + ADAM_EPS)
+        mean_loss = float(epoch_losses.mean())
+        if not math.isfinite(mean_loss):
+            raise TrainingDiverged(epoch)
+        if epoch == 0:
+            loss_first = mean_loss
+        loss_final = mean_loss
+    return MlpClassifier(config.codec, weights, biases, loss_first, loss_final)
+
+
+def _loss_and_pattern(net: _Network, x, labels) -> tuple[float, bytes]:
+    loss = net.loss_and_grads(x, labels)
+    pattern = b"".join((a > 0.0).tobytes() for a in net.acts)
     return loss, pattern
 
 
@@ -158,37 +260,38 @@ def gradient_check(
     stream: Stream,
     h: float = 1e-5,
 ) -> float:
-    """Max relative error of analytic vs central-finite-difference gradients.
+    """Max relative error of the training step's analytic gradients against
+    central finite differences of its loss.
 
-    Relative to gradient magnitude floored at 1, so near-zero components are
-    compared absolutely.  Coordinates whose +/-h perturbations land on
-    different rectifier activation patterns are skipped: the loss is not
-    differentiable across a kink, so the central difference is meaningless
-    there.  Intended for small architectures (a few dozen parameters); cost
-    is two forward passes per parameter.
+    Both come from ``_Network.loss_and_grads``, the buffered forward and
+    backward pass that ``mlp_train`` runs every step.  Relative to gradient
+    magnitude floored at 1, so near-zero components are compared absolutely.
+    Coordinates whose +/-h perturbations land on different rectifier
+    activation patterns are skipped: the loss is not differentiable across
+    a kink, so the central difference is meaningless there.  Intended for
+    small architectures (a few dozen parameters); cost is two passes per
+    parameter.
     """
-    weights, biases = _init_params(layer_sizes, stream.gen)
-    _, grads_w, grads_b = _loss_and_grads(weights, biases, x, labels)
-    analytic = grads_w + grads_b
-    params = weights + biases
+    net = _Network(layer_sizes, x.shape[0], stream.gen)
+    net.loss_and_grads(x, labels)
+    analytic = net.grads.copy()
+    flat = net.params
     worst = 0.0
     checked = 0
-    for p, g in zip(params, analytic):
-        flat = p.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up, pattern_up = _loss_and_pattern(weights, biases, x, labels)
-            flat[i] = orig - h
-            down, pattern_down = _loss_and_pattern(weights, biases, x, labels)
-            flat[i] = orig
-            if pattern_up != pattern_down:
-                continue
-            checked += 1
-            numeric = (up - down) / (2 * h)
-            ga = float(g.ravel()[i])
-            err = abs(ga - numeric) / max(1.0, abs(ga) + abs(numeric))
-            worst = max(worst, err)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up, pattern_up = _loss_and_pattern(net, x, labels)
+        flat[i] = orig - h
+        down, pattern_down = _loss_and_pattern(net, x, labels)
+        flat[i] = orig
+        if pattern_up != pattern_down:
+            continue
+        checked += 1
+        numeric = (up - down) / (2 * h)
+        ga = float(analytic[i])
+        err = abs(ga - numeric) / max(1.0, abs(ga) + abs(numeric))
+        worst = max(worst, err)
     if checked == 0:
         raise NumericalError("every coordinate crossed a rectifier kink")
     return worst

@@ -444,6 +444,18 @@ class TestPreprocess:
         assert code == 2
         assert "--samples" in err
 
+    def test_data_mode_gain_zero_on_every_sample(self, capsys, assets, tmp_path):
+        prefix = tmp_path / "art"
+        code, out, err = run_cli(
+            capsys,
+            ["preprocess", "--mode", "data", "--samples", str(assets / "samples.csv"),
+             "--gain", str(assets / "zero.txt"), "--out", str(prefix)],
+        )
+        assert code == 2
+        assert out == ""
+        assert "gain is zero on every sampled secret" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_channel_mode_needs_prior_and_gain(self, capsys, assets, tmp_path):
         code, _, err = run_cli(
             capsys,

@@ -5,7 +5,7 @@ import pytest
 
 from gleak import Alphabet, MlpConfig, ValidationError, scalar_codec, stream
 from gleak.features import tuple_codec
-from gleak.mlp import MlpClassifier, TrainingDiverged, mlp_train
+from gleak.mlp import MlpClassifier, TrainingDiverged, _Network, mlp_train
 from gleak.preprocess import WeightedSampleSet
 from oracles import gradient_check
 
@@ -54,15 +54,15 @@ class TestGradients:
 
     def test_zero_weight_network_symmetry(self):
         # balanced labels + zero parameters: output gradients cancel exactly
-        from gleak.mlp import _loss_and_grads
-
-        weights = [np.zeros((1, 3)), np.zeros((3, 2))]
-        biases = [np.zeros(3), np.zeros(2)]
         x = np.array([[0.4], [-0.2], [0.9], [-0.7]])
         labels = np.array([0, 1, 1, 0])
-        _, grads_w, grads_b = _loss_and_grads(weights, biases, x, labels)
-        np.testing.assert_allclose(grads_b[-1], 0.0, atol=1e-15)
-        np.testing.assert_allclose(grads_w[-1], 0.0, atol=1e-15)
+        net = _Network((1, 3, 2), x.shape[0], np.random.default_rng(0))
+        net.params[:] = 0.0
+        net.grads[:] = np.nan  # every gradient must be written by the pass
+        net.loss_and_grads(x, labels)
+        assert np.isfinite(net.grads).all()
+        np.testing.assert_allclose(net.grads_b[-1], 0.0, atol=1e-15)
+        np.testing.assert_allclose(net.grads_w[-1], 0.0, atol=1e-15)
 
 
 class TestTraining:
