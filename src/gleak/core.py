@@ -22,6 +22,12 @@ import numpy as np
 from .rng import Stream
 
 ROW_TOL = 1e-9
+# _unique_rows keys: int64 holds every product of spans below KEY_LIMIT, and
+# keys spanning at most DENSE_SPAN_PER_ROW * rows + DENSE_SPAN_SLACK are
+# counted over the whole span instead of sorted
+KEY_LIMIT = 2**62
+DENSE_SPAN_PER_ROW = 4
+DENSE_SPAN_SLACK = 4096
 
 
 class ValidationError(ValueError):
@@ -324,8 +330,14 @@ def strategy_gain(
 
 
 def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The number of CDF entries <= u * cdf[-1] for each uniform, capped at
+    the last index.  The targets are searched in sorted order, where each
+    search starts near the last one, and the indices scattered back."""
     cum = np.cumsum(probs)
-    idx = np.searchsorted(cum, u * cum[-1], side="right")
+    target = u * cum[-1]
+    order = np.argsort(target)
+    idx = np.empty(target.size, dtype=np.intp)
+    idx[order] = np.searchsorted(cum, target[order], side="right")
     return np.minimum(idx, probs.size - 1)
 
 
@@ -376,32 +388,47 @@ def _decide(predictor, rows: np.ndarray, gain: GainFunction) -> np.ndarray:
 def _unique_rows(
     a: np.ndarray, return_inverse: bool = False, return_counts: bool = False
 ):
-    """What ``np.unique(a, axis=0, ...)`` returns for a 2-D array: the
-    distinct rows in lexicographic order and, as asked, the index of each
-    row among them and each distinct row's count.
+    """What ``np.unique(a, axis=0, ...)`` returns for a 2-D int64 array:
+    the distinct rows in lexicographic order and, as asked, the index of
+    each row among them and each distinct row's count.
 
-    ``np.unique(axis=0)`` sorts the rows as a structured dtype; here a
-    single column goes through ``np.unique`` on the column and wider rows
-    through one ``np.lexsort`` and a mask of where each run of equal rows
-    starts.
+    ``np.unique(axis=0)`` sorts the rows as a structured dtype; here each
+    row becomes one int64 mixed-radix key, sum (a[:, d] - min_d) *
+    stride_d with column 0 most significant, so key order is row order.
+    Keys spanning at most ``DENSE_SPAN_PER_ROW`` per row plus
+    ``DENSE_SPAN_SLACK`` are counted by one ``np.bincount`` over the span;
+    wider keys are sorted once by a 1-D ``np.unique``.  An empty input, or
+    spans whose product reaches ``KEY_LIMIT``, goes to ``np.unique(axis=0)``
+    itself.
     """
     a = np.asarray(a)
-    if a.shape[1] == 1:
-        out = np.unique(a[:, 0], return_inverse=return_inverse, return_counts=return_counts)
-        if not (return_inverse or return_counts):
-            return out[:, None]
-        return (out[0][:, None], *out[1:])
-    order = np.lexsort(a.T[::-1])  # the last key sorts first: column 0 leads
-    ordered = a[order]
-    starts = np.ones(ordered.shape[0], dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    out = [ordered[starts]]
-    if return_inverse:
-        inverse = np.empty(order.size, dtype=np.intp)
-        inverse[order] = np.cumsum(starts) - 1
-        out.append(inverse)
-    if return_counts:
-        out.append(np.diff(np.append(np.flatnonzero(starts), order.size)))
+    n, width = a.shape
+    spans = []
+    if n:
+        lows = a.min(axis=0).tolist()
+        spans = [hi - lo + 1 for lo, hi in zip(lows, a.max(axis=0).tolist())]
+    span = math.prod(spans)  # Python ints: no overflow
+    if not spans or span >= KEY_LIMIT:
+        return np.unique(
+            a, axis=0, return_inverse=return_inverse, return_counts=return_counts
+        )
+    strides = [math.prod(spans[d + 1 :]) for d in range(width)]
+    key = np.zeros(n, dtype=np.int64)
+    for d in range(width):
+        key += (a[:, d] - lows[d]) * strides[d]
+    if span <= DENSE_SPAN_PER_ROW * n + DENSE_SPAN_SLACK:
+        tally = np.bincount(key, minlength=span)
+        keys = np.flatnonzero(tally)
+        counts = tally[keys]
+        inverse = [(np.cumsum(tally > 0) - 1)[key]] if return_inverse else []
+    else:
+        keys, *inverse, counts = np.unique(
+            key, return_inverse=return_inverse, return_counts=True
+        )
+    rows = np.empty((keys.size, width), dtype=a.dtype)
+    for d in range(width):
+        rows[:, d] = keys // strides[d] % spans[d] + lows[d]
+    out = [rows, *inverse, *([counts] if return_counts else [])]
     return out[0] if len(out) == 1 else tuple(out)
 
 

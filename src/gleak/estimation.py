@@ -246,8 +246,10 @@ def frequentist_predictor(train: SampleSet, gain: GainFunction) -> TablePredicto
     """
     _require(train.size > 0, "training set is empty")
     y_distinct, y_inverse = _unique_rows(train.ys, return_inverse=True)
-    cond_counts = np.zeros((y_distinct.shape[0], train.secrets.size))
-    np.add.at(cond_counts, (y_inverse, train.xs), 1.0)
+    l, n_secrets = y_distinct.shape[0], train.secrets.size
+    cond_counts = np.bincount(
+        y_inverse * n_secrets + train.xs, minlength=l * n_secrets
+    ).reshape(l, n_secrets).astype(np.float64)
     # argmax_w sum_x counts(x|y) g(w,x); normalization by count(y) cancels
     scores = cond_counts @ gain.matrix.T
     x_mode = int(np.argmax(np.bincount(train.xs, minlength=train.secrets.size)))

@@ -20,6 +20,8 @@ import numpy as np
 from .core import Alphabet, Channel, GainFunction, Prior, SampleSet, ValidationError
 from .preprocess import WeightedSampleSet
 
+ENCODING_RANGE = range(-(2**63), 2**63)  # an encoding component is an int64
+
 
 def _fmt_row(row: np.ndarray) -> str:
     return " ".join(repr(float(v)) for v in row)
@@ -96,11 +98,14 @@ def read_samples(path: str | Path, secrets: Alphabet) -> SampleSet:
                 raise ValidationError(f"{path}: expected 'x_label,y_encoding' rows")
             xs.append(secrets.index(row[0]))
             try:
-                ys.append([int(part) for part in row[1].split("|")])
+                encoding = [int(part) for part in row[1].split("|")]
+                if not all(v in ENCODING_RANGE for v in encoding):
+                    raise ValueError("component outside int64")
             except ValueError:
                 raise ValidationError(
                     f"{path}: malformed observable encoding {row[1]!r}"
                 ) from None
+            ys.append(encoding)
     if not xs:
         raise ValidationError(f"{path}: no samples")
     if len({len(y) for y in ys}) != 1:

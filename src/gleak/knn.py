@@ -165,8 +165,9 @@ def knn_train(data: WeightedSampleSet, metric: DistanceMetric) -> KnnClassifier:
     if data.size == 0:
         raise ValidationError("cannot train k-NN on empty data")
     distinct, inverse = _unique_rows(data.ys, return_inverse=True)
-    l = distinct.shape[0]
-    tallies = np.zeros((l, data.guesses.size))
-    np.add.at(tallies, (inverse, data.ws), data.weights.astype(np.float64))
+    l, n_guesses = distinct.shape[0], data.guesses.size
+    tallies = np.bincount(
+        inverse * n_guesses + data.ws, weights=data.weights, minlength=l * n_guesses
+    ).reshape(l, n_guesses)
     features = metric.codec.encode(distinct)
     return KnnClassifier(features, tallies, k_for(l), metric)

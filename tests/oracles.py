@@ -2,7 +2,8 @@
 package's exact and analytic computations are checked against, the ideal
 joints of the two pre-processing theorems, the strategy tables the tests
 score, and the straightforward implementations that the package's fast
-paths must match bit for bit.
+paths must match bit for bit: distinct rows by sorting, tallies by
+``np.add.at`` and CDF inversion in the uniforms' own order among them.
 
 They are kept out of the package because no command, scenario or pipeline
 uses them.
@@ -24,12 +25,11 @@ from gleak.core import (
     ValidationError,
     _check_triple,
     _freeze,
-    _inverse_cdf,
     _require,
     _score_matrix,
-    _unique_rows,
 )
 from gleak.estimation import TablePredictor
+from gleak.knn import DistanceMetric, KnnClassifier, k_for
 from gleak.mlp import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -156,12 +156,67 @@ def enumerate_strategies_vulnerability(
     return float(totals.max()) - gain.shift
 
 
+def reference_unique_rows(
+    a: np.ndarray, return_inverse: bool = False, return_counts: bool = False
+):
+    """Distinct rows as ``np.unique(a, axis=0, ...)`` returns them: a single
+    column through ``np.unique`` on the column, wider rows through one
+    ``np.lexsort`` and a mask of where each run of equal rows starts."""
+    a = np.asarray(a)
+    if a.shape[1] == 1:
+        out = np.unique(a[:, 0], return_inverse=return_inverse, return_counts=return_counts)
+        if not (return_inverse or return_counts):
+            return out[:, None]
+        return (out[0][:, None], *out[1:])
+    order = np.lexsort(a.T[::-1])  # the last key sorts first: column 0 leads
+    ordered = a[order]
+    starts = np.ones(ordered.shape[0], dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    out = [ordered[starts]]
+    if return_inverse:
+        inverse = np.empty(order.size, dtype=np.intp)
+        inverse[order] = np.cumsum(starts) - 1
+        out.append(inverse)
+    if return_counts:
+        out.append(np.diff(np.append(np.flatnonzero(starts), order.size)))
+    return out[0] if len(out) == 1 else tuple(out)
+
+
+def reference_inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The number of CDF entries <= u * cdf[-1], capped at the last index,
+    searched in the uniforms' own order."""
+    cum = np.cumsum(probs)
+    idx = np.searchsorted(cum, u * cum[-1], side="right")
+    return np.minimum(idx, probs.size - 1)
+
+
+def reference_knn_train(data: WeightedSampleSet, metric: DistanceMetric) -> KnnClassifier:
+    """The k-NN index with its tallies accumulated one entry at a time."""
+    distinct, inverse = reference_unique_rows(data.ys, return_inverse=True)
+    l = distinct.shape[0]
+    tallies = np.zeros((l, data.guesses.size))
+    np.add.at(tallies, (inverse, data.ws), data.weights.astype(np.float64))
+    return KnnClassifier(metric.codec.encode(distinct), tallies, k_for(l), metric)
+
+
+def reference_frequentist_predictor(train: SampleSet, gain: GainFunction) -> TablePredictor:
+    """The frequentist decision table with its (y, x) counts accumulated one
+    pair at a time."""
+    y_distinct, y_inverse = reference_unique_rows(train.ys, return_inverse=True)
+    cond_counts = np.zeros((y_distinct.shape[0], train.secrets.size))
+    np.add.at(cond_counts, (y_inverse, train.xs), 1.0)
+    scores = cond_counts @ gain.matrix.T
+    x_mode = int(np.argmax(np.bincount(train.xs, minlength=train.secrets.size)))
+    fallback = int(np.argmax(gain.matrix[:, x_mode]))
+    return TablePredictor(y_distinct, np.argmax(scores, axis=1), fallback)
+
+
 def reference_data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
     """Data pre-processing through the dense (W, P) weight matrix: entries are
     its non-zeros in row-major order, guess-major, then distinct pair."""
     g_int = np.round(gain.matrix).astype(np.int64)
     combined = np.concatenate([train.xs[:, None], train.ys], axis=1)
-    distinct, counts = _unique_rows(combined, return_counts=True)
+    distinct, counts = reference_unique_rows(combined, return_counts=True)
     xs_d = distinct[:, 0]
     ys_d = distinct[:, 1:]
     weights_full = counts[None, :] * g_int[:, xs_d]
@@ -179,7 +234,7 @@ def reference_channel_sample(
     ys = np.empty(len(xs), dtype=np.int64)
     for x in np.unique(xs):
         mask = xs == x
-        ys[mask] = _inverse_cdf(channel.rows[x], u[mask])
+        ys[mask] = reference_inverse_cdf(channel.rows[x], u[mask])
     return ys[:, None]
 
 

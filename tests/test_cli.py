@@ -17,7 +17,17 @@ import gleak
 from conftest import write_gain, write_samples
 from gleak import Alphabet, Channel, GainFunction, Prior, identity_gain, sample_joint, stream
 from gleak.cli import main
-from gleak.io import read_channel, read_prior, write_channel, write_prior
+from gleak.io import (
+    read_channel,
+    read_gain,
+    read_prior,
+    read_samples,
+    write_channel,
+    write_prior,
+    write_weighted,
+)
+from gleak.preprocess import rationalize_gain
+from oracles import reference_data_preprocess
 
 
 @pytest.fixture(scope="module")
@@ -455,6 +465,43 @@ class TestPreprocess:
         assert out == ""
         assert "gain is zero on every sampled secret" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_data_mode_rejects_encoding_outside_int64(self, capsys, assets, tmp_path):
+        samples = tmp_path / "s.csv"
+        samples.write_text("1,3\n0,1180591620717411303424\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run_cli(
+            capsys,
+            ["preprocess", "--mode", "data", "--samples", str(samples),
+             "--gain", str(assets / "gain.txt"), "--out", str(out_dir / "p")],
+        )
+        assert code == 2
+        assert out == ""
+        assert "malformed observable encoding" in err and str(samples) in err
+        assert list(out_dir.iterdir()) == []
+
+    def test_data_mode_at_int64_extremes(self, capsys, assets, tmp_path):
+        # the (x, y0, y1) keys span more than int64 holds: rows are deduplicated
+        # by numpy's unique over rows, which must match the sorting reference
+        lo, hi = -(2**63), 2**63 - 1
+        samples = tmp_path / "s.csv"
+        samples.write_text(
+            f"0,{hi}|{lo}\n1,{lo}|{hi}\n0,{hi}|{lo}\n1,0|0\n0,{lo}|{hi}\n1,{lo}|{hi}\n"
+        )
+        prefix = tmp_path / "p"
+        payload = run_json(
+            capsys,
+            ["preprocess", "--mode", "data", "--samples", str(samples),
+             "--gain", str(assets / "gain.txt"), "--out", str(prefix)],
+        )
+        gain, _ = rationalize_gain(read_gain(assets / "gain.txt"))
+        expected = tmp_path / "expected.csv"
+        write_weighted(
+            reference_data_preprocess(read_samples(samples, gain.secrets), gain), expected
+        )
+        assert Path(payload["file"]).read_bytes() == expected.read_bytes()
+        assert f"w0,{hi}|{lo},2" in expected.read_text().splitlines()
 
     def test_channel_mode_needs_prior_and_gain(self, capsys, assets, tmp_path):
         code, _, err = run_cli(

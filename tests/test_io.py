@@ -188,6 +188,21 @@ class TestSampleFormat:
         with pytest.raises(ValidationError, match="encoding"):
             read_samples(path, Alphabet(("north", "south")))
 
+    @pytest.mark.parametrize("component", [str(2**63), str(-(2**63) - 1), str(2**70)])
+    def test_encoding_outside_int64_rejected(self, tmp_path, component):
+        path = tmp_path / "samples.csv"
+        path.write_text(f"north,1|2\nsouth,3|{component}\n")
+        with pytest.raises(ValidationError, match="malformed observable encoding"):
+            read_samples(path, Alphabet(("north", "south")))
+
+    def test_int64_extremes_read_exactly(self, tmp_path):
+        lo, hi = -(2**63), 2**63 - 1
+        path = tmp_path / "samples.csv"
+        path.write_text(f"north,{hi}|{lo}\nsouth,{lo}|{hi}\n")
+        back = read_samples(path, Alphabet(("north", "south")))
+        assert back.ys.dtype == np.int64
+        assert back.ys.tolist() == [[hi, lo], [lo, hi]]
+
 
 class TestWeightedFormat:
     def make_weighted(self, two_secret_example):

@@ -1,5 +1,14 @@
-"""Pre-processing, channel sampling and MLP training against the
-implementations they replaced (``oracles``), bit for bit.
+"""Counting kernels, pre-processing, channel sampling and MLP training
+against the implementations they replaced (``oracles``), bit for bit.
+
+- ``core._unique_rows`` maps each integer row to one int64 mixed-radix key
+  and counts the keys over their span with ``np.bincount`` when the span is
+  small against the row count, else sorts them once; oversized spans go to
+  ``np.unique(axis=0)``.  The reference sorts the rows themselves.
+- ``knn_train`` and ``frequentist_predictor`` take their tallies with one
+  ``np.bincount`` instead of ``np.add.at``.
+- ``core._inverse_cdf`` searches the targets in sorted order and scatters
+  the indices back, instead of searching them in the uniforms' order.
 
 - ``data_preprocess`` enumerates each secret's positive-gain guesses instead
   of building the dense (guess, distinct pair) weight matrix.  Its entries
@@ -11,6 +20,8 @@ implementations they replaced (``oracles``), bit for bit.
   flat parameter vector, instead of fresh temporaries every step and a
   per-array optimizer update.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -26,8 +37,17 @@ from gleak import (
     scalar_codec,
     stream,
 )
-from gleak.core import sample_prior
+from gleak.core import (
+    DENSE_SPAN_PER_ROW,
+    DENSE_SPAN_SLACK,
+    KEY_LIMIT,
+    _inverse_cdf,
+    _unique_rows,
+    sample_prior,
+)
+from gleak.estimation import frequentist_predictor, sample_preprocessed_pairs
 from gleak.features import tuple_codec
+from gleak.knn import DistanceMetric, knn_train
 from gleak.mlp import mlp_train
 from gleak.preprocess import (
     WeightedSampleSet,
@@ -39,7 +59,11 @@ from gleak.scenarios import build_scenario
 from oracles import (
     reference_channel_sample,
     reference_data_preprocess,
+    reference_frequentist_predictor,
+    reference_inverse_cdf,
+    reference_knn_train,
     reference_mlp_train,
+    reference_unique_rows,
 )
 
 SCENARIOS = ("multi-guess", "location", "dp", "password")
@@ -212,3 +236,238 @@ class TestMlpTrain:
             mlp_train(data, config, stream(seed, "t/ref/arch")),
             reference_mlp_train(data, config, stream(seed, "t/ref/arch")),
         )
+
+
+FLAGS = (
+    {},
+    {"return_inverse": True},
+    {"return_counts": True},
+    {"return_inverse": True, "return_counts": True},
+)
+
+
+def assert_same_unique(a):
+    for flags in FLAGS:
+        fast, reference = _unique_rows(a, **flags), reference_unique_rows(a, **flags)
+        if not flags:
+            fast, reference = (fast,), (reference,)
+        assert len(fast) == len(reference)
+        for f, r in zip(fast, reference):
+            assert f.dtype == r.dtype and f.shape == r.shape, flags
+            assert np.array_equal(f, r), flags
+
+
+def unique_rows_path(a):
+    """The path ``_unique_rows`` takes on ``a``: "dense" (one bincount over
+    the key span), "sort" (a 1-D unique of the keys) or "rows" (numpy's
+    unique over rows)."""
+    taken = []
+    bincount, unique = np.bincount, np.unique
+
+    def spy_bincount(*args, **kwargs):
+        taken.append("dense")
+        return bincount(*args, **kwargs)
+
+    def spy_unique(*args, **kwargs):
+        taken.append("sort" if kwargs.get("axis") is None else "rows")
+        return unique(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "bincount", spy_bincount)
+        patch.setattr(np, "unique", spy_unique)
+        _unique_rows(a, return_inverse=True, return_counts=True)
+    assert len(taken) == 1, taken
+    return taken[0]
+
+
+def with_spans(spans, n, seed, low=0):
+    """(n, len(spans)) int64 rows whose column d spans exactly spans[d]
+    values from ``low``: the first two rows hold each column's ends."""
+    gen = np.random.default_rng(seed)
+    a = np.stack(
+        [low + gen.integers(0, s, size=n, dtype=np.int64) for s in spans], axis=1
+    )
+    a[0] = low
+    a[1] = [low + s - 1 for s in spans]
+    return a
+
+
+class TestUniqueRows:
+    def test_scenarios(self, scenario):
+        train = sample_joint((scenario.prior, scenario.channel), 3000, stream(0, "t/ref/rows"))
+        valid = sample_joint((scenario.prior, scenario.channel), 2000, stream(1, "t/ref/rows"))
+        deriv = channel_preprocess(scenario.prior, scenario.gain)
+        gen = stream(2, "t/ref/rows").gen
+        ws = sample_prior(deriv.tau, 3000, gen)
+        ys = scenario.channel.sample(deriv.R.sample(ws, gen)[:, 0], gen)
+        for a in (
+            train.ys,  # k-NN index and frequentist table
+            np.concatenate([train.xs[:, None], train.ys], axis=1),  # data pre-processing
+            np.concatenate([ws[:, None], ys], axis=1),  # channel pre-processing pairs
+            np.concatenate([valid.ys, train.ys]),  # union of validation sets
+        ):
+            assert_same_unique(a)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_rows(self, seed):
+        gen = np.random.default_rng(300 + seed)
+        width = 1 + seed % 6
+        n = 1 if seed % 10 == 3 else int(gen.integers(2, 400))
+        spread = int(gen.choice([2, 5, 40, 10**4, 10**9]))
+        low = int(gen.integers(-(10**6), 10**6))
+        assert_same_unique(low + gen.integers(0, spread, size=(n, width)))
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_dense_and_sorted_paths(self, width):
+        few = with_spans([3] * width, 500, width, low=-2)
+        assert unique_rows_path(few) == "dense"
+        assert_same_unique(few)
+        wide = with_spans([10**3] * width, 500, width, low=-500)
+        assert unique_rows_path(wide) == ("dense" if width == 1 else "sort")
+        assert_same_unique(wide)
+
+    @pytest.mark.parametrize(
+        "n, at_limit, past_limit",
+        [
+            (2, [2, 2, 2, 513], [5, 821]),
+            (3, [2, 2, 13, 79], [7, 587]),
+            (10, [4136], [4137]),
+            (16, [2, 2, 2, 2, 4, 65], [3, 19, 73]),
+            (25, [2, 2, 1049], [3, 1399]),
+            (2000, [12096], [12097]),
+        ],
+    )
+    def test_both_sides_of_the_dense_threshold(self, n, at_limit, past_limit):
+        limit = DENSE_SPAN_PER_ROW * n + DENSE_SPAN_SLACK
+        assert math.prod(at_limit) == limit and math.prod(past_limit) == limit + 1
+        dense = with_spans(at_limit, n, n, low=-7)
+        assert unique_rows_path(dense) == "dense"
+        assert_same_unique(dense)
+        above = with_spans(past_limit, n, n + 1, low=-7)
+        assert unique_rows_path(above) == "sort"
+        assert_same_unique(above)
+
+    @pytest.mark.parametrize(
+        "spans, path",
+        [
+            ([2**62 - 1], "sort"),
+            ([2**62], "rows"),
+            ([2**31, 2**31 - 1], "sort"),
+            ([2**31, 2**31], "rows"),
+            ([2**20, 2**21, 2**21 - 1], "sort"),
+            ([2**20, 2**21, 2**21], "rows"),
+        ],
+    )
+    def test_key_overflow_falls_back(self, spans, path):
+        assert (math.prod(spans) >= KEY_LIMIT) == (path == "rows")
+        a = with_spans(spans, 300, len(spans), low=-(2**40))
+        assert unique_rows_path(a) == path
+        assert_same_unique(a)
+
+    def test_int64_extremes(self):
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        a = np.array([[hi, lo], [lo, hi], [hi, lo], [0, 0], [lo, lo]], dtype=np.int64)
+        assert unique_rows_path(a) == "rows"
+        assert_same_unique(a)
+        assert_same_unique(a[:, :1])
+
+    def test_single_row_and_empty(self):
+        for width in range(1, 7):
+            single = np.arange(-3, width - 3, dtype=np.int64)[None, :]
+            assert unique_rows_path(single) == "dense"
+            assert_same_unique(single)
+            empty = np.zeros((0, width), dtype=np.int64)
+            assert unique_rows_path(empty) == "rows"
+            assert_same_unique(empty)
+
+
+def assert_same_knn(fast, reference):
+    assert fast.k == reference.k
+    for field in ("features", "tallies"):
+        a, b = getattr(fast, field), getattr(reference, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+def assert_same_table(fast, reference):
+    assert fast.fallback == reference.fallback
+    for field in ("keys", "guesses"):
+        a, b = getattr(fast, field), getattr(reference, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert np.array_equal(a, b), field
+
+
+class TestTallies:
+    def test_knn_scenarios(self, scenario):
+        train, gain = scenario_training_set(scenario, 3000)
+        deriv = channel_preprocess(scenario.prior, scenario.gain)
+        pairs = sample_preprocessed_pairs(deriv, scenario.channel, 3000, stream(0, "t/ref/pairs"))
+        for data in (data_preprocess(train, gain), pairs):
+            assert_same_knn(
+                knn_train(data, scenario.metric), reference_knn_train(data, scenario.metric)
+            )
+
+    def test_frequentist_scenarios(self, scenario):
+        train, _ = scenario_training_set(scenario, 3000)
+        assert_same_table(
+            frequentist_predictor(train, scenario.gain),
+            reference_frequentist_predictor(train, scenario.gain),
+        )
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_sets(self, seed):
+        gen = np.random.default_rng(400 + seed)
+        width = 1 + seed % 3
+        n = 1 if seed % 8 == 5 else int(gen.integers(2, 500))
+        n_w = int(gen.integers(1, 9))
+        ys = gen.integers(-30, 30, size=(n, width)) * int(gen.choice([1, 10**7]))
+        data = WeightedSampleSet(
+            Alphabet.integers(n_w, "w"),
+            gen.integers(0, n_w, size=n),
+            ys,
+            gen.integers(1, 10**6, size=n),
+        )
+        codec = scalar_codec(0.1) if width == 1 else tuple_codec(width, 0.1)
+        metric = DistanceMetric("absolute" if width == 1 else "manhattan", codec)
+        assert_same_knn(knn_train(data, metric), reference_knn_train(data, metric))
+        gain = GainFunction(data.guesses, data.guesses, gen.integers(-3, 5, size=(n_w, n_w)))
+        train = SampleSet(data.guesses, data.ws, ys)
+        assert_same_table(
+            frequentist_predictor(train, gain), reference_frequentist_predictor(train, gain)
+        )
+
+
+def assert_same_inversion(probs, u):
+    fast, reference = _inverse_cdf(probs, u), reference_inverse_cdf(probs, u)
+    assert fast.dtype == reference.dtype == np.intp and fast.shape == reference.shape
+    assert np.array_equal(fast, reference)
+
+
+class TestInverseCdf:
+    def test_scenarios(self, scenario):
+        gen = np.random.default_rng(5)
+        u = np.concatenate([gen.random(10000), [0.0, 1.0 - 2.0**-53], gen.random(50).repeat(3)])
+        laws = [scenario.prior.probs, channel_preprocess(scenario.prior, scenario.gain).tau.probs]
+        if isinstance(scenario.channel, Channel):  # the flat joint sample_joint inverts
+            laws.append((scenario.prior.probs[:, None] * scenario.channel.rows).ravel())
+        for probs in laws:
+            assert_same_inversion(probs, u)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_laws_with_zeros(self, seed):
+        gen = np.random.default_rng(500 + seed)
+        size = 1 if seed % 5 == 0 else int(gen.integers(2, 3000))
+        probs = gen.random(size) * (gen.random(size) < 0.5)
+        probs[:: max(1, size // 3)] = 0.0  # zero plateaus, the first entry among them
+        probs[int(gen.integers(size))] += 0.25
+        probs /= probs.sum()
+        u = gen.random(int(gen.integers(0, 2000)))
+        u[: u.size // 4] = u[u.size // 4 : 2 * (u.size // 4)]  # repeated uniforms
+        assert_same_inversion(probs, u)
+
+    def test_targets_on_cdf_steps_and_ends(self):
+        probs = np.array([0.0, 0.25, 0.5, 0.0, 0.25, 0.0])
+        u = np.array([0.75, 0.0, 0.25, 1.0 - 2.0**-53, 0.5, 0.2499999999, 0.0, 0.75])
+        assert_same_inversion(probs, u)
+        assert _inverse_cdf(probs, u).tolist() == [4, 1, 2, 4, 2, 1, 1, 4]
+        assert_same_inversion(probs, np.empty(0))

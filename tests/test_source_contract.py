@@ -19,7 +19,9 @@ named in the signature, so a misspelt or unread setting fails at the call.
 
 Distinct rows are taken in one place, ``core._unique_rows``; no other
 library code calls ``np.unique(..., axis=...)``, which sorts the rows as a
-structured dtype.
+structured dtype.  No library code calls ``np.lexsort``, and none
+accumulates with ``np.add.at``: counts over integer keys are one
+``np.bincount``.
 """
 
 import ast
@@ -184,3 +186,22 @@ def test_no_catch_all_keyword_parameters():
             and node.args.kwarg is not None
         )
     assert not found, "** parameter in library code: " + ", ".join(found)
+
+
+def _is_numpy_call(call: ast.Call, *path: str) -> bool:
+    """``np.<path>(...)``, e.g. ``np.add.at`` for path ("add", "at")."""
+    func = call.func
+    for name in reversed(path):
+        if not (isinstance(func, ast.Attribute) and func.attr == name):
+            return False
+        func = func.value
+    return isinstance(func, ast.Name) and func.id in ("np", "numpy")
+
+
+def test_no_add_at_or_lexsort_in_library_code():
+    found = [
+        f"{path}:{line} in {scope} ({name})"
+        for name, parts in (("np.add.at", ("add", "at")), ("np.lexsort", ("lexsort",)))
+        for path, scope, line in _found(lambda call: _is_numpy_call(call, *parts))
+    ]
+    assert not found, "np.add.at or np.lexsort in library code: " + ", ".join(found)
