@@ -223,14 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p, seed=True, out_required=False):
         if seed:
             p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument(
             "--profile", choices=sorted(PROFILES), default="desk",
             help="experiment scale (desk: small/fast, paper: full grid)",
         )
-        p.add_argument("--out", help="output path (JSON) or artifact prefix")
+        p.add_argument(
+            "--out", required=out_required, help="output path (JSON) or artifact prefix"
+        )
 
     p_exact = sub.add_parser("exact", help="exact V_g and leakage of a known channel")
     p_exact.add_argument("--prior", help="prior file")
@@ -275,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scn.add_argument("--valid-size", type=int, help="validation samples (n)")
     p_scn.add_argument("--workers", type=int, default=1)
     p_scn.add_argument("--gowalla", help="check-in dump for the location scenario")
-    common(p_scn)
+    common(p_scn, out_required=True)
     p_scn.set_defaults(func=cmd_scenario)
 
     p_bnd = sub.add_parser("bounds", help="deviation and sample-complexity bounds")
@@ -303,6 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_directory(out: str | None) -> None:
+    """Refuse an output path whose directory is missing before any work runs."""
+    if out and not Path(out).parent.exists():
+        raise ValidationError(f"output directory {Path(out).parent} does not exist")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -310,6 +318,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_out_directory(args.out)
         return args.func(args)
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

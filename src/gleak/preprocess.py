@@ -134,8 +134,14 @@ def rationalize_gain(gain: GainFunction) -> tuple[GainFunction, int]:
     pipelines here avoid that by always evaluating with the original gain).
     Raises when K or the largest scaled entry exceeds ``EXPANSION_CAP``
     (fall back to channel pre-processing).
+
+    The scaled matrix is ``rint(G * K)`` in one pass over the entries, with
+    no index from entries to distinct values.  That rounds each entry v to
+    ``int(frac(v) * K)`` exactly: |v - frac(v)| <= 1e-9 * max(1, |v|) and
+    K * max(1, |v|) <= ``EXPANSION_CAP`` = 10^6, so the float product lies
+    within 1e-3 of that integer.
     """
-    values, inverse = np.unique(gain.matrix, return_inverse=True)
+    values = np.unique(gain.matrix)
     fracs = []
     for v in values.tolist():
         frac = Fraction(v).limit_denominator(SNAP_DENOMINATOR)
@@ -151,13 +157,14 @@ def rationalize_gain(gain: GainFunction) -> tuple[GainFunction, int]:
             f"denominator lcm {scale} exceeds expansion cap {EXPANSION_CAP}; "
             "use channel pre-processing"
         )
-    scaled = np.array([int(frac * scale) for frac in fracs], dtype=np.int64)
-    if int(scaled.max()) > EXPANSION_CAP:
+    largest = int(fracs[-1] * scale)
+    if largest > EXPANSION_CAP:
         raise ValidationError(
-            f"scaled gain entry {int(scaled.max())} exceeds expansion cap "
+            f"scaled gain entry {largest} exceeds expansion cap "
             f"{EXPANSION_CAP}; use channel pre-processing"
         )
-    matrix = scaled[inverse].reshape(gain.matrix.shape).astype(np.float64)
+    matrix = gain.matrix * scale
+    np.rint(matrix, out=matrix)
     return GainFunction(gain.guesses, gain.secrets, matrix), scale
 
 

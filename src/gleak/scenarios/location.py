@@ -40,14 +40,29 @@ REGION_SIDE_KM = 5.0
 LAT_COL, LON_COL = 2, 3  # fields of a Gowalla check-in record
 
 
-def _center_distances(rows: int, cols: int, cell_m: float) -> np.ndarray:
-    """(cells, cells) Euclidean distances between the centers of cell_m cells."""
-    r, c = np.divmod(np.arange(rows * cols), cols)
-    r = r * cell_m + cell_m / 2.0
-    c = c * cell_m + cell_m / 2.0
-    dr = r[:, None] - r[None, :]
-    dc = c[:, None] - c[None, :]
-    return np.sqrt(dr * dr + dc * dc)
+def _offset_distances(rows: int, cols: int, cell_m: float) -> np.ndarray:
+    """(rows, cols) table: entry [dr, dc] is the Euclidean distance between
+    the centers of two cell_m cells dr rows and dc columns apart.
+
+    Precondition: the cell centers (i * cell_m + cell_m / 2) and their
+    differences are exact floats, as they are for cell_m = 250 m or 1 cell
+    on any grid in use here.  The distance then depends only on the two
+    offsets, and each entry has the bits that the difference of the two
+    centers' coordinates gives.
+    """
+    dr = np.arange(rows) * cell_m
+    dc = np.arange(cols) * cell_m
+    return np.sqrt(dr[:, None] * dr[:, None] + dc[None, :] * dc[None, :])
+
+
+def _by_offset(table: np.ndarray) -> np.ndarray:
+    """(cells, cells) matrix over the row-major cells of a (rows, cols) grid
+    whose entry for cells (r, c) and (r', c') is table[|r - r'|, |c - c'|]."""
+    rows, cols = table.shape
+    dr = np.abs(np.subtract.outer(np.arange(rows), np.arange(rows)))
+    dc = np.abs(np.subtract.outer(np.arange(cols), np.arange(cols)))
+    by_pair = table[:, dc][dr]  # indexed (r, r', c, c')
+    return by_pair.transpose(0, 2, 1, 3).reshape(rows * cols, rows * cols)
 
 
 def diamond_gain(rows: int = GRID_SIDE, cols: int = GRID_SIDE) -> GainFunction:
@@ -56,18 +71,23 @@ def diamond_gain(rows: int = GRID_SIDE, cols: int = GRID_SIDE) -> GainFunction:
     d is the Euclidean distance in meters between cell centers.  Rounding is
     half-up (floor(v + 0.5)); no value in the reference configuration lands
     on an exact half, so this matches ordinary rounding and is deterministic.
+    The profile is evaluated once per (row, column) offset.
     """
-    dist = _center_distances(rows, cols, CELL_M)
+    dist = _offset_distances(rows, cols, CELL_M)
     values = np.floor(GAMMA * np.exp(-ALPHA * dist / CELL_M) + 0.5)
     alphabet = Alphabet.integers(rows * cols)
-    return GainFunction(alphabet, alphabet, values)
+    return GainFunction(alphabet, alphabet, _by_offset(values))
 
 
 def grid_geometric_mechanism(rows: int, cols: int, nu: float) -> Channel:
-    """C[x, y] proportional to exp(-nu * d(x, y)) with d in cell units."""
+    """C[x, y] proportional to exp(-nu * d(x, y)) with d in cell units.
+
+    The weights are evaluated once per (row, column) offset; each row of the
+    full matrix is then normalized.
+    """
     _require(nu > 0, "nu must be positive")
-    dist = _center_distances(rows, cols, 1.0)
-    rows_mat = np.exp(-nu * dist)
+    dist = _offset_distances(rows, cols, 1.0)
+    rows_mat = _by_offset(np.exp(-nu * dist))
     rows_mat /= rows_mat.sum(axis=1, keepdims=True)
     alphabet = Alphabet.integers(rows * cols)
     return Channel(alphabet, alphabet, rows_mat)

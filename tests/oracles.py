@@ -3,7 +3,9 @@ package's exact and analytic computations are checked against, the ideal
 joints of the two pre-processing theorems, the strategy tables the tests
 score, and the straightforward implementations that the package's fast
 paths must match bit for bit: distinct rows by sorting, tallies by
-``np.add.at`` and CDF inversion in the uniforms' own order among them.
+``np.add.at``, CDF inversion in the uniforms' own order, rationalization
+through an entry-to-value index and the location matrices evaluated on
+every cell pair among them.
 
 They are kept out of the package because no command, scenario or pipeline
 uses them.
@@ -13,10 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from gleak.core import (
+    Alphabet,
     Channel,
     GainFunction,
     NumericalError,
@@ -40,8 +44,16 @@ from gleak.mlp import (
     _forward,
     _Network,
 )
-from gleak.preprocess import WeightedSampleSet, _renormalize, _split
+from gleak.preprocess import (
+    EXPANSION_CAP,
+    SNAP_DENOMINATOR,
+    SNAP_TOL,
+    WeightedSampleSet,
+    _renormalize,
+    _split,
+)
 from gleak.rng import Stream
+from gleak.scenarios.location import ALPHA, CELL_M, GAMMA, GRID_SIDE
 
 
 def fixed_strategy(mapping) -> TablePredictor:
@@ -236,6 +248,63 @@ def reference_channel_sample(
         mask = xs == x
         ys[mask] = reference_inverse_cdf(channel.rows[x], u[mask])
     return ys[:, None]
+
+
+def reference_rationalize_gain(gain: GainFunction) -> tuple[GainFunction, int]:
+    """Rationalization through an inverse index from every entry to its
+    distinct value: the scaled distinct values gathered back per entry."""
+    values, inverse = np.unique(gain.matrix, return_inverse=True)
+    fracs = []
+    for v in values.tolist():
+        frac = Fraction(v).limit_denominator(SNAP_DENOMINATOR)
+        if abs(float(frac) - v) > SNAP_TOL * max(1.0, abs(v)):
+            raise ValidationError(
+                f"gain entry {v!r} is not a rational with denominator <= "
+                f"{SNAP_DENOMINATOR}; cannot rationalize"
+            )
+        fracs.append(frac)
+    scale = math.lcm(*(frac.denominator for frac in fracs))
+    if scale > EXPANSION_CAP:
+        raise ValidationError(
+            f"denominator lcm {scale} exceeds expansion cap {EXPANSION_CAP}; "
+            "use channel pre-processing"
+        )
+    scaled = np.array([int(frac * scale) for frac in fracs], dtype=np.int64)
+    if int(scaled.max()) > EXPANSION_CAP:
+        raise ValidationError(
+            f"scaled gain entry {int(scaled.max())} exceeds expansion cap "
+            f"{EXPANSION_CAP}; use channel pre-processing"
+        )
+    matrix = scaled[inverse].reshape(gain.matrix.shape).astype(np.float64)
+    return GainFunction(gain.guesses, gain.secrets, matrix), scale
+
+
+def reference_center_distances(rows: int, cols: int, cell_m: float) -> np.ndarray:
+    """(cells, cells) Euclidean distances between the centers of cell_m cells."""
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    r = r * cell_m + cell_m / 2.0
+    c = c * cell_m + cell_m / 2.0
+    dr = r[:, None] - r[None, :]
+    dc = c[:, None] - c[None, :]
+    return np.sqrt(dr * dr + dc * dc)
+
+
+def reference_diamond_gain(rows: int = GRID_SIDE, cols: int = GRID_SIDE) -> GainFunction:
+    """The diamond gain evaluated on every (guess, secret) cell pair."""
+    dist = reference_center_distances(rows, cols, CELL_M)
+    values = np.floor(GAMMA * np.exp(-ALPHA * dist / CELL_M) + 0.5)
+    alphabet = Alphabet.integers(rows * cols)
+    return GainFunction(alphabet, alphabet, values)
+
+
+def reference_grid_geometric_mechanism(rows: int, cols: int, nu: float) -> Channel:
+    """The grid mechanism's weights evaluated on every cell pair."""
+    _require(nu > 0, "nu must be positive")
+    dist = reference_center_distances(rows, cols, 1.0)
+    rows_mat = np.exp(-nu * dist)
+    rows_mat /= rows_mat.sum(axis=1, keepdims=True)
+    alphabet = Alphabet.integers(rows * cols)
+    return Channel(alphabet, alphabet, rows_mat)
 
 
 def _reference_loss_and_grads(weights, biases, x, labels):

@@ -226,6 +226,7 @@ def test_criterion_5_learner_validity():
     print(f"criterion 5 PASS: worst gradient error {worst:.2e}; k-NN rules hold")
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_estimation_quality():
     started = time.perf_counter()
     big, small, freq = [], [], []

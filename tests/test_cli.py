@@ -513,6 +513,46 @@ class TestPreprocess:
         assert "--prior" in err
 
 
+class TestMissingOutputDirectory:
+    """An --out whose directory is missing is refused before any work runs."""
+
+    @pytest.fixture
+    def never_called(self, monkeypatch):
+        import gleak.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran before the output directory was checked")
+
+        for name in ("run_trial_matrix", "estimate", "rationalize_gain", "channel_preprocess"):
+            monkeypatch.setattr(gleak.cli, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "multi-guess", "--methods", "frequentist", "--learners", "knn"],
+            ["estimate", "--scenario", "multi-guess", "--m", "300", "--n", "300"],
+            ["preprocess", "--mode", "data", "--samples", "{assets}/samples.csv",
+             "--gain", "{assets}/gain.txt"],
+            ["preprocess", "--mode", "channel", "--prior", "{assets}/prior.txt",
+             "--gain", "{assets}/gain.txt"],
+        ],
+        ids=["scenario", "estimate", "preprocess-data", "preprocess-channel"],
+    )
+    def test_refused_before_work(self, capsys, assets, tmp_path, never_called, argv):
+        missing = tmp_path / "missing"
+        argv = [arg.format(assets=assets) for arg in argv]
+        code, out, err = run_cli(capsys, argv + ["--out", str(missing / "run")])
+        assert code == 2
+        assert err == f"error: output directory {missing} does not exist\n"
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_scenario_needs_out(self, capsys, never_called):
+        code, out, err = run_cli(capsys, ["scenario", "multi-guess"])
+        assert code == 2
+        assert "--out" in err
+
+
 class TestUsage:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run_cli(capsys, [])[0] == 2

@@ -19,6 +19,10 @@ against the implementations they replaced (``oracles``), bit for bit.
 - ``mlp_train`` writes into buffers allocated once per call and updates one
   flat parameter vector, instead of fresh temporaries every step and a
   per-array optimizer update.
+- ``rationalize_gain`` scales the whole matrix with ``rint(G * K)`` instead
+  of gathering the scaled distinct values through an inverse index.
+- The location gain and mechanism are evaluated once per (row, column)
+  offset and gathered, instead of on every cell pair.
 """
 
 import math
@@ -33,6 +37,7 @@ from gleak import (
     MlpConfig,
     SampleSet,
     ValidationError,
+    posterior_vulnerability,
     sample_joint,
     scalar_codec,
     stream,
@@ -50,19 +55,34 @@ from gleak.features import tuple_codec
 from gleak.knn import DistanceMetric, knn_train
 from gleak.mlp import mlp_train
 from gleak.preprocess import (
+    EXPANSION_CAP,
+    SNAP_TOL,
     WeightedSampleSet,
     channel_preprocess,
     data_preprocess,
     rationalize_gain,
 )
 from gleak.scenarios import build_scenario
+from gleak.scenarios.location import (
+    CELL_M,
+    GRID_SIDE,
+    MECHANISM_NU,
+    _by_offset,
+    _offset_distances,
+    diamond_gain,
+    grid_geometric_mechanism,
+)
 from oracles import (
+    reference_center_distances,
     reference_channel_sample,
     reference_data_preprocess,
+    reference_diamond_gain,
     reference_frequentist_predictor,
+    reference_grid_geometric_mechanism,
     reference_inverse_cdf,
     reference_knn_train,
     reference_mlp_train,
+    reference_rationalize_gain,
     reference_unique_rows,
 )
 
@@ -471,3 +491,136 @@ class TestInverseCdf:
         assert_same_inversion(probs, u)
         assert _inverse_cdf(probs, u).tolist() == [4, 1, 2, 4, 2, 1, 1, 4]
         assert_same_inversion(probs, np.empty(0))
+
+
+def rationalized(rationalize, gain):
+    """(matrix bytes, scale) or (error type, message) of one rationalization."""
+    try:
+        rational, scale = rationalize(gain)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    assert rational.matrix.dtype == np.float64 and rational.shift == 0.0
+    return rational.matrix.tobytes(), scale
+
+
+def assert_same_rationalization(values):
+    values = np.asarray(values, dtype=np.float64)
+    n_w, n_x = values.shape
+    gain = GainFunction(Alphabet.integers(n_w, "w"), Alphabet.integers(n_x), values)
+    fast = rationalized(rationalize_gain, gain)
+    assert fast == rationalized(reference_rationalize_gain, gain)
+    return fast
+
+
+def random_rational(gen, shape, denominators):
+    """Non-negative rationals on a few denominators, with repeats and zeros."""
+    dens = gen.choice(denominators, size=shape)
+    nums = gen.integers(0, 3 * dens + 1)
+    values = nums / dens
+    values[gen.random(shape) < 0.2] = 0.0
+    return values
+
+
+class TestRationalizeGain:
+    def test_scenarios(self, scenario):
+        assert isinstance(
+            assert_same_rationalization(scenario.gain.original())[1], int
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_rational_gains(self, seed):
+        gen = np.random.default_rng(700 + seed)
+        shape = tuple(int(d) for d in gen.integers(1, 30, size=2))
+        denominators = gen.choice([1, 2, 3, 4, 7, 10, 12, 64, 125, 999, 1000], size=3)
+        assert_same_rationalization(random_rational(gen, shape, denominators))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_entries_perturbed_up_to_the_snap_tolerance(self, seed):
+        gen = np.random.default_rng(800 + seed)
+        shape = tuple(int(d) for d in gen.integers(1, 30, size=2))
+        denominators = gen.choice([1, 2, 3, 4, 8, 10, 250, 999], size=3, replace=False)
+        values = random_rational(gen, shape, denominators)
+        # relative to max(1, |v|); near a fraction over 250 or 999 that can
+        # snap to a neighbour with a larger denominator.  Every fourth case
+        # pushes one entry just past the tolerance, where both must refuse the
+        # same entry.
+        factor = gen.uniform(-1.0, 1.0, size=shape)
+        if seed % 4 == 3:
+            factor[tuple(gen.integers(shape))] = 1.05
+        values = values + SNAP_TOL * np.maximum(1.0, values) * factor
+        assert_same_rationalization(np.abs(values))
+
+    def test_denominator_lcm_at_and_past_the_cap(self):
+        # 64 * 15625 = 10**6; 101 * 9901 = 10**6 + 1
+        assert assert_same_rationalization([[1 / 64, 1 / 15625, 0.0]])[1] == EXPANSION_CAP
+        error, message = assert_same_rationalization([[1 / 101, 1 / 9901, 0.0]])
+        assert error is ValidationError and "denominator lcm" in message
+
+    @pytest.mark.parametrize(
+        "values, refused",
+        [
+            ([[1e6, 0.0]], False),
+            ([[1e6 + 1, 0.0]], True),
+            ([[500000.0, 0.5]], False),
+            ([[500000.5, 0.5]], True),
+        ],
+    )
+    def test_largest_scaled_entry_at_and_past_the_cap(self, values, refused):
+        result = assert_same_rationalization(values)
+        assert (result[0] is ValidationError) == refused
+
+    def test_not_rationalizable(self):
+        error, message = assert_same_rationalization([[0.5 + 1e-8, 1.0]])
+        assert error is ValidationError and "cannot rationalize" in message
+
+    def test_all_zero_and_single_entry(self):
+        assert assert_same_rationalization(np.zeros((3, 4)))[1] == 1
+        assert assert_same_rationalization([[0.75]])[1] == 4
+
+    def test_no_inverse_index(self, scenario):
+        calls = []
+        unique = np.unique
+
+        def spy_unique(*args, **kwargs):
+            calls.append(kwargs)
+            return unique(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "unique", spy_unique)
+            rationalize_gain(scenario.gain)
+        assert calls and not any(kwargs.get("return_inverse") for kwargs in calls)
+
+
+LOCATION_SHAPES = ((1, 1), (2, 3), (5, 7), (7, 5), (13, 4), (GRID_SIDE, GRID_SIDE))
+LOCATION_NUS = (1e-9, 0.5, 1.0, 60.0)
+
+
+class TestLocationBuilders:
+    @pytest.mark.parametrize("shape", LOCATION_SHAPES)
+    @pytest.mark.parametrize("cell_m", [CELL_M, 1.0])
+    def test_offset_distances(self, shape, cell_m):
+        fast = _by_offset(_offset_distances(*shape, cell_m))
+        reference = reference_center_distances(*shape, cell_m)
+        assert fast.dtype == reference.dtype and fast.shape == reference.shape
+        assert fast.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("shape", LOCATION_SHAPES)
+    def test_diamond_gain(self, shape):
+        fast, reference = diamond_gain(*shape), reference_diamond_gain(*shape)
+        assert fast.matrix.tobytes() == reference.matrix.tobytes()
+        assert fast.guesses == reference.guesses and fast.secrets == reference.secrets
+
+    @pytest.mark.parametrize("shape", LOCATION_SHAPES)
+    @pytest.mark.parametrize("nu", LOCATION_NUS)
+    def test_grid_geometric_mechanism(self, shape, nu):
+        fast = grid_geometric_mechanism(*shape, nu)
+        reference = reference_grid_geometric_mechanism(*shape, nu)
+        assert fast.rows.tobytes() == reference.rows.tobytes()
+
+    def test_scenario_exact_vg(self):
+        built = build_scenario("location")
+        channel = reference_grid_geometric_mechanism(GRID_SIDE, GRID_SIDE, MECHANISM_NU)
+        gain = reference_diamond_gain()
+        assert built.channel.rows.tobytes() == channel.rows.tobytes()
+        assert built.gain.matrix.tobytes() == gain.matrix.tobytes()
+        assert built.exact_vg == posterior_vulnerability(built.prior, channel, gain)
