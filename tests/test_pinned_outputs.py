@@ -7,16 +7,20 @@ password estimates and every payload's details were recorded before all
 three methods went through one `estimate` function; the `leak bounds` and
 `leak preprocess` outputs before the two pre-processing derivations shared
 one split of their score matrix; the exact V_g of every scenario and profile
-before the scenario config dataclasses became module constants.  Only kNN and the frequentist baseline are
-pinned: MLP training sums through BLAS, whose summation order is not
-portable across builds.
+before the scenario config dataclasses became module constants; the
+file-channel estimates and the MLP configs that file channels train with
+before file channels became a scenario.  Only kNN and the frequentist
+baseline are pinned: MLP training sums through BLAS, whose summation order
+is not portable across builds, so for the MLP the config is pinned instead.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+import gleak.cli
 from gleak.cli import main
 from gleak.harness import TrialMatrixConfig, emit_reports, run_trial_matrix
 from gleak.scenarios import build_scenario
@@ -150,8 +154,8 @@ def test_bounds_payload(capsys):
 
 @pytest.fixture
 def preprocess_inputs(tmp_path):
-    """A 3x4 gain of halves, thirds and quarters with a zero row, a prior and
-    60 samples, as files."""
+    """A 3x4 gain of halves, thirds and quarters with a zero row, a prior, a
+    4x5 channel and 60 samples, as files."""
     (tmp_path / "gain.txt").write_text(
         "3 4\n"
         "1.0 0.5 0.0 0.3333333333333333\n"
@@ -159,6 +163,13 @@ def preprocess_inputs(tmp_path):
         "0.5 1.0 0.6666666666666666 0.25\n"
     )
     (tmp_path / "prior.txt").write_text("0.15 0.35 0.2 0.3\n")
+    (tmp_path / "chan.txt").write_text(
+        "4 5\n"
+        "0.5 0.2 0.1 0.1 0.1\n"
+        "0.1 0.4 0.2 0.2 0.1\n"
+        "0.05 0.05 0.6 0.2 0.1\n"
+        "0.2 0.2 0.2 0.2 0.2\n"
+    )
     (tmp_path / "samples.csv").write_text(
         "".join(f"{(7 * i) % 4},{(i * i + 3 * i) % 5}\n" for i in range(60))
     )
@@ -199,3 +210,79 @@ def test_preprocess_data_artifact(preprocess_inputs, capsys):
     assert _sha256(root / "art.weighted.csv") == (
         "f332ec48f5edff74a3b97fef861d19f6de471d4eba89b700806658c4981d721e"
     )
+
+
+def _files(root) -> list[str]:
+    return [
+        "--prior", str(root / "prior.txt"), "--channel", str(root / "chan.txt"),
+        "--gain", str(root / "gain.txt"),
+    ]
+
+
+def _file_seeds(*children: str) -> dict:
+    return {
+        key: {"master_seed": 5, "stream": f"files/estimate/{child}"}
+        for key, child in zip(("train", "valid", "learner"), children)
+    }
+
+
+# method -> (repr of the estimate, the payload's details, its seeds)
+FILE_ESTIMATE_PINS = {
+    "data": (
+        "0.6622916666666666",
+        {
+            **DATA_DETAILS,
+            "expanded_total_weight": 4987,
+            "expansion_factor": 12.4675,
+            "rationalize_scale": 12,
+        },
+        _file_seeds("train", "valid", "learner"),
+    ),
+    "channel": (
+        "0.6622916666666666",
+        {"beta": 1.0583333333333333, "beta_handling": BETA_HANDLING},
+        _file_seeds("pairs", "valid", "learner"),
+    ),
+    "frequentist": ("0.6622916666666666", {}, _file_seeds("train", "valid")),
+}
+
+
+@pytest.mark.parametrize("method", sorted(FILE_ESTIMATE_PINS))
+def test_file_estimate(method, preprocess_inputs, capsys):
+    code = main([
+        "estimate", *_files(preprocess_inputs), "--method", method,
+        "--learner", "knn", "--m", "400", "--n", "400", "--seed", "5",
+    ])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    pinned = FILE_ESTIMATE_PINS[method]
+    assert (repr(payload["estimate"]), payload["details"], payload["seeds"]) == pinned
+
+
+class _Captured(Exception):
+    """Carries the learner config out of a stubbed `estimate`."""
+
+
+@pytest.mark.parametrize("method", ["data", "channel"])
+@pytest.mark.parametrize("profile", ["desk", "paper"])
+@pytest.mark.parametrize(
+    "overrides, epochs, batch", [([], 100, 200), (["--epochs", "7", "--batch", "13"], 7, 13)]
+)
+def test_file_mlp_config(
+    method, profile, overrides, epochs, batch, preprocess_inputs, monkeypatch
+):
+    def capture(*args):
+        raise _Captured(args[6])
+
+    monkeypatch.setattr(gleak.cli, "estimate", capture)
+    with pytest.raises(_Captured) as captured:
+        main([
+            "estimate", *_files(preprocess_inputs), "--method", method,
+            "--learner", "mlp", "--profile", profile, *overrides,
+        ])
+    config = captured.value.args[0]
+    assert (config.hidden, config.learning_rate, config.epochs, config.batch_size) == (
+        (100, 100, 100), 1e-3, epochs, batch
+    )
+    assert config.codec.dim == 1
+    assert config.codec.encode(np.array([[3], [-2]])).tolist() == [[3.0], [-2.0]]
