@@ -24,6 +24,7 @@ from .bounds import BoundInputs, bound_report
 from .core import (
     NumericalError,
     ValidationError,
+    _require,
     identity_gain,
     leakage_of,
     posterior_vulnerability,
@@ -54,35 +55,30 @@ def _emit(payload: dict, out: str | None) -> None:
     print(text)
 
 
-def _load_triple(args) -> tuple:
-    """(prior, channel, gain, scenario) from --scenario, or from files with
-    scenario None."""
+def _load_scenario(args) -> Scenario:
+    """The built-in scenario --scenario names, or the "files" scenario of the file flags."""
+    given = [f"--{flag}" for flag in ("prior", "channel", "gain") if vars(args)[flag] is not None]
     if args.scenario:
-        scenario = build_scenario(args.scenario, profile=args.profile)
-        return scenario.prior, scenario.channel, scenario.gain, scenario
-    if not (args.prior and args.channel):
-        raise ValidationError("provide --scenario or both --prior and --channel")
+        _require(not given, f"--scenario cannot be combined with {', '.join(given)}")
+        return build_scenario(args.scenario, profile=args.profile)
+    _require(args.prior and args.channel, "provide --scenario or both --prior and --channel")
     channel = io.read_channel(args.channel)
     prior = io.read_prior(args.prior, channel.input)
-    if args.gain:
-        gain = io.read_gain(args.gain, secrets=channel.input)
-    else:
-        gain = identity_gain(channel.input)
-    return prior, channel, gain, None
+    gain = io.read_gain(args.gain, channel.input) if args.gain else identity_gain(channel.input)
+    exact = posterior_vulnerability(prior, channel, gain)
+    return Scenario(
+        "files", prior, channel, gain, exact, DistanceMetric("absolute", scalar_codec(1.0))
+    )
 
 
 def cmd_exact(args) -> int:
     started = time.perf_counter()
-    prior, channel, gain, scenario = _load_triple(args)
-    prior_v = prior_vulnerability(prior, gain)
-    if scenario is not None:
-        posterior_v = scenario.exact_vg
-    else:
-        posterior_v = posterior_vulnerability(prior, channel, gain)
+    scenario = _load_scenario(args)
+    prior_v = prior_vulnerability(scenario.prior, scenario.gain)
     payload = {
         "prior_vulnerability": prior_v,
-        "posterior_vulnerability": posterior_v,
-        "leakage": leakage_of(prior_v, posterior_v, args.mode),
+        "posterior_vulnerability": scenario.exact_vg,
+        "leakage": leakage_of(prior_v, scenario.exact_vg, args.mode),
         "mode": args.mode,
         "wall_time": round(time.perf_counter() - started, 6),
     }
@@ -90,51 +86,45 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def _learner_config(args, scenario: Scenario | None):
-    """The scenario's learner config, or the defaults for channel files; the
-    MLP takes the --epochs and --batch overrides."""
-    if scenario is not None:
-        config = learner_config(scenario, args.method, args.learner, args.profile, args.m)
-    elif args.method == "frequentist":
-        config = None
-    elif args.learner == "knn":
-        config = DistanceMetric("absolute", scalar_codec(1.0))
-    else:
-        config = MlpConfig(
-            codec=scalar_codec(1.0),
-            hidden=(100, 100, 100),
-            learning_rate=1e-3,
-            epochs=100,
-            batch_size=200,
-        )
+def _learner_config(args, scenario: Scenario):
+    """The scenario's learner config, with --epochs and --batch applied to an MLP's."""
+    config = learner_config(scenario, args.method, args.learner, args.profile, args.m)
     if not isinstance(config, MlpConfig):
         return config
-    overrides = {}
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.batch is not None:
-        overrides["batch_size"] = args.batch
-    return dataclasses.replace(config, **overrides)
+    overrides = {"epochs": args.epochs, "batch_size": args.batch}
+    return dataclasses.replace(
+        config, **{key: value for key, value in overrides.items() if value is not None}
+    )
 
 
 def cmd_estimate(args) -> int:
-    prior, channel, gain, scenario = _load_triple(args)
+    scenario = _load_scenario(args)
     report = estimate(
         args.method,
-        prior,
-        channel,
-        gain,
+        scenario.prior,
+        scenario.channel,
+        scenario.gain,
         args.m,
         args.n,
         _learner_config(args, scenario),
-        stream(args.seed, f"{args.scenario or 'files'}/estimate"),
+        stream(args.seed, f"{scenario.name}/estimate"),
     )
+    exact = scenario.exact_vg
     payload = report.as_dict()
-    if scenario is not None:
-        payload["exact"] = scenario.exact_vg
-        payload["normalized_error"] = abs(report.estimate - scenario.exact_vg) / scenario.exact_vg
+    payload["exact"] = exact
+    # a file gain may give V_g <= 0, over which no relative error is defined
+    payload["normalized_error"] = abs(report.estimate - exact) / exact if exact > 0 else None
     _emit(payload, args.out)
     return 0
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """A comma-list flag; an empty flag is the empty list, which the matrix rejects."""
+    return tuple(text.split(",")) if text else ()
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    return tuple(int(size) for size in _names(text))
 
 
 def cmd_scenario(args) -> int:
@@ -142,9 +132,9 @@ def cmd_scenario(args) -> int:
         scenario=args.name,
         master_seed=args.seed,
         profile=args.profile,
-        methods=tuple(args.methods.split(",")) if args.methods else METHODS,
-        learners=tuple(args.learners.split(",")) if args.learners else LEARNERS,
-        sizes=tuple(int(s) for s in args.sizes.split(",")) if args.sizes else None,
+        methods=args.methods,
+        learners=args.learners,
+        sizes=args.sizes,
         num_train_sets=args.train_sets,
         num_valid_sets=args.valid_sets,
         valid_size=args.valid_size,
@@ -182,8 +172,7 @@ def cmd_bounds(args) -> int:
 def cmd_preprocess(args) -> int:
     prefix = Path(args.out)
     if args.mode == "data":
-        if not (args.samples and args.gain):
-            raise ValidationError("data mode needs --samples and --gain")
+        _require(args.samples and args.gain, "data mode needs --samples and --gain")
         gain = io.read_gain(args.gain)
         samples = io.read_samples(args.samples, gain.secrets)
         rational, scale = rationalize_gain(gain)
@@ -200,8 +189,7 @@ def cmd_preprocess(args) -> int:
             None,
         )
         return 0
-    if not (args.prior and args.gain):
-        raise ValidationError("channel mode needs --prior and --gain")
+    _require(args.prior and args.gain, "channel mode needs --prior and --gain")
     gain = io.read_gain(args.gain)
     prior = io.read_prior(args.prior, gain.secrets)
     deriv = channel_preprocess(prior, gain)
@@ -269,9 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_scn.add_argument("name", choices=sorted(SCENARIO_NAMES))
-    p_scn.add_argument("--methods", help="comma list from: " + ",".join(METHODS))
-    p_scn.add_argument("--learners", help="comma list from: " + ",".join(LEARNERS))
-    p_scn.add_argument("--sizes", help="comma list of training sizes")
+    for flag, names in (("--methods", METHODS), ("--learners", LEARNERS)):
+        p_scn.add_argument(
+            flag, type=_names, default=names, help="comma list from: " + ",".join(names)
+        )
+    p_scn.add_argument("--sizes", type=_sizes, help="comma list of training sizes")
     p_scn.add_argument("--train-sets", type=int, help="training sets per size (I)")
     p_scn.add_argument("--valid-sets", type=int, help="validation sets (J)")
     p_scn.add_argument("--valid-size", type=int, help="validation samples (n)")

@@ -308,6 +308,9 @@ def leakage_of(prior_v: float, posterior_v: float, mode: str) -> float:
         return posterior_v - prior_v
     if prior_v == 0.0:
         raise ValidationError("multiplicative leakage undefined: prior vulnerability is 0")
+    # over a negative prior V_g, a channel that raises V_g gives a ratio below 1
+    message = f"multiplicative leakage needs a positive prior vulnerability, got {prior_v!r}"
+    _require(prior_v > 0.0, message)
     return posterior_v / prior_v
 
 

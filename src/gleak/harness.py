@@ -48,7 +48,8 @@ PROFILES = {
 }
 
 # Published table: (hidden widths, learning rate, epochs, batch size); a tuple
-# has one entry per size of the paper profile, smallest first.
+# has one entry per size of the paper profile, smallest first.  The "files"
+# rows, the same in both tables, serve `leak estimate --prior --channel`.
 _PAPER_MLP = {
     ("multi-guess", "data"): ((100, 100, 100), 1e-3, 700, 1000),
     ("multi-guess", "channel"): ((100, 100, 100), 1e-3, 500, 1000),
@@ -58,6 +59,8 @@ _PAPER_MLP = {
     ("dp", "channel"): ((100, 100, 100), 1e-3, 500, 200),
     ("password", "data"): ((100, 100, 100), 1e-3, 700, 1000),
     ("password", "channel"): ((100, 100, 100), 1e-3, 700, 1000),
+    ("files", "data"): ((100, 100, 100), 1e-3, 100, 200),
+    ("files", "channel"): ((100, 100, 100), 1e-3, 100, 200),
 }
 
 # Reduced budgets so a desk run stays within minutes; recorded here, not in
@@ -71,6 +74,8 @@ _DESK_MLP = {
     ("dp", "channel"): ((100, 100, 100), 1e-3, 40, 200),
     ("password", "data"): ((100, 100, 100), 1e-3, 20, 1000),
     ("password", "channel"): ((100, 100, 100), 1e-3, 20, 1000),
+    ("files", "data"): ((100, 100, 100), 1e-3, 100, 200),
+    ("files", "channel"): ((100, 100, 100), 1e-3, 100, 200),
 }
 
 

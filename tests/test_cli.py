@@ -45,6 +45,11 @@ def assets(tmp_path_factory):
     write_channel(channel, root / "chan.txt")
     write_gain(identity_gain(secrets), root / "gain.txt")
     write_gain(GainFunction(secrets, secrets, np.zeros((2, 2))), root / "zero.txt")
+    # every entry negative: V_g(pi) = -0.95 and V_g(pi, C) = -0.915
+    write_gain(
+        GainFunction(secrets, secrets, np.array([[-1.0, -3.0], [-2.0, -0.5]])),
+        root / "negative.txt",
+    )
     train = sample_joint((prior, channel), 500, stream(3, "cli/train"))
     write_samples(train, root / "samples.csv")
     return root
@@ -139,6 +144,29 @@ class TestExact:
         assert code == 2
         assert "prior vulnerability" in err
 
+    def test_negative_prior_vulnerability_rejected(self, capsys, assets):
+        # the channel leaks (-0.915 > -0.95), but the ratio of two negative
+        # vulnerabilities comes out below 1
+        argv = ["exact", "--prior", str(assets / "prior.txt"),
+                "--channel", str(assets / "chan.txt"),
+                "--gain", str(assets / "negative.txt")]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "positive prior vulnerability" in err
+        payload = run_json(capsys, argv + ["--mode", "additive"])
+        assert payload["leakage"] == pytest.approx(0.035, abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["exact", "estimate"])
+    def test_scenario_with_file_flags_rejected(self, capsys, assets, command):
+        code, out, err = run_cli(
+            capsys,
+            [command, "--scenario", "dp", "--prior", str(assets / "missing.txt"),
+             "--channel", str(assets / "chan.txt")],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--scenario" in err
+        assert "--prior" in err and "--channel" in err and "--gain" not in err
+
     def test_requires_scenario_or_files(self, capsys):
         code, _, err = run_cli(capsys, ["exact"])
         assert code == 2
@@ -192,6 +220,38 @@ class TestEstimate:
             "multi-guess/estimate/valid",
             "multi-guess/estimate/learner",
         }
+
+    @pytest.mark.parametrize("method", ["data", "channel", "frequentist"])
+    def test_files_report_exact_and_error(self, capsys, assets, method):
+        exact = run_json(capsys, ["exact"] + self.files(assets))["posterior_vulnerability"]
+        payload = run_json(
+            capsys,
+            ["estimate"] + self.files(assets)
+            + ["--method", method, "--m", "500", "--n", "500"],
+        )
+        assert payload["exact"] == exact
+        assert payload["normalized_error"] == abs(payload["estimate"] - exact) / exact
+
+    @pytest.mark.parametrize(
+        "gain, method",
+        [("zero.txt", "frequentist")]
+        + [("negative.txt", method) for method in ("data", "channel", "frequentist")],
+    )
+    def test_nonpositive_exact_gives_null_error(self, capsys, assets, gain, method):
+        payload = run_json(
+            capsys,
+            ["estimate"] + self.files(assets)
+            + ["--gain", str(assets / gain), "--method", method, "--m", "300", "--n", "300"],
+        )
+        assert payload["exact"] <= 0.0
+        assert payload["normalized_error"] is None
+
+    def test_files_and_scenarios_share_one_key_set(self, capsys, assets):
+        sizes = ["--m", "300", "--n", "300"]
+        from_files = run_json(capsys, ["estimate"] + self.files(assets) + sizes)
+        from_scenario = run_json(capsys, ["estimate", "--scenario", "multi-guess"] + sizes)
+        assert sorted(from_files) == sorted(from_scenario)
+        assert {"exact", "normalized_error"} <= set(from_files)
 
     def test_channel_seeds_name_train_valid_and_learner(self, capsys):
         payload = run_json(
@@ -318,6 +378,13 @@ class TestScenarioCommand:
         code, _, _ = run_cli(capsys, ["scenario", "bogus"])
         assert code == 2
 
+    def test_files_is_no_builtin_scenario(self, capsys, tmp_path):
+        # "files" names the scenario `leak estimate` reads from files only
+        for argv in (["scenario", "files", "--out", str(tmp_path / "run")],
+                     ["estimate", "--scenario", "files"], ["exact", "--scenario", "files"]):
+            assert run_cli(capsys, argv)[0] == 2
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "flag, value, field",
         [
@@ -339,6 +406,24 @@ class TestScenarioCommand:
         )
         assert code == 2
         assert err.startswith("error:") and field in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flag, field", [("--methods", "methods"), ("--learners", "learners"), ("--sizes", "sizes")]
+    )
+    def test_empty_list_rejected_before_work(
+        self, capsys, tmp_path, monkeypatch, flag, field
+    ):
+        # an empty list is not "use the default list"
+        def refuse(config):
+            raise AssertionError(f"trial matrix ran with {config}")
+
+        monkeypatch.setattr("gleak.cli.run_trial_matrix", refuse)
+        code, out, err = run_cli(
+            capsys, ["scenario", "multi-guess", flag, "", "--out", str(tmp_path / "run")]
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {field} must not be empty\n"
         assert not list(tmp_path.iterdir())
 
     def test_empty_gowalla_path_is_read(self, capsys, tmp_path):

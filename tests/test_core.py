@@ -234,6 +234,19 @@ class TestLeakage:
             leakage(prior, channel, g, "multiplicative")
         assert leakage(prior, channel, g, "additive") == pytest.approx(0.0)
 
+    def test_multiplicative_needs_positive_prior_vulnerability(self, two_secret_example):
+        prior, channel = two_secret_example
+        g = GainFunction(
+            Alphabet.integers(2, "w"), prior.alphabet, np.array([[-0.2, -2.0], [-2.0, -0.5]])
+        )
+        pri = prior_vulnerability(prior, g)
+        post = posterior_vulnerability(prior, channel, g)
+        # the channel leaks, yet the ratio of the negative values is below 1
+        assert pri < post < 0.0 and post / pri < 1.0
+        with pytest.raises(ValidationError, match="positive prior vulnerability"):
+            leakage(prior, channel, g, "multiplicative")
+        assert leakage(prior, channel, g, "additive") == post - pri
+
     def test_unknown_mode(self, two_secret_example):
         prior, channel = two_secret_example
         with pytest.raises(ValidationError):
@@ -256,6 +269,14 @@ class TestLeakage:
         assert leakage_of(0.0, 0.5, "additive") == 0.5
         with pytest.raises(ValidationError, match="unknown mode"):
             leakage_of(0.5, 0.5, "geometric")
+
+    def test_leakage_of_negative_prior_vulnerability(self):
+        with pytest.raises(
+            ValidationError,
+            match="^multiplicative leakage needs a positive prior vulnerability, got -0.5$",
+        ):
+            leakage_of(-0.5, -0.25, "multiplicative")
+        assert leakage_of(-0.5, -0.25, "additive") == 0.25
 
 
 class TestSampling:
