@@ -58,6 +58,8 @@ def _emit(payload: dict, out: str | None) -> None:
 def _load_scenario(args) -> Scenario:
     """The built-in scenario --scenario names, or the "files" scenario of the file flags."""
     given = [f"--{flag}" for flag in ("prior", "channel", "gain") if vars(args)[flag] is not None]
+    empty = [flag for flag in given if not vars(args)[flag[2:]]]
+    _require(not empty, f"{', '.join(empty)} given an empty path, which names no file")
     if args.scenario:
         _require(not given, f"--scenario cannot be combined with {', '.join(given)}")
         return build_scenario(args.scenario, profile=args.profile)

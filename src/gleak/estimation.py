@@ -4,6 +4,12 @@ Both learner pipelines train a Bayes classifier on pre-processed (guess,
 observable) data and evaluate it with the ORIGINAL gain on held-out
 (secret, observable) pairs — the scaling constants of the reductions are
 then implicit in the evaluation and never multiplied in explicitly.
+
+The counting learners never build the data pre-processing expansion: the
+data method's k-NN and the frequentist table both read the (observable,
+secret) count table of the training set times a gain matrix.  Only the
+MLP, which draws batches from the weighted entries, trains on the
+expansion itself.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .core import (
     NumericalError,
     Prior,
     SampleSet,
+    ValidationError,
     _freeze,
     _require,
     _unique_rows,
@@ -28,7 +35,7 @@ from .core import (
     sample_joint,
     sample_prior,
 )
-from .knn import DistanceMetric, knn_train
+from .knn import DistanceMetric, KnnClassifier, _count_table, _knn_index, knn_train
 from .mlp import MlpConfig, mlp_train
 from .preprocess import (
     ChannelPreprocDerivation,
@@ -104,42 +111,78 @@ def fit(
     learner_config: LearnerConfig | None,
     train_stream: Stream,
     learner_stream: Stream | None = None,
+    train: SampleSet | None = None,
 ) -> tuple[object, dict]:
     """Draw m training samples for ``method`` and train its predictor.
 
-    ``"data"`` samples pi |> C, rationalizes the gain and expands the
-    samples; ``"channel"`` samples tau |> RC; ``"frequentist"`` counts
-    pi |> C samples into a decision table and needs no learner.  Only the
-    MLP draws from ``learner_stream``.  Returns the predictor and the
-    method's report details.
+    ``"data"`` samples pi |> C and rationalizes the gain; ``"channel"``
+    samples tau |> RC; ``"frequentist"`` counts pi |> C samples into a
+    decision table and needs no learner.  Only the MLP draws from
+    ``learner_stream``.  ``train`` is the m samples of pi |> C already
+    drawn from ``train_stream``, for a caller that fits the data and
+    frequentist methods on one set.  Returns the predictor and the method's
+    report details.
     """
     _require(method in METHOD_NAMES, f"unknown method {method!r}")
+    knn = isinstance(learner_config, DistanceMetric)
+    _require(
+        method == "frequentist"
+        or knn
+        or (isinstance(learner_config, MlpConfig) and learner_stream is not None),
+        f"method {method!r} needs a DistanceMetric, or an MlpConfig and a learner stream",
+    )
     if method == "channel":
+        _require(train is None, "the channel method draws its own (w, y) pairs")
         deriv = channel_preprocess(prior, gain)
         data = sample_preprocessed_pairs(deriv, channel, m, train_stream)
         details = {
             "beta": deriv.beta,
             "beta_handling": "implicit: evaluation uses the original gain on (x, y) pairs",
         }
-    else:
+        if knn:
+            return knn_train(data, learner_config), details
+        return mlp_train(data, learner_config, learner_stream), details
+    if train is None:
         train = sample_joint((prior, channel), m, train_stream)
-        if method == "frequentist":
-            return frequentist_predictor(train, gain), {}
-        rational, scale = rationalize_gain(gain)
+    _require(train.size == m, f"training set has {train.size} samples, expected m = {m}")
+    if method == "frequentist":
+        return frequentist_predictor(train, gain), {}
+    rational, scale = rationalize_gain(gain)
+    if knn:
+        model = data_knn_train(train, rational, learner_config)
+        # each column sum is exact (KnnClassifier checks it is below 2**53)
+        total = sum(int(v) for v in model.tallies.sum(axis=0).tolist())
+    else:
         data = data_preprocess(train, rational)
-        details = {
-            "rationalize_scale": scale,
-            "descale": "not needed: evaluation uses the original gain",
-            "expanded_total_weight": data.total_weight,
-            "expansion_factor": data.total_weight / m,
-        }
-    if isinstance(learner_config, DistanceMetric):
-        return knn_train(data, learner_config), details
-    _require(
-        isinstance(learner_config, MlpConfig) and learner_stream is not None,
-        f"method {method!r} needs a DistanceMetric, or an MlpConfig and a learner stream",
-    )
-    return mlp_train(data, learner_config, learner_stream), details
+        model = mlp_train(data, learner_config, learner_stream)
+        total = data.total_weight
+    return model, {
+        "rationalize_scale": scale,
+        "descale": "not needed: evaluation uses the original gain",
+        "expanded_total_weight": total,
+        "expansion_factor": total / m,
+    }
+
+
+def data_knn_train(
+    train: SampleSet, gain: GainFunction, metric: DistanceMetric
+) -> KnnClassifier:
+    """k-NN on the data pre-processing of ``train`` under the integer-valued
+    ``gain``, without building it.
+
+    The expansion gives (w, y) the total weight sum_x n(x, y) g(w, x), so
+    the tallies are the (l, X) secret counts of the training set times
+    G^T.  An observable seen only with secrets of zero gain is not in the
+    expansion; its all-zero row is dropped.  The products and partial sums
+    are non-negative integers below 2**53 (``KnnClassifier`` checks the
+    totals), so they are exact in any summation order, and the index equals
+    ``knn_train(data_preprocess(train, gain), metric)`` bit for bit.
+    """
+    distinct, tallies = _secret_scores(train, gain.matrix)
+    seen = tallies.any(axis=1)
+    if not seen.any():
+        raise ValidationError("gain is zero on every sampled secret")
+    return _knn_index(distinct[seen], tallies[seen], metric)
 
 
 def estimate(
@@ -245,14 +288,15 @@ def frequentist_predictor(train: SampleSet, gain: GainFunction) -> TablePredicto
     break toward the lowest index throughout.
     """
     _require(train.size > 0, "training set is empty")
-    y_distinct, y_inverse = _unique_rows(train.ys, return_inverse=True)
-    l, n_secrets = y_distinct.shape[0], train.secrets.size
-    cond_counts = np.bincount(
-        y_inverse * n_secrets + train.xs, minlength=l * n_secrets
-    ).reshape(l, n_secrets).astype(np.float64)
     # argmax_w sum_x counts(x|y) g(w,x); normalization by count(y) cancels
-    scores = cond_counts @ gain.matrix.T
+    y_distinct, scores = _secret_scores(train, gain.matrix)
     x_mode = int(np.argmax(np.bincount(train.xs, minlength=train.secrets.size)))
     fallback = int(np.argmax(gain.matrix[:, x_mode]))
     return TablePredictor(y_distinct, np.argmax(scores, axis=1), fallback)
 
+
+def _secret_scores(train: SampleSet, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct observables y of ``train`` and their (l, W) scores
+    sum_x n(x, y) matrix[w, x], from the (l, X) table of secret counts n."""
+    distinct, counts = _count_table(train.ys, train.xs, train.secrets.size)
+    return distinct, counts.astype(np.float64) @ matrix.T

@@ -9,6 +9,8 @@ master seed, so a full run is byte-reproducible.
 from __future__ import annotations
 
 import json
+import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -27,7 +29,7 @@ from .core import (
 from .estimation import METHOD_NAMES, fit
 from .knn import DistanceMetric
 from .mlp import MlpConfig
-from .rng import stream
+from .rng import Stream, stream
 from .scenarios import SCENARIO_NAMES, Scenario, build_scenario
 
 METHODS = tuple(METHOD_NAMES)
@@ -233,26 +235,6 @@ def _combos(config: TrialMatrixConfig) -> list[tuple[str, str]]:
     return combos
 
 
-def _train_one(
-    scenario: Scenario, config: TrialMatrixConfig, method: str, learner: str, m: int, i: int
-):
-    """Train the (method, learner, m, i) model; returns a predictor."""
-    seed, name = config.master_seed, scenario.name
-    train_name = "chan" if method == "channel" else "train"
-    predictor, _ = fit(
-        method,
-        scenario.prior,
-        scenario.channel,
-        scenario.gain,
-        m,
-        learner_config(scenario, method, learner, config.profile, m),
-        stream(seed, f"{name}/{train_name}/m{m}/i{i}"),
-        # only the MLP draws from this stream
-        stream(seed, f"{name}/{method}/mlp/m{m}/i{i}"),
-    )
-    return predictor
-
-
 def run_trial_matrix(
     config: TrialMatrixConfig,
 ) -> tuple[list[MetricsReport], list[TrialRow]]:
@@ -264,22 +246,32 @@ def run_trial_matrix(
     num_i = config.num_train_sets
     num_j = config.num_valid_sets
     n = config.valid_size
+    seed, name = config.master_seed, scenario.name
 
     valid_sets: list[SampleSet] = [
-        sample_joint(
-            (scenario.prior, scenario.channel),
-            n,
-            stream(config.master_seed, f"{scenario.name}/valid/j{j}"),
-        )
+        sample_joint((scenario.prior, scenario.channel), n, stream(seed, f"{name}/valid/j{j}"))
         for j in range(num_j)
     ]
 
+    # the tasks of one (m, i) run one after another; the training set of
+    # pi |> C they share is drawn once and dropped here when the last of
+    # them takes it, so no other set is kept meanwhile
     tasks = [
         (method, learner, m, i)
-        for (method, learner) in _combos(config)
         for m in sizes
         for i in range(num_i)
+        for (method, learner) in _combos(config)
     ]
+    uses = Counter((m, i) for method, _, m, i in tasks if method != "channel")
+    drawn: dict[tuple[int, int], SampleSet] = {}
+    lock = threading.Lock()
+
+    def training_set(m: int, i: int, source: Stream) -> SampleSet:
+        with lock:
+            if (m, i) not in drawn:
+                drawn[(m, i)] = sample_joint((scenario.prior, scenario.channel), m, source)
+            uses[(m, i)] -= 1
+            return drawn.pop((m, i)) if uses[(m, i)] == 0 else drawn[(m, i)]
 
     # every model is asked once, on the distinct observables of all J sets
     distinct = _distinct_rows(valid_sets)
@@ -287,7 +279,21 @@ def run_trial_matrix(
 
     def run_task(task):
         method, learner, m, i = task
-        model = _train_one(scenario, config, method, learner, m, i)
+        train_stream = stream(
+            seed, f"{name}/{'chan' if method == 'channel' else 'train'}/m{m}/i{i}"
+        )
+        model, _ = fit(
+            method,
+            scenario.prior,
+            scenario.channel,
+            gain,
+            m,
+            learner_config(scenario, method, learner, config.profile, m),
+            train_stream,
+            # only the MLP draws from this stream
+            stream(seed, f"{name}/{method}/mlp/m{m}/i{i}"),
+            train=None if method == "channel" else training_set(m, i, train_stream),
+        )
         gains = _pair_gains(model, valid_sets, gain, distinct)
         return task, [float(g.mean()) - gain.shift for g in gains]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, _freeze, _require, _unique_rows
+from .core import _freeze, _require, _unique_rows
 from .features import FeatureCodec
 from .preprocess import WeightedSampleSet
 
@@ -160,14 +160,25 @@ class KnnClassifier:
             hi += hi_out.astype(np.intp) - hi_in
 
 
+def _count_table(
+    ys: np.ndarray, labels: np.ndarray, n_labels: int, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of ``ys`` and the (l, n_labels) table of how often (or
+    with what total weight) each label occurs with each of them."""
+    distinct, inverse = _unique_rows(ys, return_inverse=True)
+    l = distinct.shape[0]
+    table = np.bincount(inverse * n_labels + labels, weights=weights, minlength=l * n_labels)
+    return distinct, table.reshape(l, n_labels)
+
+
+def _knn_index(
+    distinct: np.ndarray, tallies: np.ndarray, metric: DistanceMetric
+) -> KnnClassifier:
+    """The classifier over distinct observable rows and their guess tallies."""
+    return KnnClassifier(metric.codec.encode(distinct), tallies, k_for(distinct.shape[0]), metric)
+
+
 def knn_train(data: WeightedSampleSet, metric: DistanceMetric) -> KnnClassifier:
     """Build the deduplicated index and weighted guess tallies under ``metric``."""
-    if data.size == 0:
-        raise ValidationError("cannot train k-NN on empty data")
-    distinct, inverse = _unique_rows(data.ys, return_inverse=True)
-    l, n_guesses = distinct.shape[0], data.guesses.size
-    tallies = np.bincount(
-        inverse * n_guesses + data.ws, weights=data.weights, minlength=l * n_guesses
-    ).reshape(l, n_guesses)
-    features = metric.codec.encode(distinct)
-    return KnnClassifier(features, tallies, k_for(l), metric)
+    distinct, tallies = _count_table(data.ys, data.ws, data.guesses.size, data.weights)
+    return _knn_index(distinct, tallies, metric)

@@ -3,9 +3,10 @@ package's exact and analytic computations are checked against, the ideal
 joints of the two pre-processing theorems, the strategy tables the tests
 score, and the straightforward implementations that the package's fast
 paths must match bit for bit: distinct rows by sorting, tallies by
-``np.add.at``, CDF inversion in the uniforms' own order, rationalization
-through an entry-to-value index and the location matrices evaluated on
-every cell pair among them.
+``np.add.at``, the data method's k-NN tallies from the expanded set, CDF
+inversion in the uniforms' own order, rationalization through an
+entry-to-value index and the location matrices evaluated on every cell
+pair among them.
 
 They are kept out of the package because no command, scenario or pipeline
 uses them.
@@ -31,6 +32,7 @@ from gleak.core import (
     _freeze,
     _require,
     _score_matrix,
+    _unique_rows,
 )
 from gleak.estimation import TablePredictor
 from gleak.knn import DistanceMetric, KnnClassifier, k_for
@@ -51,6 +53,8 @@ from gleak.preprocess import (
     WeightedSampleSet,
     _renormalize,
     _split,
+    data_preprocess,
+    rationalize_gain,
 )
 from gleak.rng import Stream
 from gleak.scenarios.location import ALPHA, CELL_M, GAMMA, GRID_SIDE
@@ -209,6 +213,30 @@ def reference_knn_train(data: WeightedSampleSet, metric: DistanceMetric) -> KnnC
     tallies = np.zeros((l, data.guesses.size))
     np.add.at(tallies, (inverse, data.ws), data.weights.astype(np.float64))
     return KnnClassifier(metric.codec.encode(distinct), tallies, k_for(l), metric)
+
+
+def reference_data_knn_train(
+    train: SampleSet, gain: GainFunction, metric: DistanceMetric
+) -> tuple[KnnClassifier, dict]:
+    """The data method's k-NN fit on a drawn training set by the expansion:
+    rationalize the gain, expand the set by data pre-processing, then tally
+    the expanded entries per distinct observable.  Returns the classifier
+    and the fit's report details."""
+    rational, scale = rationalize_gain(gain)
+    data = data_preprocess(train, rational)
+    distinct, inverse = _unique_rows(data.ys, return_inverse=True)
+    l, n_guesses = distinct.shape[0], data.guesses.size
+    tallies = np.bincount(
+        inverse * n_guesses + data.ws, weights=data.weights, minlength=l * n_guesses
+    ).reshape(l, n_guesses)
+    features = metric.codec.encode(distinct)
+    details = {
+        "rationalize_scale": scale,
+        "descale": "not needed: evaluation uses the original gain",
+        "expanded_total_weight": data.total_weight,
+        "expansion_factor": data.total_weight / train.size,
+    }
+    return KnnClassifier(features, tallies, k_for(l), metric), details
 
 
 def reference_frequentist_predictor(train: SampleSet, gain: GainFunction) -> TablePredictor:

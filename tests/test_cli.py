@@ -181,6 +181,22 @@ class TestExact:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["exact", "estimate"])
+    @pytest.mark.parametrize("flag", ["--prior", "--channel", "--gain"])
+    def test_empty_file_flag_rejected(self, capsys, assets, command, flag):
+        # an empty path names no file: "--gain ''" is not the identity gain
+        paths = {
+            "--prior": str(assets / "prior.txt"),
+            "--channel": str(assets / "chan.txt"),
+            "--gain": str(assets / "gain.txt"),
+        }
+        paths[flag] = ""
+        argv = [command] + [part for item in paths.items() for part in item]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and flag in err
+        assert [other for other in paths if other != flag and other in err] == []
+
 
 class TestEstimate:
     def files(self, assets):

@@ -2,14 +2,16 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from gleak import NumericalError, ValidationError, sample_joint, stream
-from gleak import harness
+from gleak import estimation, harness
 from gleak.estimation import TablePredictor
 from gleak.harness import (
+    METHODS,
     PROFILES,
     MetricsReport,
     TrialMatrixConfig,
@@ -164,7 +166,7 @@ class TestLearnerConfigTables:
         # paper table, as `leak estimate --m 50000` does, not the first ones
         seen = []
 
-        def fake_fit(method, prior, channel, gain, m, config, *streams):
+        def fake_fit(method, prior, channel, gain, m, config, *streams, train=None):
             seen.append((m, config.epochs, config.batch_size))
             return TablePredictor(np.zeros((1, 1)), np.zeros(1), fallback=0), {}
 
@@ -298,17 +300,60 @@ class TestRunTrialMatrix:
             )
             for j in range(3)
         ]
-        tasks = [
+        tasks = [  # in the order the harness trains them
             (method, learner, m, i)
-            for method, learner in (("data", "knn"), ("frequentist", "none"))
             for m in (300, 600)
             for i in range(2)
+            for method, learner in (("data", "knn"), ("frequentist", "none"))
         ]
         estimates = {(r.method, r.learner, r.m, r.i, r.j): r.estimate for r in rows}
         for model, task in zip(models, tasks):
             for j, valid in enumerate(valid_sets):
                 per_set = reference_empirical_functional(model.inner, valid, scenario.gain)
                 assert estimates[(*task, j)] == per_set
+
+
+class TestSharedTrainingSets:
+    """The data and frequentist methods train on one pi |> C set per (m, i)."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_each_training_set_is_drawn_once(self, run, monkeypatch, workers):
+        config, (_, rows) = run
+        calls, real = [], harness.sample_joint
+
+        def spy(source, count, train_stream):
+            calls.append(train_stream.name)
+            return real(source, count, train_stream)
+
+        monkeypatch.setattr(harness, "sample_joint", spy)
+        monkeypatch.setattr(estimation, "sample_joint", spy)
+        # more workers than cores, switching often: a race on the shared
+        # sets would draw one twice or hand a task another's
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, rows2 = run_trial_matrix(tiny_config(workers=workers))
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows2 == rows
+        # J validation sets and I x |sizes| training sets, not twice the latter
+        assert len(calls) == 3 + 2 * 2
+        assert sorted(calls) == sorted(
+            [f"multi-guess/valid/j{j}" for j in range(3)]
+            + [f"multi-guess/train/m{m}/i{i}" for m in (300, 600) for i in range(2)]
+        )
+
+    def test_artifacts_do_not_depend_on_workers(self, tmp_path):
+        written = {}
+        for workers in (1, 2):
+            config = tiny_config(methods=METHODS, workers=workers)
+            metrics, rows = run_trial_matrix(config)
+            paths = emit_reports(metrics, rows, config.resolved(), tmp_path / f"w{workers}")
+            written[workers] = [path.read_bytes() for path in paths]
+        summary, trials, boxplot = written[2]
+        # summary.json records the worker count and nothing else differs
+        assert summary.replace(b'"workers": 2', b'"workers": 1') == written[1][0]
+        assert [trials, boxplot] == written[1][1:]
 
 
 class TestEmitReports:

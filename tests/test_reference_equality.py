@@ -7,6 +7,9 @@ against the implementations they replaced (``oracles``), bit for bit.
   ``np.unique(axis=0)``.  The reference sorts the rows themselves.
 - ``knn_train`` and ``frequentist_predictor`` take their tallies with one
   ``np.bincount`` instead of ``np.add.at``.
+- The data method's k-NN tallies are the (observable, secret) counts of the
+  training set times the rationalized gain, instead of the tallies of its
+  data pre-processing expansion.
 - ``core._inverse_cdf`` searches the targets in sorted order and scatters
   the indices back, instead of searching them in the uniforms' order.
 
@@ -35,6 +38,7 @@ from gleak import (
     Channel,
     GainFunction,
     MlpConfig,
+    Prior,
     SampleSet,
     ValidationError,
     posterior_vulnerability,
@@ -50,7 +54,7 @@ from gleak.core import (
     _unique_rows,
     sample_prior,
 )
-from gleak.estimation import frequentist_predictor, sample_preprocessed_pairs
+from gleak.estimation import fit, frequentist_predictor, sample_preprocessed_pairs
 from gleak.features import tuple_codec
 from gleak.knn import DistanceMetric, knn_train
 from gleak.mlp import mlp_train
@@ -75,6 +79,7 @@ from gleak.scenarios.location import (
 from oracles import (
     reference_center_distances,
     reference_channel_sample,
+    reference_data_knn_train,
     reference_data_preprocess,
     reference_diamond_gain,
     reference_frequentist_predictor,
@@ -455,6 +460,102 @@ class TestTallies:
         assert_same_table(
             frequentist_predictor(train, gain), reference_frequentist_predictor(train, gain)
         )
+
+
+def fit_data_knn(train, gain, metric, prior=None, channel=None):
+    """``fit("data", ...)`` on a drawn set; the source is nominal, as a set is given."""
+    prior = prior or Prior.uniform(gain.secrets)
+    channel = channel or Channel.identity(gain.secrets)
+    return fit(
+        "data", prior, channel, gain, train.size, metric, stream(0, "t/ref/unused"), train=train
+    )
+
+
+def assert_same_data_fit(train, gain, metric, prior=None, channel=None):
+    """The fit on counts and the fit on the expansion: same model, same details."""
+    model, details = fit_data_knn(train, gain, metric, prior, channel)
+    reference, reference_details = reference_data_knn_train(train, gain, metric)
+    assert_same_knn(model, reference)
+    assert details == reference_details
+    assert [type(v) for v in details.values()] == [type(v) for v in reference_details.values()]
+    return model
+
+
+def zero_column_set(gen, width):
+    """A random integer gain whose all-zero column is a sampled secret, and a
+    training set in which one observable is seen only with that secret."""
+    n_w, n_x = int(gen.integers(1, 9)), int(gen.integers(2, 9))
+    values = gen.integers(1, 50, size=(n_w, n_x)) * (gen.random((n_w, n_x)) < 0.5)
+    dead, live = gen.permutation(n_x)[:2]
+    values[:, dead] = 0
+    values[gen.integers(n_w), live] = int(gen.integers(1, 50))
+    m = int(gen.integers(2, 400))
+    xs = gen.integers(0, n_x, size=m)
+    ys = gen.integers(-20, 20, size=(m, width))
+    xs[:2] = dead, live
+    ys[0] = 99  # this row is seen with the zero-gain secret only
+    gain = GainFunction(Alphabet.integers(n_w, "w"), Alphabet.integers(n_x), values)
+    return SampleSet(gain.secrets, xs, ys), gain
+
+
+def metric_for(width):
+    if width == 1:
+        return DistanceMetric("absolute", scalar_codec(0.5))
+    return DistanceMetric("manhattan", tuple_codec(width, 0.5))
+
+
+class TestDataKnnTrain:
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_scenarios(self, name, profile):
+        scenario = build_scenario(name, profile)
+        train = sample_joint(
+            (scenario.prior, scenario.channel), 3000, stream(0, f"t/ref/{profile}/train")
+        )
+        assert_same_data_fit(
+            train, scenario.gain, scenario.metric, scenario.prior, scenario.channel
+        )
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_gains_with_a_zero_column(self, seed):
+        gen = np.random.default_rng(900 + seed)
+        width = 1 + seed % 3
+        train, gain = zero_column_set(gen, width)
+        model = assert_same_data_fit(train, gain, metric_for(width))
+        # the row seen only with the zero-gain secret is not indexed
+        assert model.n_indexed < _unique_rows(train.ys).shape[0]
+
+    def test_zero_gain_on_every_sampled_secret(self):
+        secrets = Alphabet.integers(3)
+        gain = GainFunction(
+            Alphabet.integers(2, "w"), secrets, [[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]]
+        )
+        train = SampleSet(secrets, np.array([0, 1, 1, 0]), np.arange(4)[:, None])
+        errors = []
+        for train_fn in (fit_data_knn, reference_data_knn_train):
+            with pytest.raises(ValidationError) as caught:
+                train_fn(train, gain, metric_for(1))
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == "gain is zero on every sampled secret"
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[1.0, 1.0 / EXPANSION_CAP, 0.0], [0.5, 0.0, 0.25]],  # scale at the cap
+            [[float(EXPANSION_CAP), 1.0, 0.0], [0.0, 3.0, 0.0]],  # entry at the cap
+        ],
+    )
+    def test_rationalized_gain_at_the_cap(self, values):
+        gen = np.random.default_rng(7)
+        secrets = Alphabet.integers(3)
+        gain = GainFunction(Alphabet.integers(2, "w"), secrets, values)
+        xs = gen.integers(0, 3, size=5000)
+        train = SampleSet(secrets, xs, gen.integers(0, 40, size=(5000, 1)))
+        _, scale = rationalize_gain(gain)
+        model = assert_same_data_fit(train, gain, metric_for(1))
+        assert scale * gain.matrix.max() == EXPANSION_CAP
+        assert model.tallies.max() > 2**24  # past float32's exact integers
 
 
 def assert_same_inversion(probs, u):

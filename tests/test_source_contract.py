@@ -21,7 +21,11 @@ Distinct rows are taken in one place, ``core._unique_rows``; no other
 library code calls ``np.unique(..., axis=...)``, which sorts the rows as a
 structured dtype.  No library code calls ``np.lexsort``, and none
 accumulates with ``np.add.at``: counts over integer keys are one
-``np.bincount``.
+``np.bincount``.  Counts of labels against distinct observables are taken
+in one place, ``knn._count_table``.
+
+Only the MLP and ``leak preprocess`` build the data pre-processing
+expansion; the counting learners train on counts.
 """
 
 import ast
@@ -205,3 +209,61 @@ def test_no_add_at_or_lexsort_in_library_code():
         for path, scope, line in _found(lambda call: _is_numpy_call(call, *parts))
     ]
     assert not found, "np.add.at or np.lexsort in library code: " + ", ".join(found)
+
+
+def _is_name_call(name: str):
+    return lambda call: isinstance(call.func, ast.Name) and call.func.id == name
+
+
+def _is_keyed_bincount(call: ast.Call) -> bool:
+    """``np.bincount`` over a computed key, e.g. ``inverse * n + labels``."""
+    return (
+        _is_numpy_call(call, "bincount")
+        and bool(call.args)
+        and not isinstance(call.args[0], (ast.Name, ast.Attribute))
+    )
+
+
+def test_observable_label_counts_are_taken_in_one_place():
+    keyed = sorted((path, scope) for path, scope, _ in _found(_is_keyed_bincount))
+    assert keyed == [("gleak/knn.py", "_count_table")]
+    inverse = sorted(
+        (path, scope)
+        for path, scope, _ in _found(
+            lambda call: _is_name_call("_unique_rows")(call)
+            and any(keyword.arg == "return_inverse" for keyword in call.keywords)
+        )
+    )
+    assert inverse == [("gleak/core.py", "_distinct_rows"), ("gleak/knn.py", "_count_table")]
+
+
+def test_expansion_is_built_only_for_the_mlp_and_leak_preprocess():
+    found = sorted((path, scope) for path, scope, _ in _found(_is_name_call("data_preprocess")))
+    assert found == [("gleak/cli.py", "cmd_preprocess"), ("gleak/estimation.py", "fit")]
+    tree = ast.parse((SOURCE / "estimation.py").read_text())
+    fit = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "fit"
+    )
+    # the innermost if-branch that expands (ast.walk is breadth-first, so
+    # the last found) also trains the MLP, and no k-NN
+    branches = [
+        branch
+        for node in ast.walk(fit)
+        if isinstance(node, ast.If)
+        for branch in (node.body, node.orelse)
+        if any(
+            _is_name_call("data_preprocess")(call)
+            for stmt in branch
+            for call in ast.walk(stmt)
+            if isinstance(call, ast.Call)
+        )
+    ]
+    assert branches, "fit calls data_preprocess outside any branch"
+    called = {
+        call.func.id
+        for stmt in branches[-1]
+        for call in ast.walk(stmt)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+    }
+    assert "mlp_train" in called
+    assert not called & {"knn_train", "_knn_index", "data_knn_train"}
