@@ -9,7 +9,9 @@ three methods went through one `estimate` function; the `leak bounds` and
 one split of their score matrix; the exact V_g of every scenario and profile
 before the scenario config dataclasses became module constants; the
 file-channel estimates and the MLP configs that file channels train with
-before file channels became a scenario.  Only kNN and the frequentist
+before file channels became a scenario; the large dp trial matrix, whose
+training sets index thousands of distinct observables, before the k-NN
+searched integer L1 balls.  Only kNN and the frequentist
 baseline are pinned: MLP training sums through BLAS, whose summation order
 is not portable across builds, so for the MLP the config is pinned instead.
 """
@@ -47,6 +49,12 @@ ARTIFACT_SHA256 = {
         "5402de0c8cc6addb14712b69c6a93bf413ce1313e59f1aaa42342090b87d8c0e",
     ),
 }
+
+LARGE_DP_SHA256 = (
+    "98ca0e26f2fbb09a4781d837a763ec6eff0542842fa6d57c769413d7171c6294",
+    "63d506bba4713c797be68982b2d76fa919bc5d8a36ec63ffaffcf1b858509b8d",
+    "281a76f8a026e669f7d6b8c1387576de697190a20073e6e96ac80e0b926a848e",
+)
 
 # (scenario, profile) -> repr of the exact V_g
 EXACT_VG = {
@@ -114,6 +122,25 @@ def test_trial_matrix_artifacts(scenario, tmp_path):
     paths = emit_reports(metrics, rows, config.resolved(), tmp_path / scenario)
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
     assert digests == ARTIFACT_SHA256[scenario]
+
+
+def test_large_dp_trial_matrix_artifacts(tmp_path):
+    """dp k-NN at m = 10,000 and 30,000: thousands of distinct observables,
+    most queries with their k nearest a few integer steps away."""
+    config = TrialMatrixConfig(
+        scenario="dp",
+        master_seed=0,
+        methods=("data", "channel"),
+        learners=("knn",),
+        sizes=(10000, 30000),
+        num_train_sets=1,
+        num_valid_sets=2,
+        valid_size=10000,
+    )
+    metrics, rows = run_trial_matrix(config)
+    paths = emit_reports(metrics, rows, config.resolved(), tmp_path / "dp")
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
+    assert digests == LARGE_DP_SHA256
 
 
 @pytest.mark.parametrize("scenario,profile", sorted(EXACT_VG))
