@@ -23,7 +23,8 @@ def _clip01(p: float) -> float:
 
 
 def plugin_sigma2(predictor, validation, gain) -> float:
-    """Sample variance of g(f(y), x) for a fixed predictor on held-out pairs."""
+    """Plug-in variance of g(f(y), x) for a fixed predictor on held-out
+    pairs: the mean squared deviation, dividing by n (ddof 0)."""
     return float((_pair_gains(predictor, [validation], gain)[0] - gain.shift).var())
 
 

@@ -12,10 +12,15 @@ from .core import _require
 
 @dataclass(frozen=True)
 class FeatureCodec:
-    """Maps (n, width) integer observable encodings to (n, dim) float features."""
+    """Maps (n, width) integer observable encodings to (n, dim) float features.
+
+    ``scale`` is set when the features are the encodings times that one
+    number, which the k-NN's integer ball search relies on.
+    """
 
     dim: int
     transform: Callable[[np.ndarray], np.ndarray]
+    scale: float | None = None
 
     def encode(self, ys: np.ndarray) -> np.ndarray:
         ys = np.asarray(ys, dtype=np.int64)
@@ -51,4 +56,4 @@ def tuple_codec(width: int, scale: float) -> FeatureCodec:
     def transform(ys: np.ndarray) -> np.ndarray:
         return ys * scale
 
-    return FeatureCodec(width, transform)
+    return FeatureCodec(width, transform, scale)

@@ -6,10 +6,23 @@ k = max(1, floor(ln l)).  A query aggregates the tallies of its k nearest
 distinct observables (all observables tied at the k-th distance included)
 and returns the weighted majority guess, lowest index on ties.
 
-Queries are answered in blocks of ``QUERY_CHUNK`` against every indexed
-observable, except under the 1-D ``absolute`` metric, where a window of
-the sorted features around each query finds its k-th distance and its tied
-run, with no (q, l) matrix at all.
+Three kernels answer queries, all to the same bits:
+
+* under the 1-D ``absolute`` metric, a window of the sorted features around
+  each query finds its k-th distance and its tied run, with no (q, l)
+  matrix at all;
+* under ``manhattan`` over features that are one scale times distinct
+  integer rows (``tuple_codec``), each query walks the integer L1 shells
+  around it, looking the shells' mixed-radix keys up among the rows' sorted
+  keys, and stops at the first radius whose ball holds k rows; only the
+  rows of that last shell are scored (see ``_lattice_index`` for the
+  precondition that makes this exact);
+* every other query, and every query whose k nearest lie beyond the
+  lattice's radius (its ball would hold more than l points), is answered in
+  blocks of ``QUERY_CHUNK`` against every indexed observable.
+
+Every float distance, on either of the last two paths, comes from one
+kernel, ``_distances``.
 """
 
 from __future__ import annotations
@@ -19,13 +32,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _freeze, _require, _unique_rows
+from .core import KEY_LIMIT, _freeze, _require, _unique_rows
 from .features import FeatureCodec
 from .preprocess import WeightedSampleSet
 
 METRIC_KINDS = ("absolute", "euclidean", "manhattan")
 QUERY_CHUNK = 32  # queries per (q, l) distance block: 1 MB at l = 4,000, in cache
 EXACT_COUNT = 2**53  # float64 holds every integer count below this exactly
+# shell keys looked up per step of the lattice search: 256 kB of int64
+LATTICE_CANDIDATES = 2**15
+MAX_RADIUS = 16  # shells walked at most, which bounds a search's numpy calls
+# lattice coordinates |c| stay below FLOAT_ORDER_LIMIT / (dim * (dim + 1)),
+# and the scale between these powers of two, so float distances keep the
+# order of the integer ones (see _lattice_index)
+FLOAT_ORDER_LIMIT = 2**50
+SCALE_RANGE = (2.0**-900, 2.0**900)
+
+
+def _distances(kind: str, left, right, shape: tuple[int, ...]) -> np.ndarray:
+    """sum_d |left[d] - right[d]| under ``manhattan``, the root of the sum of
+    squares under ``euclidean``; ``left[d]`` and ``right[d]`` broadcast to
+    ``shape``.
+
+    One buffer is filled a dimension at a time: difference, abs (or
+    square), then added to the sum, so no (..., dim) temporary is built.
+    The terms are summed left to right.
+    """
+    out = np.empty(shape)
+    term = np.empty_like(out) if len(left) > 1 else out
+    magnitude = np.square if kind == "euclidean" else np.abs
+    for d, (a, b) in enumerate(zip(left, right)):
+        dest = out if d == 0 else term
+        np.subtract(a, b, out=dest)
+        magnitude(dest, out=dest)
+        if d:
+            np.add(out, term, out=out)
+    if kind == "euclidean":
+        np.sqrt(out, out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -43,25 +87,12 @@ class DistanceMetric:
     def pairwise(self, queries: np.ndarray, points: np.ndarray) -> np.ndarray:
         """(q, dim) x (l, dim) -> (q, l) distances.
 
-        One (q, l) buffer is filled a dimension at a time: difference, abs
-        (or square), then added to the sum, so no (q, l, dim) temporary is
-        built.  The terms are summed left to right, which is the order of
+        The terms are summed left to right, which is the order of
         ``.sum(axis=2)`` over fewer than eight dimensions; from eight on,
         numpy's pairwise sum groups them differently.
         """
-        out = np.empty((queries.shape[0], points.shape[0]))
-        term = np.empty_like(out) if queries.shape[1] > 1 else out
-        magnitude = np.square if self.kind == "euclidean" else np.abs
-        columns = np.ascontiguousarray(points.T)
-        for d in range(queries.shape[1]):
-            dest = out if d == 0 else term
-            np.subtract(queries[:, d, None], columns[d], out=dest)
-            magnitude(dest, out=dest)
-            if d:
-                np.add(out, term, out=out)
-        if self.kind == "euclidean":
-            np.sqrt(out, out=out)
-        return out
+        shape = (queries.shape[0], points.shape[0])
+        return _distances(self.kind, queries.T[:, :, None], np.ascontiguousarray(points.T), shape)
 
 
 def k_for(l: int) -> int:
@@ -70,16 +101,110 @@ def k_for(l: int) -> int:
     return max(1, int(math.floor(math.log(l))))
 
 
+@dataclass(frozen=True, eq=False)
+class _Lattice:
+    """An index's integer rows as sorted mixed-radix keys.
+
+    The frame (``lows``, ``spans``, ``strides``, as in ``_unique_rows``)
+    reaches ``2 * radius`` past the rows' box, so it holds every point
+    within ``radius`` of a query within ``radius`` of the box.
+    """
+
+    scale: float
+    radius: int
+    lows: np.ndarray
+    spans: np.ndarray
+    strides: np.ndarray
+    keys: np.ndarray  # sorted, then a sentinel above every key
+    order: np.ndarray  # the row of each sorted key
+
+
+def _ball_size(dim: int, r: int) -> int:
+    """Integer points within L1 distance r of a point in ``dim`` dimensions."""
+    return sum(2**i * math.comb(dim, i) * math.comb(r, i) for i in range(min(dim, r) + 1))
+
+
+def _shell(dim: int, r: int) -> np.ndarray:
+    """The (n, dim) integer offsets of L1 norm exactly r, one coordinate at a
+    time: each prefix with budget b left takes every value in [-b, b], and
+    the last coordinate takes -b and +b."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([r], dtype=np.int64)
+    for _ in range(dim - 1):
+        reach = 2 * left + 1
+        parent = np.repeat(np.arange(left.size), reach)
+        value = np.arange(parent.size) - np.repeat(np.cumsum(reach) - reach, reach) - left[parent]
+        rows = np.column_stack([rows[parent], value])
+        left = left[parent] - np.abs(value)
+    two = left > 0
+    return np.concatenate(
+        [np.column_stack([rows, -left]), np.column_stack([rows[two], left[two]])]
+    )
+
+
+def _lattice_index(features: np.ndarray, metric: DistanceMetric) -> _Lattice | None:
+    """The lattice of a ``manhattan`` index, or None where its search would
+    not be exact or not pay.
+
+    The features must be, bit for bit, distinct integer rows c times the
+    codec's ``scale`` s, with 2**-900 <= |s| <= 2**900.  A searched query
+    lies within the radius of the rows' box, so bounding the rows' |c| by
+    M - radius bounds every coordinate compared by M = 2**50 / (dim (dim +
+    1)).  Each product c s is then a normal float within u |c s| of its
+    value (u = 2**-53), each |difference| within about 3 u |s| (|a| + |b|),
+    and the left-to-right sum of dim terms within about (dim + 1) u |s|
+    2 dim M = |s| / 4 of |s| times the integer L1 distance.  Distinct
+    integer distances are at least one |s| apart, so float distances keep
+    their order: the rows within the float k-th distance are the rows of
+    integer distance below the first radius R whose ball holds k rows, and
+    those of shell R within the k-th float among shell R alone.
+
+    The radius is the largest r (at most ``MAX_RADIUS``) whose ball holds at
+    most l points: a farther query costs more to search than the l
+    distances of the blocked path.  A key frame reaching ``KEY_LIMIT``
+    also leaves the index to the blocked path.
+    """
+    scale = metric.codec.scale
+    lo, hi = SCALE_RANGE
+    l, dim = features.shape
+    if metric.kind != "manhattan" or scale is None or not lo <= abs(scale) <= hi:
+        return None
+    radius = 0
+    while radius < MAX_RADIUS and _ball_size(dim, radius + 1) <= l:
+        radius += 1
+    nearest = np.rint(features / scale)
+    if not (np.abs(nearest) <= FLOAT_ORDER_LIMIT // (dim * (dim + 1)) - radius).all():
+        return None
+    rows = nearest.astype(np.int64)
+    if not np.array_equal((rows * scale).view(np.int64), features.view(np.int64)):
+        return None
+    lows = rows.min(axis=0) - 2 * radius
+    spans = rows.max(axis=0) - lows + 2 * radius + 1
+    if math.prod(spans.tolist()) >= KEY_LIMIT:
+        return None
+    strides = np.array([math.prod(spans[d + 1 :].tolist()) for d in range(dim)], dtype=np.int64)
+    keys = (rows - lows) @ strides
+    order = np.argsort(keys)
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    keys = np.append(keys, np.iinfo(np.int64).max)
+    return _Lattice(scale, radius, lows, spans, strides, keys, order)
+
+
 class KnnClassifier:
     """Immutable trained model: distinct-observable index + tallies.
 
     ``tallies`` are weighted counts: non-negative integers, each guess's
     total below 2**53, so every sum of them is exact in float64 whatever
     its order.  Under the 1-D ``absolute`` metric the features are also
-    kept sorted, with prefix sums of their tallies.
+    kept sorted, with prefix sums of their tallies; under ``manhattan``
+    over scaled integer rows, their lattice keys.
     """
 
-    __slots__ = ("features", "tallies", "k", "metric", "n_guesses", "_sorted", "_cum")
+    __slots__ = (
+        "features", "tallies", "k", "metric", "n_guesses", "_sorted", "_cum", "_lattice"
+    )
 
     def __init__(
         self,
@@ -104,6 +229,7 @@ class KnnClassifier:
             self._sorted = self.features[order, 0]
             self._cum = np.zeros((order.size + 1, self.n_guesses))
             np.cumsum(self.tallies[order], axis=0, out=self._cum[1:])
+        self._lattice = _lattice_index(self.features, metric)
 
     @property
     def n_indexed(self) -> int:
@@ -114,6 +240,16 @@ class KnnClassifier:
         k = min(self.k, self.n_indexed)
         if self.metric.kind == "absolute":
             return np.argmax(self._run_votes(queries[:, 0], k), axis=1)
+        if self._lattice is None:
+            return self._blocked_guesses(queries, k)
+        answered, votes = self._lattice_votes(queries, k)
+        out = np.argmax(votes, axis=1)
+        rest = np.flatnonzero(~answered)
+        out[rest] = self._blocked_guesses(queries[rest], k)
+        return out
+
+    def _blocked_guesses(self, queries: np.ndarray, k: int) -> np.ndarray:
+        """Guesses from every (q, l) distance, ``QUERY_CHUNK`` queries at a time."""
         out = np.empty(queries.shape[0], dtype=np.int64)
         for start in range(0, queries.shape[0], QUERY_CHUNK):
             block = queries[start : start + QUERY_CHUNK]
@@ -124,6 +260,76 @@ class KnnClassifier:
             included = np.less_equal(dists, kth[:, None], out=dists)
             out[start : start + QUERY_CHUNK] = np.argmax(included @ self.tallies, axis=1)
         return out
+
+    def _lattice_votes(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Which queries the lattice search answers, and the (q, n_guesses)
+        votes of those (zero for the rest).
+
+        Radius by radius, the open queries add the shell's key
+        offsets to their own key, ``LATTICE_CANDIDATES`` keys per step, and
+        find them among the rows' sorted keys.  A query whose ball now
+        holds k rows scores its shell's rows, takes the j-th float among
+        them, j = k less the rows of its inner shells, and is answered; the
+        others' shell rows all vote, as they lie within any later k-th
+        distance.  Queries outside the frame, or whose features are not
+        their integer rows times the scale, are not searched.
+        """
+        lat = self._lattice
+        n, dim = queries.shape
+        nearest = np.rint(queries / lat.scale)
+        near = lat.lows + lat.radius  # the rows' box widened by the radius
+        far = lat.lows + lat.spans - 1 - lat.radius
+        inside = ((nearest >= near) & (nearest <= far)).all(axis=1)
+        rows = np.tile(lat.lows, (n, 1))  # key 0 for the queries not searched
+        rows[inside] = nearest[inside]
+        inside &= ((rows * lat.scale).view(np.int64) == queries.view(np.int64)).all(axis=1)
+        centre = (rows - lat.lows) @ lat.strides
+        found = np.zeros(n, dtype=np.int64)  # rows within the radius so far
+        votes = np.zeros((n, self.n_guesses))
+        answered = np.zeros(n, dtype=bool)
+        pending = np.flatnonzero(inside)
+        for r in range(lat.radius + 1):
+            if pending.size == 0:
+                break
+            shell = np.sort(_shell(dim, r) @ lat.strides)
+            step = max(1, LATTICE_CANDIDATES // shell.size)
+            unanswered = []
+            for start in range(0, pending.size, step):
+                part = pending[start : start + step]
+                wanted = centre[part, None] + shell
+                pos = np.searchsorted(lat.keys, wanted)
+                flat = np.flatnonzero(lat.keys[pos] == wanted)
+                who = flat // shell.size  # ascending
+                hit = lat.order[pos.ravel()[flat]]
+                below = found[part]
+                found[part] += np.bincount(who, minlength=part.size)
+                done = found[part] >= k
+                voting = ~done[who]
+                last = np.flatnonzero(done[who])
+                if last.size:
+                    dist = _distances(
+                        self.metric.kind,
+                        queries[part[who[last]]].T,
+                        self.features[hit[last]].T,
+                        (last.size,),
+                    )
+                    # each query's shell floats in order, from first[query]
+                    group = who[last]
+                    order = np.argsort(dist, kind="stable")
+                    order = order[np.argsort(group[order], kind="stable")]
+                    first = np.searchsorted(group, np.arange(part.size))
+                    kth = dist[order][np.minimum(first + k - below - 1, last.size - 1)]
+                    voting[last] = dist <= kth[group]
+                sel = np.flatnonzero(voting)
+                if sel.size:
+                    starts = np.flatnonzero(np.diff(who[sel], prepend=-1))
+                    votes[part[who[sel[starts]]]] += np.add.reduceat(
+                        self.tallies[hit[sel]], starts, axis=0
+                    )
+                answered[part[done]] = True
+                unanswered.append(part[~done])
+            pending = np.concatenate(unanswered)
+        return answered, votes
 
     def _run_votes(self, q: np.ndarray, k: int) -> np.ndarray:
         """Votes of 1-D queries without a (q, l) matrix.

@@ -3,10 +3,10 @@ package's exact and analytic computations are checked against, the ideal
 joints of the two pre-processing theorems, the strategy tables the tests
 score, and the straightforward implementations that the package's fast
 paths must match bit for bit: distinct rows by sorting, tallies by
-``np.add.at``, the data method's k-NN tallies from the expanded set, CDF
-inversion in the uniforms' own order, rationalization through an
-entry-to-value index and the location matrices evaluated on every cell
-pair among them.
+``np.add.at``, the k-NN scoring every (query, observable) pair, the data
+method's k-NN tallies from the expanded set, CDF inversion in the
+uniforms' own order, rationalization through an entry-to-value index and
+the location matrices evaluated on every cell pair among them.
 
 They are kept out of the package because no command, scenario or pipeline
 uses them.
@@ -109,6 +109,29 @@ def reference_knn_predict(model, ys: np.ndarray) -> np.ndarray:
         included = dists <= kth[:, None]  # all ties at the k-th distance
         votes = included.astype(np.float64) @ model.tallies
         out[start : start + REFERENCE_CHUNK] = np.argmax(votes, axis=1)
+    return out
+
+
+BLOCKED_CHUNK = 32  # queries per (q, l) distance block
+
+
+def reference_blocked_knn_predict(model, ys: np.ndarray) -> np.ndarray:
+    """The k-NN query kernel before the lattice search: every query, under
+    ``euclidean`` and ``manhattan``, scored against every indexed
+    observable by ``pairwise`` in blocks of ``BLOCKED_CHUNK``."""
+    queries = model.metric.codec.encode(ys)
+    k = min(model.k, model.n_indexed)
+    if model.metric.kind == "absolute":
+        return np.argmax(model._run_votes(queries[:, 0], k), axis=1)
+    out = np.empty(queries.shape[0], dtype=np.int64)
+    for start in range(0, queries.shape[0], BLOCKED_CHUNK):
+        block = queries[start : start + BLOCKED_CHUNK]
+        dists = model.metric.pairwise(block, model.features)
+        kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
+        # 1.0 where a row is within the k-th distance (all ties included),
+        # written over the distances; then each guess's vote is one product
+        included = np.less_equal(dists, kth[:, None], out=dists)
+        out[start : start + BLOCKED_CHUNK] = np.argmax(included @ model.tallies, axis=1)
     return out
 
 

@@ -1,12 +1,15 @@
 """Modified k-NN: k rule, tie inclusion, weighted voting.
 
-The query kernel (a (q, l) distance buffer filled a dimension at a time,
-and a sorted-feature window for the 1-D metric) is checked against
-``oracles.reference_knn_predict``, the kernel it replaced: every (q, l)
+The query kernels (a (q, l) distance buffer filled a dimension at a time,
+a sorted-feature window for the 1-D metric and the integer L1 ball search)
+are checked against ``oracles.reference_knn_predict``, every (q, l)
 distance through a (q, l, dim) temporary, a partition for the k-th and the
-included rows' tallies summed by one product.
+included rows' tallies summed by one product.  The ball search is also
+checked against ``oracles.reference_blocked_knn_predict``, the blocked
+kernel it falls back to, while a spy counts the queries each path answers.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -16,10 +19,13 @@ from hypothesis import strategies as st
 
 from gleak import Alphabet, DistanceMetric, ValidationError, scalar_codec
 from gleak import knn
-from gleak.features import tuple_codec
-from gleak.knn import METRIC_KINDS, KnnClassifier, k_for, knn_train
+from gleak.core import KEY_LIMIT, sample_joint
+from gleak.features import FeatureCodec, grid_codec, tuple_codec
+from gleak.knn import METRIC_KINDS, KnnClassifier, _count_table, _knn_index, k_for, knn_train
 from gleak.preprocess import WeightedSampleSet
-from oracles import reference_knn_predict, reference_pairwise
+from gleak.rng import stream
+from gleak.scenarios import build_scenario
+from oracles import reference_blocked_knn_predict, reference_knn_predict, reference_pairwise
 
 
 def weighted(ws, ys, weights, n_guesses=None):
@@ -198,7 +204,9 @@ class TestPrediction:
 def knn_case(draw, kind):
     """A kNN model and queries over small integer ranges, so distances tie
     often: repeated and collinear features, l below k and l = 1, queries
-    outside the features' range and queries equal to a feature."""
+    outside the features' range and queries equal to a feature.  Under
+    ``manhattan`` the features are distinct, as ``knn_train`` builds them,
+    and l reaches 80, so integer L1 balls of a few radii fit within l."""
     if kind == "absolute":
         width = 1
         codec = draw(st.sampled_from(list(SCALAR_CODECS.values())))
@@ -209,13 +217,17 @@ def knn_case(draw, kind):
     # rounding codecs, which the 1-D run edges must settle exactly
     hi = draw(st.integers(1, 6) | st.just(60))
     row = st.lists(st.integers(-hi, hi), min_size=width, max_size=width)
-    l = draw(st.integers(1, 14))
+    sizes = st.integers(1, 14)
+    l = draw(sizes | st.integers(15, 80) if kind == "manhattan" else sizes)
     if draw(st.booleans()):  # collinear: multiples of one direction
         direction = np.array(draw(row))
         steps = draw(st.lists(st.integers(-3, 3), min_size=l, max_size=l))
         keys = np.array([t * direction for t in steps])
     else:
         keys = np.array(draw(st.lists(row, min_size=l, max_size=l)))
+    if kind == "manhattan":
+        keys = np.unique(keys, axis=0)
+        l = keys.shape[0]
     n_guesses = draw(st.integers(1, 4))
     size = l * n_guesses
     tallies = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
@@ -241,6 +253,191 @@ def test_predict_matches_reference_kernel(kind, data):
         patch.setattr(knn, "QUERY_CHUNK", chunk)
         got = model.predict(queries)
     np.testing.assert_array_equal(got, reference_knn_predict(model, queries))
+
+
+@contextlib.contextmanager
+def path_spy():
+    """Counts the queries the lattice search answers and those the blocked
+    (q, l) path answers."""
+    seen = {"lattice": 0, "blocked": 0}
+    lattice, blocked = KnnClassifier._lattice_votes, KnnClassifier._blocked_guesses
+
+    def lattice_spy(self, queries, k):
+        answered, votes = lattice(self, queries, k)
+        seen["lattice"] += int(answered.sum())
+        return answered, votes
+
+    def blocked_spy(self, queries, k):
+        seen["blocked"] += queries.shape[0]
+        return blocked(self, queries, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(KnnClassifier, "_lattice_votes", lattice_spy)
+        patch.setattr(KnnClassifier, "_blocked_guesses", blocked_spy)
+        yield seen
+
+
+def ball_points(dim, r):
+    """Integer points within L1 distance r of the origin, by enumeration."""
+    axes = np.meshgrid(*[np.arange(-r, r + 1)] * dim)
+    return int((sum(np.abs(a) for a in axes) <= r).sum())
+
+
+def lattice_reach(model, ys):
+    """Which queries the ball search answers: those whose k-th nearest row
+    lies within the largest radius (at most ``MAX_RADIUS``) whose ball holds
+    at most l points.  Brute force over integer rows times a scale."""
+    rows = np.rint(model.features / model.metric.codec.scale).astype(np.int64)
+    l, dim = rows.shape
+    radius = 0
+    while radius < knn.MAX_RADIUS and ball_points(dim, radius + 1) <= l:
+        radius += 1
+    k = min(model.k, l)
+    kth = [
+        np.partition(np.abs(block[:, None, :] - rows[None]).sum(axis=2), k - 1, axis=1)[:, k - 1]
+        for block in np.array_split(np.asarray(ys), -(-len(ys) // 64))
+    ]
+    return np.concatenate(kth) <= radius
+
+
+def assert_paths(model, queries, lattice, blocked):
+    """Equal to the blocked reference, with each path answering as many
+    queries as given."""
+    queries = np.asarray(queries)
+    with path_spy() as seen:
+        got = model.predict(queries)
+    np.testing.assert_array_equal(got, reference_blocked_knn_predict(model, queries))
+    np.testing.assert_array_equal(got, reference_knn_predict(model, queries))
+    assert seen == {"lattice": lattice, "blocked": blocked}
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lattice_search_matches_blocked_reference(data):
+    model, queries = data.draw(knn_case("manhattan"))
+    near = lattice_reach(model, queries)
+    assert_paths(model, queries, int(near.sum()), int((~near).sum()))
+
+
+def manhattan_model(rows, tallies, k, scale=1.0, codec=None):
+    codec = tuple_codec(np.shape(rows)[1], scale) if codec is None else codec
+    return KnnClassifier(
+        codec.encode(np.asarray(rows)),
+        np.asarray(tallies, dtype=np.float64),
+        k,
+        DistanceMetric("manhattan", codec),
+    )
+
+
+def far_rows(count, width):
+    """Distinct filler rows far from the origin, which only raise l."""
+    return [[50 + i] + [50] * (width - 1) for i in range(count)]
+
+
+class TestLatticeSearch:
+    def test_both_paths_in_one_call(self):
+        # l = 5 in 1-D: radius 2; the query at 0 has its nearest at 0, the
+        # one at 20 at distance 14
+        model = manhattan_model([[-2], [0], [1], [3], [6]], np.eye(5), 1)
+        assert_paths(model, [[0], [20], [4]], lattice=2, blocked=1)
+
+    def test_equal_integer_distances_an_ulp_apart(self):
+        # under x0.1, (-5, -3) and (-4, -2) are both one step from (-4, -3),
+        # but 0.09999999999999998 against 0.10000000000000003: with k = 1
+        # only the first votes
+        rows = [[-5, -3], [-4, -2]] + far_rows(3, 2)
+        tallies = [[1, 0], [0, 5]] + [[0, 0]] * 3
+        model = manhattan_model(rows, tallies, 1, scale=0.1)
+        query = model.metric.codec.encode(np.array([[-4, -3]]))
+        dists = model.metric.pairwise(query, model.features)[0, :2]
+        assert dists[0] < dists[1]
+        assert assert_paths(model, [[-4, -3]], lattice=1, blocked=0).tolist() == [0]
+
+    def test_radius_at_the_cap_and_one_past_it(self):
+        # l = 25 = ball(2, 3): the cap is radius 3; the query at (0, 0) has
+        # its nearest at distance 3, the one at (-1, 0) at distance 4
+        rows = [[1, 2], [3, 0]] + far_rows(23, 2)
+        model = manhattan_model(rows, np.eye(25)[:, :3], 1, scale=0.1)
+        assert_paths(model, [[0, 0]], lattice=1, blocked=0)
+        assert_paths(model, [[-1, 0]], lattice=0, blocked=1)
+
+    def test_fewer_rows_than_k(self):
+        # k = 8 over 3 rows: every row votes; the ball of radius 1 holds them
+        model = manhattan_model([[0], [1], [2]], [[1, 0], [0, 1], [0, 1]], 8)
+        assert assert_paths(model, [[1], [9]], lattice=1, blocked=1).tolist() == [1, 1]
+
+    def test_single_row(self):
+        model = manhattan_model([[3, -4, 5]], [[0, 2]], 1)
+        assert_paths(model, [[3, -4, 5], [3, -4, 6], [-30, 0, 0]], lattice=1, blocked=2)
+
+    def test_negative_components_and_queries_outside_the_box(self):
+        gen = np.random.default_rng(5)
+        rows = np.unique(gen.integers(-9, -1, size=(400, 3)), axis=0)
+        model = manhattan_model(rows, gen.integers(0, 4, size=(rows.shape[0], 3)), 3, scale=1 / 3)
+        queries = gen.integers(-14, 4, size=(300, 3))
+        near = lattice_reach(model, queries)
+        outside = ((queries < -9) | (queries > -2)).any(axis=1)
+        assert (near & outside).any() and (~near).any()
+        assert_paths(model, queries, int(near.sum()), int((~near).sum()))
+
+    def test_key_frame_at_the_limit(self):
+        # l = 2 keeps the radius at 0, so the frame is the rows' box:
+        # 2**31 x 2**31 reaches KEY_LIMIT, one less in a span does not
+        top = 2**31 - 1
+        assert 2**31 * 2**31 == KEY_LIMIT
+        at_limit = manhattan_model([[0, 0], [top, top]], [[1, 0], [0, 1]], 1)
+        assert_paths(at_limit, [[0, 0], [top, top]], lattice=0, blocked=2)
+        below = manhattan_model([[0, 0], [top, top - 1]], [[1, 0], [0, 1]], 1)
+        assert_paths(below, [[0, 0], [top, top - 1]], lattice=2, blocked=0)
+
+    def test_coordinates_past_the_float_order_bound(self):
+        # in 1-D with radius 0, |c| may reach 2**50 / (1 * 2)
+        bound = knn.FLOAT_ORDER_LIMIT // 2
+        inside = manhattan_model([[0], [bound]], [[1, 0], [0, 1]], 1)
+        assert_paths(inside, [[0], [bound]], lattice=2, blocked=0)
+        past = manhattan_model([[0], [bound + 1]], [[1, 0], [0, 1]], 1)
+        assert_paths(past, [[0], [bound + 1]], lattice=0, blocked=2)
+
+    def test_codec_that_is_not_a_pure_scale(self):
+        rows = [[0, 0], [1, 0], [0, 1], [2, 2], [5, 5]]
+        tallies = np.eye(5)[:, :2]
+        offset = FeatureCodec(2, lambda ys: ys * 0.5 + 0.3, 0.5)
+        assert_paths(manhattan_model(rows, tallies, 1, codec=offset), [[0, 0]], 0, 1)
+        unscaled = grid_codec(3, 3)  # flat cell indices, no scale
+        model = manhattan_model([[0], [4], [8]], np.eye(3)[:, :2], 1, codec=unscaled)
+        assert_paths(model, [[0], [5]], lattice=0, blocked=2)
+        # a pure scale on the rows but not past a coordinate of 5: (6, 5)
+        # lies within the radius (1) of the rows' box, yet is not searched
+        bent = FeatureCodec(2, lambda ys: np.where(ys > 5, ys + 0.25, ys) * 0.5, 0.5)
+        model = manhattan_model(rows, tallies, 1, codec=bent)
+        assert_paths(model, [[0, 0], [6, 5]], lattice=1, blocked=1)
+
+    def test_repeated_rows_are_not_searched(self):
+        model = manhattan_model([[0, 1], [2, 2], [0, 1]], np.eye(3)[:, :2], 1)
+        assert_paths(model, [[0, 1], [2, 2]], lattice=0, blocked=2)
+
+    @pytest.mark.parametrize("kind", ["absolute", "euclidean"])
+    def test_other_metrics_never_search(self, kind):
+        codec = tuple_codec(1, 1.0)
+        model = KnnClassifier(
+            codec.encode(np.arange(9)[:, None]), np.eye(9)[:, :2], 2, DistanceMetric(kind, codec)
+        )
+        with path_spy() as seen:
+            model.predict(np.arange(-2, 12)[:, None])
+        assert seen["lattice"] == 0
+
+    @pytest.mark.parametrize("m", [2000, 10000, 30000])
+    def test_dp_inputs(self, m):
+        scenario = build_scenario("dp")
+        source = (scenario.prior, scenario.channel)
+        train = sample_joint(source, m, stream(0, f"t/knn/lattice/{m}"))
+        distinct, tallies = _count_table(train.ys, train.xs, 2)
+        model = _knn_index(distinct, tallies, scenario.metric)
+        queries = np.unique(sample_joint(source, 4000, stream(1, "t/knn/lattice")).ys, axis=0)
+        near = lattice_reach(model, queries)
+        assert near.mean() > 0.8
+        assert_paths(model, queries, int(near.sum()), int((~near).sum()))
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])

@@ -26,6 +26,10 @@ in one place, ``knn._count_table``.
 
 Only the MLP and ``leak preprocess`` build the data pre-processing
 expansion; the counting learners train on counts.
+
+The k-NN's per-dimension L1/L2 accumulation is written once, in
+``knn._distances``, and both the blocked path (``pairwise``) and the
+lattice search's scoring call it, so the two cannot drift apart in a bit.
 """
 
 import ast
@@ -267,3 +271,28 @@ def test_expansion_is_built_only_for_the_mlp_and_leak_preprocess():
     }
     assert "mlp_train" in called
     assert not called & {"knn_train", "_knn_index", "data_knn_train"}
+
+
+def _references_numpy(node: ast.AST, names: set[str]) -> set[str]:
+    """Which of ``np.<name>`` ``node`` references, called or not."""
+    return {
+        inner.attr
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Attribute)
+        and inner.attr in names
+        and isinstance(inner.value, ast.Name)
+        and inner.value.id in ("np", "numpy")
+    }
+
+
+def test_distances_are_accumulated_in_one_place():
+    tree = ast.parse((SOURCE / "knn.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    kernels = [f.name for f in functions if _references_numpy(f, {"subtract", "square"})]
+    assert kernels == ["_distances"]
+    callers = sorted((path, scope) for path, scope, _ in _found(_is_name_call("_distances")))
+    assert callers == [("gleak/knn.py", "_lattice_votes"), ("gleak/knn.py", "pairwise")]
+    for f in functions:
+        if f.name in ("pairwise", "_lattice_votes"):
+            own = _references_numpy(f, {"subtract", "abs", "square", "sqrt"})
+            assert not own, f"{f.name} computes distances itself: np.{own}"
