@@ -89,14 +89,15 @@ def cmd_exact(args) -> int:
 
 
 def _learner_config(args, scenario: Scenario):
-    """The scenario's learner config, with --epochs and --batch applied to an MLP's."""
+    """The scenario's learner config; --epochs and --batch apply to an MLP's only."""
     config = learner_config(scenario, args.method, args.learner, args.profile, args.m)
+    flags = {"--epochs": ("epochs", args.epochs), "--batch": ("batch_size", args.batch)}
+    given = {flag: field for flag, field in flags.items() if field[1] is not None}
     if not isinstance(config, MlpConfig):
+        where = f"--method {args.method} with --learner {args.learner}"
+        _require(not given, f"{', '.join(given)} set MLP training, but {where} trains no MLP")
         return config
-    overrides = {"epochs": args.epochs, "batch_size": args.batch}
-    return dataclasses.replace(
-        config, **{key: value for key, value in overrides.items() if value is not None}
-    )
+    return dataclasses.replace(config, **dict(given.values()))
 
 
 def cmd_estimate(args) -> int:

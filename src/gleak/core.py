@@ -22,9 +22,9 @@ import numpy as np
 from .rng import Stream
 
 ROW_TOL = 1e-9
-# _unique_rows keys: int64 holds every product of spans below KEY_LIMIT, and
-# keys spanning at most DENSE_SPAN_PER_ROW * rows + DENSE_SPAN_SLACK are
-# counted over the whole span instead of sorted
+# mixed-radix keys (_key_frame): int64 holds every product of spans below
+# KEY_LIMIT; _unique_rows keys spanning at most DENSE_SPAN_PER_ROW * rows +
+# DENSE_SPAN_SLACK are counted over the whole span instead of sorted
 KEY_LIMIT = 2**62
 DENSE_SPAN_PER_ROW = 4
 DENSE_SPAN_SLACK = 4096
@@ -388,6 +388,34 @@ def _decide(predictor, rows: np.ndarray, gain: GainFunction) -> np.ndarray:
     return guesses
 
 
+@dataclass(frozen=True, eq=False)
+class _KeyFrame:
+    """Mixed-radix int64 keys of the integer rows of a box: row c has key
+    sum_d (c[d] - lows[d]) * strides[d], column 0 most significant."""
+
+    lows: np.ndarray
+    spans: np.ndarray
+    strides: np.ndarray
+    size: int  # points in the box; every key is below it
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        key = np.zeros(rows.shape[0], dtype=np.int64)
+        for low, stride, column in zip(self.lows.tolist(), self.strides.tolist(), rows.T):
+            key += (column - low) * stride
+        return key
+
+
+def _key_frame(lows: np.ndarray, highs: np.ndarray) -> _KeyFrame | None:
+    """The key frame of the box from ``lows`` to ``highs``, or None if it
+    holds ``KEY_LIMIT`` points or more (Python ints: no overflow)."""
+    spans = [hi - lo + 1 for lo, hi in zip(lows.tolist(), highs.tolist())]
+    size = math.prod(spans)
+    if size >= KEY_LIMIT:
+        return None
+    strides = [math.prod(spans[d + 1 :]) for d in range(len(spans))]
+    return _KeyFrame(*(np.array(v, dtype=np.int64) for v in (lows, spans, strides)), size)
+
+
 def _unique_rows(
     a: np.ndarray, return_inverse: bool = False, return_counts: bool = False
 ):
@@ -396,31 +424,23 @@ def _unique_rows(
     each row among them and each distinct row's count.
 
     ``np.unique(axis=0)`` sorts the rows as a structured dtype; here each
-    row becomes one int64 mixed-radix key, sum (a[:, d] - min_d) *
-    stride_d with column 0 most significant, so key order is row order.
-    Keys spanning at most ``DENSE_SPAN_PER_ROW`` per row plus
-    ``DENSE_SPAN_SLACK`` are counted by one ``np.bincount`` over the span;
-    wider keys are sorted once by a 1-D ``np.unique``.  An empty input, or
-    spans whose product reaches ``KEY_LIMIT``, goes to ``np.unique(axis=0)``
-    itself.
+    row becomes its int64 key in the ``_key_frame`` of the rows' box, so
+    key order is row order.  Keys spanning at most ``DENSE_SPAN_PER_ROW``
+    per row plus ``DENSE_SPAN_SLACK`` are counted by one ``np.bincount``
+    over the span; wider keys are sorted once by a 1-D ``np.unique``.  An
+    empty input, or a frame reaching ``KEY_LIMIT``, goes to
+    ``np.unique(axis=0)`` itself.
     """
     a = np.asarray(a)
-    n, width = a.shape
-    spans = []
-    if n:
-        lows = a.min(axis=0).tolist()
-        spans = [hi - lo + 1 for lo, hi in zip(lows, a.max(axis=0).tolist())]
-    span = math.prod(spans)  # Python ints: no overflow
-    if not spans or span >= KEY_LIMIT:
+    n = a.shape[0]
+    frame = _key_frame(a.min(axis=0), a.max(axis=0)) if n else None
+    if frame is None:
         return np.unique(
             a, axis=0, return_inverse=return_inverse, return_counts=return_counts
         )
-    strides = [math.prod(spans[d + 1 :]) for d in range(width)]
-    key = np.zeros(n, dtype=np.int64)
-    for d in range(width):
-        key += (a[:, d] - lows[d]) * strides[d]
-    if span <= DENSE_SPAN_PER_ROW * n + DENSE_SPAN_SLACK:
-        tally = np.bincount(key, minlength=span)
+    key = frame.keys(a)
+    if frame.size <= DENSE_SPAN_PER_ROW * n + DENSE_SPAN_SLACK:
+        tally = np.bincount(key, minlength=frame.size)
         keys = np.flatnonzero(tally)
         counts = tally[keys]
         inverse = [(np.cumsum(tally > 0) - 1)[key]] if return_inverse else []
@@ -428,11 +448,20 @@ def _unique_rows(
         keys, *inverse, counts = np.unique(
             key, return_inverse=return_inverse, return_counts=True
         )
-    rows = np.empty((keys.size, width), dtype=a.dtype)
-    for d in range(width):
-        rows[:, d] = keys // strides[d] % spans[d] + lows[d]
+    rows = (keys[:, None] // frame.strides % frame.spans + frame.lows).astype(a.dtype)
     out = [rows, *inverse, *([counts] if return_counts else [])]
     return out[0] if len(out) == 1 else tuple(out)
+
+
+def _count_table(
+    ys: np.ndarray, labels: np.ndarray, n_labels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of ``ys`` and the (l, n_labels) int64 table of how
+    often each label occurs with each of them."""
+    distinct, inverse = _unique_rows(ys, return_inverse=True)
+    l = distinct.shape[0]
+    table = np.bincount(inverse * n_labels + labels, minlength=l * n_labels)
+    return distinct, table.reshape(l, n_labels)
 
 
 def _distinct_rows(sets: Sequence[SampleSet]) -> tuple[np.ndarray, list[np.ndarray]]:

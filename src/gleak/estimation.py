@@ -5,11 +5,11 @@ observable) data and evaluate it with the ORIGINAL gain on held-out
 (secret, observable) pairs — the scaling constants of the reductions are
 then implicit in the evaluation and never multiplied in explicitly.
 
-The counting learners never build the data pre-processing expansion: the
-data method's k-NN and the frequentist table both read the (observable,
-secret) count table of the training set times a gain matrix.  Only the
-MLP, which draws batches from the weighted entries, trains on the
-expansion itself.
+Both methods give their learners a ``SampleSet`` and an integer gain: the
+pi |> C samples and the rationalized gain, or the (w, y) pairs of tau |>
+RC and the identity.  The counting learners read count tables; only the
+MLP, which draws batches from weighted entries, trains on the data
+pre-processing expansion.
 """
 
 from __future__ import annotations
@@ -28,18 +28,18 @@ from .core import (
     Prior,
     SampleSet,
     ValidationError,
+    _count_table,
     _freeze,
     _require,
-    _unique_rows,
     empirical_functional,
+    identity_gain,
     sample_joint,
     sample_prior,
 )
-from .knn import DistanceMetric, KnnClassifier, _count_table, _knn_index, knn_train
+from .knn import DistanceMetric, KnnClassifier, knn_train
 from .mlp import MlpConfig, mlp_train
 from .preprocess import (
     ChannelPreprocDerivation,
-    WeightedSampleSet,
     channel_preprocess,
     data_preprocess,
     rationalize_gain,
@@ -86,20 +86,18 @@ def sample_preprocessed_pairs(
     channel: Channel | GenerativeChannel,
     m: int,
     stream: Stream,
-) -> WeightedSampleSet:
+) -> SampleSet:
     """Draw m training pairs (w, y) from tau |> RC: w ~ tau, x ~ R[w], y ~ C[x].
 
-    Duplicate (w, y) pairs are merged into weights; weight k is equivalent
-    to k copies for every consumer.
+    The pairs are a ``SampleSet`` over the guess alphabet, whose Bayes
+    vulnerability is V_gid(tau, RC) = V_g(pi, C) / beta.
     """
     _require(m >= 1, "m must be >= 1")
     gen = stream.gen
     ws = sample_prior(deriv.tau, m, gen)
     xs = deriv.R.sample(ws, gen)[:, 0]
     ys = channel.sample(xs, gen)
-    combined = np.concatenate([ws[:, None], ys], axis=1)
-    distinct, counts = _unique_rows(combined, return_counts=True)
-    return WeightedSampleSet(deriv.tau.alphabet, distinct[:, 0], distinct[:, 1:], counts)
+    return SampleSet(deriv.tau.alphabet, ws, ys)
 
 
 def fit(
@@ -116,12 +114,13 @@ def fit(
     """Draw m training samples for ``method`` and train its predictor.
 
     ``"data"`` samples pi |> C and rationalizes the gain; ``"channel"``
-    samples tau |> RC; ``"frequentist"`` counts pi |> C samples into a
-    decision table and needs no learner.  Only the MLP draws from
-    ``learner_stream``.  ``train`` is the m samples of pi |> C already
-    drawn from ``train_stream``, for a caller that fits the data and
-    frequentist methods on one set.  Returns the predictor and the method's
-    report details.
+    samples (w, y) pairs from tau |> RC, whose gain is the identity;
+    ``"frequentist"`` counts pi |> C samples into a decision table and
+    needs no learner.  Only the MLP draws from ``learner_stream``.
+    ``train`` is the m samples of pi |> C already drawn from
+    ``train_stream``, for a caller that fits the data and frequentist
+    methods on one set.  Returns the predictor and the method's report
+    details.
     """
     _require(method in METHOD_NAMES, f"unknown method {method!r}")
     knn = isinstance(learner_config, DistanceMetric)
@@ -134,34 +133,36 @@ def fit(
     if method == "channel":
         _require(train is None, "the channel method draws its own (w, y) pairs")
         deriv = channel_preprocess(prior, gain)
-        data = sample_preprocessed_pairs(deriv, channel, m, train_stream)
+        train = sample_preprocessed_pairs(deriv, channel, m, train_stream)
+        handling = "implicit: evaluation uses the original gain on (x, y) pairs"
+        details = {"beta": deriv.beta, "beta_handling": handling}
+    else:
+        if train is None:
+            train = sample_joint((prior, channel), m, train_stream)
+        _require(train.size == m, f"training set has {train.size} samples, expected m = {m}")
+        if method == "frequentist":
+            return frequentist_predictor(train, gain), {}
+        rational, scale = rationalize_gain(gain)
         details = {
-            "beta": deriv.beta,
-            "beta_handling": "implicit: evaluation uses the original gain on (x, y) pairs",
+            "rationalize_scale": scale,
+            "descale": "not needed: evaluation uses the original gain",
         }
-        if knn:
-            return knn_train(data, learner_config), details
-        return mlp_train(data, learner_config, learner_stream), details
-    if train is None:
-        train = sample_joint((prior, channel), m, train_stream)
-    _require(train.size == m, f"training set has {train.size} samples, expected m = {m}")
-    if method == "frequentist":
-        return frequentist_predictor(train, gain), {}
-    rational, scale = rationalize_gain(gain)
-    if knn:
+    if not knn:
+        # the channel method's pairs under the identity gain: each has weight 1
+        integer_gain = rational if method == "data" else identity_gain(train.secrets)
+        data = data_preprocess(train, integer_gain)
+        model = mlp_train(data, learner_config, learner_stream)
+        total = data.total_weight
+    elif method == "channel":
+        # each pair's weight is 1: the tallies are its (observable, guess) counts
+        model = knn_train(*_count_table(train.ys, train.xs, train.secrets.size), learner_config)
+    else:
         model = data_knn_train(train, rational, learner_config)
         # each column sum is exact (KnnClassifier checks it is below 2**53)
         total = sum(int(v) for v in model.tallies.sum(axis=0).tolist())
-    else:
-        data = data_preprocess(train, rational)
-        model = mlp_train(data, learner_config, learner_stream)
-        total = data.total_weight
-    return model, {
-        "rationalize_scale": scale,
-        "descale": "not needed: evaluation uses the original gain",
-        "expanded_total_weight": total,
-        "expansion_factor": total / m,
-    }
+    if method == "data":
+        details.update(expanded_total_weight=total, expansion_factor=total / m)
+    return model, details
 
 
 def data_knn_train(
@@ -175,14 +176,14 @@ def data_knn_train(
     G^T.  An observable seen only with secrets of zero gain is not in the
     expansion; its all-zero row is dropped.  The products and partial sums
     are non-negative integers below 2**53 (``KnnClassifier`` checks the
-    totals), so they are exact in any summation order, and the index equals
-    ``knn_train(data_preprocess(train, gain), metric)`` bit for bit.
+    totals), so they are exact in any summation order, and equal the
+    expansion's weights summed per (observable, guess) bit for bit.
     """
     distinct, tallies = _secret_scores(train, gain.matrix)
     seen = tallies.any(axis=1)
     if not seen.any():
         raise ValidationError("gain is zero on every sampled secret")
-    return _knn_index(distinct[seen], tallies[seen], metric)
+    return knn_train(distinct[seen], tallies[seen], metric)
 
 
 def estimate(

@@ -1,7 +1,8 @@
 """Modified k-nearest-neighbors over distinct observables.
 
 Instead of searching neighbors among all training samples, the index holds
-the l distinct observables with per-observable weighted guess tallies;
+the l distinct observables with an (l, W) table of integer guess tallies,
+which ``knn_train`` takes as each method counts it (``estimation.fit``);
 k = max(1, floor(ln l)).  A query aggregates the tallies of its k nearest
 distinct observables (all observables tied at the k-th distance included)
 and returns the weighted majority guess, lowest index on ties.
@@ -13,10 +14,10 @@ Three kernels answer queries, all to the same bits:
   matrix at all;
 * under ``manhattan`` over features that are one scale times distinct
   integer rows (``tuple_codec``), each query walks the integer L1 shells
-  around it, looking the shells' mixed-radix keys up among the rows' sorted
-  keys, and stops at the first radius whose ball holds k rows; only the
-  rows of that last shell are scored (see ``_lattice_index`` for the
-  precondition that makes this exact);
+  around it, looking the shells' mixed-radix keys (``core._key_frame``) up
+  among the rows' sorted keys, and stops at the first radius whose ball
+  holds k rows; only the rows of that last shell are scored (see
+  ``_lattice_index`` for the precondition that makes this exact);
 * every other query, and every query whose k nearest lie beyond the
   lattice's radius (its ball would hold more than l points), is answered in
   blocks of ``QUERY_CHUNK`` against every indexed observable.
@@ -32,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KEY_LIMIT, _freeze, _require, _unique_rows
+from .core import _freeze, _key_frame, _KeyFrame, _require
 from .features import FeatureCodec
-from .preprocess import WeightedSampleSet
 
 METRIC_KINDS = ("absolute", "euclidean", "manhattan")
 QUERY_CHUNK = 32  # queries per (q, l) distance block: 1 MB at l = 4,000, in cache
@@ -105,16 +105,13 @@ def k_for(l: int) -> int:
 class _Lattice:
     """An index's integer rows as sorted mixed-radix keys.
 
-    The frame (``lows``, ``spans``, ``strides``, as in ``_unique_rows``)
-    reaches ``2 * radius`` past the rows' box, so it holds every point
-    within ``radius`` of a query within ``radius`` of the box.
+    The key frame reaches ``2 * radius`` past the rows' box, so it holds
+    every point within ``radius`` of a query within ``radius`` of the box.
     """
 
     scale: float
     radius: int
-    lows: np.ndarray
-    spans: np.ndarray
-    strides: np.ndarray
+    frame: _KeyFrame
     keys: np.ndarray  # sorted, then a sentinel above every key
     order: np.ndarray  # the row of each sorted key
 
@@ -178,28 +175,26 @@ def _lattice_index(features: np.ndarray, metric: DistanceMetric) -> _Lattice | N
     rows = nearest.astype(np.int64)
     if not np.array_equal((rows * scale).view(np.int64), features.view(np.int64)):
         return None
-    lows = rows.min(axis=0) - 2 * radius
-    spans = rows.max(axis=0) - lows + 2 * radius + 1
-    if math.prod(spans.tolist()) >= KEY_LIMIT:
+    frame = _key_frame(rows.min(axis=0) - 2 * radius, rows.max(axis=0) + 2 * radius)
+    if frame is None:
         return None
-    strides = np.array([math.prod(spans[d + 1 :].tolist()) for d in range(dim)], dtype=np.int64)
-    keys = (rows - lows) @ strides
+    keys = frame.keys(rows)
     order = np.argsort(keys)
     keys = keys[order]
     if (keys[1:] == keys[:-1]).any():
         return None
     keys = np.append(keys, np.iinfo(np.int64).max)
-    return _Lattice(scale, radius, lows, spans, strides, keys, order)
+    return _Lattice(scale, radius, frame, keys, order)
 
 
 class KnnClassifier:
     """Immutable trained model: distinct-observable index + tallies.
 
-    ``tallies`` are weighted counts: non-negative integers, each guess's
-    total below 2**53, so every sum of them is exact in float64 whatever
-    its order.  Under the 1-D ``absolute`` metric the features are also
-    kept sorted, with prefix sums of their tallies; under ``manhattan``
-    over scaled integer rows, their lattice keys.
+    ``tallies`` are counts, non-negative integers with each guess's total
+    below 2**53, kept as float64: every sum of them is exact whatever its
+    order.  Under the 1-D ``absolute`` metric the features are also kept
+    sorted, with prefix sums of their tallies; under ``manhattan`` over
+    scaled integer rows, their lattice keys.
     """
 
     __slots__ = (
@@ -214,7 +209,7 @@ class KnnClassifier:
         metric: DistanceMetric,
     ) -> None:
         self.features = _freeze(features)
-        self.tallies = _freeze(tallies)
+        self.tallies = _freeze(np.asarray(tallies, dtype=np.float64))
         self.k = k
         self.metric = metric
         self.n_guesses = tallies.shape[1]
@@ -274,16 +269,16 @@ class KnnClassifier:
         distance.  Queries outside the frame, or whose features are not
         their integer rows times the scale, are not searched.
         """
-        lat = self._lattice
+        lat, frame = self._lattice, self._lattice.frame
         n, dim = queries.shape
         nearest = np.rint(queries / lat.scale)
-        near = lat.lows + lat.radius  # the rows' box widened by the radius
-        far = lat.lows + lat.spans - 1 - lat.radius
+        near = frame.lows + lat.radius  # the rows' box widened by the radius
+        far = frame.lows + frame.spans - 1 - lat.radius
         inside = ((nearest >= near) & (nearest <= far)).all(axis=1)
-        rows = np.tile(lat.lows, (n, 1))  # key 0 for the queries not searched
+        rows = np.tile(frame.lows, (n, 1))  # key 0 for the queries not searched
         rows[inside] = nearest[inside]
         inside &= ((rows * lat.scale).view(np.int64) == queries.view(np.int64)).all(axis=1)
-        centre = (rows - lat.lows) @ lat.strides
+        centre = frame.keys(rows)
         found = np.zeros(n, dtype=np.int64)  # rows within the radius so far
         votes = np.zeros((n, self.n_guesses))
         answered = np.zeros(n, dtype=bool)
@@ -291,7 +286,7 @@ class KnnClassifier:
         for r in range(lat.radius + 1):
             if pending.size == 0:
                 break
-            shell = np.sort(_shell(dim, r) @ lat.strides)
+            shell = np.sort(_shell(dim, r) @ frame.strides)  # key offsets
             step = max(1, LATTICE_CANDIDATES // shell.size)
             unanswered = []
             for start in range(0, pending.size, step):
@@ -366,25 +361,6 @@ class KnnClassifier:
             hi += hi_out.astype(np.intp) - hi_in
 
 
-def _count_table(
-    ys: np.ndarray, labels: np.ndarray, n_labels: int, weights: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of ``ys`` and the (l, n_labels) table of how often (or
-    with what total weight) each label occurs with each of them."""
-    distinct, inverse = _unique_rows(ys, return_inverse=True)
-    l = distinct.shape[0]
-    table = np.bincount(inverse * n_labels + labels, weights=weights, minlength=l * n_labels)
-    return distinct, table.reshape(l, n_labels)
-
-
-def _knn_index(
-    distinct: np.ndarray, tallies: np.ndarray, metric: DistanceMetric
-) -> KnnClassifier:
-    """The classifier over distinct observable rows and their guess tallies."""
+def knn_train(distinct: np.ndarray, tallies: np.ndarray, metric: DistanceMetric) -> KnnClassifier:
+    """The classifier over distinct observable rows and their (l, W) guess tallies."""
     return KnnClassifier(metric.codec.encode(distinct), tallies, k_for(distinct.shape[0]), metric)
-
-
-def knn_train(data: WeightedSampleSet, metric: DistanceMetric) -> KnnClassifier:
-    """Build the deduplicated index and weighted guess tallies under ``metric``."""
-    distinct, tallies = _count_table(data.ys, data.ws, data.guesses.size, data.weights)
-    return _knn_index(distinct, tallies, metric)

@@ -7,6 +7,7 @@ on a weighted set bitwise-identical to training on the physically expanded
 multiset with the same stream.  Parameters update with mini-batch gradient
 descent using first/second-moment adaptive scaling (decay 0.9/0.999,
 epsilon 1e-8) — the paper-silent optimizer choice, flagged in reports.
+Training and prediction run one forward pass, ``_propagate``.
 """
 
 from __future__ import annotations
@@ -50,26 +51,30 @@ class MlpConfig:
         _require(self.learning_rate > 0, "learning rate must be positive")
 
 
-def _forward(
-    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Returns hidden activations (inputs first) and output log-probabilities."""
-    acts = [x]
-    h = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-        acts.append(h)
-    logits = h @ weights[-1] + biases[-1]
-    logits = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    return acts, logits - log_norm
-
-
 def _dense(h: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = h @ w; a width-1 h is a broadcast product, the same bits."""
     if h.shape[1] == 1:
         return np.multiply(h, w, out=out)
     return np.matmul(h, w, out=out)
+
+
+def _propagate(
+    net, x: np.ndarray, acts: list[np.ndarray], logp: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """The forward pass of rows ``x`` through ``net.weights`` and
+    ``net.biases``: hidden activations into ``acts``, output
+    log-probabilities into ``logp`` (returned); ``scratch``, shaped like
+    ``logp``, takes the exponentials of the log-softmax."""
+    h = x
+    for w, b, out in zip(net.weights, net.biases, acts):
+        _dense(h, w, out)
+        out += b
+        h = np.maximum(out, 0.0, out=out)
+    _dense(h, net.weights[-1], logp)
+    logp += net.biases[-1]
+    logp -= logp.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp, out=scratch).sum(axis=1, keepdims=True))
+    return logp
 
 
 class _Network:
@@ -109,15 +114,7 @@ class _Network:
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray) -> float:
         """Mean cross-entropy of the batch; its gradients go to ``grads``."""
-        h = x
-        for w, b, out in zip(self.weights, self.biases, self.acts):
-            _dense(h, w, out)
-            out += b
-            h = np.maximum(out, 0.0, out=out)
-        logp = _dense(h, self.weights[-1], self.logp)
-        logp += self.biases[-1]
-        logp -= logp.max(axis=1, keepdims=True)
-        logp -= np.log(np.exp(logp, out=self.probs).sum(axis=1, keepdims=True))
+        logp = _propagate(self, x, self.acts, self.logp, self.probs)
         loss = -float(logp[self.rows, labels].mean())
         delta = np.exp(logp, out=self.probs)
         delta[self.rows, labels] -= 1.0
@@ -137,12 +134,7 @@ class MlpClassifier:
     """Immutable trained network."""
 
     __slots__ = (
-        "codec",
-        "weights",
-        "biases",
-        "layer_sizes",
-        "loss_first_epoch",
-        "loss_final_epoch",
+        "codec", "weights", "biases", "layer_sizes", "loss_first_epoch", "loss_final_epoch"
     )
 
     def __init__(
@@ -156,16 +148,16 @@ class MlpClassifier:
         self.codec = codec
         self.weights = [_freeze(w) for w in weights]
         self.biases = [_freeze(b) for b in biases]
-        self.layer_sizes = tuple(
-            [weights[0].shape[0]] + [w.shape[1] for w in weights]
-        )
+        self.layer_sizes = (weights[0].shape[0], *(w.shape[1] for w in weights))
         self.loss_first_epoch = loss_first_epoch
         self.loss_final_epoch = loss_final_epoch
 
     def predict_proba(self, ys: np.ndarray) -> np.ndarray:
         x = self.codec.encode(ys)
-        _, logp = _forward(self.weights, self.biases, x)
-        return np.exp(logp)
+        acts = [np.empty((x.shape[0], width)) for width in self.layer_sizes[1:-1]]
+        logp = np.empty((x.shape[0], self.layer_sizes[-1]))
+        _propagate(self, x, acts, logp, np.empty_like(logp))
+        return np.exp(logp, out=logp)
 
     def predict(self, ys: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(ys), axis=1)

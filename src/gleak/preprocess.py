@@ -42,8 +42,8 @@ class WeightedSampleSet:
     """Multiset of (guess, observable, weight) entries.
 
     Weight k is semantically identical to k physical copies of the pair;
-    consumers (k-NN tallies, MLP batch sampling, empirical functionals)
-    must honor that equivalence.
+    consumers (MLP batch sampling, ``leak preprocess`` output) must honor
+    that equivalence.  ``data_preprocess`` builds every such set.
     """
 
     guesses: Alphabet

@@ -5,8 +5,10 @@ score, and the straightforward implementations that the package's fast
 paths must match bit for bit: distinct rows by sorting, tallies by
 ``np.add.at``, the k-NN scoring every (query, observable) pair, the data
 method's k-NN tallies from the expanded set, CDF inversion in the
-uniforms' own order, rationalization through an entry-to-value index and
-the location matrices evaluated on every cell pair among them.
+uniforms' own order, rationalization through an entry-to-value index, the
+location matrices evaluated on every cell pair, the channel method's pairs
+merged into a weighted set and the network's forward pass with fresh
+temporaries among them.
 
 They are kept out of the package because no command, scenario or pipeline
 uses them.
@@ -33,6 +35,7 @@ from gleak.core import (
     _require,
     _score_matrix,
     _unique_rows,
+    sample_prior,
 )
 from gleak.estimation import TablePredictor
 from gleak.knn import DistanceMetric, KnnClassifier, k_for
@@ -43,11 +46,11 @@ from gleak.mlp import (
     MlpClassifier,
     MlpConfig,
     TrainingDiverged,
-    _forward,
     _Network,
 )
 from gleak.preprocess import (
     EXPANSION_CAP,
+    ChannelPreprocDerivation,
     SNAP_DENOMINATOR,
     SNAP_TOL,
     WeightedSampleSet,
@@ -229,6 +232,22 @@ def reference_inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, probs.size - 1)
 
 
+def reference_sample_preprocessed_pairs(
+    deriv: ChannelPreprocDerivation, channel, m: int, stream: Stream
+) -> WeightedSampleSet:
+    """The channel method's training pairs as a weighted set: m draws
+    w ~ tau, x ~ R[w], y ~ C[x], with duplicate (w, y) pairs merged into
+    weights."""
+    _require(m >= 1, "m must be >= 1")
+    gen = stream.gen
+    ws = sample_prior(deriv.tau, m, gen)
+    xs = deriv.R.sample(ws, gen)[:, 0]
+    ys = channel.sample(xs, gen)
+    combined = np.concatenate([ws[:, None], ys], axis=1)
+    distinct, counts = _unique_rows(combined, return_counts=True)
+    return WeightedSampleSet(deriv.tau.alphabet, distinct[:, 0], distinct[:, 1:], counts)
+
+
 def reference_knn_train(data: WeightedSampleSet, metric: DistanceMetric) -> KnnClassifier:
     """The k-NN index with its tallies accumulated one entry at a time."""
     distinct, inverse = reference_unique_rows(data.ys, return_inverse=True)
@@ -358,8 +377,30 @@ def reference_grid_geometric_mechanism(rows: int, cols: int, nu: float) -> Chann
     return Channel(alphabet, alphabet, rows_mat)
 
 
+def reference_forward(
+    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The forward pass with fresh temporaries: hidden activations (inputs
+    first) and output log-probabilities."""
+    acts = [x]
+    h = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+        acts.append(h)
+    logits = h @ weights[-1] + biases[-1]
+    logits = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    return acts, logits - log_norm
+
+
+def reference_predict_proba(model: MlpClassifier, ys: np.ndarray) -> np.ndarray:
+    """Output probabilities of a trained network through ``reference_forward``."""
+    _, logp = reference_forward(model.weights, model.biases, model.codec.encode(ys))
+    return np.exp(logp)
+
+
 def _reference_loss_and_grads(weights, biases, x, labels):
-    acts, logp = _forward(weights, biases, x)
+    acts, logp = reference_forward(weights, biases, x)
     batch = x.shape[0]
     loss = -float(logp[np.arange(batch), labels].mean())
     delta = np.exp(logp)

@@ -27,6 +27,7 @@ from oracles import (
 from gleak import Alphabet
 from gleak.cli import main
 from gleak.core import (
+    _count_table,
     empirical_functional,
     identity_gain,
     sample_joint,
@@ -36,7 +37,7 @@ from gleak.estimation import sample_preprocessed_pairs
 from gleak.features import scalar_codec
 from gleak.io import read_channel, write_channel, write_prior
 from gleak.knn import DistanceMetric, KnnClassifier, k_for, knn_train
-from gleak.preprocess import WeightedSampleSet, channel_preprocess, data_preprocess
+from gleak.preprocess import channel_preprocess, data_preprocess
 from gleak.rng import stream
 from gleak.scenarios import build_scenario
 from gleak.scenarios.password import DELAY_NU, KNOWN_PREFIX, TOTAL_BITS, reduced_channel
@@ -203,14 +204,9 @@ def test_criterion_5_learner_validity():
     ):
         assert k_for(l) == expected, l
     # trained k is driven by the deduplicated index size, not the raw count
-    data = WeightedSampleSet(
-        Alphabet.integers(2),
-        np.zeros(10, dtype=np.int64),
-        (np.arange(10) % 3)[:, None],
-        np.ones(10, dtype=np.int64),
-    )
+    table = _count_table((np.arange(10) % 3)[:, None], np.zeros(10, dtype=np.int64), 2)
     metric = DistanceMetric("absolute", scalar_codec())
-    model = knn_train(data, metric)
+    model = knn_train(*table, metric)
     assert model.n_indexed == 3 and model.k == 1
 
     # all ties at the k-th distance vote: the heavier far neighbor wins
@@ -275,6 +271,7 @@ def test_criterion_7_partition_gain_coincidence():
         channel_preprocess(scenario.prior, scenario.gain), scenario.channel, count,
         stream(7, "acceptance/pw/chan"),
     )
+    pairs = data_preprocess(pairs, identity_gain(pairs.secrets))  # weight 1 per pair
 
     def histogram(sample_set):
         h = np.zeros((2, 129))

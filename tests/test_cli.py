@@ -306,6 +306,26 @@ class TestEstimate:
         assert payload["learner"] == "mlp"
         assert 0.0 < payload["estimate"] <= 1.0
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--learner", "knn", "--epochs", "5", "--batch", "7"], "--epochs, --batch"),
+            (["--method", "frequentist", "--learner", "mlp", "--epochs", "5"], "--epochs"),
+            (["--method", "channel", "--batch", "7"], "--batch"),
+        ],
+    )
+    def test_mlp_overrides_without_an_mlp_rejected(self, capsys, monkeypatch, argv, named):
+        def never_called(*args):
+            raise AssertionError("estimate ran")
+
+        monkeypatch.setattr("gleak.cli.estimate", never_called)
+        code, out, err = run_cli(
+            capsys, ["estimate", "--scenario", "multi-guess", "--m", "50", "--n", "50", *argv]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {named} set MLP training, but --method ")
+        assert "trains no MLP" in err
+
     @pytest.mark.parametrize("method", ["data", "channel", "frequentist"])
     def test_estimate_outside_gain_range_is_numerical_failure(
         self, capsys, assets, monkeypatch, method

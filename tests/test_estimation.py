@@ -144,18 +144,16 @@ class TestChannelPipeline:
         gain = identity_gain(X)
         channel = Channel(X, Alphabet.integers(3, "y"), np.eye(3))
         m = 20_000
-        weighted = sample_preprocessed_pairs(
+        pairs = sample_preprocessed_pairs(
             channel_preprocess(prior, gain), channel, m, stream(0, "t/est/tau")
         )
-        assert int(weighted.weights.sum()) == m
+        assert pairs.size == m and pairs.secrets == gain.guesses
         # identity gain: tau == prior, R == identity, so y == w on a
         # noiseless channel and the guess marginal estimates tau
-        freq = np.zeros(3)
-        np.add.at(freq, weighted.ws, weighted.weights)
-        freq /= m
+        freq = np.bincount(pairs.xs, minlength=3) / m
         sigma = np.sqrt(prior.probs * (1 - prior.probs) / m)
         assert (np.abs(freq - prior.probs) < 4 * sigma).all()
-        assert (weighted.ws == weighted.ys[:, 0]).all()
+        assert (pairs.xs == pairs.ys[:, 0]).all()
 
     def test_knn_recovers_posterior_vulnerability(self, two_secret):
         prior, channel, gain = two_secret

@@ -17,27 +17,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gleak import Alphabet, DistanceMetric, ValidationError, scalar_codec
+from gleak import DistanceMetric, ValidationError, scalar_codec
 from gleak import knn
-from gleak.core import KEY_LIMIT, sample_joint
+from gleak.core import KEY_LIMIT, _count_table, sample_joint
 from gleak.features import FeatureCodec, grid_codec, tuple_codec
-from gleak.knn import METRIC_KINDS, KnnClassifier, _count_table, _knn_index, k_for, knn_train
-from gleak.preprocess import WeightedSampleSet
+from gleak.knn import METRIC_KINDS, KnnClassifier, k_for, knn_train
 from gleak.rng import stream
 from gleak.scenarios import build_scenario
 from oracles import reference_blocked_knn_predict, reference_knn_predict, reference_pairwise
 
 
-def weighted(ws, ys, weights, n_guesses=None):
-    ws = np.asarray(ws)
-    n = int(ws.max()) + 1 if n_guesses is None else n_guesses
-    return WeightedSampleSet(
-        Alphabet.integers(n, "w"), ws, np.asarray(ys), np.asarray(weights)
-    )
-
-
 def scalar_metric():
     return DistanceMetric("absolute", scalar_codec(1.0))
+
+
+def trained(ws, ys, copies, n_guesses=None, metric=None):
+    """``knn_train`` on the (observable, guess) count table of the pairs
+    (ws[i], ys[i]), each taken copies[i] times."""
+    ws, copies = np.asarray(ws), np.asarray(copies)
+    n = int(ws.max()) + 1 if n_guesses is None else n_guesses
+    table = _count_table(np.repeat(np.asarray(ys), copies, axis=0), np.repeat(ws, copies), n)
+    return knn_train(*table, metric or scalar_metric())
 
 
 # scalar codecs whose features round: thirds and tenths, and offsets at which
@@ -75,12 +75,11 @@ class TestKRule:
 
 class TestTraining:
     def test_tallies_are_weighted_counts(self):
-        data = weighted(
+        model = trained(
             ws=[0, 1, 0, 1],
             ys=[[3], [3], [5], [3]],
-            weights=[2, 1, 4, 6],
+            copies=[2, 1, 4, 6],
         )
-        model = knn_train(data, scalar_metric())
         assert model.n_indexed == 2  # distinct observables {3, 5}
         assert model.k == 1
         np.testing.assert_array_equal(model.tallies, [[2.0, 7.0], [4.0, 0.0]])
@@ -90,12 +89,12 @@ class TestTraining:
         ws = gen.integers(0, 3, size=40)
         ys = gen.integers(0, 6, size=(40, 1))
         weights = gen.integers(1, 5, size=40)
-        compact = weighted(ws, ys, weights, n_guesses=3)
-        ws_dup = np.repeat(ws, weights)
-        ys_dup = np.repeat(ys, weights, axis=0)
-        duplicated = weighted(ws_dup, ys_dup, np.ones(ws_dup.size, dtype=int), 3)
-        a = knn_train(compact, scalar_metric())
-        b = knn_train(duplicated, scalar_metric())
+        # each pair's weight summed per (observable, guess), one entry at a time
+        distinct, inverse = np.unique(ys, axis=0, return_inverse=True)
+        summed = np.zeros((distinct.shape[0], 3))
+        np.add.at(summed, (inverse.ravel(), ws), weights)
+        a = knn_train(distinct, summed, scalar_metric())
+        b = trained(ws, ys, weights, n_guesses=3)
         assert a.k == b.k
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.tallies, b.tallies)
@@ -105,19 +104,17 @@ class TestTraining:
 
 class TestPrediction:
     def test_single_neighbor_vote(self):
-        data = weighted(ws=[0, 1], ys=[[0], [10]], weights=[1, 1])
-        model = knn_train(data, scalar_metric())
+        model = trained(ws=[0, 1], ys=[[0], [10]], copies=[1, 1])
         assert model.predict(np.array([[1], [9]])).tolist() == [0, 1]
 
     def test_distance_ties_include_all(self):
         # l = 8 -> k = 2; query 5 sits at distance 1 from {4, 6} and
         # distance 3 from {2, 8}: the 2-NN set is {4, 6} exactly
-        data = weighted(
+        model = trained(
             ws=[0, 0, 1, 1, 0, 1, 0, 1],
             ys=[[0], [1], [2], [4], [6], [8], [11], [12]],
-            weights=[1, 1, 1, 3, 1, 3, 1, 1],
+            copies=[1, 1, 1, 3, 1, 3, 1, 1],
         )
-        model = knn_train(data, scalar_metric())
         assert model.k == 2
         # query 3: distances to 2 and 4 are both 1 = kth distance -> both in;
         # votes w1: 1 (from 2) + 3 (from 4) vs w0: 0 -> guess 1
@@ -127,21 +124,18 @@ class TestPrediction:
 
     def test_kth_distance_tie_pulls_in_extra_neighbors(self):
         # k = 1 (l = 3) but two points tie at the nearest distance
-        data = weighted(ws=[0, 1, 1], ys=[[4], [6], [20]], weights=[1, 2, 1])
-        model = knn_train(data, scalar_metric())
+        model = trained(ws=[0, 1, 1], ys=[[4], [6], [20]], copies=[1, 2, 1])
         assert model.k == 1
         # query 5: both 4 and 6 at distance 1; votes w0=1, w1=2 -> 1
         assert model.predict(np.array([[5]])).tolist() == [1]
 
     def test_vote_ties_break_to_lowest_guess_index(self):
-        data = weighted(ws=[2, 1], ys=[[4], [6]], weights=[5, 5], n_guesses=3)
-        model = knn_train(data, scalar_metric())
+        model = trained(ws=[2, 1], ys=[[4], [6]], copies=[5, 5], n_guesses=3)
         # query 5: equidistant, equal votes for guesses 1 and 2 -> lowest (1)
         assert model.predict(np.array([[5]])).tolist() == [1]
 
     def test_k_capped_by_index_size(self):
-        data = weighted(ws=[0], ys=[[7]], weights=[9])
-        model = knn_train(data, scalar_metric())
+        model = trained(ws=[0], ys=[[7]], copies=[9])
         assert model.predict(np.array([[0], [100]])).tolist() == [0, 0]
 
     def test_chunked_prediction_matches_unchunked(self, monkeypatch):
@@ -150,13 +144,13 @@ class TestPrediction:
             (scalar_metric(), 1),
             (DistanceMetric("manhattan", tuple_codec(3, 0.5)), 3),
         ):
-            data = weighted(
+            model = trained(
                 gen.integers(0, 4, size=300),
                 gen.integers(0, 50, size=(300, width)),
                 gen.integers(1, 6, size=300),
                 n_guesses=4,
+                metric=config,
             )
-            model = knn_train(data, config)
             queries = gen.integers(0, 50, size=(700, width))
             monkeypatch.setattr(knn, "QUERY_CHUNK", 7)
             chunked = model.predict(queries)
@@ -432,8 +426,7 @@ class TestLatticeSearch:
         scenario = build_scenario("dp")
         source = (scenario.prior, scenario.channel)
         train = sample_joint(source, m, stream(0, f"t/knn/lattice/{m}"))
-        distinct, tallies = _count_table(train.ys, train.xs, 2)
-        model = _knn_index(distinct, tallies, scenario.metric)
+        model = knn_train(*_count_table(train.ys, train.xs, 2), scenario.metric)
         queries = np.unique(sample_joint(source, 4000, stream(1, "t/knn/lattice")).ys, axis=0)
         near = lattice_reach(model, queries)
         assert near.mean() > 0.8
@@ -480,12 +473,6 @@ class TestMetrics:
     def test_tuple_metric_prediction(self):
         codec = tuple_codec(2, 1.0)
         config = DistanceMetric("manhattan", codec)
-        data = WeightedSampleSet(
-            Alphabet.integers(2, "w"),
-            np.array([0, 1]),
-            np.array([[0, 0], [10, 10]]),
-            np.array([1, 1]),
-        )
-        model = knn_train(data, config)
+        model = trained([0, 1], [[0, 0], [10, 10]], [1, 1], metric=config)
         got = model.predict(np.array([[1, 2], [9, 8]]))
         assert got.tolist() == [0, 1]

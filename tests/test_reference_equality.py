@@ -5,11 +5,15 @@ against the implementations they replaced (``oracles``), bit for bit.
   and counts the keys over their span with ``np.bincount`` when the span is
   small against the row count, else sorts them once; oversized spans go to
   ``np.unique(axis=0)``.  The reference sorts the rows themselves.
-- ``knn_train`` and ``frequentist_predictor`` take their tallies with one
-  ``np.bincount`` instead of ``np.add.at``.
+- The k-NN tallies of unit-weight pairs and ``frequentist_predictor``'s
+  counts are one ``np.bincount`` instead of ``np.add.at``.
 - The data method's k-NN tallies are the (observable, secret) counts of the
   training set times the rationalized gain, instead of the tallies of its
   data pre-processing expansion.
+- The channel method's (w, y) pairs are a ``SampleSet``, not pairs merged
+  into a weighted set: their data pre-processing under the identity gain
+  is the merged set, and their channel k-NN tallies are their
+  (observable, guess) count table.
 - ``core._inverse_cdf`` searches the targets in sorted order and scatters
   the indices back, instead of searching them in the uniforms' order.
 
@@ -22,6 +26,8 @@ against the implementations they replaced (``oracles``), bit for bit.
 - ``mlp_train`` writes into buffers allocated once per call and updates one
   flat parameter vector, instead of fresh temporaries every step and a
   per-array optimizer update.
+- ``MlpClassifier.predict_proba`` runs the training forward pass into
+  buffers sized to its queries, instead of a pass of fresh temporaries.
 - ``rationalize_gain`` scales the whole matrix with ``rint(G * K)`` instead
   of gathering the scaled distinct values through an inverse index.
 - The location gain and mechanism are evaluated once per (row, column)
@@ -39,6 +45,7 @@ from gleak import (
     GainFunction,
     MlpConfig,
     Prior,
+    identity_gain,
     SampleSet,
     ValidationError,
     posterior_vulnerability,
@@ -50,6 +57,7 @@ from gleak.core import (
     DENSE_SPAN_PER_ROW,
     DENSE_SPAN_SLACK,
     KEY_LIMIT,
+    _count_table,
     _inverse_cdf,
     _unique_rows,
     sample_prior,
@@ -57,7 +65,7 @@ from gleak.core import (
 from gleak.estimation import fit, frequentist_predictor, sample_preprocessed_pairs
 from gleak.features import tuple_codec
 from gleak.knn import DistanceMetric, knn_train
-from gleak.mlp import mlp_train
+from gleak.mlp import MlpClassifier, mlp_train
 from gleak.preprocess import (
     EXPANSION_CAP,
     SNAP_TOL,
@@ -87,7 +95,9 @@ from oracles import (
     reference_inverse_cdf,
     reference_knn_train,
     reference_mlp_train,
+    reference_predict_proba,
     reference_rationalize_gain,
+    reference_sample_preprocessed_pairs,
     reference_unique_rows,
 )
 
@@ -263,6 +273,38 @@ class TestMlpTrain:
         )
 
 
+def assert_same_proba(model, ys):
+    fast, reference = model.predict_proba(ys), reference_predict_proba(model, ys)
+    assert fast.dtype == reference.dtype and fast.shape == reference.shape
+    assert fast.tobytes() == reference.tobytes()
+
+
+class TestMlpPredict:
+    @pytest.mark.parametrize("method", ["data", "channel"])
+    def test_scenarios(self, scenario, method):
+        config = MlpConfig(scenario.metric.codec, (12, 7), epochs=1, batch_size=64)
+        source = (scenario.prior, scenario.channel)
+        model, _ = fit(
+            method, *source, scenario.gain, 1500, config,
+            stream(0, "t/ref/predict/train"), stream(0, "t/ref/predict/learner"),
+        )
+        ys = _unique_rows(sample_joint(source, 3000, stream(0, "t/ref/predict/valid")).ys)
+        assert_same_proba(model, ys)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_desk_architecture(self, scenario, seed):
+        # the desk profile's widths, with random parameters, on query blocks
+        # from a single row up
+        gen = np.random.default_rng(seed)
+        sizes = (scenario.metric.codec.dim, 100, 100, 100, int(gen.integers(2, 50)))
+        weights = [gen.standard_normal((a, b)) / np.sqrt(a) for a, b in zip(sizes, sizes[1:])]
+        biases = [0.1 * gen.standard_normal(b) for b in sizes[1:]]
+        model = MlpClassifier(scenario.metric.codec, weights, biases)
+        ys = sample_joint((scenario.prior, scenario.channel), 500, stream(seed, "t/ref/proba")).ys
+        for count in (1, 7, 500):
+            assert_same_proba(model, ys[:count])
+
+
 FLAGS = (
     {},
     {"return_inverse": True},
@@ -422,15 +464,44 @@ def assert_same_table(fast, reference):
         assert np.array_equal(a, b), field
 
 
-class TestTallies:
-    def test_knn_scenarios(self, scenario):
-        train, gain = scenario_training_set(scenario, 3000)
+def fit_channel(scenario, m, config, learner_stream=None):
+    """``fit("channel", ...)``, with its pairs drawn from stream (0, "t/ref/pairs")."""
+    return fit(
+        "channel", scenario.prior, scenario.channel, scenario.gain, m, config,
+        stream(0, "t/ref/pairs"), learner_stream,
+    )
+
+
+def reference_pairs(scenario, m):
+    """The pairs ``fit_channel`` draws, merged into a weighted set."""
+    deriv = channel_preprocess(scenario.prior, scenario.gain)
+    return reference_sample_preprocessed_pairs(deriv, scenario.channel, m, stream(0, "t/ref/pairs"))
+
+
+class TestChannelPairs:
+    @pytest.mark.parametrize("m", [2000, 10000])
+    def test_expansion_is_the_merged_pairs(self, scenario, m):
         deriv = channel_preprocess(scenario.prior, scenario.gain)
-        pairs = sample_preprocessed_pairs(deriv, scenario.channel, 3000, stream(0, "t/ref/pairs"))
-        for data in (data_preprocess(train, gain), pairs):
-            assert_same_knn(
-                knn_train(data, scenario.metric), reference_knn_train(data, scenario.metric)
-            )
+        pairs = sample_preprocessed_pairs(deriv, scenario.channel, m, stream(0, "t/ref/pairs"))
+        assert pairs.secrets == deriv.tau.alphabet and pairs.size == m
+        expanded = data_preprocess(pairs, identity_gain(pairs.secrets))
+        assert_same_entries(expanded, reference_pairs(scenario, m))
+
+    @pytest.mark.parametrize("m", [2000, 10000])
+    def test_knn_fit(self, scenario, m):
+        model, _ = fit_channel(scenario, m, scenario.metric)
+        assert_same_knn(model, reference_knn_train(reference_pairs(scenario, m), scenario.metric))
+
+    def test_mlp_fit(self, scenario):
+        config = MlpConfig(scenario.metric.codec, (12, 7), epochs=1, batch_size=64)
+        model, _ = fit_channel(scenario, 2000, config, stream(0, "t/ref/pairs/learner"))
+        reference = reference_mlp_train(
+            reference_pairs(scenario, 2000), config, stream(0, "t/ref/pairs/learner")
+        )
+        assert_same_network(model, reference)
+
+
+class TestTallies:
 
     def test_frequentist_scenarios(self, scenario):
         train, _ = scenario_training_set(scenario, 3000)
@@ -450,11 +521,15 @@ class TestTallies:
             Alphabet.integers(n_w, "w"),
             gen.integers(0, n_w, size=n),
             ys,
-            gen.integers(1, 10**6, size=n),
+            gen.integers(1, 6, size=n),
         )
         codec = scalar_codec(0.1) if width == 1 else tuple_codec(width, 0.1)
         metric = DistanceMetric("absolute" if width == 1 else "manhattan", codec)
-        assert_same_knn(knn_train(data, metric), reference_knn_train(data, metric))
+        # the weighted entries as physical copies, counted by the library
+        copies = _count_table(
+            np.repeat(data.ys, data.weights, axis=0), np.repeat(data.ws, data.weights), n_w
+        )
+        assert_same_knn(knn_train(*copies, metric), reference_knn_train(data, metric))
         gain = GainFunction(data.guesses, data.guesses, gen.integers(-3, 5, size=(n_w, n_w)))
         train = SampleSet(data.guesses, data.ws, ys)
         assert_same_table(

@@ -22,10 +22,16 @@ library code calls ``np.unique(..., axis=...)``, which sorts the rows as a
 structured dtype.  No library code calls ``np.lexsort``, and none
 accumulates with ``np.add.at``: counts over integer keys are one
 ``np.bincount``.  Counts of labels against distinct observables are taken
-in one place, ``knn._count_table``.
+in one place, ``core._count_table``.
 
 Only the MLP and ``leak preprocess`` build the data pre-processing
-expansion; the counting learners train on counts.
+expansion; the counting learners train on counts.  ``fit`` builds it at one
+call for both methods, and ``data_preprocess`` is the only library code
+that constructs a ``WeightedSampleSet``.  The k-NN takes count tables, so
+``gleak/knn.py`` imports nothing from the pre-processing module.
+
+The MLP has one forward pass, ``mlp._propagate``: training and prediction
+both run it, and no other function computes a log-softmax.
 
 The k-NN's per-dimension L1/L2 accumulation is written once, in
 ``knn._distances``, and both the blocked path (``pairwise``) and the
@@ -230,7 +236,7 @@ def _is_keyed_bincount(call: ast.Call) -> bool:
 
 def test_observable_label_counts_are_taken_in_one_place():
     keyed = sorted((path, scope) for path, scope, _ in _found(_is_keyed_bincount))
-    assert keyed == [("gleak/knn.py", "_count_table")]
+    assert keyed == [("gleak/core.py", "_count_table")]
     inverse = sorted(
         (path, scope)
         for path, scope, _ in _found(
@@ -238,7 +244,7 @@ def test_observable_label_counts_are_taken_in_one_place():
             and any(keyword.arg == "return_inverse" for keyword in call.keywords)
         )
     )
-    assert inverse == [("gleak/core.py", "_distinct_rows"), ("gleak/knn.py", "_count_table")]
+    assert inverse == [("gleak/core.py", "_count_table"), ("gleak/core.py", "_distinct_rows")]
 
 
 def test_expansion_is_built_only_for_the_mlp_and_leak_preprocess():
@@ -270,7 +276,31 @@ def test_expansion_is_built_only_for_the_mlp_and_leak_preprocess():
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
     }
     assert "mlp_train" in called
-    assert not called & {"knn_train", "_knn_index", "data_knn_train"}
+    assert not called & {"knn_train", "data_knn_train"}
+
+
+def test_weighted_sets_are_built_only_by_data_preprocess():
+    found = [(path, scope) for path, scope, _ in _found(_is_name_call("WeightedSampleSet"))]
+    assert found == [("gleak/preprocess.py", "data_preprocess")]
+
+
+def test_knn_takes_no_preprocessed_input():
+    tree = ast.parse((SOURCE / "knn.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert not modules & {".preprocess", "gleak.preprocess"}, sorted(modules)
+
+
+def test_mlp_has_one_forward_pass():
+    tree = ast.parse((SOURCE / "mlp.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert [f.name for f in functions if _references_numpy(f, {"log"})] == ["_propagate"]
+    callers = sorted(scope for path, scope, _ in _found(_is_name_call("_propagate")))
+    assert callers == ["loss_and_grads", "predict_proba"]
 
 
 def _references_numpy(node: ast.AST, names: set[str]) -> set[str]:
