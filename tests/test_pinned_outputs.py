@@ -11,7 +11,10 @@ before the scenario config dataclasses became module constants; the
 file-channel estimates and the MLP configs that file channels train with
 before file channels became a scenario; the large dp trial matrix, whose
 training sets index thousands of distinct observables, before the k-NN
-searched integer L1 balls.  Only kNN and the frequentist
+searched integer L1 balls; the desk dp k-NN grid of ``leak scenario``,
+with the frequentist baseline and m = 2,000, before the lattice search
+filtered its keys by occupancy and the counting learners shared one count
+table per training set.  Only kNN and the frequentist
 baseline are pinned: MLP training sums through BLAS, whose summation order
 is not portable across builds, so for the MLP the config is pinned instead.
 """
@@ -54,6 +57,12 @@ LARGE_DP_SHA256 = (
     "98ca0e26f2fbb09a4781d837a763ec6eff0542842fa6d57c769413d7171c6294",
     "63d506bba4713c797be68982b2d76fa919bc5d8a36ec63ffaffcf1b858509b8d",
     "281a76f8a026e669f7d6b8c1387576de697190a20073e6e96ac80e0b926a848e",
+)
+
+DESK_DP_KNN_SHA256 = (
+    "f0c1168f2477d508879e94d60ee343be72ad23db6bd839c251f13f8fc6be8a11",
+    "810a9fc8172103f578dcd4a02e5bf22be20d39e3c04d1efb6b5f7042169ae45b",
+    "93243892ed8baa7bc6cf00d3b5a9b95ff646d43978da75356db7f9e5d285efa4",
 )
 
 # (scenario, profile) -> repr of the exact V_g
@@ -141,6 +150,21 @@ def test_large_dp_trial_matrix_artifacts(tmp_path):
     paths = emit_reports(metrics, rows, config.resolved(), tmp_path / "dp")
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
     assert digests == LARGE_DP_SHA256
+
+
+def test_desk_dp_knn_grid_artifacts(tmp_path, capsys):
+    """`leak scenario dp --learners knn --seed 0`: data, channel and
+    frequentist at m = 2,000 / 10,000 / 30,000 over 10 validation sets; at
+    m = 2,000 some queries walk past the lattice radius to the blocked path."""
+    prefix = tmp_path / "dp"
+    code = main(["scenario", "dp", "--learners", "knn", "--seed", "0", "--out", str(prefix)])
+    assert code == 0
+    capsys.readouterr()
+    digests = tuple(
+        _sha256(prefix.with_name(f"dp.{suffix}"))
+        for suffix in ("summary.json", "trials.csv", "boxplot.csv")
+    )
+    assert digests == DESK_DP_KNN_SHA256
 
 
 @pytest.mark.parametrize("scenario,profile", sorted(EXACT_VG))
