@@ -101,6 +101,8 @@ def _learner_config(args, scenario: Scenario):
 
 
 def cmd_estimate(args) -> int:
+    for flag, count in (("--m", args.m), ("--n", args.n)):
+        _require(count >= 1, f"{flag} must be >= 1, got {count}")
     scenario = _load_scenario(args)
     report = estimate(
         args.method,

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -234,7 +235,12 @@ class SampleSet:
     """Multiset of (secret index, observable encoding) pairs.
 
     ``ys`` has one row per sample; width 1 for plain index observables,
-    wider for tuple encodings from generative channels.
+    wider for tuple encodings from generative channels.  ``counts`` is the
+    set's count table, ``_count_table(ys, xs, secrets.size)``: its distinct
+    observable rows and the (l, |secrets|) int64 table of how often each
+    secret occurs with each, both read-only.  It is computed on first use
+    and kept with the set, so every learner trained on one set counts it
+    once.
     """
 
     secrets: Alphabet
@@ -257,6 +263,11 @@ class SampleSet:
     @property
     def size(self) -> int:
         return int(self.xs.shape[0])
+
+    @functools.cached_property
+    def counts(self) -> tuple[np.ndarray, np.ndarray]:
+        distinct, table = _count_table(self.ys, self.xs, self.secrets.size)
+        return _freeze(distinct), _freeze(table)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ then implicit in the evaluation and never multiplied in explicitly.
 
 Both methods give their learners a ``SampleSet`` and an integer gain: the
 pi |> C samples and the rationalized gain, or the (w, y) pairs of tau |>
-RC and the identity.  The counting learners read count tables; only the
+RC and the identity.  The counting learners read the set's count table,
+``SampleSet.counts``, which one set counts once for all of them; only the
 MLP, which draws batches from weighted entries, trains on the data
 pre-processing expansion.
 """
@@ -28,7 +29,6 @@ from .core import (
     Prior,
     SampleSet,
     ValidationError,
-    _count_table,
     _freeze,
     _require,
     empirical_functional,
@@ -155,7 +155,7 @@ def fit(
         total = data.total_weight
     elif method == "channel":
         # each pair's weight is 1: the tallies are its (observable, guess) counts
-        model = knn_train(*_count_table(train.ys, train.xs, train.secrets.size), learner_config)
+        model = knn_train(*train.counts, learner_config)
     else:
         model = data_knn_train(train, rational, learner_config)
         # each column sum is exact (KnnClassifier checks it is below 2**53)
@@ -183,7 +183,9 @@ def data_knn_train(
     seen = tallies.any(axis=1)
     if not seen.any():
         raise ValidationError("gain is zero on every sampled secret")
-    return knn_train(distinct[seen], tallies[seen], metric)
+    if not seen.all():  # otherwise no copy: the set keeps its count table meanwhile
+        distinct, tallies = distinct[seen], tallies[seen]
+    return knn_train(distinct, tallies, metric)
 
 
 def estimate(
@@ -291,13 +293,15 @@ def frequentist_predictor(train: SampleSet, gain: GainFunction) -> TablePredicto
     _require(train.size > 0, "training set is empty")
     # argmax_w sum_x counts(x|y) g(w,x); normalization by count(y) cancels
     y_distinct, scores = _secret_scores(train, gain.matrix)
-    x_mode = int(np.argmax(np.bincount(train.xs, minlength=train.secrets.size)))
+    # the count table's column sums are each secret's count in training
+    x_mode = int(np.argmax(train.counts[1].sum(axis=0)))
     fallback = int(np.argmax(gain.matrix[:, x_mode]))
     return TablePredictor(y_distinct, np.argmax(scores, axis=1), fallback)
 
 
 def _secret_scores(train: SampleSet, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct observables y of ``train`` and their (l, W) scores
-    sum_x n(x, y) matrix[w, x], from the (l, X) table of secret counts n."""
-    distinct, counts = _count_table(train.ys, train.xs, train.secrets.size)
+    sum_x n(x, y) matrix[w, x], from the set's (l, X) table of secret
+    counts n."""
+    distinct, counts = train.counts
     return distinct, counts.astype(np.float64) @ matrix.T

@@ -225,6 +225,9 @@ class TrialRow:
     delta: float
 
 
+_TASK_ORDER = ("frequentist", "data", "channel")  # per (m, i); see run_trial_matrix
+
+
 def _combos(config: TrialMatrixConfig) -> list[tuple[str, str]]:
     combos: list[tuple[str, str]] = []
     for method in config.methods:
@@ -253,14 +256,17 @@ def run_trial_matrix(
         for j in range(num_j)
     ]
 
-    # the tasks of one (m, i) run one after another; the training set of
-    # pi |> C they share is drawn once and dropped here when the last of
-    # them takes it, so no other set is kept meanwhile
+    # the tasks of one (m, i) run one after another: the frequentist, then
+    # the data method, then the channel method.  The training set of pi |> C
+    # the first two share is drawn once and dropped here, with its count
+    # table, when the last of them takes it, so the last data model is
+    # scored and the channel pairs are drawn without it
+    combos = sorted(_combos(config), key=lambda combo: _TASK_ORDER.index(combo[0]))
     tasks = [
         (method, learner, m, i)
         for m in sizes
         for i in range(num_i)
-        for (method, learner) in _combos(config)
+        for (method, learner) in combos
     ]
     uses = Counter((m, i) for method, _, m, i in tasks if method != "channel")
     drawn: dict[tuple[int, int], SampleSet] = {}

@@ -15,9 +15,14 @@ Three kernels answer queries, all to the same bits:
 * under ``manhattan`` over features that are one scale times distinct
   integer rows (``tuple_codec``), each query walks the integer L1 shells
   around it, looking the shells' mixed-radix keys (``core._key_frame``) up
-  among the rows' sorted keys, and stops at the first radius whose ball
-  holds k rows; only the rows of that last shell are scored (see
-  ``_lattice_index`` for the precondition that makes this exact);
+  among the rows' keys, and stops at the first radius whose ball holds k
+  rows; only the rows of that last shell are scored (see ``_lattice_index``
+  for the precondition that makes this exact).  Most candidate keys are
+  misses: an occupancy table of the rows' hashed keys, 16 or more slots
+  per row, turns nearly all of them away before the sorted search, and
+  passes every row's key (see ``_Lattice.find``).  Each shell's offsets are built once
+  per (dim, radius) in lexicographic order, which is their key order in
+  every frame the lattice builds;
 * every other query, and every query whose k nearest lie beyond the
   lattice's radius (its ball would hold more than l points), is answered in
   blocks of ``QUERY_CHUNK`` against every indexed observable.
@@ -28,6 +33,7 @@ kernel, ``_distances``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +48,11 @@ EXACT_COUNT = 2**53  # float64 holds every integer count below this exactly
 # shell keys looked up per step of the lattice search: 256 kB of int64
 LATTICE_CANDIDATES = 2**15
 MAX_RADIUS = 16  # shells walked at most, which bounds a search's numpy calls
+# the occupancy table has the least power-of-two number of slots >= this
+# many per indexed row; a key's slot is the top bits of key * HASH_MULTIPLIER
+# mod 2**64 (Fibonacci hashing: 2**64 over the golden ratio, odd)
+OCCUPANCY_SLOTS_PER_ROW = 16
+HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 # lattice coordinates |c| stay below FLOAT_ORDER_LIMIT / (dim * (dim + 1)),
 # and the scale between these powers of two, so float distances keep the
 # order of the integer ones (see _lattice_index)
@@ -103,10 +114,14 @@ def k_for(l: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Lattice:
-    """An index's integer rows as sorted mixed-radix keys.
+    """An index's integer rows as sorted mixed-radix keys, with an
+    occupancy table of their hashed keys.
 
     The key frame reaches ``2 * radius`` past the rows' box, so it holds
     every point within ``radius`` of a query within ``radius`` of the box.
+    ``occupied[slot(key)]`` is set for every row's key, where ``slot`` is
+    the top bits of the key times ``HASH_MULTIPLIER``, wrapped mod 2**64
+    and shifted right by ``shift``.
     """
 
     scale: float
@@ -114,6 +129,31 @@ class _Lattice:
     frame: _KeyFrame
     keys: np.ndarray  # sorted, then a sentinel above every key
     order: np.ndarray  # the row of each sorted key
+    occupied: np.ndarray  # bool, one entry per slot
+    shift: np.uint64  # 64 less the slot bits
+
+    def slots(self, keys: np.ndarray) -> np.ndarray:
+        """The occupancy slot of each int64 key, negative ones included."""
+        slot = keys.view(np.uint64) * HASH_MULTIPLIER
+        slot >>= self.shift
+        return slot.view(np.intp)  # below 2**63: indexes without a cast
+
+    def find(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The flat positions in ``wanted`` (ascending) of the keys that are
+        rows' keys, and those rows.
+
+        Only the keys whose slot is occupied go on to the sorted search;
+        the others cannot be rows' keys, as every row's key sets its slot.
+        Each survivor is then confirmed by an equality against the key the
+        search lands on.  Any int64 key but the sentinel may be asked, also
+        one outside the frame.
+        """
+        flat = wanted.ravel()
+        maybe = np.flatnonzero(self.occupied[self.slots(flat)])
+        candidates = flat[maybe]
+        pos = np.searchsorted(self.keys, candidates)
+        hit = self.keys[pos] == candidates
+        return maybe[hit], self.order[pos[hit]]
 
 
 def _ball_size(dim: int, r: int) -> int:
@@ -121,22 +161,26 @@ def _ball_size(dim: int, r: int) -> int:
     return sum(2**i * math.comb(dim, i) * math.comb(r, i) for i in range(min(dim, r) + 1))
 
 
+@functools.lru_cache(maxsize=None)
 def _shell(dim: int, r: int) -> np.ndarray:
-    """The (n, dim) integer offsets of L1 norm exactly r, one coordinate at a
-    time: each prefix with budget b left takes every value in [-b, b], and
-    the last coordinate takes -b and +b."""
-    rows = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([r], dtype=np.int64)
-    for _ in range(dim - 1):
-        reach = 2 * left + 1
-        parent = np.repeat(np.arange(left.size), reach)
-        value = np.arange(parent.size) - np.repeat(np.cumsum(reach) - reach, reach) - left[parent]
-        rows = np.column_stack([rows[parent], value])
-        left = left[parent] - np.abs(value)
-    two = left > 0
-    return np.concatenate(
-        [np.column_stack([rows, -left]), np.column_stack([rows[two], left[two]])]
-    )
+    """The (n, dim) integer offsets of L1 norm exactly r, in lexicographic
+    order, as a read-only int8 array (r <= ``MAX_RADIUS``) built once per
+    (dim, r): each first coordinate v in [-r, r], followed by the offsets
+    of norm r - |v| in dim - 1 dimensions.
+
+    In a key frame whose spans all exceed 2r, lexicographic order is the
+    order of the offsets' keys ``_shell(dim, r) @ frame.strides``: two
+    offsets first differ at some d by at least one ``strides[d]``, and their
+    later coordinates differ by at most 2r in total, each unit worth at most
+    ``strides[d + 1]``, which is less than ``strides[d] / 2r``.
+    """
+    if dim == 1:
+        return _freeze(np.array([[-r], [r]] if r else [[0]], dtype=np.int8))
+    blocks = []
+    for v in range(-r, r + 1):
+        rest = _shell(dim - 1, r - abs(v))
+        blocks.append(np.column_stack([np.full(rest.shape[0], v, dtype=np.int8), rest]))
+    return _freeze(np.concatenate(blocks))
 
 
 def _lattice_index(features: np.ndarray, metric: DistanceMetric) -> _Lattice | None:
@@ -159,7 +203,16 @@ def _lattice_index(features: np.ndarray, metric: DistanceMetric) -> _Lattice | N
     The radius is the largest r (at most ``MAX_RADIUS``) whose ball holds at
     most l points: a farther query costs more to search than the l
     distances of the blocked path.  A key frame reaching ``KEY_LIMIT``
-    also leaves the index to the blocked path.
+    also leaves the index to the blocked path.  The frame's spans are at
+    least 4 * radius + 1, so every shell walked is in key order
+    (``_shell``).
+
+    The occupancy table has 2**b slots, 2**b the least power of two at
+    least ``OCCUPANCY_SLOTS_PER_ROW`` * l (64 kB of bools at l = 4,000), so
+    at most one slot in 16 is set and about 15 in 16 missing keys stop
+    there.  It is exact, not a guess: a row's key always finds its slot set,
+    so no hit is lost, and a key that passes is still confirmed against the
+    sorted keys.
     """
     scale = metric.codec.scale
     lo, hi = SCALE_RANGE
@@ -183,8 +236,18 @@ def _lattice_index(features: np.ndarray, metric: DistanceMetric) -> _Lattice | N
     keys = keys[order]
     if (keys[1:] == keys[:-1]).any():
         return None
-    keys = np.append(keys, np.iinfo(np.int64).max)
-    return _Lattice(scale, radius, frame, keys, order)
+    bits = (OCCUPANCY_SLOTS_PER_ROW * l - 1).bit_length()
+    lattice = _Lattice(
+        scale,
+        radius,
+        frame,
+        np.append(keys, np.iinfo(np.int64).max),
+        order,
+        np.zeros(2**bits, dtype=bool),
+        np.uint64(64 - bits),
+    )
+    lattice.occupied[lattice.slots(keys)] = True
+    return lattice
 
 
 class KnnClassifier:
@@ -260,9 +323,9 @@ class KnnClassifier:
         """Which queries the lattice search answers, and the (q, n_guesses)
         votes of those (zero for the rest).
 
-        Radius by radius, the open queries add the shell's key
-        offsets to their own key, ``LATTICE_CANDIDATES`` keys per step, and
-        find them among the rows' sorted keys.  A query whose ball now
+        Radius by radius, the open queries add the shell's key offsets to
+        their own key, ``LATTICE_CANDIDATES`` keys per step, and find them
+        among the rows' keys (``_Lattice.find``).  A query whose ball now
         holds k rows scores its shell's rows, takes the j-th float among
         them, j = k less the rows of its inner shells, and is answered; the
         others' shell rows all vote, as they lie within any later k-th
@@ -286,16 +349,13 @@ class KnnClassifier:
         for r in range(lat.radius + 1):
             if pending.size == 0:
                 break
-            shell = np.sort(_shell(dim, r) @ frame.strides)  # key offsets
+            shell = _shell(dim, r) @ frame.strides  # key offsets, ascending
             step = max(1, LATTICE_CANDIDATES // shell.size)
             unanswered = []
             for start in range(0, pending.size, step):
                 part = pending[start : start + step]
-                wanted = centre[part, None] + shell
-                pos = np.searchsorted(lat.keys, wanted)
-                flat = np.flatnonzero(lat.keys[pos] == wanted)
+                flat, hit = lat.find(centre[part, None] + shell)
                 who = flat // shell.size  # ascending
-                hit = lat.order[pos.ravel()[flat]]
                 below = found[part]
                 found[part] += np.bincount(who, minlength=part.size)
                 done = found[part] >= k

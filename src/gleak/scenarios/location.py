@@ -65,8 +65,17 @@ def _by_offset(table: np.ndarray) -> np.ndarray:
     return by_pair.transpose(0, 2, 1, 3).reshape(rows * cols, rows * cols)
 
 
-def diamond_gain(rows: int = GRID_SIDE, cols: int = GRID_SIDE) -> GainFunction:
-    """g(w, x) = round(GAMMA * exp(-ALPHA * d(w, x) / CELL_M)).
+def _cell_alphabet(rows: int, cols: int, cells: Alphabet | None) -> Alphabet:
+    """``cells``, or the integer labels of the rows * cols cells when None."""
+    return Alphabet.integers(rows * cols) if cells is None else cells
+
+
+def diamond_gain(
+    rows: int = GRID_SIDE, cols: int = GRID_SIDE, cells: Alphabet | None = None
+) -> GainFunction:
+    """g(w, x) = round(GAMMA * exp(-ALPHA * d(w, x) / CELL_M)), over the
+    ``cells`` alphabet as both guesses and secrets (by default, integer
+    labels).
 
     d is the Euclidean distance in meters between cell centers.  Rounding is
     half-up (floor(v + 0.5)); no value in the reference configuration lands
@@ -75,12 +84,15 @@ def diamond_gain(rows: int = GRID_SIDE, cols: int = GRID_SIDE) -> GainFunction:
     """
     dist = _offset_distances(rows, cols, CELL_M)
     values = np.floor(GAMMA * np.exp(-ALPHA * dist / CELL_M) + 0.5)
-    alphabet = Alphabet.integers(rows * cols)
+    alphabet = _cell_alphabet(rows, cols, cells)
     return GainFunction(alphabet, alphabet, _by_offset(values))
 
 
-def grid_geometric_mechanism(rows: int, cols: int, nu: float) -> Channel:
-    """C[x, y] proportional to exp(-nu * d(x, y)) with d in cell units.
+def grid_geometric_mechanism(
+    rows: int, cols: int, nu: float, cells: Alphabet | None = None
+) -> Channel:
+    """C[x, y] proportional to exp(-nu * d(x, y)) with d in cell units, over
+    the ``cells`` alphabet as input and output (by default, integer labels).
 
     The weights are evaluated once per (row, column) offset; each row of the
     full matrix is then normalized.
@@ -89,7 +101,7 @@ def grid_geometric_mechanism(rows: int, cols: int, nu: float) -> Channel:
     dist = _offset_distances(rows, cols, 1.0)
     rows_mat = _by_offset(np.exp(-nu * dist))
     rows_mat /= rows_mat.sum(axis=1, keepdims=True)
-    alphabet = Alphabet.integers(rows * cols)
+    alphabet = _cell_alphabet(rows, cols, cells)
     return Channel(alphabet, alphabet, rows_mat)
 
 
@@ -100,8 +112,9 @@ class GowallaIngest:
     total: int
 
 
-def gowalla_ingest(path: str) -> GowallaIngest:
-    """Count check-ins per cell of the reference grid inside its square region.
+def gowalla_ingest(path: str, cells: Alphabet | None = None) -> GowallaIngest:
+    """Count check-ins per cell of the reference grid inside its square
+    region; the prior is over ``cells`` (by default, integer labels).
 
     The dump has whitespace/tab-separated records (user, timestamp,
     latitude, longitude, location-id).  The region is the square of side
@@ -143,30 +156,33 @@ def gowalla_ingest(path: str) -> GowallaIngest:
             counts[r, c] += 1
     if in_region == 0:
         raise ValidationError("no check-ins inside the region")
-    prior = Prior(Alphabet.integers(GRID_SIDE**2), counts.ravel() / in_region)
+    prior = Prior(_cell_alphabet(GRID_SIDE, GRID_SIDE, cells), counts.ravel() / in_region)
     return GowallaIngest(prior=prior, in_region=in_region, total=total)
 
 
-def synthetic_prior(rows: int, cols: int) -> Prior:
-    """Two-hotspot Gaussian mixture over the grid; documented stand-in used
-    when no check-in dump is available."""
+def synthetic_prior(rows: int, cols: int, cells: Alphabet | None = None) -> Prior:
+    """Two-hotspot Gaussian mixture over the grid's ``cells`` (by default,
+    integer labels); documented stand-in used when no check-in dump is
+    available."""
     r, c = np.divmod(np.arange(rows * cols), cols)
     spots = [((0.3 * rows, 0.3 * cols), 0.6), ((0.7 * rows, 0.65 * cols), 0.4)]
     dens = np.zeros(rows * cols)
     for (r0, c0), weight in spots:
         dens += weight * np.exp(-((r - r0) ** 2 + (c - c0) ** 2) / (2 * 2.5**2))
-    return Prior(Alphabet.integers(rows * cols), dens / dens.sum())
+    return Prior(_cell_alphabet(rows, cols, cells), dens / dens.sum())
 
 
 def build(gowalla_path: str | None) -> Scenario:
     """The reference grid with the Gowalla prior when a dump is given, the
-    synthetic prior otherwise."""
+    synthetic prior otherwise.  Prior, channel and gain share one cell
+    alphabet, so the checks that they match compare one object."""
+    cells = Alphabet.integers(GRID_SIDE**2)
     if gowalla_path is not None:
-        prior = gowalla_ingest(gowalla_path).prior
+        prior = gowalla_ingest(gowalla_path, cells).prior
     else:
-        prior = synthetic_prior(GRID_SIDE, GRID_SIDE)
-    channel = grid_geometric_mechanism(GRID_SIDE, GRID_SIDE, MECHANISM_NU)
-    gain = diamond_gain()
+        prior = synthetic_prior(GRID_SIDE, GRID_SIDE, cells)
+    channel = grid_geometric_mechanism(GRID_SIDE, GRID_SIDE, MECHANISM_NU, cells)
+    gain = diamond_gain(cells=cells)
     return Scenario(
         name="location",
         prior=prior,

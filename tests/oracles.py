@@ -3,7 +3,9 @@ package's exact and analytic computations are checked against, the ideal
 joints of the two pre-processing theorems, the strategy tables the tests
 score, and the straightforward implementations that the package's fast
 paths must match bit for bit: distinct rows by sorting, tallies by
-``np.add.at``, the k-NN scoring every (query, observable) pair, the data
+``np.add.at``, the k-NN scoring every (query, observable) pair, the
+lattice search's integer L1 shells built afresh in a sorting order of
+their own and its keys found by a sorted search alone, the data
 method's k-NN tallies from the expanded set, CDF inversion in the
 uniforms' own order, rationalization through an entry-to-value index, the
 location matrices evaluated on every cell pair, the channel method's pairs
@@ -113,6 +115,34 @@ def reference_knn_predict(model, ys: np.ndarray) -> np.ndarray:
         votes = included.astype(np.float64) @ model.tallies
         out[start : start + REFERENCE_CHUNK] = np.argmax(votes, axis=1)
     return out
+
+
+def reference_shell(dim: int, r: int) -> np.ndarray:
+    """The (n, dim) integer offsets of L1 norm exactly r, one coordinate at a
+    time: each prefix with budget b left takes every value in [-b, b], and
+    the last coordinate takes -b and +b.  The rows are not in key order;
+    the search sorted their keys on every predict."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([r], dtype=np.int64)
+    for _ in range(dim - 1):
+        reach = 2 * left + 1
+        parent = np.repeat(np.arange(left.size), reach)
+        value = np.arange(parent.size) - np.repeat(np.cumsum(reach) - reach, reach) - left[parent]
+        rows = np.column_stack([rows[parent], value])
+        left = left[parent] - np.abs(value)
+    two = left > 0
+    return np.concatenate(
+        [np.column_stack([rows, -left]), np.column_stack([rows[two], left[two]])]
+    )
+
+
+def reference_lattice_find(lattice, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat positions in ``wanted`` of the lattice's row keys and those
+    rows, by one sorted search of every key (the keys end in a sentinel
+    above every key, so each search lands on an entry)."""
+    pos = np.searchsorted(lattice.keys, wanted)
+    flat = np.flatnonzero(lattice.keys[pos] == wanted)
+    return flat, lattice.order[pos.ravel()[flat]]
 
 
 BLOCKED_CHUNK = 32  # queries per (q, l) distance block

@@ -202,6 +202,14 @@ class TestEstimate:
     def files(self, assets):
         return ["--prior", str(assets / "prior.txt"), "--channel", str(assets / "chan.txt")]
 
+    @pytest.mark.parametrize("method", ["data", "channel", "frequentist"])
+    @pytest.mark.parametrize("flag", ["--m", "--n"])
+    def test_zero_sample_count_names_its_flag(self, capsys, method, flag):
+        argv = ["estimate", "--scenario", "dp", "--method", method, flag, "0"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"{flag} must be >= 1" in err
+
     def test_data_knn_from_files(self, capsys, assets):
         payload = run_json(
             capsys,

@@ -80,6 +80,18 @@ class TestDomainTypes:
         with pytest.raises(ValidationError):
             SampleSet(X, np.array([0, 1]), np.array([0, 0]))  # ys not 2-D
 
+    def test_sample_set_counts_once_read_only(self):
+        samples = SampleSet(
+            Alphabet.integers(3), np.array([2, 0, 2, 1, 2]), np.array([[4, 1], [0, 0], [4, 1], [4, 1], [0, 0]])
+        )
+        distinct, table = samples.counts
+        assert samples.counts[0] is distinct and samples.counts[1] is table
+        assert not distinct.flags.writeable and not table.flags.writeable
+        np.testing.assert_array_equal(distinct, [[0, 0], [4, 1]])
+        np.testing.assert_array_equal(table, [[1, 0, 1], [0, 1, 2]])
+        with pytest.raises(ValueError):
+            table[0, 0] = 5
+
 
 class TestPriorVulnerability:
     def test_diagonal_gain_hand_value(self):

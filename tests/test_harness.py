@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gleak import NumericalError, ValidationError, sample_joint, stream
-from gleak import estimation, harness
+from gleak import core, estimation, harness
 from gleak.estimation import TablePredictor
 from gleak.harness import (
     METHODS,
@@ -304,7 +304,7 @@ class TestRunTrialMatrix:
             (method, learner, m, i)
             for m in (300, 600)
             for i in range(2)
-            for method, learner in (("data", "knn"), ("frequentist", "none"))
+            for method, learner in (("frequentist", "none"), ("data", "knn"))
         ]
         estimates = {(r.method, r.learner, r.m, r.i, r.j): r.estimate for r in rows}
         for model, task in zip(models, tasks):
@@ -342,6 +342,21 @@ class TestSharedTrainingSets:
             [f"multi-guess/valid/j{j}" for j in range(3)]
             + [f"multi-guess/train/m{m}/i{i}" for m in (300, 600) for i in range(2)]
         )
+
+    @pytest.mark.parametrize("scenario", ["multi-guess", "dp"])
+    @pytest.mark.parametrize("methods, counts_per_set", [(("data", "frequentist"), 1), (METHODS, 2)])
+    def test_each_training_set_is_counted_once(self, monkeypatch, scenario, methods, counts_per_set):
+        # the shared pi |> C set once for data and frequentist, the channel
+        # method's (w, y) pairs once more
+        calls, real = [], core._count_table
+
+        def spy(ys, labels, n_labels):
+            calls.append(ys.shape[0])
+            return real(ys, labels, n_labels)
+
+        monkeypatch.setattr(core, "_count_table", spy)
+        run_trial_matrix(tiny_config(scenario=scenario, methods=methods))
+        assert sorted(calls) == sorted([300, 600] * 2 * counts_per_set)
 
     def test_artifacts_do_not_depend_on_workers(self, tmp_path):
         written = {}

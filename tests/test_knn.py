@@ -6,7 +6,9 @@ are checked against ``oracles.reference_knn_predict``, every (q, l)
 distance through a (q, l, dim) temporary, a partition for the k-th and the
 included rows' tallies summed by one product.  The ball search is also
 checked against ``oracles.reference_blocked_knn_predict``, the blocked
-kernel it falls back to, while a spy counts the queries each path answers.
+kernel it falls back to, while a spy counts the queries each path answers;
+its occupancy-filtered key lookup against a sorted search of every key,
+and its shell tables against shells built afresh and sorted by key.
 """
 
 import contextlib
@@ -19,12 +21,18 @@ from hypothesis import strategies as st
 
 from gleak import DistanceMetric, ValidationError, scalar_codec
 from gleak import knn
-from gleak.core import KEY_LIMIT, _count_table, sample_joint
+from gleak.core import KEY_LIMIT, _count_table, _key_frame, sample_joint
 from gleak.features import FeatureCodec, grid_codec, tuple_codec
 from gleak.knn import METRIC_KINDS, KnnClassifier, k_for, knn_train
 from gleak.rng import stream
 from gleak.scenarios import build_scenario
-from oracles import reference_blocked_knn_predict, reference_knn_predict, reference_pairwise
+from oracles import (
+    reference_blocked_knn_predict,
+    reference_knn_predict,
+    reference_lattice_find,
+    reference_pairwise,
+    reference_shell,
+)
 
 
 def scalar_metric():
@@ -431,6 +439,103 @@ class TestLatticeSearch:
         near = lattice_reach(model, queries)
         assert near.mean() > 0.8
         assert_paths(model, queries, int(near.sum()), int((~near).sum()))
+
+
+def dp_lattice(m):
+    """The lattice of a dp data-method k-NN over m training pairs."""
+    scenario = build_scenario("dp")
+    train = sample_joint((scenario.prior, scenario.channel), m, stream(0, f"t/knn/occupancy/{m}"))
+    return knn_train(*train.counts, scenario.metric)._lattice
+
+
+def slot_aliases(lat, keys):
+    """Those of ``keys`` that find their slot set but are no row's key."""
+    stored = lat.keys[:-1]
+    return keys[lat.occupied[lat.slots(keys)] & ~np.isin(keys, stored)]
+
+
+def assert_finds_as_sorted_search(lat, wanted):
+    got_flat, got_rows = lat.find(wanted)
+    want_flat, want_rows = reference_lattice_find(lat, wanted)
+    np.testing.assert_array_equal(got_flat, want_flat)
+    np.testing.assert_array_equal(got_rows, want_rows)
+    return got_flat
+
+
+class TestOccupancyPrefilter:
+    @pytest.mark.parametrize("l", [1, 2, 5, 16, 17, 300])
+    def test_table_size_and_every_row_key_set(self, l):
+        rows = np.stack([np.arange(l), np.arange(l) % 7], axis=1)
+        lat = manhattan_model(rows, np.ones((l, 2)), 1)._lattice
+        size = lat.occupied.size
+        assert size >= 16 * l and size // 2 < 16 * l and size & (size - 1) == 0
+        assert lat.occupied[lat.slots(lat.keys[:-1])].all()
+        assert lat.occupied.sum() <= l
+
+    @pytest.mark.parametrize("m", [2000, 10000])
+    def test_dp_keys_found_as_by_the_sorted_search(self, m):
+        lat = dp_lattice(m)
+        stored = lat.keys[:-1]
+        gen = np.random.default_rng(m)
+        inside = gen.integers(0, lat.frame.size, 20000)
+        aliases = slot_aliases(lat, np.arange(200000))
+        negative = -np.arange(1, 200000)
+        negative_aliases = slot_aliases(lat, negative)
+        assert aliases.size > 100 and negative_aliases.size > 100
+        extremes = np.array(
+            [np.iinfo(np.int64).min, -1, 0, lat.frame.size, np.iinfo(np.int64).max - 1]
+        )
+        wanted = np.concatenate(
+            [stored, stored + 1, inside, aliases, negative[::97], negative_aliases, extremes]
+        )
+        gen.shuffle(wanted)
+        flat = assert_finds_as_sorted_search(lat, wanted[: wanted.size // 64 * 64].reshape(64, -1))
+        assert flat.size >= stored.size
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_keys_found_as_by_the_sorted_search(self, data):
+        width = data.draw(st.integers(1, 4))
+        rows = np.unique(
+            np.array(
+                data.draw(
+                    st.lists(
+                        st.lists(st.integers(-6, 6), min_size=width, max_size=width),
+                        min_size=1,
+                        max_size=40,
+                    )
+                )
+            ),
+            axis=0,
+        )
+        lat = manhattan_model(rows, np.ones((rows.shape[0], 2)), 1)._lattice
+        stored = lat.keys[:-1]
+        near = st.tuples(st.sampled_from(stored.tolist()), st.integers(-3, 3)).map(sum)
+        anywhere = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max - 1)
+        wanted = data.draw(st.lists(near | anywhere, min_size=1, max_size=60))
+        assert_finds_as_sorted_search(lat, np.array(wanted, dtype=np.int64))
+
+
+class TestShell:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_tables_are_the_shells_in_key_order(self, dim):
+        gen = np.random.default_rng(dim)
+        for r in range(knn.MAX_RADIUS + 1):
+            table = knn._shell(dim, r)
+            assert knn._shell(dim, r) is table and not table.flags.writeable
+            size = knn._ball_size(dim, r) - knn._ball_size(dim, r - 1)
+            assert table.shape == (size, dim)
+            assert (np.abs(table).sum(axis=1) == r).all()
+            # distinct, and in lexicographic order
+            np.testing.assert_array_equal(np.unique(table, axis=0), table)
+            reference = reference_shell(dim, r)
+            np.testing.assert_array_equal(np.unique(reference, axis=0), table)
+            for extra in (np.zeros(dim, dtype=np.int64), gen.integers(0, 4, dim)):
+                lows = gen.integers(-9, 9, dim)
+                frame = _key_frame(lows, lows + 4 * r + extra)
+                np.testing.assert_array_equal(
+                    table @ frame.strides, np.sort(reference @ frame.strides)
+                )
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])

@@ -330,6 +330,14 @@ class TestLocationScenario:
         assert scenario.prior.probs.max() == 1.0
         # a point-mass prior leaks nothing: the adversary already knows x
         assert scenario.exact_vg == pytest.approx(4.0, abs=1e-9)
+        assert scenario.prior.alphabet is scenario.channel.input
+
+    def test_one_cell_alphabet(self):
+        scenario = build_scenario("location")
+        cells = scenario.prior.alphabet
+        assert cells.labels == tuple(str(i) for i in range(400))
+        alphabets = [scenario.channel.input, scenario.channel.output, scenario.gain.guesses]
+        assert all(alphabet is cells for alphabet in alphabets + [scenario.gain.secrets])
 
 
 class TestDpScenario:
