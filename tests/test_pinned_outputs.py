@@ -14,7 +14,9 @@ training sets index thousands of distinct observables, before the k-NN
 searched integer L1 balls; the desk dp k-NN grid of ``leak scenario``,
 with the frequentist baseline and m = 2,000, before the lattice search
 filtered its keys by occupancy and the counting learners shared one count
-table per training set.  Only kNN and the frequentist
+table per training set; the paper-profile k-NN grids of multi-guess,
+location and password before the harness ran one job per training set and
+the MLP expansion read the set's count table.  Only kNN and the frequentist
 baseline are pinned: MLP training sums through BLAS, whose summation order
 is not portable across builds, so for the MLP the config is pinned instead.
 """
@@ -64,6 +66,25 @@ DESK_DP_KNN_SHA256 = (
     "810a9fc8172103f578dcd4a02e5bf22be20d39e3c04d1efb6b5f7042169ae45b",
     "93243892ed8baa7bc6cf00d3b5a9b95ff646d43978da75356db7f9e5d285efa4",
 )
+
+# `leak scenario <name> --profile paper --learners knn --seed 0`
+PAPER_KNN_SHA256 = {
+    "multi-guess": (
+        "68ac4460b54899f439da5302795a3c84f8a91485d9072351ce45a628ef545ddd",
+        "0b436ff7da36616979e3c349ce1b4d2afabeede10757b0df8b5bedfad7f755a3",
+        "e12f95f53f9e800eb24cc06b27ffbb8000c593e691f0ec9bdb9938f55b5ef766",
+    ),
+    "location": (
+        "88d91800c59843dab9c6a17eb3f6cc6200297d0ed217b98a8e161ab6d85f20c5",
+        "05c395640caa4c7c56ff7de00339dd151744bde40ccd40a0294ff9d6dc9c6ef0",
+        "95b62612f974a34ff30ac41283ae9c6a3345a99934bf708ed34d350d8ad8baa3",
+    ),
+    "password": (
+        "23255320fb1ada051c312685b9e2dc26bccb2908c3a41c9b53b094bc6c6d82b1",
+        "47db12459fc627fdfa0dfa70f17fd216103aa3fb8903aecb1b8b30013e78727e",
+        "591a60ed96f93e3ace2e7119e1fab822ce0e7491c336eecc364b3595aa0cd45b",
+    ),
+}
 
 # (scenario, profile) -> repr of the exact V_g
 EXACT_VG = {
@@ -165,6 +186,52 @@ def test_desk_dp_knn_grid_artifacts(tmp_path, capsys):
         for suffix in ("summary.json", "trials.csv", "boxplot.csv")
     )
     assert digests == DESK_DP_KNN_SHA256
+
+
+@pytest.fixture(scope="module")
+def paper_knn_grids(tmp_path_factory) -> dict:
+    """Scenario -> the artifact prefix of its paper-profile k-NN grid: data,
+    channel and frequentist at m = 10,000 / 30,000 / 50,000, five training
+    sets each, scored on 50 validation sets of 50,000."""
+    root = tmp_path_factory.mktemp("paper-knn")
+    for scenario in PAPER_KNN_SHA256:
+        code = main([
+            "scenario", scenario, "--profile", "paper", "--learners", "knn",
+            "--seed", "0", "--out", str(root / scenario),
+        ])
+        assert code == 0
+    return {scenario: root / scenario for scenario in PAPER_KNN_SHA256}
+
+
+@pytest.mark.parametrize("scenario", sorted(PAPER_KNN_SHA256))
+def test_paper_knn_grid_artifacts(scenario, paper_knn_grids):
+    prefix = paper_knn_grids[scenario]
+    digests = tuple(
+        _sha256(prefix.with_name(f"{scenario}.{suffix}"))
+        for suffix in ("summary.json", "trials.csv", "boxplot.csv")
+    )
+    assert digests == PAPER_KNN_SHA256[scenario]
+
+
+# password is left out: its k-NN error stays at 0.0723 at every m, above
+# the frequentist's 0.0023, because k counts distinct observables
+@pytest.mark.parametrize("scenario", ["location", "multi-guess"])
+def test_paper_knn_beats_frequentist(scenario, paper_knn_grids):
+    """The paper's claim at paper scale: on a large observable domain the
+    data-method k-NN's total error is below the frequentist's at every
+    size, and falls as m grows."""
+    summary = json.loads(
+        paper_knn_grids[scenario].with_name(f"{scenario}.summary.json").read_text()
+    )
+    errors = {
+        method: [r["total_error"] for r in summary["results"] if r["method"] == method]
+        for method in ("data", "frequentist")
+    }
+    sizes = [r["m"] for r in summary["results"] if r["method"] == "data"]
+    assert sizes == [10000, 30000, 50000]
+    assert all(knn < freq for knn, freq in zip(errors["data"], errors["frequentist"]))
+    assert errors["data"] == sorted(errors["data"], reverse=True)
+    assert len(set(errors["data"])) == len(sizes)
 
 
 @pytest.mark.parametrize("scenario,profile", sorted(EXACT_VG))
