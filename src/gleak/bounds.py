@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-from .core import NumericalError, ValidationError, _pair_gains, _require
+from .core import NumericalError, _pair_gains, _require
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -64,6 +64,7 @@ class BoundInputs:
             f"hypothesis count must be <= {sys.float_info.max!r}, the largest float",
         )
         _require(self.epsilon > 0, "epsilon must be positive")
+        _require(self.delta <= 1, f"delta is a failure probability, must be <= 1, got {self.delta}")
         _require(0 < self.split < self.delta, "need 0 < split < delta")
 
     @property
@@ -167,8 +168,8 @@ def sample_complexity(
     float overflows the quotient 2|H| / (delta - split).
     """
     _require(epsilon > 0, "epsilon must be positive")
-    if not 0 < split < delta:
-        raise ValidationError("need 0 < split < delta")
+    _require(delta <= 1, f"delta is a failure probability, must be <= 1, got {delta}")
+    _require(0 < split < delta, "need 0 < split < delta")
     _require(sigma2 > 0 and hypothesis_count >= 1, "inputs must be positive")
     a, b = value_range
     _require(b > a, "range must satisfy a < b")

@@ -160,6 +160,7 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    _require(args.delta <= 1, f"--delta is a failure probability, must be <= 1, got {args.delta}")
     inputs = BoundInputs(
         m=args.m,
         n=args.n,
@@ -175,6 +176,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    unread = "prior" if args.mode == "data" else "samples"
+    _require(vars(args)[unread] is None, f"--{unread} is not read by --mode {args.mode}")
     prefix = Path(args.out)
     if args.mode == "data":
         _require(args.samples and args.gain, "data mode needs --samples and --gain")

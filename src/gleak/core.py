@@ -427,12 +427,10 @@ def _key_frame(lows: np.ndarray, highs: np.ndarray) -> _KeyFrame | None:
     return _KeyFrame(*(np.array(v, dtype=np.int64) for v in (lows, spans, strides)), size)
 
 
-def _unique_rows(
-    a: np.ndarray, return_inverse: bool = False, return_counts: bool = False
-):
-    """What ``np.unique(a, axis=0, ...)`` returns for a 2-D int64 array:
-    the distinct rows in lexicographic order and, as asked, the index of
-    each row among them and each distinct row's count.
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What ``np.unique(a, axis=0, return_inverse=True)`` returns for a 2-D
+    int64 array: the distinct rows in lexicographic order and the index of
+    each row among them.
 
     ``np.unique(axis=0)`` sorts the rows as a structured dtype; here each
     row becomes its int64 key in the ``_key_frame`` of the rows' box, so
@@ -446,22 +444,16 @@ def _unique_rows(
     n = a.shape[0]
     frame = _key_frame(a.min(axis=0), a.max(axis=0)) if n else None
     if frame is None:
-        return np.unique(
-            a, axis=0, return_inverse=return_inverse, return_counts=return_counts
-        )
+        return np.unique(a, axis=0, return_inverse=True)
     key = frame.keys(a)
     if frame.size <= DENSE_SPAN_PER_ROW * n + DENSE_SPAN_SLACK:
         tally = np.bincount(key, minlength=frame.size)
         keys = np.flatnonzero(tally)
-        counts = tally[keys]
-        inverse = [(np.cumsum(tally > 0) - 1)[key]] if return_inverse else []
+        inverse = (np.cumsum(tally > 0) - 1)[key]
     else:
-        keys, *inverse, counts = np.unique(
-            key, return_inverse=return_inverse, return_counts=True
-        )
+        keys, inverse = np.unique(key, return_inverse=True)
     rows = (keys[:, None] // frame.strides % frame.spans + frame.lows).astype(a.dtype)
-    out = [rows, *inverse, *([counts] if return_counts else [])]
-    return out[0] if len(out) == 1 else tuple(out)
+    return rows, inverse
 
 
 def _count_table(
@@ -469,7 +461,7 @@ def _count_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of ``ys`` and the (l, n_labels) int64 table of how
     often each label occurs with each of them."""
-    distinct, inverse = _unique_rows(ys, return_inverse=True)
+    distinct, inverse = _unique_rows(ys)
     l = distinct.shape[0]
     table = np.bincount(inverse * n_labels + labels, minlength=l * n_labels)
     return distinct, table.reshape(l, n_labels)
@@ -480,9 +472,7 @@ def _distinct_rows(sets: Sequence[SampleSet]) -> tuple[np.ndarray, list[np.ndarr
     index of each pair's row among them."""
     if any(s.size == 0 for s in sets):
         raise ValidationError("validation set is empty")
-    rows, inverse = _unique_rows(
-        np.concatenate([s.ys for s in sets]), return_inverse=True
-    )
+    rows, inverse = _unique_rows(np.concatenate([s.ys for s in sets]))
     ends = np.cumsum([s.size for s in sets])
     return rows, np.split(inverse, ends[:-1])
 

@@ -10,7 +10,7 @@ pi |> C samples and the rationalized gain, or the (w, y) pairs of tau |>
 RC and the identity.  The counting learners read the set's count table,
 ``SampleSet.counts``, which one set counts once for all of them; only the
 MLP, which draws batches from weighted entries, trains on the data
-pre-processing expansion.
+pre-processing expansion, which lists its pairs from the same table.
 """
 
 from __future__ import annotations
@@ -151,6 +151,7 @@ def fit(
         # the channel method's pairs under the identity gain: each has weight 1
         integer_gain = rational if method == "data" else identity_gain(train.secrets)
         data = data_preprocess(train, integer_gain)
+        del train  # a set drawn here goes, with its count table, before training
         model = mlp_train(data, learner_config, learner_stream)
         total = data.total_weight
     elif method == "channel":

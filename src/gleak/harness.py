@@ -4,13 +4,16 @@ Produces the normalized-error statistics grid (mean, dispersion, total
 error) per (method, learner, training size), plus plot-ready CSV artifacts.
 Every sample set and learner initialization draws from a named stream of the
 master seed, so a full run is byte-reproducible.
+
+The matrix runs one job per (training size m, training set i), ``workers``
+jobs at a time.  A job draws its pi |> C set once, fits the frequentist,
+the data and then the channel models on it, and scores each model on the J
+validation sets before the next fit.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -29,7 +32,7 @@ from .core import (
 from .estimation import METHOD_NAMES, fit
 from .knn import DistanceMetric
 from .mlp import MlpConfig
-from .rng import Stream, stream
+from .rng import stream
 from .scenarios import SCENARIO_NAMES, Scenario, build_scenario
 
 METHODS = tuple(METHOD_NAMES)
@@ -256,58 +259,53 @@ def run_trial_matrix(
         for j in range(num_j)
     ]
 
-    # the tasks of one (m, i) run one after another: the frequentist, then
-    # the data method, then the channel method.  The training set of pi |> C
-    # the first two share is drawn once and dropped here, with its count
-    # table, when the last of them takes it, so the last data model is
-    # scored and the channel pairs are drawn without it
-    combos = sorted(_combos(config), key=lambda combo: _TASK_ORDER.index(combo[0]))
-    tasks = [
-        (method, learner, m, i)
-        for m in sizes
-        for i in range(num_i)
-        for (method, learner) in combos
-    ]
-    uses = Counter((m, i) for method, _, m, i in tasks if method != "channel")
-    drawn: dict[tuple[int, int], SampleSet] = {}
-    lock = threading.Lock()
-
-    def training_set(m: int, i: int, source: Stream) -> SampleSet:
-        with lock:
-            if (m, i) not in drawn:
-                drawn[(m, i)] = sample_joint((scenario.prior, scenario.channel), m, source)
-            uses[(m, i)] -= 1
-            return drawn.pop((m, i)) if uses[(m, i)] == 0 else drawn[(m, i)]
-
     # every model is asked once, on the distinct observables of all J sets
     distinct = _distinct_rows(valid_sets)
     gain = scenario.gain
 
-    def run_task(task):
-        method, learner, m, i = task
-        train_stream = stream(
-            seed, f"{name}/{'chan' if method == 'channel' else 'train'}/m{m}/i{i}"
-        )
-        model, _ = fit(
-            method,
-            scenario.prior,
-            scenario.channel,
-            gain,
-            m,
-            learner_config(scenario, method, learner, config.profile, m),
-            train_stream,
-            # only the MLP draws from this stream
-            stream(seed, f"{name}/{method}/mlp/m{m}/i{i}"),
-            train=None if method == "channel" else training_set(m, i, train_stream),
-        )
+    def score(model) -> list[float]:
         gains = _pair_gains(model, valid_sets, gain, distinct)
-        return task, [float(g.mean()) - gain.shift for g in gains]
+        return [float(g.mean()) - gain.shift for g in gains]
 
+    def fit_model(method: str, learner: str, m: int, i: int, train: SampleSet | None):
+        source = f"{name}/{'chan' if method == 'channel' else 'train'}/m{m}/i{i}"
+        model, _ = fit(
+            method, scenario.prior, scenario.channel, gain, m,
+            learner_config(scenario, method, learner, config.profile, m),
+            stream(seed, source),
+            stream(seed, f"{name}/{method}/mlp/m{m}/i{i}"),  # only the MLP draws from it
+            train=train,
+        )
+        return model
+
+    def training_set(m: int, i: int) -> SampleSet:
+        source = stream(seed, f"{name}/train/m{m}/i{i}")
+        return sample_joint((scenario.prior, scenario.channel), m, source)
+
+    # a job fits the frequentist, the data and then the channel models, and
+    # scores each before the next fit.  The pi |> C set is held once per
+    # model that takes it and the last of them pops it, so the set and its
+    # count table are freed before that model is scored
+    combos = sorted(_combos(config), key=lambda combo: _TASK_ORDER.index(combo[0]))
+    shared = sum(method != "channel" for method, _ in combos)
+
+    def run_job(job: tuple[int, int]) -> dict:
+        m, i = job
+        held = [training_set(m, i)] * shared if shared else []
+        return {
+            (method, learner, m, i): score(
+                fit_model(method, learner, m, i, None if method == "channel" else held.pop())
+            )
+            for method, learner in combos
+        }
+
+    jobs = [(m, i) for m in sizes for i in range(num_i)]
     if config.workers == 1:
-        results = dict(run_task(task) for task in tasks)
+        parts = [run_job(job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = dict(pool.map(run_task, tasks))
+            parts = list(pool.map(run_job, jobs))
+    results = {task: values for part in parts for task, values in part.items()}
 
     metrics: list[MetricsReport] = []
     rows: list[TrialRow] = []

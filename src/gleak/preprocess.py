@@ -29,7 +29,6 @@ from .core import (
     ValidationError,
     _freeze,
     _require,
-    _unique_rows,
 )
 
 SNAP_DENOMINATOR = 10**6
@@ -90,8 +89,12 @@ def data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
     """Weighted-copy expansion of a training set under an integer gain.
 
     Each distinct (x, y) with multiplicity u contributes weight u * g(w, x)
-    on (w, y) for every guess w with positive gain.  Raises if the stored
-    gain entries are not non-negative integers (rationalize first).
+    on (w, y) for every guess w with positive gain.  The pairs and their
+    multiplicities are the non-zero cells of the set's count table,
+    ``train.counts``, which the counting learners read too; listing them
+    costs that (l, X) table, l distinct observables by X secrets.  Raises
+    if the stored gain entries are not non-negative integers (rationalize
+    first).
     """
     _require(train.size > 0, "training set is empty")
     if not gain.is_integer_valued():
@@ -100,16 +103,16 @@ def data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
             "apply rationalize_gain first"
         )
     g_int = np.round(gain.matrix).astype(np.int64)
-    combined = np.concatenate([train.xs[:, None], train.ys], axis=1)
-    distinct, counts = _unique_rows(combined, return_counts=True)
-    xs_d = distinct[:, 0]
-    ys_d = distinct[:, 1:]
+    distinct, table = train.counts
+    # the distinct pairs (x, y), x-major and then in row order: the order
+    # of the distinct rows of [x | y]
+    xs_d, rows_d = np.nonzero(table.T)
+    counts = table[rows_d, xs_d]
     # Entry (w, p) for every guess w with g(w, x_p) > 0, in the row-major
     # order of the dense (W, P) matrix counts[p] * g(w, x_p): guess-major,
-    # then pair.  The MLP batch draw depends on that order.  The distinct
-    # pairs are sorted with x leading, so each secret's pairs form one run,
-    # and the order is each positive (w, x), guess-major, expanded into the
-    # run of x.
+    # then pair.  The MLP batch draw depends on that order.  Each secret's
+    # pairs form one run, and the order is each positive (w, x),
+    # guess-major, expanded into the run of x.
     runs = np.bincount(xs_d, minlength=g_int.shape[1])
     run_start = np.cumsum(runs) - runs
     nz_w, nz_x = np.nonzero(g_int)
@@ -121,7 +124,7 @@ def data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
     w_idx = np.repeat(nz_w, per_entry)
     p_idx = np.arange(total) + np.repeat(run_start[nz_x] - entry_start, per_entry)
     weights = counts[p_idx] * g_int[w_idx, xs_d[p_idx]]
-    return WeightedSampleSet(gain.guesses, w_idx, ys_d[p_idx], weights)
+    return WeightedSampleSet(gain.guesses, w_idx, distinct[rows_d[p_idx]], weights)
 
 
 def rationalize_gain(gain: GainFunction) -> tuple[GainFunction, int]:

@@ -36,7 +36,6 @@ from gleak.core import (
     _freeze,
     _require,
     _score_matrix,
-    _unique_rows,
     sample_prior,
 )
 from gleak.estimation import TablePredictor
@@ -274,7 +273,7 @@ def reference_sample_preprocessed_pairs(
     xs = deriv.R.sample(ws, gen)[:, 0]
     ys = channel.sample(xs, gen)
     combined = np.concatenate([ws[:, None], ys], axis=1)
-    distinct, counts = _unique_rows(combined, return_counts=True)
+    distinct, counts = reference_unique_rows(combined, return_counts=True)
     return WeightedSampleSet(deriv.tau.alphabet, distinct[:, 0], distinct[:, 1:], counts)
 
 
@@ -296,7 +295,7 @@ def reference_data_knn_train(
     and the fit's report details."""
     rational, scale = rationalize_gain(gain)
     data = data_preprocess(train, rational)
-    distinct, inverse = _unique_rows(data.ys, return_inverse=True)
+    distinct, inverse = reference_unique_rows(data.ys, return_inverse=True)
     l, n_guesses = distinct.shape[0], data.guesses.size
     tallies = np.bincount(
         inverse * n_guesses + data.ws, weights=data.weights, minlength=l * n_guesses

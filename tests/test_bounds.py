@@ -160,8 +160,18 @@ class TestSampleComplexity:
         with pytest.raises(ValidationError):
             sample_complexity(0.1, 0.05, 0.08, 0.25, (0.0, 1.0), 10)
 
+    def test_delta_above_one(self):
+        # delta is a failure probability: at 3 with split 2.5, N came out negative
+        with pytest.raises(ValidationError, match="failure probability"):
+            sample_complexity(0.1, 3.0, 2.5, 0.25, (0.0, 1.0), 10)
+
 
 class TestBoundInputs:
+    @pytest.mark.parametrize("delta, split", [(5.0, 0.5), (3.0, 2.5)])
+    def test_delta_above_one_rejection(self, delta, split):
+        with pytest.raises(ValidationError, match="failure probability"):
+            inputs(delta=delta, split=split)
+
     def test_popoviciu_rejection(self):
         with pytest.raises(ValidationError, match="Popoviciu"):
             inputs(sigma2=0.3)  # > (1-0)^2/4

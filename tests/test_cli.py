@@ -506,6 +506,17 @@ class TestBounds:
         assert code == 2
         assert "split" in err
 
+    @pytest.mark.parametrize("delta, split", [("5", "0.5"), ("3", "2.5")])
+    def test_delta_above_one_rejected(self, capsys, delta, split):
+        # delta is a failure probability: above 1, M or N came out negative
+        code, out, err = run_cli(capsys, [
+            "bounds", "--m", "10", "--n", "10", "--sigma2", "0.1", "--range", "0", "1",
+            "--hypotheses", "1", "--epsilon", "0.1", "--delta", delta, "--split", split,
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--delta" in err
+
     def test_oversized_hypothesis_count_rejected(self, capsys):
         # |H| beyond the largest float is an input the closed forms cannot
         # take: a validation error naming the limit, exit 2
@@ -640,6 +651,26 @@ class TestPreprocess:
         )
         assert code == 2
         assert "--prior" in err
+
+    @pytest.mark.parametrize(
+        "mode, given, unread",
+        [("channel", ("--prior", "prior.txt"), "--samples"),
+         ("data", ("--samples", "samples.csv"), "--prior")],
+    )
+    def test_other_mode_input_rejected(self, capsys, assets, tmp_path, mode, given, unread):
+        # the other mode's input flag is not silently dropped, even when its
+        # file does not exist
+        flag, name = given
+        code, out, err = run_cli(
+            capsys,
+            ["preprocess", "--mode", mode, flag, str(assets / name),
+             "--gain", str(assets / "gain.txt"), unread, str(tmp_path / "missing"),
+             "--out", str(tmp_path / "art")],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and unread in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMissingOutputDirectory:

@@ -358,6 +358,28 @@ class TestSharedTrainingSets:
         run_trial_matrix(tiny_config(scenario=scenario, methods=methods))
         assert sorted(calls) == sorted([300, 600] * 2 * counts_per_set)
 
+    def test_mlp_expansion_reads_the_count_table(self, monkeypatch):
+        # with kNN and MLP learners, each pi |> C set takes its distinct rows
+        # once, for the one count table every model on it reads; the MLP is
+        # stubbed, but its data pre-processing runs
+        calls, real = [], core._unique_rows
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            return real(a, *args, **kwargs)
+
+        for module in [m for n, m in sys.modules.items() if n.startswith("gleak")]:
+            if hasattr(module, "_unique_rows"):
+                monkeypatch.setattr(module, "_unique_rows", spy)
+        monkeypatch.setattr(
+            estimation,
+            "mlp_train",
+            lambda data, config, source: TablePredictor(data.ys[:1], data.ws[:1], 0),
+        )
+        run_trial_matrix(tiny_config(learners=("knn", "mlp")))
+        # the validation sets' union once, then each training set once
+        assert calls == [3 * 400, 300, 300, 600, 600]
+
     def test_artifacts_do_not_depend_on_workers(self, tmp_path):
         written = {}
         for workers in (1, 2):

@@ -19,10 +19,12 @@ named in the signature, so a misspelt or unread setting fails at the call.
 
 Distinct rows are taken in one place, ``core._unique_rows``; no other
 library code calls ``np.unique(..., axis=...)``, which sorts the rows as a
-structured dtype.  No library code calls ``np.lexsort``, and none
+structured dtype.  Only ``core._count_table`` and ``core._distinct_rows``
+call ``_unique_rows``.  No library code calls ``np.lexsort``, and none
 accumulates with ``np.add.at``: counts over integer keys are one
 ``np.bincount``.  Counts of labels against distinct observables are taken
-in one place, ``core._count_table``.
+in one place, ``core._count_table``; the data pre-processing expansion
+reads them from ``SampleSet.counts`` like the counting learners.
 
 Only the MLP and ``leak preprocess`` build the data pre-processing
 expansion; the counting learners train on counts.  ``fit`` builds it at one
@@ -237,14 +239,8 @@ def _is_keyed_bincount(call: ast.Call) -> bool:
 def test_observable_label_counts_are_taken_in_one_place():
     keyed = sorted((path, scope) for path, scope, _ in _found(_is_keyed_bincount))
     assert keyed == [("gleak/core.py", "_count_table")]
-    inverse = sorted(
-        (path, scope)
-        for path, scope, _ in _found(
-            lambda call: _is_name_call("_unique_rows")(call)
-            and any(keyword.arg == "return_inverse" for keyword in call.keywords)
-        )
-    )
-    assert inverse == [("gleak/core.py", "_count_table"), ("gleak/core.py", "_distinct_rows")]
+    callers = sorted((path, scope) for path, scope, _ in _found(_is_name_call("_unique_rows")))
+    assert callers == [("gleak/core.py", "_count_table"), ("gleak/core.py", "_distinct_rows")]
 
 
 def test_expansion_is_built_only_for_the_mlp_and_leak_preprocess():
