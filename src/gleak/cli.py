@@ -62,8 +62,9 @@ def _load_scenario(args) -> Scenario:
     _require(not empty, f"{', '.join(empty)} given an empty path, which names no file")
     if args.scenario:
         _require(not given, f"--scenario cannot be combined with {', '.join(given)}")
-        return build_scenario(args.scenario, profile=args.profile)
+        return build_scenario(args.scenario, profile=args.profile or "desk")
     _require(args.prior and args.channel, "provide --scenario or both --prior and --channel")
+    _require(args.profile is None, "--profile sizes a built-in --scenario, not file inputs")
     channel = io.read_channel(args.channel)
     prior = io.read_prior(args.prior, channel.input)
     gain = io.read_gain(args.gain, channel.input) if args.gain else identity_gain(channel.input)
@@ -89,13 +90,19 @@ def cmd_exact(args) -> int:
 
 
 def _learner_config(args, scenario: Scenario):
-    """The scenario's learner config; --epochs and --batch apply to an MLP's only."""
-    config = learner_config(scenario, args.method, args.learner, args.profile, args.m)
+    """The scenario's learner config; --epochs and --batch apply to an MLP's
+    only, --learner (kNN by default) to the data and channel methods only."""
+    learner = args.learner or "knn"
+    config = learner_config(scenario, args.method, learner, args.profile or "desk", args.m)
     flags = {"--epochs": ("epochs", args.epochs), "--batch": ("batch_size", args.batch)}
     given = {flag: field for flag, field in flags.items() if field[1] is not None}
     if not isinstance(config, MlpConfig):
-        where = f"--method {args.method} with --learner {args.learner}"
+        where = f"--method {args.method} with --learner {learner}"
         _require(not given, f"{', '.join(given)} set MLP training, but {where} trains no MLP")
+        _require(
+            config is not None or args.learner is None,
+            f"--learner {args.learner} given, but --method {args.method} trains no learner",
+        )
         return config
     return dataclasses.replace(config, **dict(given.values()))
 
@@ -219,12 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, out_required=False):
+    def common(p, seed=True, out_required=False, profile=None):
         if seed:
             p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument(
-            "--profile", choices=sorted(PROFILES), default="desk",
-            help="experiment scale (desk: small/fast, paper: full grid)",
+            "--profile", choices=sorted(PROFILES), default=profile,
+            help="experiment scale (desk, the default: small/fast; paper: full grid)",
         )
         p.add_argument(
             "--out", required=out_required, help="output path (JSON) or artifact prefix"
@@ -247,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--channel")
     p_est.add_argument("--gain")
     p_est.add_argument("--method", choices=METHODS, default="data")
-    p_est.add_argument("--learner", choices=LEARNERS, default="knn")
+    p_est.add_argument("--learner", choices=LEARNERS, help="default: knn")
     p_est.add_argument("--m", type=int, default=10000, help="training samples")
     p_est.add_argument("--n", type=int, default=10000, help="validation samples")
     p_est.add_argument("--epochs", type=int, help="override MLP epochs")
@@ -275,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scn.add_argument("--valid-size", type=int, help="validation samples (n)")
     p_scn.add_argument("--workers", type=int, default=1)
     p_scn.add_argument("--gowalla", help="check-in dump for the location scenario")
-    common(p_scn, out_required=True)
+    common(p_scn, out_required=True, profile="desk")
     p_scn.set_defaults(func=cmd_scenario)
 
     p_bnd = sub.add_parser("bounds", help="deviation and sample-complexity bounds")

@@ -29,6 +29,8 @@ ROW_TOL = 1e-9
 KEY_LIMIT = 2**62
 DENSE_SPAN_PER_ROW = 4
 DENSE_SPAN_SLACK = 4096
+# an estimate may leave the gain's range by this much, for rounding
+RANGE_SLACK = 1e-9
 
 
 class ValidationError(ValueError):
@@ -494,8 +496,29 @@ def _pair_gains(
     return [gain.matrix[guesses[inv], s.xs] for inv, s in zip(inverses, sets)]
 
 
+def _check_range(estimate: float, gain: GainFunction) -> None:
+    a, b = gain.range
+    if not a - RANGE_SLACK <= estimate <= b + RANGE_SLACK:
+        raise NumericalError(f"estimate {estimate} escaped gain range [{a}, {b}]")
+
+
+def _estimates(
+    predictor,
+    sets: Sequence[SampleSet],
+    gain: GainFunction,
+    distinct: tuple[np.ndarray, list[np.ndarray]] | None = None,
+) -> list[float]:
+    """The mean gain (1/n) sum g(f(y), x) of a predictor on each set
+    (``_pair_gains``), each checked to lie in the gain's range."""
+    out = [float(g.mean()) - gain.shift for g in _pair_gains(predictor, sets, gain, distinct)]
+    for estimate in out:
+        _check_range(estimate, gain)
+    return out
+
+
 def empirical_functional(
     predictor, validation: SampleSet, gain: GainFunction
 ) -> float:
-    """Mean gain (1/n) sum g(f(y), x) of a predictor on a validation set."""
-    return float(_pair_gains(predictor, [validation], gain)[0].mean()) - gain.shift
+    """Mean gain (1/n) sum g(f(y), x) of a predictor on a validation set;
+    ``NumericalError`` if it leaves the gain's range."""
+    return _estimates(predictor, [validation], gain)[0]

@@ -25,7 +25,6 @@ from .core import (
     Channel,
     GainFunction,
     GenerativeChannel,
-    NumericalError,
     Prior,
     SampleSet,
     ValidationError,
@@ -47,8 +46,6 @@ from .preprocess import (
 from .rng import Stream
 
 LearnerConfig = Union[DistanceMetric, MlpConfig]  # kNN is configured by its metric
-
-RANGE_SLACK = 1e-9
 
 # method name -> the name its reports carry
 METHOD_NAMES = {
@@ -73,12 +70,6 @@ class EstimateReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def _check_range(estimate: float, gain: GainFunction) -> None:
-    a, b = gain.range
-    if not a - RANGE_SLACK <= estimate <= b + RANGE_SLACK:
-        raise NumericalError(f"estimate {estimate} escaped gain range [{a}, {b}]")
 
 
 def sample_preprocessed_pairs(
@@ -218,7 +209,6 @@ def estimate(
         method, prior, channel, gain, m, learner_config, seeds["train"], seeds["learner"]
     )
     value = empirical_functional(predictor, valid, gain)
-    _check_range(value, gain)
     if method == "frequentist":
         learner = "none"
         del seeds["learner"]

@@ -15,7 +15,9 @@ class FeatureCodec:
     """Maps (n, width) integer observable encodings to (n, dim) float features.
 
     ``scale`` is set when the features are the encodings times that one
-    number, which the k-NN's integer ball search relies on.
+    number.  The k-NN then measures the integer encodings themselves (a
+    common scale changes no neighbour's rank, and integer distances tie
+    exactly); the MLP trains on the scaled features.
     """
 
     dim: int

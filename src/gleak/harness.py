@@ -25,7 +25,7 @@ from .core import (
     SampleSet,
     ValidationError,
     _distinct_rows,
-    _pair_gains,
+    _estimates,
     _require,
     sample_joint,
 )
@@ -53,8 +53,7 @@ PROFILES = {
 }
 
 # Published table: (hidden widths, learning rate, epochs, batch size); a tuple
-# has one entry per size of the paper profile, smallest first.  The "files"
-# rows, the same in both tables, serve `leak estimate --prior --channel`.
+# has one entry per size of the paper profile, smallest first.
 _PAPER_MLP = {
     ("multi-guess", "data"): ((100, 100, 100), 1e-3, 700, 1000),
     ("multi-guess", "channel"): ((100, 100, 100), 1e-3, 500, 1000),
@@ -64,12 +63,11 @@ _PAPER_MLP = {
     ("dp", "channel"): ((100, 100, 100), 1e-3, 500, 200),
     ("password", "data"): ((100, 100, 100), 1e-3, 700, 1000),
     ("password", "channel"): ((100, 100, 100), 1e-3, 700, 1000),
-    ("files", "data"): ((100, 100, 100), 1e-3, 100, 200),
-    ("files", "channel"): ((100, 100, 100), 1e-3, 100, 200),
 }
 
 # Reduced budgets so a desk run stays within minutes; recorded here, not in
-# the training code.
+# the training code.  The "files" rows serve `leak estimate --prior
+# --channel`, which takes no profile.
 _DESK_MLP = {
     ("multi-guess", "data"): ((100, 100, 100), 1e-3, 60, 1000),
     ("multi-guess", "channel"): ((100, 100, 100), 1e-3, 60, 1000),
@@ -263,10 +261,6 @@ def run_trial_matrix(
     distinct = _distinct_rows(valid_sets)
     gain = scenario.gain
 
-    def score(model) -> list[float]:
-        gains = _pair_gains(model, valid_sets, gain, distinct)
-        return [float(g.mean()) - gain.shift for g in gains]
-
     def fit_model(method: str, learner: str, m: int, i: int, train: SampleSet | None):
         source = f"{name}/{'chan' if method == 'channel' else 'train'}/m{m}/i{i}"
         model, _ = fit(
@@ -293,8 +287,11 @@ def run_trial_matrix(
         m, i = job
         held = [training_set(m, i)] * shared if shared else []
         return {
-            (method, learner, m, i): score(
-                fit_model(method, learner, m, i, None if method == "channel" else held.pop())
+            (method, learner, m, i): _estimates(
+                fit_model(method, learner, m, i, None if method == "channel" else held.pop()),
+                valid_sets,
+                gain,
+                distinct,
             )
             for method, learner in combos
         }

@@ -7,28 +7,32 @@ k = max(1, floor(ln l)).  A query aggregates the tallies of its k nearest
 distinct observables (all observables tied at the k-th distance included)
 and returns the weighted majority guess, lowest index on ties.
 
+Under a codec with a ``scale`` (``tuple_codec``), the k-NN measures the
+integer encodings themselves, as exact floats, not the scaled features: a
+common scale changes no neighbour's rank, and integer distances tie
+exactly where scaled ones round apart.  Every other codec's features are
+measured as they are (``_points``).
+
 Three kernels answer queries, all to the same bits:
 
 * under the 1-D ``absolute`` metric, a window of the sorted features around
   each query finds its k-th distance and its tied run, with no (q, l)
   matrix at all;
-* under ``manhattan`` over features that are one scale times distinct
-  integer rows (``tuple_codec``), each query walks the integer L1 shells
-  around it, looking the shells' mixed-radix keys (``core._key_frame``) up
-  among the rows' keys, and stops at the first radius whose ball holds k
-  rows; only the rows of that last shell are scored (see ``_lattice_index``
-  for the precondition that makes this exact).  Most candidate keys are
-  misses: an occupancy table of the rows' hashed keys, 16 or more slots
-  per row, turns nearly all of them away before the sorted search, and
-  passes every row's key (see ``_Lattice.find``).  Each shell's offsets are built once
-  per (dim, radius) in lexicographic order, which is their key order in
-  every frame the lattice builds;
+* under ``manhattan`` over distinct integer rows, each query walks the
+  integer L1 shells around it, looking the shells' mixed-radix keys
+  (``core._key_frame``) up among the rows' keys, and stops at the first
+  radius whose ball holds k rows; all rows of that last shell lie at the
+  k-th distance, so they all vote, and no distance is computed.  Most
+  candidate keys are misses: an occupancy table of the rows' hashed keys,
+  16 or more slots per row, turns nearly all of them away before the
+  sorted search, and passes every row's key (see ``_Lattice.find``).  Each
+  shell's offsets are built once per (dim, radius) in lexicographic order,
+  which is their key order in every frame the lattice builds;
 * every other query, and every query whose k nearest lie beyond the
   lattice's radius (its ball would hold more than l points), is answered in
-  blocks of ``QUERY_CHUNK`` against every indexed observable.
-
-Every float distance, on either of the last two paths, comes from one
-kernel, ``_distances``.
+  blocks of ``QUERY_CHUNK`` against every indexed observable, by the one
+  distance kernel ``_distances``.  For the integer rows of a lattice and
+  any query it searches, these distances are exact (see ``_lattice_index``).
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .features import FeatureCodec
 
 METRIC_KINDS = ("absolute", "euclidean", "manhattan")
 QUERY_CHUNK = 32  # queries per (q, l) distance block: 1 MB at l = 4,000, in cache
-EXACT_COUNT = 2**53  # float64 holds every integer count below this exactly
+EXACT_INTEGER = 2**53  # float64 holds every integer of magnitude up to this
 # shell keys looked up per step of the lattice search: 256 kB of int64
 LATTICE_CANDIDATES = 2**15
 MAX_RADIUS = 16  # shells walked at most, which bounds a search's numpy calls
@@ -53,11 +57,6 @@ MAX_RADIUS = 16  # shells walked at most, which bounds a search's numpy calls
 # mod 2**64 (Fibonacci hashing: 2**64 over the golden ratio, odd)
 OCCUPANCY_SLOTS_PER_ROW = 16
 HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-# lattice coordinates |c| stay below FLOAT_ORDER_LIMIT / (dim * (dim + 1)),
-# and the scale between these powers of two, so float distances keep the
-# order of the integer ones (see _lattice_index)
-FLOAT_ORDER_LIMIT = 2**50
-SCALE_RANGE = (2.0**-900, 2.0**900)
 
 
 def _distances(kind: str, left, right, shape: tuple[int, ...]) -> np.ndarray:
@@ -106,6 +105,18 @@ class DistanceMetric:
         return _distances(self.kind, queries.T[:, :, None], np.ascontiguousarray(points.T), shape)
 
 
+def _points(metric: DistanceMetric, ys: np.ndarray) -> np.ndarray:
+    """The (n, dim) points the k-NN measures for observable encodings ys:
+    under a codec with a ``scale``, the encodings themselves as floats
+    (exact up to 2**53), otherwise the codec's features."""
+    codec = metric.codec
+    if codec.scale is None:
+        return codec.encode(ys)
+    ys = np.asarray(ys, dtype=np.int64)
+    _require(ys.ndim == 2 and ys.shape[1] == codec.dim, "observable encodings must be (n, dim)")
+    return ys.astype(np.float64)
+
+
 def k_for(l: int) -> int:
     """Neighbor count rule: max(1, floor(ln l))."""
     _require(l >= 1, "l must be >= 1")
@@ -124,7 +135,6 @@ class _Lattice:
     and shifted right by ``shift``.
     """
 
-    scale: float
     radius: int
     frame: _KeyFrame
     keys: np.ndarray  # sorted, then a sentinel above every key
@@ -183,29 +193,21 @@ def _shell(dim: int, r: int) -> np.ndarray:
     return _freeze(np.concatenate(blocks))
 
 
-def _lattice_index(features: np.ndarray, metric: DistanceMetric) -> _Lattice | None:
-    """The lattice of a ``manhattan`` index, or None where its search would
-    not be exact or not pay.
-
-    The features must be, bit for bit, distinct integer rows c times the
-    codec's ``scale`` s, with 2**-900 <= |s| <= 2**900.  A searched query
-    lies within the radius of the rows' box, so bounding the rows' |c| by
-    M - radius bounds every coordinate compared by M = 2**50 / (dim (dim +
-    1)).  Each product c s is then a normal float within u |c s| of its
-    value (u = 2**-53), each |difference| within about 3 u |s| (|a| + |b|),
-    and the left-to-right sum of dim terms within about (dim + 1) u |s|
-    2 dim M = |s| / 4 of |s| times the integer L1 distance.  Distinct
-    integer distances are at least one |s| apart, so float distances keep
-    their order: the rows within the float k-th distance are the rows of
-    integer distance below the first radius R whose ball holds k rows, and
-    those of shell R within the k-th float among shell R alone.
+def _lattice_index(points: np.ndarray, metric: DistanceMetric) -> _Lattice | None:
+    """The lattice of a ``manhattan`` index over a codec with a ``scale``,
+    whose points are then distinct integer rows, or None where its search
+    would not be exact or not pay.
 
     The radius is the largest r (at most ``MAX_RADIUS``) whose ball holds at
     most l points: a farther query costs more to search than the l
-    distances of the blocked path.  A key frame reaching ``KEY_LIMIT``
-    also leaves the index to the blocked path.  The frame's spans are at
-    least 4 * radius + 1, so every shell walked is in key order
-    (``_shell``).
+    distances of the blocked path.  Every row coordinate must have |c| at
+    most 2**52 // dim - radius.  A searched query lies within the radius
+    of the rows' box, so each of its coordinate differences from a row is
+    at most 2**53 / dim, and the blocked path's L1 distance, summed over
+    dim terms, is an exact integer: both paths include the same rows.
+    Repeated rows, or a key frame reaching ``KEY_LIMIT``, also leave the
+    index to the blocked path.  The frame's spans are at least 4 * radius
+    + 1, so every shell walked is in key order (``_shell``).
 
     The occupancy table has 2**b slots, 2**b the least power of two at
     least ``OCCUPANCY_SLOTS_PER_ROW`` * l (64 kB of bools at l = 4,000), so
@@ -214,20 +216,15 @@ def _lattice_index(features: np.ndarray, metric: DistanceMetric) -> _Lattice | N
     so no hit is lost, and a key that passes is still confirmed against the
     sorted keys.
     """
-    scale = metric.codec.scale
-    lo, hi = SCALE_RANGE
-    l, dim = features.shape
-    if metric.kind != "manhattan" or scale is None or not lo <= abs(scale) <= hi:
+    l, dim = points.shape
+    if metric.kind != "manhattan" or metric.codec.scale is None:
         return None
     radius = 0
     while radius < MAX_RADIUS and _ball_size(dim, radius + 1) <= l:
         radius += 1
-    nearest = np.rint(features / scale)
-    if not (np.abs(nearest) <= FLOAT_ORDER_LIMIT // (dim * (dim + 1)) - radius).all():
+    if not (np.abs(points) <= EXACT_INTEGER // (2 * dim) - radius).all():
         return None
-    rows = nearest.astype(np.int64)
-    if not np.array_equal((rows * scale).view(np.int64), features.view(np.int64)):
-        return None
+    rows = points.astype(np.int64)
     frame = _key_frame(rows.min(axis=0) - 2 * radius, rows.max(axis=0) + 2 * radius)
     if frame is None:
         return None
@@ -238,7 +235,6 @@ def _lattice_index(features: np.ndarray, metric: DistanceMetric) -> _Lattice | N
         return None
     bits = (OCCUPANCY_SLOTS_PER_ROW * l - 1).bit_length()
     lattice = _Lattice(
-        scale,
         radius,
         frame,
         np.append(keys, np.iinfo(np.int64).max),
@@ -253,11 +249,13 @@ def _lattice_index(features: np.ndarray, metric: DistanceMetric) -> _Lattice | N
 class KnnClassifier:
     """Immutable trained model: distinct-observable index + tallies.
 
-    ``tallies`` are counts, non-negative integers with each guess's total
-    below 2**53, kept as float64: every sum of them is exact whatever its
-    order.  Under the 1-D ``absolute`` metric the features are also kept
-    sorted, with prefix sums of their tallies; under ``manhattan`` over
-    scaled integer rows, their lattice keys.
+    ``features`` are the points ``_points`` measures: under a codec with
+    a ``scale``, the integer encodings.  ``tallies`` are counts,
+    non-negative integers with each guess's total below 2**53, kept as
+    float64: every sum of them is exact whatever its order.  Under the 1-D
+    ``absolute`` metric the features are also kept sorted, with prefix sums
+    of their tallies; under ``manhattan`` over integer rows, their lattice
+    keys.
     """
 
     __slots__ = (
@@ -279,8 +277,12 @@ class KnnClassifier:
         _require(
             bool((self.tallies >= 0).all())
             and bool((self.tallies == np.round(self.tallies)).all())
-            and bool((self.tallies.sum(axis=0) < EXACT_COUNT).all()),
+            and bool((self.tallies.sum(axis=0) < EXACT_INTEGER).all()),
             "k-NN tallies must be non-negative integer counts below 2**53",
+        )
+        _require(
+            metric.codec.scale is None or bool((self.features == np.trunc(self.features)).all()),
+            "k-NN features under a codec with a scale must be integer encodings",
         )
         if metric.kind == "absolute":
             order = np.argsort(self.features[:, 0], kind="stable")
@@ -294,7 +296,7 @@ class KnnClassifier:
         return int(self.features.shape[0])
 
     def predict(self, ys: np.ndarray) -> np.ndarray:
-        queries = self.metric.codec.encode(ys)
+        queries = _points(self.metric, ys)
         k = min(self.k, self.n_indexed)
         if self.metric.kind == "absolute":
             return np.argmax(self._run_votes(queries[:, 0], k), axis=1)
@@ -325,66 +327,39 @@ class KnnClassifier:
 
         Radius by radius, the open queries add the shell's key offsets to
         their own key, ``LATTICE_CANDIDATES`` keys per step, and find them
-        among the rows' keys (``_Lattice.find``).  A query whose ball now
-        holds k rows scores its shell's rows, takes the j-th float among
-        them, j = k less the rows of its inner shells, and is answered; the
-        others' shell rows all vote, as they lie within any later k-th
-        distance.  Queries outside the frame, or whose features are not
-        their integer rows times the scale, are not searched.
+        among the rows' keys (``_Lattice.find``).  Every row found votes:
+        it lies at an integer distance no greater than the k-th.  A query
+        whose ball now holds k rows is answered, its k-th distance the
+        shell's radius.  Queries outside the frame are not searched.
         """
         lat, frame = self._lattice, self._lattice.frame
         n, dim = queries.shape
-        nearest = np.rint(queries / lat.scale)
         near = frame.lows + lat.radius  # the rows' box widened by the radius
         far = frame.lows + frame.spans - 1 - lat.radius
-        inside = ((nearest >= near) & (nearest <= far)).all(axis=1)
+        inside = ((queries >= near) & (queries <= far)).all(axis=1)
         rows = np.tile(frame.lows, (n, 1))  # key 0 for the queries not searched
-        rows[inside] = nearest[inside]
-        inside &= ((rows * lat.scale).view(np.int64) == queries.view(np.int64)).all(axis=1)
+        rows[inside] = queries[inside]
         centre = frame.keys(rows)
         found = np.zeros(n, dtype=np.int64)  # rows within the radius so far
         votes = np.zeros((n, self.n_guesses))
-        answered = np.zeros(n, dtype=bool)
         pending = np.flatnonzero(inside)
         for r in range(lat.radius + 1):
             if pending.size == 0:
                 break
             shell = _shell(dim, r) @ frame.strides  # key offsets, ascending
             step = max(1, LATTICE_CANDIDATES // shell.size)
-            unanswered = []
             for start in range(0, pending.size, step):
                 part = pending[start : start + step]
                 flat, hit = lat.find(centre[part, None] + shell)
                 who = flat // shell.size  # ascending
-                below = found[part]
+                if who.size:
+                    starts = np.flatnonzero(np.diff(who, prepend=-1))
+                    votes[part[who[starts]]] += np.add.reduceat(
+                        self.tallies[hit], starts, axis=0
+                    )
                 found[part] += np.bincount(who, minlength=part.size)
-                done = found[part] >= k
-                voting = ~done[who]
-                last = np.flatnonzero(done[who])
-                if last.size:
-                    dist = _distances(
-                        self.metric.kind,
-                        queries[part[who[last]]].T,
-                        self.features[hit[last]].T,
-                        (last.size,),
-                    )
-                    # each query's shell floats in order, from first[query]
-                    group = who[last]
-                    order = np.argsort(dist, kind="stable")
-                    order = order[np.argsort(group[order], kind="stable")]
-                    first = np.searchsorted(group, np.arange(part.size))
-                    kth = dist[order][np.minimum(first + k - below - 1, last.size - 1)]
-                    voting[last] = dist <= kth[group]
-                sel = np.flatnonzero(voting)
-                if sel.size:
-                    starts = np.flatnonzero(np.diff(who[sel], prepend=-1))
-                    votes[part[who[sel[starts]]]] += np.add.reduceat(
-                        self.tallies[hit[sel]], starts, axis=0
-                    )
-                answered[part[done]] = True
-                unanswered.append(part[~done])
-            pending = np.concatenate(unanswered)
-        return answered, votes
+            pending = pending[found[pending] < k]
+        return found >= k, votes
 
     def _run_votes(self, q: np.ndarray, k: int) -> np.ndarray:
         """Votes of 1-D queries without a (q, l) matrix.
@@ -423,4 +398,4 @@ class KnnClassifier:
 
 def knn_train(distinct: np.ndarray, tallies: np.ndarray, metric: DistanceMetric) -> KnnClassifier:
     """The classifier over distinct observable rows and their (l, W) guess tallies."""
-    return KnnClassifier(metric.codec.encode(distinct), tallies, k_for(distinct.shape[0]), metric)
+    return KnnClassifier(_points(metric, distinct), tallies, k_for(distinct.shape[0]), metric)

@@ -103,3 +103,13 @@ def two_secret_example():
         X, Alphabet(("y1", "y2")), np.array([[0.8, 0.2], [0.4, 0.6]])
     )
     return prior, channel
+
+
+def gains_of(value: float):
+    """A stand-in for ``core._pair_gains`` that scores every pair of every
+    set ``value``, in the gain's original units."""
+
+    def pair_gains(predictor, sets, gain, distinct=None):
+        return [np.full(s.size, value + gain.shift) for s in sets]
+
+    return pair_gains

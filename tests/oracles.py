@@ -98,12 +98,20 @@ def reference_pairwise(metric, queries: np.ndarray, points: np.ndarray) -> np.nd
     return np.sqrt((diff * diff).sum(axis=2))
 
 
+def reference_points(metric, ys: np.ndarray) -> np.ndarray:
+    """What the k-NN measures: under a codec with a scale, the integer
+    encodings themselves; otherwise the codec's features."""
+    if metric.codec.scale is None:
+        return metric.codec.encode(ys)
+    return np.array(ys, dtype=np.float64)
+
+
 def reference_knn_predict(model, ys: np.ndarray) -> np.ndarray:
     """The k-NN vote over every indexed observable: all (q, l) distances, a
     partition for the k-th, and the included rows' tallies summed by one
     product; ties at the k-th distance are all included, the argmax takes
     the lowest guess index."""
-    queries = model.metric.codec.encode(ys)
+    queries = reference_points(model.metric, ys)
     out = np.empty(queries.shape[0], dtype=np.int64)
     k = min(model.k, model.n_indexed)
     for start in range(0, queries.shape[0], REFERENCE_CHUNK):
@@ -151,7 +159,7 @@ def reference_blocked_knn_predict(model, ys: np.ndarray) -> np.ndarray:
     """The k-NN query kernel before the lattice search: every query, under
     ``euclidean`` and ``manhattan``, scored against every indexed
     observable by ``pairwise`` in blocks of ``BLOCKED_CHUNK``."""
-    queries = model.metric.codec.encode(ys)
+    queries = reference_points(model.metric, ys)
     k = min(model.k, model.n_indexed)
     if model.metric.kind == "absolute":
         return np.argmax(model._run_votes(queries[:, 0], k), axis=1)
@@ -283,7 +291,7 @@ def reference_knn_train(data: WeightedSampleSet, metric: DistanceMetric) -> KnnC
     l = distinct.shape[0]
     tallies = np.zeros((l, data.guesses.size))
     np.add.at(tallies, (inverse, data.ws), data.weights.astype(np.float64))
-    return KnnClassifier(metric.codec.encode(distinct), tallies, k_for(l), metric)
+    return KnnClassifier(reference_points(metric, distinct), tallies, k_for(l), metric)
 
 
 def reference_data_knn_train(
@@ -300,7 +308,7 @@ def reference_data_knn_train(
     tallies = np.bincount(
         inverse * n_guesses + data.ws, weights=data.weights, minlength=l * n_guesses
     ).reshape(l, n_guesses)
-    features = metric.codec.encode(distinct)
+    features = reference_points(metric, distinct)
     details = {
         "rationalize_scale": scale,
         "descale": "not needed: evaluation uses the original gain",

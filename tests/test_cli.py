@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gleak
-from conftest import write_gain, write_samples
+from conftest import gains_of, write_gain, write_samples
 from gleak import Alphabet, Channel, GainFunction, Prior, identity_gain, sample_joint, stream
 from gleak.cli import main
 from gleak.io import (
@@ -83,6 +83,18 @@ def declared_script(name):
             if match:
                 return match.group(1)
     raise AssertionError(f"no {name!r} in [project.scripts] of {pyproject}")
+
+
+@pytest.mark.parametrize("command", ["exact", "estimate"])
+@pytest.mark.parametrize("profile", ["desk", "paper"])
+def test_profile_with_file_inputs_rejected(capsys, assets, command, profile):
+    code, out, err = run_cli(
+        capsys,
+        [command, "--prior", str(assets / "prior.txt"), "--channel", str(assets / "chan.txt"),
+         "--profile", profile],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: --profile ")
 
 
 class TestExact:
@@ -334,13 +346,29 @@ class TestEstimate:
         assert err.startswith(f"error: {named} set MLP training, but --method ")
         assert "trains no MLP" in err
 
+    @pytest.mark.parametrize("learner", ["knn", "mlp"])
+    def test_learner_for_the_frequentist_rejected(self, capsys, learner):
+        code, out, err = run_cli(
+            capsys,
+            ["estimate", "--scenario", "multi-guess", "--m", "50", "--n", "50",
+             "--method", "frequentist", "--learner", learner],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --learner {learner} given, but --method frequentist")
+
+    def test_frequentist_without_learner_reports_none(self, capsys):
+        payload = run_json(
+            capsys,
+            ["estimate", "--scenario", "multi-guess", "--m", "50", "--n", "50",
+             "--method", "frequentist"],
+        )
+        assert payload["learner"] == "none"
+
     @pytest.mark.parametrize("method", ["data", "channel", "frequentist"])
     def test_estimate_outside_gain_range_is_numerical_failure(
         self, capsys, assets, monkeypatch, method
     ):
-        monkeypatch.setattr(
-            "gleak.estimation.empirical_functional", lambda *args: 2.0
-        )
+        monkeypatch.setattr("gleak.core._pair_gains", gains_of(2.0))
         code, _, err = run_cli(
             capsys,
             ["estimate"] + self.files(assets)
@@ -417,6 +445,19 @@ class TestScenarioCommand:
         box = (tmp_path / "run1.boxplot.csv").read_text().splitlines()
         assert box[0] == "scenario,method,learner,m,min,q1,median,q3,max"
         assert len(box) == 3
+
+    def test_estimate_outside_gain_range_is_numerical_failure(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr("gleak.core._pair_gains", gains_of(2.0))
+        code, out, err = run_cli(
+            capsys,
+            ["scenario", "multi-guess", "--methods", "frequentist", "--sizes", "300",
+             "--train-sets", "1", "--valid-sets", "1", "--valid-size", "300",
+             "--out", str(tmp_path / "run")],
+        )
+        assert code == 3 and "escaped gain range" in err
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_scenario_rejected(self, capsys):
         code, _, _ = run_cli(capsys, ["scenario", "bogus"])

@@ -25,9 +25,9 @@ from gleak import (
     scalar_codec,
     stream,
 )
+from gleak.core import _check_range
 from gleak.estimation import (
     TablePredictor,
-    _check_range,
     frequentist_predictor,
     sample_preprocessed_pairs,
 )

@@ -19,6 +19,7 @@ from gleak.harness import (
     run_trial_matrix,
 )
 from gleak.scenarios import build_scenario
+from conftest import gains_of
 from oracles import reference_empirical_functional
 
 
@@ -196,6 +197,13 @@ def emitted(tmp_path_factory):
 
 
 class TestRunTrialMatrix:
+    @pytest.mark.parametrize("value", [1.5, -0.25, float("nan")])
+    def test_estimate_outside_gain_range_is_numerical_error(self, monkeypatch, value):
+        # multi-guess's gain lies in [0, 1]
+        monkeypatch.setattr(core, "_pair_gains", gains_of(value))
+        with pytest.raises(NumericalError, match="escaped gain range"):
+            run_trial_matrix(tiny_config(sizes=(300,), num_train_sets=1))
+
     def test_row_and_cell_counts(self, run):
         config, (metrics, rows) = run
         # combos: (data, knn) and (frequentist, none); 2 sizes; I=2; J=3

@@ -31,6 +31,7 @@ from oracles import (
     reference_knn_predict,
     reference_lattice_find,
     reference_pairwise,
+    reference_points,
     reference_shell,
 )
 
@@ -195,6 +196,12 @@ class TestPrediction:
             expected = (dists <= kth[:, None]).astype(np.float64)
             np.testing.assert_array_equal(model._run_votes(queries, k), expected)
 
+    def test_features_under_a_scale_must_be_integer_encodings(self):
+        metric = DistanceMetric("manhattan", tuple_codec(2, 0.5))
+        with pytest.raises(ValidationError, match="integer encodings"):
+            KnnClassifier(np.array([[0.5, 1.0]]), np.array([[1.0]]), 1, metric)
+        KnnClassifier(np.array([[-3.0, 1.0]]), np.array([[1.0]]), 1, metric)
+
     def test_tallies_must_be_counts(self):
         metric = scalar_metric()
         for tallies in ([[0.5, 1.0]], [[-1.0, 2.0]], [[2.0**53, 0.0]]):
@@ -233,11 +240,12 @@ def knn_case(draw, kind):
     n_guesses = draw(st.integers(1, 4))
     size = l * n_guesses
     tallies = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    metric = DistanceMetric(kind, codec)
     model = KnnClassifier(
-        codec.encode(keys),
+        reference_points(metric, keys),
         np.reshape(tallies, (l, n_guesses)).astype(np.float64),
         draw(st.integers(1, 8)),
-        DistanceMetric(kind, codec),
+        metric,
     )
     wide = st.lists(st.integers(-hi - 3, hi + 3), min_size=width, max_size=width)
     query = st.one_of(wide, st.sampled_from(keys.tolist()))
@@ -288,8 +296,8 @@ def ball_points(dim, r):
 def lattice_reach(model, ys):
     """Which queries the ball search answers: those whose k-th nearest row
     lies within the largest radius (at most ``MAX_RADIUS``) whose ball holds
-    at most l points.  Brute force over integer rows times a scale."""
-    rows = np.rint(model.features / model.metric.codec.scale).astype(np.int64)
+    at most l points.  Brute force over the integer rows."""
+    rows = model.features.astype(np.int64)
     l, dim = rows.shape
     radius = 0
     while radius < knn.MAX_RADIUS and ball_points(dim, radius + 1) <= l:
@@ -324,12 +332,32 @@ def test_lattice_search_matches_blocked_reference(data):
 
 def manhattan_model(rows, tallies, k, scale=1.0, codec=None):
     codec = tuple_codec(np.shape(rows)[1], scale) if codec is None else codec
-    return KnnClassifier(
-        codec.encode(np.asarray(rows)),
-        np.asarray(tallies, dtype=np.float64),
-        k,
-        DistanceMetric("manhattan", codec),
-    )
+    metric = DistanceMetric("manhattan", codec)
+    points = reference_points(metric, np.asarray(rows))
+    return KnnClassifier(points, np.asarray(tallies, dtype=np.float64), k, metric)
+
+
+# dp's scale, tenths, one and a scale above one
+SCALES = [1 / 303, 0.1, 1.0, 3.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_guesses_do_not_depend_on_the_scale(data):
+    """The same integer rows, tallies and queries under ``tuple_codec(dim,
+    s)`` for each of ``SCALES`` give the same guesses, through the lattice
+    and through the blocked path alike."""
+    model, queries = data.draw(knn_case("manhattan"))
+    dim = queries.shape[1]
+    rows, tallies = model.features.astype(np.int64), model.tallies
+    guesses = []
+    for scale in SCALES:
+        scaled = knn_train(rows, tallies, DistanceMetric("manhattan", tuple_codec(dim, scale)))
+        guesses.append(scaled.predict(queries))
+        scaled._lattice = None  # every query on the blocked path
+        guesses.append(scaled.predict(queries))
+    for got in guesses[1:]:
+        np.testing.assert_array_equal(got, guesses[0])
 
 
 def far_rows(count, width):
@@ -344,17 +372,17 @@ class TestLatticeSearch:
         model = manhattan_model([[-2], [0], [1], [3], [6]], np.eye(5), 1)
         assert_paths(model, [[0], [20], [4]], lattice=2, blocked=1)
 
-    def test_equal_integer_distances_an_ulp_apart(self):
-        # under x0.1, (-5, -3) and (-4, -2) are both one step from (-4, -3),
-        # but 0.09999999999999998 against 0.10000000000000003: with k = 1
-        # only the first votes
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_equal_integer_distances_tie(self, scale):
+        # (-5, -3) and (-4, -2) are both one step from (-4, -3); scaled by
+        # 0.1 they would measure 0.09999999999999998 and 0.10000000000000003,
+        # but the integer rows tie, so with k = 1 both vote
         rows = [[-5, -3], [-4, -2]] + far_rows(3, 2)
         tallies = [[1, 0], [0, 5]] + [[0, 0]] * 3
-        model = manhattan_model(rows, tallies, 1, scale=0.1)
-        query = model.metric.codec.encode(np.array([[-4, -3]]))
-        dists = model.metric.pairwise(query, model.features)[0, :2]
-        assert dists[0] < dists[1]
-        assert assert_paths(model, [[-4, -3]], lattice=1, blocked=0).tolist() == [0]
+        model = manhattan_model(rows, tallies, 1, scale=scale)
+        dists = model.metric.pairwise(model.features[[0]] + [[1, 0]], model.features)[0, :2]
+        assert dists.tolist() == [1.0, 1.0]
+        assert assert_paths(model, [[-4, -3]], lattice=1, blocked=0).tolist() == [1]
 
     def test_radius_at_the_cap_and_one_past_it(self):
         # l = 25 = ball(2, 3): the cap is radius 3; the query at (0, 0) has
@@ -393,27 +421,32 @@ class TestLatticeSearch:
         below = manhattan_model([[0, 0], [top, top - 1]], [[1, 0], [0, 1]], 1)
         assert_paths(below, [[0, 0], [top, top - 1]], lattice=2, blocked=0)
 
-    def test_coordinates_past_the_float_order_bound(self):
-        # in 1-D with radius 0, |c| may reach 2**50 / (1 * 2)
-        bound = knn.FLOAT_ORDER_LIMIT // 2
-        inside = manhattan_model([[0], [bound]], [[1, 0], [0, 1]], 1)
-        assert_paths(inside, [[0], [bound]], lattice=2, blocked=0)
-        past = manhattan_model([[0], [bound + 1]], [[1, 0], [0, 1]], 1)
-        assert_paths(past, [[0], [bound + 1]], lattice=0, blocked=2)
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_coordinates_at_the_exact_distance_bound_and_past_it(self, dim):
+        # l = 2 keeps the radius at 0, so |c| may reach 2**52 // dim
+        bound = 2**52 // dim
+        tallies = [[1, 0], [0, 1]]
+        inside = [[0] * dim, [bound] + [0] * (dim - 1)]
+        past = [[0] * dim, [-bound - 1] + [0] * (dim - 1)]
+        assert_paths(manhattan_model(inside, tallies, 1), inside, lattice=2, blocked=0)
+        assert_paths(manhattan_model(past, tallies, 1), past, lattice=0, blocked=2)
 
-    def test_codec_that_is_not_a_pure_scale(self):
+    def test_codecs_with_a_scale_measure_the_encodings(self):
+        # the k-NN reads a codec's scale, never its transform: an offset or
+        # a bent transform leaves the guesses of the integer rows
         rows = [[0, 0], [1, 0], [0, 1], [2, 2], [5, 5]]
         tallies = np.eye(5)[:, :2]
+        # l = 5: radius 1, so (3, 3), two steps from (2, 2), is not searched
+        queries = [[0, 0], [6, 5], [3, 3]]
+        plain = assert_paths(manhattan_model(rows, tallies, 1), queries, 2, 1)
         offset = FeatureCodec(2, lambda ys: ys * 0.5 + 0.3, 0.5)
-        assert_paths(manhattan_model(rows, tallies, 1, codec=offset), [[0, 0]], 0, 1)
+        bent = FeatureCodec(2, lambda ys: np.where(ys > 5, ys + 0.25, ys) * 0.5, 0.5)
+        for codec in (offset, bent):
+            got = assert_paths(manhattan_model(rows, tallies, 1, codec=codec), queries, 2, 1)
+            np.testing.assert_array_equal(got, plain)
         unscaled = grid_codec(3, 3)  # flat cell indices, no scale
         model = manhattan_model([[0], [4], [8]], np.eye(3)[:, :2], 1, codec=unscaled)
         assert_paths(model, [[0], [5]], lattice=0, blocked=2)
-        # a pure scale on the rows but not past a coordinate of 5: (6, 5)
-        # lies within the radius (1) of the rows' box, yet is not searched
-        bent = FeatureCodec(2, lambda ys: np.where(ys > 5, ys + 0.25, ys) * 0.5, 0.5)
-        model = manhattan_model(rows, tallies, 1, codec=bent)
-        assert_paths(model, [[0, 0], [6, 5]], lattice=1, blocked=1)
 
     def test_repeated_rows_are_not_searched(self):
         model = manhattan_model([[0, 1], [2, 2], [0, 1]], np.eye(3)[:, :2], 1)
@@ -422,9 +455,9 @@ class TestLatticeSearch:
     @pytest.mark.parametrize("kind", ["absolute", "euclidean"])
     def test_other_metrics_never_search(self, kind):
         codec = tuple_codec(1, 1.0)
-        model = KnnClassifier(
-            codec.encode(np.arange(9)[:, None]), np.eye(9)[:, :2], 2, DistanceMetric(kind, codec)
-        )
+        metric = DistanceMetric(kind, codec)
+        rows = reference_points(metric, np.arange(9)[:, None])
+        model = KnnClassifier(rows, np.eye(9)[:, :2], 2, metric)
         with path_spy() as seen:
             model.predict(np.arange(-2, 12)[:, None])
         assert seen["lattice"] == 0

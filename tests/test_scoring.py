@@ -30,7 +30,7 @@ from gleak.features import tuple_codec
 from gleak.harness import learner_config
 from gleak.knn import KnnClassifier
 from gleak.scenarios import SCENARIO_NAMES, build_scenario
-from oracles import reference_empirical_functional
+from oracles import reference_empirical_functional, reference_points
 
 
 METRICS = {1: ("absolute", scalar_codec(0.5)), 5: ("manhattan", tuple_codec(5, 0.5))}
@@ -71,7 +71,7 @@ class TestMatchesPerRowPath:
         kind, codec = METRICS[width]
         metric = DistanceMetric(kind, codec)
         model = KnnClassifier(
-            codec.encode(keys),
+            reference_points(metric, keys),
             np.reshape(tallies, (len(keys), gain.guesses.size)).astype(np.float64),
             k,
             metric,

@@ -36,8 +36,9 @@ The MLP has one forward pass, ``mlp._propagate``: training and prediction
 both run it, and no other function computes a log-softmax.
 
 The k-NN's per-dimension L1/L2 accumulation is written once, in
-``knn._distances``, and both the blocked path (``pairwise``) and the
-lattice search's scoring call it, so the two cannot drift apart in a bit.
+``knn._distances``, whose one caller is the blocked path (``pairwise``).
+The lattice search computes no distance: every row of its last shell lies
+at the k-th distance.
 """
 
 import ast
@@ -317,8 +318,12 @@ def test_distances_are_accumulated_in_one_place():
     kernels = [f.name for f in functions if _references_numpy(f, {"subtract", "square"})]
     assert kernels == ["_distances"]
     callers = sorted((path, scope) for path, scope, _ in _found(_is_name_call("_distances")))
-    assert callers == [("gleak/knn.py", "_lattice_votes"), ("gleak/knn.py", "pairwise")]
+    assert callers == [("gleak/knn.py", "pairwise")]
     for f in functions:
         if f.name in ("pairwise", "_lattice_votes"):
             own = _references_numpy(f, {"subtract", "abs", "square", "sqrt"})
             assert not own, f"{f.name} computes distances itself: np.{own}"
+    (search,) = [f for f in functions if f.name == "_lattice_votes"]
+    called = {n.func.attr for n in ast.walk(search) if isinstance(n, ast.Call)
+              and isinstance(n.func, ast.Attribute)}
+    assert "pairwise" not in called, "the lattice search scores distances"
