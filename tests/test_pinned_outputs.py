@@ -34,8 +34,9 @@ import pytest
 
 import gleak.cli
 from gleak.cli import main
+from gleak.features import scalar_codec
 from gleak.harness import TrialMatrixConfig, emit_reports, run_trial_matrix
-from gleak.scenarios import build_scenario
+from gleak.scenarios import build_scenario, password
 
 ARTIFACT_SHA256 = {
     "multi-guess": (
@@ -101,6 +102,20 @@ EXACT_VG = {
     ("dp", "paper"): "1.4621171572589988",
     ("password", "desk"): "0.783139106826576",
     ("password", "paper"): "0.783139106826576",
+}
+
+# (scenario, profile) -> sha256 of the MLP features of its observable domain
+# (``observable_domain``); "files" is the file scenario's ``scalar_codec(1.0)``
+CODEC_FEATURE_SHA256 = {
+    ("multi-guess", "desk"): "dbfa0deee1213384addf948ce976bf3a0182a4350cbe5e2c2c47d7fbdad256df",
+    ("multi-guess", "paper"): "4f0f1e4818a1875606d9ef02568b638869bb8acc6b22b7cd06e3a50dc235eecc",
+    ("location", "desk"): "6efbf0858322f001a8f40f2f21360f28daa684af9978895c01eaebd3d7e69719",
+    ("location", "paper"): "6efbf0858322f001a8f40f2f21360f28daa684af9978895c01eaebd3d7e69719",
+    ("dp", "desk"): "51da7fa98a245f798e3268a7fe390d1367e2c27a50a42d6b0d936d26908cea6d",
+    ("dp", "paper"): "51da7fa98a245f798e3268a7fe390d1367e2c27a50a42d6b0d936d26908cea6d",
+    ("password", "desk"): "4d73acb4e6e3265e40306e34167651aafaf3e3c8253ab52079557d9fa9807f5b",
+    ("password", "paper"): "4d73acb4e6e3265e40306e34167651aafaf3e3c8253ab52079557d9fa9807f5b",
+    ("files", None): "d53e85fe5676b1b569e2c675e599a44f4f69573695db7668fc91ff10603fb78a",
 }
 
 DATA_DETAILS = {
@@ -243,6 +258,33 @@ def test_paper_knn_beats_frequentist(scenario, paper_knn_grids):
 def test_exact_vg(scenario, profile):
     exact = build_scenario(scenario, profile=profile).exact_vg
     assert repr(exact) == EXACT_VG[(scenario, profile)]
+
+
+def observable_domain(scenario, profile):
+    """The codec and the observable encodings it is pinned over: every
+    observable of a matrix channel, password's buckets 1 to 128, 2,000
+    fixed rows of five counts for dp, and -500 to 499 for files."""
+    if scenario == "files":
+        return scalar_codec(1.0), np.arange(-500, 500)[:, None]
+    built = build_scenario(scenario, profile=profile)
+    if scenario == "password":
+        ys = np.arange(1, password.TOTAL_BITS + 1)[:, None]
+    elif scenario == "dp":
+        ys = np.random.default_rng(0).integers(-20, 400, size=(2000, 5))
+    else:
+        ys = np.arange(built.channel.output.size)[:, None]
+    return built.metric.codec, ys
+
+
+@pytest.mark.parametrize("scenario,profile", list(CODEC_FEATURE_SHA256))
+def test_codec_features(scenario, profile):
+    """The MLP trains on these features: every bit of them is pinned."""
+    codec, ys = observable_domain(scenario, profile)
+    features = codec.encode(ys)
+    assert features.dtype == np.float64 and features.shape == (ys.shape[0], codec.dim)
+    assert hashlib.sha256(features.tobytes()).hexdigest() == (
+        CODEC_FEATURE_SHA256[(scenario, profile)]
+    )
 
 
 @pytest.mark.parametrize("scenario,method", sorted(ESTIMATE_PINS))
