@@ -1,9 +1,8 @@
-"""Feature codecs: observable encodings -> real vectors for the learners."""
+"""Feature codecs: observable encodings -> integer points -> real features."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -12,50 +11,49 @@ from .core import _require
 
 @dataclass(frozen=True)
 class FeatureCodec:
-    """Maps (n, width) integer observable encodings to (n, dim) float features.
+    """Maps (n, width) integer observable encodings to (n, dim) int64
+    points, which the k-NN measures, and to (n, dim) float features, which
+    the MLP trains on.
 
-    ``scale`` is set when the features are the encodings times that one
-    number.  The k-NN then measures the integer encodings themselves (a
-    common scale changes no neighbour's rank, and integer distances tie
-    exactly); the MLP trains on the scaled features.
+    The points are the encodings themselves (width ``dim``) or, for a grid
+    (``cols`` set), each flat cell index's (row, col) = divmod(index,
+    cols).  The features are (points * scale + offset) / divisor.  A codec
+    leaves the operations it does not need at 1 or 0, which change no bit:
+    a product or quotient by 1 is exact, and adding 0 only turns -0.0 into
+    0.0, which no positive scale produces.
     """
 
     dim: int
-    transform: Callable[[np.ndarray], np.ndarray]
-    scale: float | None = None
+    scale: float = 1.0
+    offset: float = 0.0
+    divisor: float = 1.0
+    cols: int = 0
+
+    def points(self, ys: np.ndarray) -> np.ndarray:
+        ys = np.asarray(ys, dtype=np.int64)
+        width = 1 if self.cols else self.dim
+        _require(
+            ys.ndim == 2 and ys.shape[1] == width,
+            f"observable encodings must be (n, {width}) integer rows",
+        )
+        if self.cols:
+            return np.stack(np.divmod(ys[:, 0], self.cols), axis=1)
+        return ys
 
     def encode(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=np.int64)
-        _require(ys.ndim == 2, "observable encodings must be 2-D")
-        out = np.asarray(self.transform(ys), dtype=np.float64)
-        _require(out.shape == (ys.shape[0], self.dim), "codec output shape mismatch")
-        return out
+        return (self.points(ys) * self.scale + self.offset) / self.divisor
 
 
 def scalar_codec(scale: float = 1.0, offset: float = 0.0) -> FeatureCodec:
-    """Width-1 encoding mapped affinely to a scalar feature."""
-
-    def transform(ys: np.ndarray) -> np.ndarray:
-        return ys[:, :1] * scale + offset
-
-    return FeatureCodec(1, transform)
+    """Width-1 encoding y, the feature y * scale + offset."""
+    return FeatureCodec(1, scale=scale, offset=offset)
 
 
 def grid_codec(rows: int, cols: int) -> FeatureCodec:
-    """Flat cell index -> (row, col) divided by the grid size."""
-    div = float(max(rows, cols))
-
-    def transform(ys: np.ndarray) -> np.ndarray:
-        idx = ys[:, 0]
-        return np.stack([idx // cols, idx % cols], axis=1) / div
-
-    return FeatureCodec(2, transform)
+    """Flat cell index -> (row, col), the features divided by the grid size."""
+    return FeatureCodec(2, divisor=float(max(rows, cols)), cols=cols)
 
 
 def tuple_codec(width: int, scale: float) -> FeatureCodec:
-    """Integer tuple encodings scaled componentwise."""
-
-    def transform(ys: np.ndarray) -> np.ndarray:
-        return ys * scale
-
-    return FeatureCodec(width, transform, scale)
+    """Integer tuple encodings, the features scaled componentwise."""
+    return FeatureCodec(width, scale=scale)

@@ -7,17 +7,17 @@ k = max(1, floor(ln l)).  A query aggregates the tallies of its k nearest
 distinct observables (all observables tied at the k-th distance included)
 and returns the weighted majority guess, lowest index on ties.
 
-Under a codec with a ``scale`` (``tuple_codec``), the k-NN measures the
-integer encodings themselves, as exact floats, not the scaled features: a
-common scale changes no neighbour's rank, and integer distances tie
-exactly where scaled ones round apart.  Every other codec's features are
-measured as they are (``_points``).
+The k-NN measures each observable's integer point (``FeatureCodec.points``)
+as an exact float, never the codec's features: integer distances tie
+exactly where scaled or divided ones round apart, so every observable at
+the k-th distance votes whatever the codec.  ``euclidean`` distances are
+kept squared, which ranks them alike and keeps them integers.
 
 Three kernels answer queries, all to the same bits:
 
-* under the 1-D ``absolute`` metric, a window of the sorted features around
-  each query finds its k-th distance and its tied run, with no (q, l)
-  matrix at all;
+* under the 1-D ``absolute`` metric, a window of the sorted points around
+  each query finds its k-th distance, and two sorted searches for
+  q - kth and q + kth find its tied run, with no (q, l) matrix at all;
 * under ``manhattan`` over distinct integer rows, each query walks the
   integer L1 shells around it, looking the shells' mixed-radix keys
   (``core._key_frame``) up among the rows' keys, and stops at the first
@@ -60,8 +60,8 @@ HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _distances(kind: str, left, right, shape: tuple[int, ...]) -> np.ndarray:
-    """sum_d |left[d] - right[d]| under ``manhattan``, the root of the sum of
-    squares under ``euclidean``; ``left[d]`` and ``right[d]`` broadcast to
+    """sum_d |left[d] - right[d]| under ``manhattan``, the sum of squares
+    under ``euclidean``; ``left[d]`` and ``right[d]`` broadcast to
     ``shape``.
 
     One buffer is filled a dimension at a time: difference, abs (or
@@ -77,8 +77,6 @@ def _distances(kind: str, left, right, shape: tuple[int, ...]) -> np.ndarray:
         magnitude(dest, out=dest)
         if d:
             np.add(out, term, out=out)
-    if kind == "euclidean":
-        np.sqrt(out, out=out)
     return out
 
 
@@ -95,7 +93,9 @@ class DistanceMetric:
             _require(self.codec.dim == 1, "absolute metric needs scalar features")
 
     def pairwise(self, queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """(q, dim) x (l, dim) -> (q, l) distances.
+        """(q, dim) x (l, dim) -> (q, l) distances, squared under
+        ``euclidean``: the same order as the distances, and exact integers
+        between integer points.
 
         The terms are summed left to right, which is the order of
         ``.sum(axis=2)`` over fewer than eight dimensions; from eight on,
@@ -103,18 +103,6 @@ class DistanceMetric:
         """
         shape = (queries.shape[0], points.shape[0])
         return _distances(self.kind, queries.T[:, :, None], np.ascontiguousarray(points.T), shape)
-
-
-def _points(metric: DistanceMetric, ys: np.ndarray) -> np.ndarray:
-    """The (n, dim) points the k-NN measures for observable encodings ys:
-    under a codec with a ``scale``, the encodings themselves as floats
-    (exact up to 2**53), otherwise the codec's features."""
-    codec = metric.codec
-    if codec.scale is None:
-        return codec.encode(ys)
-    ys = np.asarray(ys, dtype=np.int64)
-    _require(ys.ndim == 2 and ys.shape[1] == codec.dim, "observable encodings must be (n, dim)")
-    return ys.astype(np.float64)
 
 
 def k_for(l: int) -> int:
@@ -194,9 +182,8 @@ def _shell(dim: int, r: int) -> np.ndarray:
 
 
 def _lattice_index(points: np.ndarray, metric: DistanceMetric) -> _Lattice | None:
-    """The lattice of a ``manhattan`` index over a codec with a ``scale``,
-    whose points are then distinct integer rows, or None where its search
-    would not be exact or not pay.
+    """The lattice of a ``manhattan`` index over distinct integer rows, or
+    None where its search would not be exact or not pay.
 
     The radius is the largest r (at most ``MAX_RADIUS``) whose ball holds at
     most l points: a farther query costs more to search than the l
@@ -217,7 +204,7 @@ def _lattice_index(points: np.ndarray, metric: DistanceMetric) -> _Lattice | Non
     sorted keys.
     """
     l, dim = points.shape
-    if metric.kind != "manhattan" or metric.codec.scale is None:
+    if metric.kind != "manhattan":
         return None
     radius = 0
     while radius < MAX_RADIUS and _ball_size(dim, radius + 1) <= l:
@@ -249,13 +236,12 @@ def _lattice_index(points: np.ndarray, metric: DistanceMetric) -> _Lattice | Non
 class KnnClassifier:
     """Immutable trained model: distinct-observable index + tallies.
 
-    ``features`` are the points ``_points`` measures: under a codec with
-    a ``scale``, the integer encodings.  ``tallies`` are counts,
-    non-negative integers with each guess's total below 2**53, kept as
-    float64: every sum of them is exact whatever its order.  Under the 1-D
-    ``absolute`` metric the features are also kept sorted, with prefix sums
-    of their tallies; under ``manhattan`` over integer rows, their lattice
-    keys.
+    ``features`` are the codec's integer points, as floats.  ``tallies``
+    are counts, non-negative integers with each guess's total below 2**53,
+    kept as float64: every sum of them is exact whatever its order.  Under
+    the 1-D ``absolute`` metric, with every point within 2**51 of 0, the
+    features are also kept sorted, with prefix sums of their tallies; under
+    ``manhattan`` over distinct integer rows, their lattice keys.
     """
 
     __slots__ = (
@@ -281,10 +267,11 @@ class KnnClassifier:
             "k-NN tallies must be non-negative integer counts below 2**53",
         )
         _require(
-            metric.codec.scale is None or bool((self.features == np.trunc(self.features)).all()),
-            "k-NN features under a codec with a scale must be integer encodings",
+            bool((self.features == np.trunc(self.features)).all()),
+            "k-NN features must be integer points",
         )
-        if metric.kind == "absolute":
+        self._sorted = self._cum = None
+        if metric.kind == "absolute" and bool((np.abs(self.features) <= EXACT_INTEGER // 4).all()):
             order = np.argsort(self.features[:, 0], kind="stable")
             self._sorted = self.features[order, 0]
             self._cum = np.zeros((order.size + 1, self.n_guesses))
@@ -296,9 +283,9 @@ class KnnClassifier:
         return int(self.features.shape[0])
 
     def predict(self, ys: np.ndarray) -> np.ndarray:
-        queries = _points(self.metric, ys)
+        queries = self.metric.codec.points(ys).astype(np.float64)
         k = min(self.k, self.n_indexed)
-        if self.metric.kind == "absolute":
+        if self._sorted is not None:
             return np.argmax(self._run_votes(queries[:, 0], k), axis=1)
         if self._lattice is None:
             return self._blocked_guesses(queries, k)
@@ -364,38 +351,29 @@ class KnnClassifier:
     def _run_votes(self, q: np.ndarray, k: int) -> np.ndarray:
         """Votes of 1-D queries without a (q, l) matrix.
 
-        Along the sorted features f, |f_i - q| falls to the insertion point
-        of q and rises after it, so the k nearest lie among the k features
-        on either side, and {i : |f_i - q| <= kth} is one run [lo, hi)
-        around it.  Its votes are a difference of prefix sums, exact for
-        integer counts.
+        Along the sorted points f, |f_i - q| falls to the insertion point
+        of q and rises after it, so the k nearest lie among the k points on
+        either side, and {i : |f_i - q| <= kth} is the run [lo, hi) of the
+        points in [q - kth, q + kth].  A query past either end is moved to
+        that end, which keeps its neighbours; every point is within 2**51
+        of 0, so each distance and q -/+ kth is an exact integer, and the
+        two searches find the run exactly.  Its votes are a difference of
+        prefix sums, exact for integer counts.
         """
         f = self._sorted
         l = f.size
+        q = np.clip(q, f[0], f[-1])
         pos = np.searchsorted(f, q)
         window = pos[:, None] + np.arange(-k, k)
         near = np.abs(f[np.clip(window, 0, l - 1)] - q[:, None])
         near[(window < 0) | (window >= l)] = np.inf
         kth = np.partition(near, k - 1, axis=1)[:, k - 1]
-
-        def within(i: np.ndarray) -> np.ndarray:
-            return np.abs(f[np.clip(i, 0, l - 1)] - q) <= kth
-
-        # the searches round q -/+ kth; move each edge until the exact
-        # comparison holds just inside it and fails just outside
         lo = np.searchsorted(f, q - kth)
         hi = np.searchsorted(f, q + kth, side="right")
-        while True:
-            lo_in = (lo < pos) & ~within(lo)
-            lo_out = (lo > 0) & within(lo - 1)
-            hi_out = (hi < l) & within(hi)
-            hi_in = (hi > pos) & ~within(hi - 1)
-            if not (lo_in.any() or lo_out.any() or hi_out.any() or hi_in.any()):
-                return self._cum[hi] - self._cum[lo]
-            lo += lo_in.astype(np.intp) - lo_out
-            hi += hi_out.astype(np.intp) - hi_in
+        return self._cum[hi] - self._cum[lo]
 
 
 def knn_train(distinct: np.ndarray, tallies: np.ndarray, metric: DistanceMetric) -> KnnClassifier:
     """The classifier over distinct observable rows and their (l, W) guess tallies."""
-    return KnnClassifier(_points(metric, distinct), tallies, k_for(distinct.shape[0]), metric)
+    points = metric.codec.points(distinct).astype(np.float64)
+    return KnnClassifier(points, tallies, k_for(distinct.shape[0]), metric)

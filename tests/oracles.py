@@ -99,11 +99,8 @@ def reference_pairwise(metric, queries: np.ndarray, points: np.ndarray) -> np.nd
 
 
 def reference_points(metric, ys: np.ndarray) -> np.ndarray:
-    """What the k-NN measures: under a codec with a scale, the integer
-    encodings themselves; otherwise the codec's features."""
-    if metric.codec.scale is None:
-        return metric.codec.encode(ys)
-    return np.array(ys, dtype=np.float64)
+    """What the k-NN measures: the codec's integer points, as floats."""
+    return np.array(metric.codec.points(ys), dtype=np.float64)
 
 
 def reference_knn_predict(model, ys: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Modified k-NN: k rule, tie inclusion, weighted voting.
 
-The query kernels (a (q, l) distance buffer filled a dimension at a time,
-a sorted-feature window for the 1-D metric and the integer L1 ball search)
+Every codec's observables are measured as its integer points, so equal
+distances tie exactly whatever the codec's float map; the 1-D run search is
+checked against inclusion sets counted in Python integers.  The query
+kernels (a (q, l) distance buffer filled a dimension at a time, a
+sorted-point window for the 1-D metric and the integer L1 ball search)
 are checked against ``oracles.reference_knn_predict``, every (q, l)
 distance through a (q, l, dim) temporary, a partition for the k-th and the
 included rows' tallies summed by one product.  The ball search is also
@@ -30,7 +33,6 @@ from oracles import (
     reference_blocked_knn_predict,
     reference_knn_predict,
     reference_lattice_find,
-    reference_pairwise,
     reference_points,
     reference_shell,
 )
@@ -50,8 +52,9 @@ def trained(ws, ys, copies, n_guesses=None, metric=None):
 
 
 # scalar codecs whose features round: thirds and tenths, and offsets at which
-# neighbouring integers land one float apart or on the same float; keyed by
-# a label of their scale and offset
+# neighbouring integers land one float apart or on the same float, none of
+# which the k-NN, measuring the integer points, may see; keyed by a label of
+# their scale and offset
 SCALAR_CODECS = {
     f"scalar(x{scale:g}{offset:+g})": scalar_codec(scale, offset)
     for scale, offset in [
@@ -181,26 +184,66 @@ class TestPrediction:
         assert model.predict(np.array([[query]])).tolist() == [expected]
         assert reference_knn_predict(model, np.array([[query]])).tolist() == [expected]
 
-    @pytest.mark.parametrize("codec", SCALAR_CODECS.values(), ids=SCALAR_CODECS.keys())
-    def test_one_dimensional_runs_include_what_the_reference_includes(self, codec):
-        # one guess per feature, so the votes are the inclusion mask itself;
-        # on these grids the searched run edges are off in every direction
-        # for some query and k, and must be settled by the exact comparison
-        features = codec.encode(np.arange(-60, 61)[:, None])
-        queries = codec.encode(np.arange(-70, 71)[:, None])[:, 0]
-        metric = DistanceMetric("absolute", codec)
-        model = KnnClassifier(features, np.eye(features.shape[0]), 1, metric)
-        dists = reference_pairwise(metric, queries[:, None], features)
-        for k in range(1, 9):
-            kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
-            expected = (dists <= kth[:, None]).astype(np.float64)
-            np.testing.assert_array_equal(model._run_votes(queries, k), expected)
+    @pytest.mark.parametrize(
+        "points, queries",
+        [
+            # repeated gaps of 1 to 3, so distances tie on both sides
+            (np.cumsum([1, 2, 3, 1, 1, 3, 2, 2, 1] * 5) - 40, np.arange(-50, 51)),
+            # points at the bound of the run search, queries far past it
+            (
+                np.array([-(2**51), 1 - 2**51, -1, 0, 3, 2**51 - 2, 2**51]),
+                np.array([-(2**63), -(2**52), -(2**51), 1, 2, 2**51 - 1, 2**62, 2**63 - 1]),
+            ),
+        ],
+    )
+    def test_one_dimensional_runs_are_the_exact_ties(self, points, queries):
+        # one guess per point, so the votes are the inclusion mask itself:
+        # for every k, exactly the points whose integer distance is at most
+        # the k-th, counted in Python integers
+        model = knn_train(points[:, None], np.eye(points.size), scalar_metric())
+        assert model._sorted is not None
+        for k in range(1, points.size + 1):
+            expected = []
+            for q in queries.tolist():
+                dists = [abs(f - q) for f in points.tolist()]
+                kth = sorted(dists)[k - 1]
+                expected.append([float(d <= kth) for d in dists])
+            got = model._run_votes(queries.astype(np.float64), k)
+            np.testing.assert_array_equal(got, expected)
 
-    def test_features_under_a_scale_must_be_integer_encodings(self):
-        metric = DistanceMetric("manhattan", tuple_codec(2, 0.5))
-        with pytest.raises(ValidationError, match="integer encodings"):
-            KnnClassifier(np.array([[0.5, 1.0]]), np.array([[1.0]]), 1, metric)
-        KnnClassifier(np.array([[-3.0, 1.0]]), np.array([[1.0]]), 1, metric)
+    def test_points_past_the_run_bound_are_scored_in_blocks(self):
+        # one point past 2**51 and the run search is not built: every query
+        # takes the blocked (q, l) path, equal to the reference
+        points = np.array([[-5], [0], [2**51 + 1]])
+        model = knn_train(points, np.eye(3)[:, :2], scalar_metric())
+        assert model._sorted is None
+        queries = np.array([[-3], [1], [2**51], [2**52]])
+        np.testing.assert_array_equal(model.predict(queries), [0, 1, 0, 0])
+        np.testing.assert_array_equal(model.predict(queries), reference_knn_predict(model, queries))
+
+    @pytest.mark.parametrize("codec", [scalar_codec(0.1), scalar_codec(1 / 1599), scalar_codec()])
+    def test_scalar_codecs_tie_exactly(self, codec):
+        # 1 and 5 are both 2 from 3; scaled by 0.1, 0.5 - 0.3 and 0.3 - 0.1
+        # round apart, but the integer points tie, so with k = 1 both vote
+        tallies = np.array([[3.0, 0.0], [0.0, 2.0]])
+        model = knn_train(np.array([[1], [5]]), tallies, DistanceMetric("absolute", codec))
+        assert model.k == 1
+        assert model.predict(np.array([[3]])).tolist() == [0]
+
+    def test_grid_codec_ties_exactly(self):
+        # location's cells 23 = (1, 3) and 42 = (2, 2) both lie at squared
+        # distance 5 from cell 1 = (0, 1); divided by 20 they round apart
+        metric = build_scenario("location").metric
+        model = knn_train(np.array([[23], [42]]), np.array([[2.0, 0.0], [0.0, 3.0]]), metric)
+        assert model.k == 1
+        assert model.predict(np.array([[1]])).tolist() == [1]
+
+    def test_features_must_be_integer_points(self):
+        for metric in (scalar_metric(), DistanceMetric("manhattan", tuple_codec(2, 0.5))):
+            width = metric.codec.dim
+            with pytest.raises(ValidationError, match="integer points"):
+                KnnClassifier(np.full((1, width), 0.5), np.array([[1.0]]), 1, metric)
+            KnnClassifier(np.full((1, width), -3.0), np.array([[1.0]]), 1, metric)
 
     def test_tallies_must_be_counts(self):
         metric = scalar_metric()
@@ -341,20 +384,26 @@ def manhattan_model(rows, tallies, k, scale=1.0, codec=None):
 SCALES = [1 / 303, 0.1, 1.0, 3.0]
 
 
+@pytest.mark.parametrize("kind", ["absolute", "manhattan"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_guesses_do_not_depend_on_the_scale(data):
-    """The same integer rows, tallies and queries under ``tuple_codec(dim,
-    s)`` for each of ``SCALES`` give the same guesses, through the lattice
-    and through the blocked path alike."""
-    model, queries = data.draw(knn_case("manhattan"))
+def test_guesses_do_not_depend_on_the_float_map(kind, data):
+    """The same integer rows, tallies and queries give the same guesses
+    under every ``SCALAR_CODECS`` codec in 1-D, and under ``tuple_codec(dim,
+    s)`` for each of ``SCALES`` in ``manhattan``, through the run or lattice
+    search and through the blocked path alike."""
+    model, queries = data.draw(knn_case(kind))
     dim = queries.shape[1]
     rows, tallies = model.features.astype(np.int64), model.tallies
+    if kind == "absolute":
+        codecs = list(SCALAR_CODECS.values())
+    else:
+        codecs = [tuple_codec(dim, scale) for scale in SCALES]
     guesses = []
-    for scale in SCALES:
-        scaled = knn_train(rows, tallies, DistanceMetric("manhattan", tuple_codec(dim, scale)))
+    for codec in codecs:
+        scaled = knn_train(rows, tallies, DistanceMetric(kind, codec))
         guesses.append(scaled.predict(queries))
-        scaled._lattice = None  # every query on the blocked path
+        scaled._sorted = scaled._lattice = None  # every query on the blocked path
         guesses.append(scaled.predict(queries))
     for got in guesses[1:]:
         np.testing.assert_array_equal(got, guesses[0])
@@ -431,22 +480,23 @@ class TestLatticeSearch:
         assert_paths(manhattan_model(inside, tallies, 1), inside, lattice=2, blocked=0)
         assert_paths(manhattan_model(past, tallies, 1), past, lattice=0, blocked=2)
 
-    def test_codecs_with_a_scale_measure_the_encodings(self):
-        # the k-NN reads a codec's scale, never its transform: an offset or
-        # a bent transform leaves the guesses of the integer rows
+    def test_every_codec_searches_its_integer_points(self):
+        # the k-NN reads a codec's integer points, never its features: an
+        # offset, a divisor or a grid's flat cell index leaves the lattice
+        # search and the guesses of the integer rows
         rows = [[0, 0], [1, 0], [0, 1], [2, 2], [5, 5]]
         tallies = np.eye(5)[:, :2]
         # l = 5: radius 1, so (3, 3), two steps from (2, 2), is not searched
         queries = [[0, 0], [6, 5], [3, 3]]
         plain = assert_paths(manhattan_model(rows, tallies, 1), queries, 2, 1)
-        offset = FeatureCodec(2, lambda ys: ys * 0.5 + 0.3, 0.5)
-        bent = FeatureCodec(2, lambda ys: np.where(ys > 5, ys + 0.25, ys) * 0.5, 0.5)
-        for codec in (offset, bent):
-            got = assert_paths(manhattan_model(rows, tallies, 1, codec=codec), queries, 2, 1)
-            np.testing.assert_array_equal(got, plain)
-        unscaled = grid_codec(3, 3)  # flat cell indices, no scale
-        model = manhattan_model([[0], [4], [8]], np.eye(3)[:, :2], 1, codec=unscaled)
-        assert_paths(model, [[0], [5]], lattice=0, blocked=2)
+        shifted = FeatureCodec(2, scale=0.5, offset=0.3, divisor=7.0)
+        got = assert_paths(manhattan_model(rows, tallies, 1, codec=shifted), queries, 2, 1)
+        np.testing.assert_array_equal(got, plain)
+        # cell r * 7 + c of a 7 x 7 grid is (r, c)
+        cells = [[r * 7 + c] for r, c in rows]
+        model = manhattan_model(cells, tallies, 1, codec=grid_codec(7, 7))
+        got = assert_paths(model, [[r * 7 + c] for r, c in queries], 2, 1)
+        np.testing.assert_array_equal(got, plain)
 
     def test_repeated_rows_are_not_searched(self):
         model = manhattan_model([[0, 1], [2, 2], [0, 1]], np.eye(3)[:, :2], 1)
@@ -575,8 +625,9 @@ class TestShell:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_pairwise_matches_reference_distances(kind, data):
-    """Bit-identical to the (q, l, dim) sum for up to seven dimensions, the
-    range over which ``.sum(axis=2)`` adds left to right."""
+    """Bit-identical to the (q, l, dim) sum, of absolute differences or of
+    squares, for up to seven dimensions, the range over which
+    ``.sum(axis=2)`` adds left to right."""
     width = data.draw(st.integers(1, 7))
     rows = st.lists(
         st.lists(st.integers(-50, 50), min_size=width, max_size=width),
@@ -587,7 +638,9 @@ def test_pairwise_matches_reference_distances(kind, data):
     codec = tuple_codec(width, 1 / 7)
     metric = DistanceMetric(kind, codec)
     q, p = codec.encode(queries), codec.encode(points)
-    np.testing.assert_array_equal(metric.pairwise(q, p), reference_pairwise(metric, q, p))
+    diff = q[:, None, :] - p[None, :, :]
+    expected = np.abs(diff).sum(axis=2) if kind == "manhattan" else (diff * diff).sum(axis=2)
+    np.testing.assert_array_equal(metric.pairwise(q, p), expected)
 
 
 class TestMetrics:
@@ -595,10 +648,11 @@ class TestMetrics:
         codec = tuple_codec(2, 1.0)
         e = DistanceMetric("euclidean", codec)
         m = DistanceMetric("manhattan", codec)
-        q = codec.encode(np.array([[0, 0]]))
-        pts = codec.encode(np.array([[3, 4], [6, 0]]))
-        np.testing.assert_allclose(e.pairwise(q, pts), [[5.0, 6.0]])
-        np.testing.assert_allclose(m.pairwise(q, pts), [[7.0, 6.0]])
+        q = np.array([[0.0, 0.0]])
+        pts = np.array([[3.0, 4.0], [6.0, 0.0]])
+        # euclidean distances 5 and 6, squared
+        np.testing.assert_array_equal(e.pairwise(q, pts), [[25.0, 36.0]])
+        np.testing.assert_array_equal(m.pairwise(q, pts), [[7.0, 6.0]])
 
     def test_absolute_requires_scalar_codec(self):
         with pytest.raises(ValidationError):

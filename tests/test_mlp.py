@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gleak import Alphabet, MlpConfig, ValidationError, scalar_codec, stream
-from gleak.features import tuple_codec
+from gleak.features import grid_codec, tuple_codec
 from gleak.mlp import MlpClassifier, TrainingDiverged, _Network, mlp_train
 from gleak.preprocess import WeightedSampleSet
 from oracles import gradient_check
@@ -196,6 +196,20 @@ class TestFeatureCodecs:
         codec = scalar_codec(0.5, offset=1.0)
         out = codec.encode(np.array([[0], [2], [4]]))
         np.testing.assert_allclose(out, [[1.0], [2.0], [3.0]])
+        assert codec.points(np.array([[4], [-2]])).tolist() == [[4], [-2]]
+        with pytest.raises(ValidationError):
+            codec.points(np.array([[1, 2]]))
+
+    def test_grid_codec(self):
+        codec = grid_codec(4, 5)
+        cells = np.array([[0], [7], [19], [-1]])
+        points = codec.points(cells)
+        assert points.dtype == np.int64
+        assert points.tolist() == [[0, 0], [1, 2], [3, 4], [-1, 4]]
+        # divided by the grid size, not multiplied by its inverse
+        np.testing.assert_array_equal(codec.encode(cells), points / 5)
+        with pytest.raises(ValidationError):
+            codec.points(np.array([[1, 2]]))
 
     def test_tuple_codec(self):
         codec = tuple_codec(3, 0.1)

@@ -39,6 +39,11 @@ The k-NN's per-dimension L1/L2 accumulation is written once, in
 ``knn._distances``, whose one caller is the blocked path (``pairwise``).
 The lattice search computes no distance: every row of its last shell lies
 at the k-th distance.
+
+The k-NN measures one thing, the codec's integer points: ``gleak/knn.py``
+never calls ``encode``, never reads a codec's ``scale`` or ``offset``, and
+takes no square root (``euclidean`` ranks by squared distances).  Its 1-D
+run search holds no loop: the two sorted searches of q -/+ kth are exact.
 """
 
 import ast
@@ -327,3 +332,18 @@ def test_distances_are_accumulated_in_one_place():
     called = {n.func.attr for n in ast.walk(search) if isinstance(n, ast.Call)
               and isinstance(n.func, ast.Attribute)}
     assert "pairwise" not in called, "the lattice search scores distances"
+
+
+def test_knn_measures_integer_points_one_way():
+    tree = ast.parse((SOURCE / "knn.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    float_map = read & {"encode", "scale", "offset"}
+    assert not float_map, f"the k-NN reads the codec's float map: {sorted(float_map)}"
+    assert not _references_numpy(tree, {"sqrt"}), "the k-NN takes a square root"
+    (run,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_run_votes"
+    ]
+    loops = (ast.For, ast.While, ast.comprehension, ast.FunctionDef, ast.Lambda)
+    assert not [node for node in ast.walk(run) if isinstance(node, loops) and node is not run]
