@@ -33,6 +33,8 @@ Three kernels answer queries, all to the same bits:
   blocks of ``QUERY_CHUNK`` against every indexed observable, by the one
   distance kernel ``_distances``.  For the integer rows of a lattice and
   any query it searches, these distances are exact (see ``_lattice_index``).
+  A block's votes read the tallies of only the rows some of its queries
+  include, about k per query, not all l.
 """
 
 from __future__ import annotations
@@ -296,16 +298,26 @@ class KnnClassifier:
         return out
 
     def _blocked_guesses(self, queries: np.ndarray, k: int) -> np.ndarray:
-        """Guesses from every (q, l) distance, ``QUERY_CHUNK`` queries at a time."""
+        """Guesses from every (q, l) distance, ``QUERY_CHUNK`` queries at a time.
+
+        Each block's votes are ``included[:, cols] @ tallies[cols]``, where
+        ``cols`` lists the rows some query of the block includes.  They
+        equal the dense ``included @ tallies`` bit for bit: ``included``
+        holds only 0.0 and 1.0, and the tallies are integer counts whose
+        column totals are below 2**53, so every partial sum is exact in any
+        order, and the columns dropped add exact zeros.
+        """
         out = np.empty(queries.shape[0], dtype=np.int64)
         for start in range(0, queries.shape[0], QUERY_CHUNK):
             block = queries[start : start + QUERY_CHUNK]
             dists = self.metric.pairwise(block, self.features)
             kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
             # 1.0 where a row is within the k-th distance (all ties included),
-            # written over the distances; then each guess's vote is one product
+            # written over the distances
             included = np.less_equal(dists, kth[:, None], out=dists)
-            out[start : start + QUERY_CHUNK] = np.argmax(included @ self.tallies, axis=1)
+            cols = np.flatnonzero(included.any(axis=0))
+            votes = included[:, cols] @ self.tallies[cols]
+            out[start : start + QUERY_CHUNK] = np.argmax(votes, axis=1)
         return out
 
     def _lattice_votes(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -136,7 +136,11 @@ def rationalize_gain(gain: GainFunction) -> tuple[GainFunction, int]:
     exactly K times those under G, so callers de-scale estimates by K (the
     pipelines here avoid that by always evaluating with the original gain).
     Raises when K or the largest scaled entry exceeds ``EXPANSION_CAP``
-    (fall back to channel pre-processing).
+    (fall back to channel pre-processing).  An integer-valued, unshifted
+    gain is returned as is, with K = 1: the gain built from its rounded
+    entries would equal it in every field.  Every check still runs on it,
+    and an entry within the snap tolerance of an integer but not equal to
+    it still yields a new, rounded gain.
 
     The scaled matrix is ``rint(G * K)`` in one pass over the entries, with
     no index from entries to distinct values.  That rounds each entry v to
@@ -168,6 +172,8 @@ def rationalize_gain(gain: GainFunction) -> tuple[GainFunction, int]:
         )
     matrix = gain.matrix * scale
     np.rint(matrix, out=matrix)
+    if scale == 1 and gain.shift == 0.0 and np.array_equal(matrix, gain.matrix):
+        return gain, 1  # the gain already holds its integers, unshifted
     return GainFunction(gain.guesses, gain.secrets, matrix), scale
 
 

@@ -166,7 +166,8 @@ def reference_blocked_knn_predict(model, ys: np.ndarray) -> np.ndarray:
         dists = model.metric.pairwise(block, model.features)
         kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
         # 1.0 where a row is within the k-th distance (all ties included),
-        # written over the distances; then each guess's vote is one product
+        # written over the distances; then each guess's vote is one dense
+        # product over every row, included or not
         included = np.less_equal(dists, kth[:, None], out=dists)
         out[start : start + BLOCKED_CHUNK] = np.argmax(included @ model.tallies, axis=1)
     return out

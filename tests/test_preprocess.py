@@ -18,8 +18,10 @@ from gleak import (
     sample_joint,
     stream,
 )
+from gleak.io import read_gain
 from gleak.preprocess import (
     SNAP_DENOMINATOR,
+    SNAP_TOL,
     WeightedSampleSet,
     channel_preprocess,
     data_preprocess,
@@ -28,7 +30,7 @@ from gleak.preprocess import (
 from gleak.scenarios import build_scenario
 from gleak.scenarios.multi_guess import two_tries_gain
 from conftest import random_channel, random_gain, random_prior
-from oracles import compose, ideal_derivation
+from oracles import compose, ideal_derivation, reference_rationalize_gain
 
 
 def random_instance(gen, max_size=8, max_gain=5):
@@ -203,6 +205,54 @@ class TestRationalizeGain:
         monkeypatch.setattr(Fraction, "limit_denominator", counting)
         rationalize_gain(gain)
         assert len(calls) == np.unique(gain.matrix).size < gain.matrix.size
+
+
+class TestIntegerGainIsItsOwnRationalization:
+    @pytest.mark.parametrize("name", ["multi-guess", "location", "dp", "password"])
+    def test_scenario_gains(self, name):
+        gain = build_scenario(name).gain
+        rational, scale = rationalize_gain(gain)
+        assert rational is gain and scale == 1
+        reference, reference_scale = reference_rationalize_gain(gain)
+        assert reference_scale == 1
+        assert rational.matrix.tobytes() == reference.matrix.tobytes()
+        assert (rational.shift, rational.range) == (reference.shift, reference.range)
+
+    def test_file_gain_of_halves_and_thirds(self, tmp_path):
+        path = tmp_path / "gain.txt"
+        path.write_text(
+            "3 4\n"
+            "1.0 0.5 0.0 0.3333333333333333\n"
+            "0.0 0.0 0.0 0.0\n"
+            "0.5 1.0 0.6666666666666666 0.25\n"
+        )
+        gain = read_gain(path)
+        rational, scale = rationalize_gain(gain)
+        reference, reference_scale = reference_rationalize_gain(gain)
+        assert rational is not gain and scale == reference_scale == 12
+        assert rational.matrix.tobytes() == reference.matrix.tobytes()
+
+    def test_entry_within_the_snap_tolerance_is_rounded(self):
+        # 2 + 1e-10 snaps to 2 with scale 1, but the stored entry is not 2:
+        # the gain returned is a new one, holding the rounded integer
+        entry = 2.0 + 1e-10
+        assert abs(entry - 2.0) <= SNAP_TOL * entry
+        gain = GainFunction(
+            Alphabet.integers(2, "w"), Alphabet.integers(2), [[1.0, entry], [0.0, 3.0]]
+        )
+        rational, scale = rationalize_gain(gain)
+        assert rational is not gain and scale == 1
+        np.testing.assert_array_equal(rational.matrix, [[1.0, 2.0], [0.0, 3.0]])
+        assert rational.is_integer_valued() and not gain.is_integer_valued()
+
+    def test_shifted_integer_gain_is_rebuilt(self):
+        # stored entries shifted to be non-negative: the rationalized gain
+        # holds them unshifted, as before
+        gain = GainFunction(Alphabet.integers(1, "w"), Alphabet.integers(2), [[-1.0, 2.0]])
+        rational, scale = rationalize_gain(gain)
+        assert rational is not gain and scale == 1
+        assert rational.shift == 0.0 and rational.range == (0.0, 3.0)
+        np.testing.assert_array_equal(rational.matrix, gain.matrix)
 
 
 def reference_rationalize(gain):

@@ -34,6 +34,9 @@ against the implementations they replaced (``oracles``), bit for bit.
   of gathering the scaled distinct values through an inverse index.
 - The location gain and mechanism are evaluated once per (row, column)
   offset and gathered, instead of on every cell pair.
+- The k-NN's blocked path sums, per block of queries, the tallies of the
+  rows some query of the block includes, instead of every row's through
+  one dense (queries, l) @ (l, guesses) product.
 """
 
 import math
@@ -66,7 +69,7 @@ from gleak.core import (
 )
 from gleak.estimation import fit, frequentist_predictor, sample_preprocessed_pairs
 from gleak.features import tuple_codec
-from gleak.knn import DistanceMetric, knn_train
+from gleak.knn import EXACT_INTEGER, MAX_RADIUS, DistanceMetric, KnnClassifier, knn_train
 from gleak.mlp import MlpClassifier, mlp_train
 from gleak.preprocess import (
     EXPANSION_CAP,
@@ -95,6 +98,7 @@ from oracles import (
     reference_frequentist_predictor,
     reference_grid_geometric_mechanism,
     reference_inverse_cdf,
+    reference_knn_predict,
     reference_knn_train,
     reference_mlp_train,
     reference_predict_proba,
@@ -623,6 +627,92 @@ class TestDataKnnTrain:
         model = assert_same_data_fit(train, gain, metric_for(1))
         assert scale * gain.matrix.max() == EXPANSION_CAP
         assert model.tallies.max() > 2**24  # past float32's exact integers
+
+
+def assert_same_predictions(model, queries):
+    got = model.predict(queries)
+    np.testing.assert_array_equal(got, reference_knn_predict(model, queries))
+    return got
+
+
+def tallies_near_the_limit(gen, l, totals):
+    """(l, len(totals)) integer tallies whose column sums are ``totals``."""
+    columns = []
+    for total in totals:
+        column = [int(v) for v in gen.integers(0, total // l, size=l - 1)]
+        columns.append(column + [total - sum(column)])
+    return np.array(columns, dtype=np.float64).T
+
+
+class TestKnnPredict:
+    @pytest.mark.parametrize("m", [500, 2000, 10000, 30000])
+    def test_location(self, m):
+        # every cell and a validation draw, against the data and the channel
+        # k-NN; the grid codec is euclidean, so the blocked path answers all
+        scenario = build_scenario("location")
+        source = (scenario.prior, scenario.channel)
+        train = sample_joint(source, m, stream(0, f"t/ref/knn/{m}/train"))
+        valid = sample_joint(source, 2000, stream(0, f"t/ref/knn/{m}/valid"))
+        cells = np.arange(scenario.channel.output.size)[:, None]
+        data, _ = fit_data_knn(train, scenario.gain, scenario.metric, *source)
+        channel, _ = fit_channel(scenario, m, scenario.metric)
+        for model in (data, channel):
+            assert model._sorted is None and model._lattice is None
+            assert model.n_guesses == scenario.gain.guesses.size
+            assert_same_predictions(model, cells)
+            assert_same_predictions(model, valid.ys)
+
+    def test_dp_queries_outside_the_lattice(self):
+        scenario = build_scenario("dp")
+        train = sample_joint(
+            (scenario.prior, scenario.channel), 2000, stream(0, "t/ref/knn/dp/train")
+        )
+        model, _ = fit_data_knn(
+            train, scenario.gain, scenario.metric, scenario.prior, scenario.channel
+        )
+        assert model._lattice is not None
+        # each query leaves the rows' box, widened by far more than the
+        # lattice's frame, in one coordinate or in all of them
+        gen = np.random.default_rng(11)
+        rows = train.ys[gen.integers(0, train.size, size=300)]
+        past = np.ptp(train.ys, axis=0) + 4 * MAX_RADIUS
+        sign = gen.choice([-1, 1], size=rows.shape)
+        one = np.eye(rows.shape[1], dtype=np.int64)[gen.integers(0, rows.shape[1], size=300)]
+        queries = np.concatenate([rows + sign * one * past, rows + sign * past, rows - 10**6])
+        answered, _ = model._lattice_votes(queries.astype(np.float64), model.k)
+        assert not answered.any()  # the blocked fallback answers every query
+        assert_same_predictions(model, queries)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+    def test_every_row_ties_with_tallies_near_two_to_the_53(self, kind):
+        # rows on the integer circle x^2 + y^2 = 5525 (48 points) or the L1
+        # sphere |x| + |y| = 20 (80 points): from the origin every row lies
+        # at the k-th distance and votes.  The column totals sit just below
+        # 2**53, guess 1 ahead of guess 2 by one and of guess 0 by two, so
+        # any rounded partial sum would change the winner.
+        span = np.arange(-75, 76)
+        xs, ys = np.meshgrid(span, span)
+        if kind == "euclidean":
+            on = xs * xs + ys * ys == 5525
+        else:
+            on = np.abs(xs) + np.abs(ys) == 20
+        points = np.column_stack([xs[on], ys[on]]).astype(np.float64)
+        l = points.shape[0]
+        assert l == (48 if kind == "euclidean" else 80)
+        totals = [EXACT_INTEGER - 3, EXACT_INTEGER - 1, EXACT_INTEGER - 2]
+        tallies = tallies_near_the_limit(np.random.default_rng(3), l, totals)
+        assert tallies.sum(axis=0).tolist() == [float(t) for t in totals]
+        metric = DistanceMetric(kind, tuple_codec(2, 1.0))
+        model = KnnClassifier(points, tallies, math.floor(math.log(l)), metric)
+        gen = np.random.default_rng(4)
+        queries = np.concatenate([
+            np.zeros((40, 2), dtype=np.int64),
+            gen.integers(-3, 4, size=(60, 2)),  # off the centre: the nearest few vote
+            gen.integers(-90, 91, size=(60, 2)),  # anywhere, also outside the rows
+        ])
+        queries = gen.permutation(queries)  # blocks mix all three kinds
+        got = assert_same_predictions(model, queries)
+        assert (got[(queries == 0).all(axis=1)] == 1).all()
 
 
 def assert_same_inversion(probs, u):
