@@ -19,7 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import io
 from .bounds import BoundInputs, bound_report
 from .core import (
     NumericalError,
@@ -65,6 +64,8 @@ def _load_scenario(args) -> Scenario:
         return build_scenario(args.scenario, profile=args.profile or "desk")
     _require(args.prior and args.channel, "provide --scenario or both --prior and --channel")
     _require(args.profile is None, "--profile sizes a built-in --scenario, not file inputs")
+    from . import io  # only the commands that read or write files pay for the file formats
+
     channel = io.read_channel(args.channel)
     prior = io.read_prior(args.prior, channel.input)
     gain = io.read_gain(args.gain, channel.input) if args.gain else identity_gain(channel.input)
@@ -186,6 +187,8 @@ def cmd_preprocess(args) -> int:
     unread = "prior" if args.mode == "data" else "samples"
     _require(vars(args)[unread] is None, f"--{unread} is not read by --mode {args.mode}")
     prefix = Path(args.out)
+    from . import io
+
     if args.mode == "data":
         _require(args.samples and args.gain, "data mode needs --samples and --gain")
         gain = io.read_gain(args.gain)

@@ -14,7 +14,6 @@ validation sets before the next fit.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .core import (
     ValidationError,
     _distinct_rows,
     _estimates,
+    _freeze,
     _require,
     sample_joint,
 )
@@ -161,7 +161,7 @@ class TrialMatrixConfig:
         return {"schema": 1, **fields}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsReport:
     """Normalized-error statistics of one (method, learner, size) cell."""
 
@@ -186,7 +186,7 @@ class MetricsReport:
         exact: float,
         deltas: np.ndarray,
     ) -> "MetricsReport":
-        deltas = np.asarray(deltas, dtype=np.float64)
+        deltas = _freeze(np.asarray(deltas, dtype=np.float64))
         mean = float(deltas.mean())
         dispersion = float(np.sqrt(((deltas - mean) ** 2).mean()))
         total = float(np.sqrt((deltas**2).mean()))
@@ -300,6 +300,8 @@ def run_trial_matrix(
     if config.workers == 1:
         parts = [run_job(job) for job in jobs]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a parallel run pays its import
+
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(run_job, jobs))
     results = {task: values for part in parts for task, values in part.items()}

@@ -8,6 +8,7 @@ Every scenario's setup is fixed by its module's constants.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -45,6 +46,9 @@ def two_sided_geometric(
     )
 
 
+SCENARIO_NAMES = ("multi-guess", "location", "dp", "password")
+
+
 def build_scenario(
     name: str, profile: str = "desk", gowalla_path: str | None = None
 ) -> Scenario:
@@ -54,17 +58,9 @@ def build_scenario(
     ``gowalla_path`` is a check-in dump for the location prior and is read
     by no other scenario.
     """
-    from . import dp, location, multi_guess, password
-
-    builders = {
-        "multi-guess": lambda: multi_guess.build(profile),
-        "location": lambda: location.build(gowalla_path),
-        "dp": dp.build,
-        "password": password.build,
-    }
-    if name not in builders:
+    if name not in SCENARIO_NAMES:
         raise ValidationError(
-            f"unknown scenario {name!r}; expected one of {sorted(builders)}"
+            f"unknown scenario {name!r}; expected one of {sorted(SCENARIO_NAMES)}"
         )
     if profile not in ("desk", "paper"):
         raise ValidationError(f"unknown profile {profile!r}")
@@ -72,7 +68,11 @@ def build_scenario(
         raise ValidationError(
             f"gowalla_path is read only by the location scenario, not {name!r}"
         )
-    return builders[name]()
+    # only the named scenario's module is imported
+    module = importlib.import_module(f".{name.replace('-', '_')}", __name__)
+    if name == "multi-guess":
+        return module.build(profile)
+    if name == "location":
+        return module.build(gowalla_path)
+    return module.build()
 
-
-SCENARIO_NAMES = ("multi-guess", "location", "dp", "password")

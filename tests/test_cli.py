@@ -446,6 +446,26 @@ class TestScenarioCommand:
         assert box[0] == "scenario,method,learner,m,min,q1,median,q3,max"
         assert len(box) == 3
 
+    def test_workers_write_the_same_artifacts(self, capsys, tmp_path):
+        written = {}
+        for workers in ("1", "2"):
+            prefix = tmp_path / f"w{workers}"
+            code, _, err = run_cli(
+                capsys,
+                ["scenario", "multi-guess", "--methods", "data,frequentist",
+                 "--learners", "knn", "--sizes", "300,600", "--train-sets", "2",
+                 "--valid-sets", "2", "--valid-size", "300", "--workers", workers,
+                 "--out", str(prefix)],
+            )
+            assert code == 0, err
+            written[workers] = [
+                (tmp_path / f"w{workers}.{kind}").read_text()
+                for kind in ("summary.json", "trials.csv", "boxplot.csv")
+            ]
+        summary, *rest = written["2"]
+        assert json.loads(summary)["config"]["workers"] == 2
+        assert [summary.replace('"workers": 2', '"workers": 1'), *rest] == written["1"]
+
     def test_estimate_outside_gain_range_is_numerical_failure(
         self, capsys, tmp_path, monkeypatch
     ):

@@ -75,6 +75,18 @@ class TestMetricsReport:
         assert d["m"] == 10 and d["n"] == 20 and d["exact"] == 0.5
         assert "deltas" not in d
 
+    def test_equality_is_identity(self):
+        deltas = np.array([0.1, 0.2])
+        report = MetricsReport.from_deltas("s", "m", "l", 1, 1, 1.0, deltas)
+        twin = MetricsReport.from_deltas("s", "m", "l", 1, 1, 1.0, deltas.copy())
+        assert report == report and report != twin
+        assert len({report, twin}) == 2
+
+    def test_deltas_are_read_only(self):
+        report = MetricsReport.from_deltas("s", "m", "l", 1, 1, 1.0, np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="read-only"):
+            report.deltas[0] = 0.0
+
 
 class TestTrialMatrixConfig:
     def test_defaults_resolve_from_profile(self):

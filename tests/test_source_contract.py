@@ -44,10 +44,19 @@ The k-NN measures one thing, the codec's integer points: ``gleak/knn.py``
 never calls ``encode``, never reads a codec's ``scale`` or ``offset``, and
 takes no square root (``euclidean`` ranks by squared distances).  Its 1-D
 run search holds no loop: the two sorted searches of q -/+ kth are exact.
+
+A ``leak`` process imports only what its command runs: a built-in
+scenario's estimate loads no thread pool (``leak scenario --workers`` above
+1 does), no file formats (file inputs and ``leak preprocess`` do) and no
+other scenario's module.
 """
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -347,3 +356,37 @@ def test_knn_measures_integer_points_one_way():
     ]
     loops = (ast.For, ast.While, ast.comprehension, ast.FunctionDef, ast.Lambda)
     assert not [node for node in ast.walk(run) if isinstance(node, loops) and node is not run]
+
+
+_STARTUP = """
+import contextlib, io, json, sys
+import gleak, gleak.cli, gleak.harness
+from gleak.scenarios import build_scenario
+
+build_scenario("dp")
+argv = ["estimate", "--scenario", "dp", "--method", "frequentist", "--m", "500", "--n", "500"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = gleak.cli.main(argv)
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_an_estimate_imports_only_what_it_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    unused = {
+        "concurrent.futures",
+        "csv",
+        "gleak.io",
+        "gleak.scenarios.location",
+        "gleak.scenarios.multi_guess",
+        "gleak.scenarios.password",
+    }
+    assert not unused & set(result["modules"]), sorted(unused & set(result["modules"]))
+    assert "gleak.scenarios.dp" in result["modules"]
