@@ -27,10 +27,12 @@ k-NN values (their trial matrices and paper grids, and the (multi-guess,
 data), (location, data) and (location, channel) estimates) were
 re-recorded, as a declared change, when the k-NN began to measure every
 codec's integer points, so that equal distances tie under the scalar and
-grid codecs too.  Only kNN and the frequentist baseline are pinned: MLP
-training sums through BLAS, whose summation order is not portable across
-builds, so for the MLP the config and the codec features are pinned
-instead.
+grid codecs too.  MLP training sums through BLAS, whose summation order
+is not portable across builds or thread counts at scale, so for the MLP the
+config and the codec features are pinned, and the weights only of four
+small nets (8 hidden units, batches of 16), whose hashes agree at one and
+two BLAS threads; they were recorded before the data pre-processing of
+both learners came from one (observable, guess) table.
 """
 
 import hashlib
@@ -41,8 +43,11 @@ import pytest
 
 import gleak.cli
 from gleak.cli import main
+from gleak.estimation import fit
 from gleak.features import scalar_codec
 from gleak.harness import TrialMatrixConfig, emit_reports, run_trial_matrix
+from gleak.mlp import MlpConfig
+from gleak.rng import stream
 from gleak.scenarios import build_scenario, password
 
 ARTIFACT_SHA256 = {
@@ -123,6 +128,15 @@ CODEC_FEATURE_SHA256 = {
     ("password", "desk"): "4d73acb4e6e3265e40306e34167651aafaf3e3c8253ab52079557d9fa9807f5b",
     ("password", "paper"): "4d73acb4e6e3265e40306e34167651aafaf3e3c8253ab52079557d9fa9807f5b",
     ("files", None): "d53e85fe5676b1b569e2c675e599a44f4f69573695db7668fc91ff10603fb78a",
+}
+
+# (scenario, method) -> sha256 of the weights and biases of a small MLP
+# that ``fit`` trains at m = 2,000 (see ``test_small_mlp_weights``)
+MLP_WEIGHT_SHA256 = {
+    ("dp", "data"): "505a3fe6c7b17321288c4e569b2aa1ee92040b6d7ef98dff62c0beb830d144ca",
+    ("location", "channel"): "1c9a6bd88041e22039cbbe0ddb21db3ad077064b3898be4572721d9c2b0699d9",
+    ("multi-guess", "channel"): "e321a97e2868a8e9032b5234f2b9c5b0d14dd37d4d9677f73138651da9233118",
+    ("password", "data"): "ee25af754fd6f269ec479929b2faec64f31dac565433985e924166f0f5423161",
 }
 
 DATA_DETAILS = {
@@ -297,6 +311,24 @@ def test_codec_features(scenario, profile):
     assert hashlib.sha256(features.tobytes()).hexdigest() == (
         CODEC_FEATURE_SHA256[(scenario, profile)]
     )
+
+
+@pytest.mark.parametrize("scenario,method", sorted(MLP_WEIGHT_SHA256))
+def test_small_mlp_weights(scenario, method):
+    """Every bit of a small net's weights: hidden (8,), batches of 16, two
+    epochs on m = 2,000 pairs.  In each of these four, every (guess,
+    observable) pair of the pre-processed data draws its weight from one
+    secret: the channel method's pairs have the identity gain, and each dp
+    and password guess gains on a single secret."""
+    built = build_scenario(scenario)
+    config = MlpConfig(built.metric.codec, (8,), epochs=2, batch_size=16)
+    model, _ = fit(
+        method, built.prior, built.channel, built.gain, 2000, config,
+        stream(0, "pin/train"), stream(0, "pin/mlp"),
+    )
+    arrays = (*model.weights, *model.biases)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert digest == MLP_WEIGHT_SHA256[(scenario, method)]
 
 
 @pytest.mark.parametrize("scenario,method", sorted(ESTIMATE_PINS))
