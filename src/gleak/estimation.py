@@ -7,10 +7,10 @@ then implicit in the evaluation and never multiplied in explicitly.
 
 Both methods give their learners a ``SampleSet`` and an integer gain: the
 pi |> C samples and the rationalized gain, or the (w, y) pairs of tau |>
-RC and the identity.  The counting learners read the set's count table,
-``SampleSet.counts``, which one set counts once for all of them; only the
-MLP, which draws batches from weighted entries, trains on the data
-pre-processing expansion, which lists its pairs from the same table.
+RC and the identity.  Every learner reads the set's count table,
+``SampleSet.counts``, which one set counts once for all of them: the data
+method's k-NN as its data pre-processing table (``data_table``), the MLP
+as that table's positive cells (``data_preprocess``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .core import (
     GenerativeChannel,
     Prior,
     SampleSet,
-    ValidationError,
     _freeze,
     _require,
     empirical_functional,
@@ -35,12 +34,13 @@ from .core import (
     sample_joint,
     sample_prior,
 )
-from .knn import DistanceMetric, KnnClassifier, knn_train
+from .knn import DistanceMetric, knn_train
 from .mlp import MlpConfig, mlp_train
 from .preprocess import (
     ChannelPreprocDerivation,
     channel_preprocess,
     data_preprocess,
+    data_table,
     rationalize_gain,
 )
 from .rng import Stream
@@ -139,7 +139,7 @@ def fit(
             "descale": "not needed: evaluation uses the original gain",
         }
     if not knn:
-        # the channel method's pairs under the identity gain: each has weight 1
+        # the channel method's pairs under the identity gain: their count table
         integer_gain = rational if method == "data" else identity_gain(train.secrets)
         data = data_preprocess(train, integer_gain)
         del train  # a set drawn here goes, with its count table, before training
@@ -149,35 +149,12 @@ def fit(
         # each pair's weight is 1: the tallies are its (observable, guess) counts
         model = knn_train(*train.counts, learner_config)
     else:
-        model = data_knn_train(train, rational, learner_config)
+        model = knn_train(*data_table(train, rational), learner_config)
         # each column sum is exact (KnnClassifier checks it is below 2**53)
         total = sum(int(v) for v in model.tallies.sum(axis=0).tolist())
     if method == "data":
         details.update(expanded_total_weight=total, expansion_factor=total / m)
     return model, details
-
-
-def data_knn_train(
-    train: SampleSet, gain: GainFunction, metric: DistanceMetric
-) -> KnnClassifier:
-    """k-NN on the data pre-processing of ``train`` under the integer-valued
-    ``gain``, without building it.
-
-    The expansion gives (w, y) the total weight sum_x n(x, y) g(w, x), so
-    the tallies are the (l, X) secret counts of the training set times
-    G^T.  An observable seen only with secrets of zero gain is not in the
-    expansion; its all-zero row is dropped.  The products and partial sums
-    are non-negative integers below 2**53 (``KnnClassifier`` checks the
-    totals), so they are exact in any summation order, and equal the
-    expansion's weights summed per (observable, guess) bit for bit.
-    """
-    distinct, tallies = _secret_scores(train, gain.matrix)
-    seen = tallies.any(axis=1)
-    if not seen.any():
-        raise ValidationError("gain is zero on every sampled secret")
-    if not seen.all():  # otherwise no copy: the set keeps its count table meanwhile
-        distinct, tallies = distinct[seen], tallies[seen]
-    return knn_train(distinct, tallies, metric)
 
 
 def estimate(
@@ -282,17 +259,11 @@ def frequentist_predictor(train: SampleSet, gain: GainFunction) -> TablePredicto
     break toward the lowest index throughout.
     """
     _require(train.size > 0, "training set is empty")
+    y_distinct, counts = train.counts
     # argmax_w sum_x counts(x|y) g(w,x); normalization by count(y) cancels
-    y_distinct, scores = _secret_scores(train, gain.matrix)
+    scores = counts.astype(np.float64) @ gain.matrix.T
     # the count table's column sums are each secret's count in training
-    x_mode = int(np.argmax(train.counts[1].sum(axis=0)))
+    x_mode = int(np.argmax(counts.sum(axis=0)))
     fallback = int(np.argmax(gain.matrix[:, x_mode]))
     return TablePredictor(y_distinct, np.argmax(scores, axis=1), fallback)
 
-
-def _secret_scores(train: SampleSet, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct observables y of ``train`` and their (l, W) scores
-    sum_x n(x, y) matrix[w, x], from the set's (l, X) table of secret
-    counts n."""
-    distinct, counts = train.counts
-    return distinct, counts.astype(np.float64) @ matrix.T

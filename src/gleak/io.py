@@ -4,7 +4,8 @@ Channel file: first line ``|X| |Y|``, then |X| lines of |Y| decimals.
 Prior file: a single line of |X| decimals.
 Gain file: first line ``|W| |X|``, then |W| lines (original, unshifted units).
 SampleSet file (read): CSV lines ``x_label,y_encoding``.
-WeightedSampleSet file (written): CSV lines ``w_label,y_encoding,weight``.
+WeightedSampleSet file (written): CSV lines ``w_label,y_encoding,weight``,
+one per (guess, observable) pair, its weights merged.
 
 Tuple observable encodings are serialized with ``|`` between components.
 Floats are written with repr, which round-trips exactly.

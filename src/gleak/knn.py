@@ -11,7 +11,9 @@ The k-NN measures each observable's integer point (``FeatureCodec.points``)
 as an exact float, never the codec's features: integer distances tie
 exactly where scaled or divided ones round apart, so every observable at
 the k-th distance votes whatever the codec.  ``euclidean`` distances are
-kept squared, which ranks them alike and keeps them integers.
+kept squared, which ranks them alike and keeps them integers.  The index
+checks that every distance it can measure is an exact float, on its points
+and on each call's queries (``KnnClassifier._check_exact``).
 
 Three kernels answer queries, all to the same bits:
 
@@ -31,10 +33,8 @@ Three kernels answer queries, all to the same bits:
 * every other query, and every query whose k nearest lie beyond the
   lattice's radius (its ball would hold more than l points), is answered in
   blocks of ``QUERY_CHUNK`` against every indexed observable, by the one
-  distance kernel ``_distances``.  For the integer rows of a lattice and
-  any query it searches, these distances are exact (see ``_lattice_index``).
-  A block's votes read the tallies of only the rows some of its queries
-  include, about k per query, not all l.
+  distance kernel ``_distances``.  A block's votes read the tallies of
+  only the rows some of its queries include, about k per query, not all l.
 """
 
 from __future__ import annotations
@@ -189,13 +189,10 @@ def _lattice_index(points: np.ndarray, metric: DistanceMetric) -> _Lattice | Non
 
     The radius is the largest r (at most ``MAX_RADIUS``) whose ball holds at
     most l points: a farther query costs more to search than the l
-    distances of the blocked path.  Every row coordinate must have |c| at
-    most 2**52 // dim - radius.  A searched query lies within the radius
-    of the rows' box, so each of its coordinate differences from a row is
-    at most 2**53 / dim, and the blocked path's L1 distance, summed over
-    dim terms, is an exact integer: both paths include the same rows.
-    Repeated rows, or a key frame reaching ``KEY_LIMIT``, also leave the
-    index to the blocked path.  The frame's spans are at least 4 * radius
+    distances of the blocked path.  The blocked path's distances are exact
+    (``KnnClassifier`` checks them), so both paths include the same rows.
+    Repeated rows, or a key frame reaching ``KEY_LIMIT``, leave the index
+    to the blocked path.  The frame's spans are at least 4 * radius
     + 1, so every shell walked is in key order (``_shell``).
 
     The occupancy table has 2**b slots, 2**b the least power of two at
@@ -211,8 +208,6 @@ def _lattice_index(points: np.ndarray, metric: DistanceMetric) -> _Lattice | Non
     radius = 0
     while radius < MAX_RADIUS and _ball_size(dim, radius + 1) <= l:
         radius += 1
-    if not (np.abs(points) <= EXACT_INTEGER // (2 * dim) - radius).all():
-        return None
     rows = points.astype(np.int64)
     frame = _key_frame(rows.min(axis=0) - 2 * radius, rows.max(axis=0) + 2 * radius)
     if frame is None:
@@ -241,13 +236,13 @@ class KnnClassifier:
     ``features`` are the codec's integer points, as floats.  ``tallies``
     are counts, non-negative integers with each guess's total below 2**53,
     kept as float64: every sum of them is exact whatever its order.  Under
-    the 1-D ``absolute`` metric, with every point within 2**51 of 0, the
-    features are also kept sorted, with prefix sums of their tallies; under
-    ``manhattan`` over distinct integer rows, their lattice keys.
+    the 1-D ``absolute`` metric the features are also kept sorted, with
+    prefix sums of their tallies; under ``manhattan`` over distinct integer
+    rows, their lattice keys.
     """
 
     __slots__ = (
-        "features", "tallies", "k", "metric", "n_guesses", "_sorted", "_cum", "_lattice"
+        "features", "tallies", "k", "metric", "n_guesses", "_box", "_sorted", "_cum", "_lattice"
     )
 
     def __init__(
@@ -272,8 +267,10 @@ class KnnClassifier:
             bool((self.features == np.trunc(self.features)).all()),
             "k-NN features must be integer points",
         )
+        self._box = (np.inf, -np.inf)
+        self._box = self._check_exact(self.features)  # the points' own box
         self._sorted = self._cum = None
-        if metric.kind == "absolute" and bool((np.abs(self.features) <= EXACT_INTEGER // 4).all()):
+        if metric.kind == "absolute":
             order = np.argsort(self.features[:, 0], kind="stable")
             self._sorted = self.features[order, 0]
             self._cum = np.zeros((order.size + 1, self.n_guesses))
@@ -284,8 +281,26 @@ class KnnClassifier:
     def n_indexed(self) -> int:
         return int(self.features.shape[0])
 
+    def _check_exact(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The box of the points and ``rows``, after checking that every
+        distance among them is an exact float: each coordinate below 2**53
+        in magnitude (2**53 + 1 reads as 2**53), and the box's spans, summed
+        over dimensions (squared under ``euclidean``), at most 2**53, which
+        bounds every coordinate difference and partial sum."""
+        cols = np.ascontiguousarray(rows.T)  # reduced in one pass per dimension
+        lows = np.minimum(self._box[0], cols.min(axis=1, initial=np.inf))
+        highs = np.maximum(self._box[1], cols.max(axis=1, initial=-np.inf))
+        lo, hi, power = lows.tolist(), highs.tolist(), 2 if self.metric.kind == "euclidean" else 1
+        _require(
+            max(-min(lo), max(hi)) < EXACT_INTEGER
+            and sum((int(b) - int(a)) ** power for a, b in zip(lo, hi)) <= EXACT_INTEGER,
+            f"k-NN {self.metric.kind} distances reach past float64's exact integers",
+        )
+        return lows, highs
+
     def predict(self, ys: np.ndarray) -> np.ndarray:
         queries = self.metric.codec.points(ys).astype(np.float64)
+        self._check_exact(queries)
         k = min(self.k, self.n_indexed)
         if self._sorted is not None:
             return np.argmax(self._run_votes(queries[:, 0], k), axis=1)
@@ -367,10 +382,11 @@ class KnnClassifier:
         of q and rises after it, so the k nearest lie among the k points on
         either side, and {i : |f_i - q| <= kth} is the run [lo, hi) of the
         points in [q - kth, q + kth].  A query past either end is moved to
-        that end, which keeps its neighbours; every point is within 2**51
-        of 0, so each distance and q -/+ kth is an exact integer, and the
-        two searches find the run exactly.  Its votes are a difference of
-        prefix sums, exact for integer counts.
+        that end, which keeps its neighbours.  Each distance is exact
+        (``_check_exact``), and so is q -/+ kth up to 2**53 in magnitude;
+        past it, it rounds to 2**53 or beyond, still past every point, so
+        the two searches find the run exactly.  Its votes are a difference
+        of prefix sums, exact for integer counts.
         """
         f = self._sorted
         l = f.size

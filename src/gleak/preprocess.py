@@ -2,7 +2,8 @@
 
 Data pre-processing turns a set of (secret, observable) samples into a
 weighted multiset of (guess, observable) pairs: each (x, y) contributes
-g(w, x) copies of (w, y) for every guess w.  Training a Bayes classifier on
+g(w, x) copies of (w, y) for every guess w, held as one table of the total
+weight of each (observable, guess) pair.  Training a Bayes classifier on
 the expanded set and evaluating it with the original gain on held-out (x, y)
 pairs estimates the posterior g-vulnerability.
 
@@ -85,16 +86,18 @@ class ChannelPreprocDerivation:
     R: Channel
 
 
-def data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
-    """Weighted-copy expansion of a training set under an integer gain.
+def data_table(train: SampleSet, gain: GainFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The data pre-processing of ``train`` under an integer gain, as one
+    table: the distinct observables y and the (l, W) weights
+    sum_x n(x, y) g(w, x) of each (observable, guess) pair, in float64.
 
-    Each distinct (x, y) with multiplicity u contributes weight u * g(w, x)
-    on (w, y) for every guess w with positive gain.  The pairs and their
-    multiplicities are the non-zero cells of the set's count table,
-    ``train.counts``, which the counting learners read too; listing them
-    costs that (l, X) table, l distinct observables by X secrets.  Raises
-    if the stored gain entries are not non-negative integers (rationalize
-    first).
+    The weights are the set's (l, X) table of secret counts n,
+    ``train.counts``, times G^T: non-negative integers, exact in any
+    summation order below 2**53, which a cell passes only past 9 * 10**9
+    samples at entries up to ``EXPANSION_CAP`` (the k-NN checks its column
+    totals).  An observable seen only with zero-gain secrets is not in the
+    expansion: its all-zero row is dropped.  Raises if the stored gain
+    entries are not integers (rationalize first).
     """
     _require(train.size > 0, "training set is empty")
     if not gain.is_integer_valued():
@@ -102,29 +105,25 @@ def data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
             "data pre-processing needs an integer-valued gain; "
             "apply rationalize_gain first"
         )
-    g_int = np.round(gain.matrix).astype(np.int64)
-    distinct, table = train.counts
-    # the distinct pairs (x, y), x-major and then in row order: the order
-    # of the distinct rows of [x | y]
-    xs_d, rows_d = np.nonzero(table.T)
-    counts = table[rows_d, xs_d]
-    # Entry (w, p) for every guess w with g(w, x_p) > 0, in the row-major
-    # order of the dense (W, P) matrix counts[p] * g(w, x_p): guess-major,
-    # then pair.  The MLP batch draw depends on that order.  Each secret's
-    # pairs form one run, and the order is each positive (w, x),
-    # guess-major, expanded into the run of x.
-    runs = np.bincount(xs_d, minlength=g_int.shape[1])
-    run_start = np.cumsum(runs) - runs
-    nz_w, nz_x = np.nonzero(g_int)
-    per_entry = runs[nz_x]
-    total = int(per_entry.sum())
-    if total == 0:
+    distinct, counts = train.counts
+    tallies = counts.astype(np.float64) @ gain.matrix.T
+    seen = tallies.any(axis=1)
+    if not seen.any():
         raise ValidationError("gain is zero on every sampled secret")
-    entry_start = np.cumsum(per_entry) - per_entry
-    w_idx = np.repeat(nz_w, per_entry)
-    p_idx = np.arange(total) + np.repeat(run_start[nz_x] - entry_start, per_entry)
-    weights = counts[p_idx] * g_int[w_idx, xs_d[p_idx]]
-    return WeightedSampleSet(gain.guesses, w_idx, distinct[rows_d[p_idx]], weights)
+    if not seen.all():  # otherwise no copy: the set keeps its count table meanwhile
+        distinct, tallies = distinct[seen], tallies[seen]
+    return distinct, tallies
+
+
+def data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
+    """The positive cells of ``data_table``: one entry of weight
+    sum_x n(x, y) g(w, x) per (guess, observable) pair, guess-major and
+    then in the order of the distinct observables.  The MLP batch draw
+    depends on that order.
+    """
+    distinct, tallies = data_table(train, gain)
+    ws, rows = np.nonzero(tallies.T)
+    return WeightedSampleSet(gain.guesses, ws, distinct[rows], tallies[rows, ws])
 
 
 def rationalize_gain(gain: GainFunction) -> tuple[GainFunction, int]:

@@ -6,11 +6,12 @@ paths must match bit for bit: distinct rows by sorting, tallies by
 ``np.add.at``, the k-NN scoring every (query, observable) pair, the
 lattice search's integer L1 shells built afresh in a sorting order of
 their own and its keys found by a sorted search alone, the data
-method's k-NN tallies from the expanded set, CDF inversion in the
-uniforms' own order, rationalization through an entry-to-value index, the
-location matrices evaluated on every cell pair, the channel method's pairs
-merged into a weighted set and the network's forward pass with fresh
-temporaries among them.
+pre-processing listed per (guess, secret, observable) through a dense
+matrix and then merged, the data method's k-NN tallies from that listing,
+CDF inversion in the uniforms' own order, rationalization through an
+entry-to-value index, the location matrices evaluated on every cell pair,
+the channel method's pairs merged into a weighted set and the network's
+forward pass with fresh temporaries among them.
 
 They are kept out of the package because no command, scenario or pipeline
 uses them.
@@ -57,7 +58,6 @@ from gleak.preprocess import (
     WeightedSampleSet,
     _renormalize,
     _split,
-    data_preprocess,
     rationalize_gain,
 )
 from gleak.rng import Stream
@@ -296,11 +296,11 @@ def reference_data_knn_train(
     train: SampleSet, gain: GainFunction, metric: DistanceMetric
 ) -> tuple[KnnClassifier, dict]:
     """The data method's k-NN fit on a drawn training set by the expansion:
-    rationalize the gain, expand the set by data pre-processing, then tally
-    the expanded entries per distinct observable.  Returns the classifier
-    and the fit's report details."""
+    rationalize the gain, expand the set into one entry per (w, x, y), then
+    tally the expanded entries per distinct observable.  Returns the
+    classifier and the fit's report details."""
     rational, scale = rationalize_gain(gain)
-    data = data_preprocess(train, rational)
+    data = reference_pair_expansion(train, rational)
     distinct, inverse = reference_unique_rows(data.ys, return_inverse=True)
     l, n_guesses = distinct.shape[0], data.guesses.size
     tallies = np.bincount(
@@ -328,9 +328,10 @@ def reference_frequentist_predictor(train: SampleSet, gain: GainFunction) -> Tab
     return TablePredictor(y_distinct, np.argmax(scores, axis=1), fallback)
 
 
-def reference_data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
-    """Data pre-processing through the dense (W, P) weight matrix: entries are
-    its non-zeros in row-major order, guess-major, then distinct pair."""
+def reference_pair_expansion(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
+    """Data pre-processing through the dense (W, P) weight matrix over the
+    distinct (x, y) pairs: one entry per (w, x, y), its non-zeros in
+    row-major order, guess-major, then distinct pair."""
     g_int = np.round(gain.matrix).astype(np.int64)
     combined = np.concatenate([train.xs[:, None], train.ys], axis=1)
     distinct, counts = reference_unique_rows(combined, return_counts=True)
@@ -341,6 +342,18 @@ def reference_data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedS
     if w_idx.size == 0:
         raise ValidationError("gain is zero on every sampled secret")
     return WeightedSampleSet(gain.guesses, w_idx, ys_d[p_idx], weights_full[w_idx, p_idx])
+
+
+def reference_data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
+    """The per-(w, x, y) entries of ``reference_pair_expansion`` merged per
+    (w, y), their weights summed: one entry per distinct [w | y] row, in
+    sorted order, guess-major and then observable."""
+    pairs = reference_pair_expansion(train, gain)
+    keyed = np.concatenate([pairs.ws[:, None], pairs.ys], axis=1)
+    merged, inverse = reference_unique_rows(keyed, return_inverse=True)
+    weights = np.zeros(merged.shape[0], dtype=np.int64)
+    np.add.at(weights, inverse, pairs.weights)
+    return WeightedSampleSet(gain.guesses, merged[:, 0], merged[:, 1:], weights)
 
 
 def reference_channel_sample(

@@ -2,7 +2,9 @@
 
 Every codec's observables are measured as its integer points, so equal
 distances tie exactly whatever the codec's float map; the 1-D run search is
-checked against inclusion sets counted in Python integers.  The query
+checked against inclusion sets counted in Python integers, and an index
+whose points or queries reach distances past float64's exact integers
+raises instead of answering.  The query
 kernels (a (q, l) distance buffer filled a dimension at a time, a
 sorted-point window for the 1-D metric and the integer L1 ball search)
 are checked against ``oracles.reference_knn_predict``, every (q, l)
@@ -189,10 +191,11 @@ class TestPrediction:
         [
             # repeated gaps of 1 to 3, so distances tie on both sides
             (np.cumsum([1, 2, 3, 1, 1, 3, 2, 2, 1] * 5) - 40, np.arange(-50, 51)),
-            # points at the bound of the run search, queries far past it
+            # points 2**53 apart, the most the index takes: q -/+ kth reaches
+            # 3 * 2**52, past float64's exact integers
             (
-                np.array([-(2**51), 1 - 2**51, -1, 0, 3, 2**51 - 2, 2**51]),
-                np.array([-(2**63), -(2**52), -(2**51), 1, 2, 2**51 - 1, 2**62, 2**63 - 1]),
+                np.array([-(2**52), 1 - 2**52, -1, 0, 3, 2**52 - 2, 2**52]),
+                np.array([-(2**52), -(2**51), 1, 2, 2**51 - 1, 2**52 - 1, 2**52]),
             ),
         ],
     )
@@ -211,15 +214,16 @@ class TestPrediction:
             got = model._run_votes(queries.astype(np.float64), k)
             np.testing.assert_array_equal(got, expected)
 
-    def test_points_past_the_run_bound_are_scored_in_blocks(self):
-        # one point past 2**51 and the run search is not built: every query
-        # takes the blocked (q, l) path, equal to the reference
-        points = np.array([[-5], [0], [2**51 + 1]])
-        model = knn_train(points, np.eye(3)[:, :2], scalar_metric())
-        assert model._sorted is None
-        queries = np.array([[-3], [1], [2**51], [2**52]])
-        np.testing.assert_array_equal(model.predict(queries), [0, 1, 0, 0])
+    def test_runs_at_the_exact_distance_bound(self):
+        # the index spans 2**53 - 2 and a query at -7 extends it to 2**53:
+        # the run search answers, equal to the reference
+        points = np.array([[-5], [0], [2**53 - 7]])
+        model = knn_train(points, np.eye(3), scalar_metric())
+        queries = np.array([[-3], [1], [2**52], [2**53 - 8], [-7], [2**53 - 7]])
+        np.testing.assert_array_equal(model.predict(queries), [0, 1, 2, 2, 0, 2])
         np.testing.assert_array_equal(model.predict(queries), reference_knn_predict(model, queries))
+        with pytest.raises(ValidationError, match="exact integers"):
+            model.predict(np.array([[-8]]))  # a span of 2**53 + 1
 
     @pytest.mark.parametrize("codec", [scalar_codec(0.1), scalar_codec(1 / 1599), scalar_codec()])
     def test_scalar_codecs_tie_exactly(self, codec):
@@ -244,6 +248,42 @@ class TestPrediction:
             with pytest.raises(ValidationError, match="integer points"):
                 KnnClassifier(np.full((1, width), 0.5), np.array([[1.0]]), 1, metric)
             KnnClassifier(np.full((1, width), -3.0), np.array([[1.0]]), 1, metric)
+
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [
+            # the squared distances a**2 and a**2 + 1, a = 225015001, round
+            # to one float
+            ("euclidean", [[225015001, 0], [225014999, 30001]]),
+            # the L1 distances 2**53 and 2**53 + 1 round to one float
+            ("manhattan", [[2**53, 0], [2**53 - 1, 2]]),
+        ],
+    )
+    def test_distances_past_exact_floats_raise(self, kind, rows):
+        # the exact nearest row of (0, 0) is the first, guess 0; with
+        # rounded distances both rows tie and the second's 5 votes won
+        metric = DistanceMetric(kind, tuple_codec(2, 1.0))
+        with pytest.raises(ValidationError, match="exact integers"):
+            model = knn_train(np.array(rows), np.array([[1.0, 0.0], [0.0, 5.0]]), metric)
+            assert model.k == 1
+            model.predict(np.array([[0, 0]]))
+
+    @pytest.mark.parametrize(
+        "kind, point, query",
+        [
+            ("absolute", [-2], [2**53 - 2]),
+            ("manhattan", [0, 0], [2**52, -(2**52)]),
+            ("euclidean", [0, 0], [2**26, 2**26]),  # squared: 2**52 + 2**52
+        ],
+    )
+    def test_queries_checked_at_the_exact_distance_bound(self, kind, point, query):
+        # a query at distance 2**53 from the one point is answered, one a
+        # unit farther raises; no coordinate reaches 2**53
+        codec = scalar_codec(1.0) if len(point) == 1 else tuple_codec(2, 1.0)
+        model = knn_train(np.array([point]), np.ones((1, 1)), DistanceMetric(kind, codec))
+        assert model.predict(np.array([query])).tolist() == [0]
+        with pytest.raises(ValidationError, match="exact integers"):
+            model.predict(np.array([query]) + np.eye(len(point), dtype=np.int64)[:1])
 
     def test_tallies_must_be_counts(self):
         metric = scalar_metric()
@@ -472,13 +512,14 @@ class TestLatticeSearch:
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_coordinates_at_the_exact_distance_bound_and_past_it(self, dim):
-        # l = 2 keeps the radius at 0, so |c| may reach 2**52 // dim
-        bound = 2**52 // dim
+        # l = 2 keeps the radius at 0, so the frame is the rows' box; at an
+        # L1 distance of 2**53 both rows are searched, one more raises
         tallies = [[1, 0], [0, 1]]
-        inside = [[0] * dim, [bound] + [0] * (dim - 1)]
-        past = [[0] * dim, [-bound - 1] + [0] * (dim - 1)]
+        far = [2**53 - 1] + [0] * (dim - 1)
+        inside = [[-1] + [0] * (dim - 1), far]
         assert_paths(manhattan_model(inside, tallies, 1), inside, lattice=2, blocked=0)
-        assert_paths(manhattan_model(past, tallies, 1), past, lattice=0, blocked=2)
+        with pytest.raises(ValidationError, match="exact integers"):
+            manhattan_model([[-2] + [0] * (dim - 1), far], tallies, 1)
 
     def test_every_codec_searches_its_integer_points(self):
         # the k-NN reads a codec's integer points, never its features: an

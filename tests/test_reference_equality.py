@@ -17,12 +17,12 @@ against the implementations they replaced (``oracles``), bit for bit.
 - ``core._inverse_cdf`` searches the targets in sorted order and scatters
   the indices back, instead of searching them in the uniforms' order.
 
-- ``data_preprocess`` lists the distinct (x, y) pairs from the set's count
-  table instead of taking the distinct rows of ``[x | y]``, and enumerates
-  each secret's positive-gain guesses instead of building the dense
-  (guess, distinct pair) weight matrix.  Its entries
-  must come out in that matrix's row-major order, guess-major and then
-  pair, because the MLP batch draw inverts the cumulative weights.
+- ``data_preprocess`` lists the positive cells of the (observable, guess)
+  table that the data method's k-NN takes, the set's count table times
+  G^T, instead of building the dense (guess, distinct (x, y) pair) weight
+  matrix and merging its entries per (guess, observable).  Its entries
+  must come out in the merged order, guess-major and then observable,
+  because the MLP batch draw inverts the cumulative weights.
 - ``Channel.sample`` inverts every row in one search instead of one mask
   per distinct secret.
 - ``mlp_train`` writes into buffers allocated once per call and updates one
@@ -101,6 +101,7 @@ from oracles import (
     reference_knn_predict,
     reference_knn_train,
     reference_mlp_train,
+    reference_pair_expansion,
     reference_predict_proba,
     reference_rationalize_gain,
     reference_sample_preprocessed_pairs,
@@ -153,12 +154,28 @@ def sparse_gain(gen, n_w, n_x, sampled):
     )
 
 
+def weight_per_pair(data):
+    """(w, y) -> the total weight of its entries."""
+    totals = {}
+    for w, y, weight in zip(data.ws.tolist(), data.ys.tolist(), data.weights.tolist()):
+        totals[w, tuple(y)] = totals.get((w, tuple(y)), 0) + weight
+    return totals
+
+
+def assert_same_preprocessing(train, gain):
+    """The fast path equals the merged reference, which holds every (w, y)
+    at the weight of its per-(w, x, y) entries."""
+    merged = reference_data_preprocess(train, gain)
+    assert_same_entries(data_preprocess(train, gain), merged)
+    pairs = reference_pair_expansion(train, gain)
+    assert weight_per_pair(pairs) == weight_per_pair(merged)
+    assert merged.size == len(weight_per_pair(pairs)) <= pairs.size
+
+
 class TestDataPreprocess:
     def test_scenarios(self, scenario):
         train, gain = scenario_training_set(scenario, 3000)
-        assert_same_entries(
-            data_preprocess(train, gain), reference_data_preprocess(train, gain)
-        )
+        assert_same_preprocessing(train, gain)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_sparse_random_gains(self, seed):
@@ -171,9 +188,7 @@ class TestDataPreprocess:
         ys = gen.integers(0, 4, size=(m, int(gen.integers(1, 3))))
         gain = sparse_gain(gen, n_w, n_x, np.unique(xs))
         train = SampleSet(gain.secrets, xs, ys)
-        assert_same_entries(
-            data_preprocess(train, gain), reference_data_preprocess(train, gain)
-        )
+        assert_same_preprocessing(train, gain)
 
     def test_zero_gain_on_every_sampled_secret(self):
         # the gain is positive, but only on a secret that was never sampled
@@ -182,7 +197,7 @@ class TestDataPreprocess:
             Alphabet.integers(2, "w"), secrets, [[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]]
         )
         train = SampleSet(secrets, np.array([0, 1, 1, 0]), np.arange(4)[:, None])
-        for preprocess in (data_preprocess, reference_data_preprocess):
+        for preprocess in (data_preprocess, reference_data_preprocess, reference_pair_expansion):
             with pytest.raises(ValidationError, match="zero on every sampled secret"):
                 preprocess(train, gain)
 

@@ -26,10 +26,13 @@ accumulates with ``np.add.at``: counts over integer keys are one
 in one place, ``core._count_table``; the data pre-processing expansion
 reads them from ``SampleSet.counts`` like the counting learners.
 
-Only the MLP and ``leak preprocess`` build the data pre-processing
-expansion; the counting learners train on counts.  ``fit`` builds it at one
-call for both methods, and ``data_preprocess`` is the only library code
-that constructs a ``WeightedSampleSet``.  The k-NN takes count tables, so
+The data pre-processing is one table, ``preprocess.data_table``: the data
+method's k-NN trains on it, and ``data_preprocess`` lists its positive
+cells for the MLP and ``leak preprocess``.  No other library function
+multiplies a count table by an integer gain; the frequentist's one product
+takes the original gain.  ``fit`` builds the weighted entries at one call
+for both methods, and ``data_preprocess`` is the only library code that
+constructs a ``WeightedSampleSet``.  The k-NN takes count tables, so
 ``gleak/knn.py`` imports nothing from the pre-processing module.
 
 The MLP has one forward pass, ``mlp._propagate``: training and prediction
@@ -287,7 +290,70 @@ def test_expansion_is_built_only_for_the_mlp_and_leak_preprocess():
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
     }
     assert "mlp_train" in called
-    assert not called & {"knn_train", "data_knn_train"}
+    assert not called & {"knn_train", "data_table"}
+
+
+def _function_defs(tree: ast.AST):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
+def _reads(node: ast.AST, attr: str) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == attr for n in ast.walk(node))
+
+
+def _multiplies_counts_by_a_gain(function: ast.FunctionDef) -> bool:
+    """A matrix product in ``function`` with a gain's ``.matrix`` on one
+    side, in a function that reads a ``.counts`` table."""
+    products = [
+        node
+        for node in ast.walk(function)
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, ast.Call) and any(
+            _is_numpy_call(node, name) for name in ("matmul", "dot", "einsum")
+        ))
+    ]
+    return _reads(function, "counts") and any(_reads(p, "matrix") for p in products)
+
+
+def test_one_data_preprocessing_table():
+    callers = sorted((path, scope) for path, scope, _ in _found(_is_name_call("data_table")))
+    assert callers == [("gleak/estimation.py", "fit"), ("gleak/preprocess.py", "data_preprocess")]
+    tree = ast.parse((SOURCE / "estimation.py").read_text())
+    (fit,) = [f for f in _function_defs(tree) if f.name == "fit"]
+    # fit's call is the data-method k-NN's training table: knn_train(*data_table(...), ...)
+    tables = [
+        call
+        for call in ast.walk(fit)
+        if isinstance(call, ast.Call) and _is_name_call("knn_train")(call)
+        for arg in call.args
+        if isinstance(arg, ast.Starred)
+        and isinstance(arg.value, ast.Call)
+        and _is_name_call("data_table")(arg.value)
+    ]
+    assert len(tables) == 1
+    products = sorted(
+        (str(path.relative_to(SOURCE.parent)), f.name)
+        for path in SOURCE.rglob("*.py")
+        for f in _function_defs(ast.parse(path.read_text()))
+        if _multiplies_counts_by_a_gain(f)
+    )
+    assert products == [
+        ("gleak/estimation.py", "frequentist_predictor"), ("gleak/preprocess.py", "data_table")
+    ]
+    # the frequentist multiplies by the gain ``fit`` was given, never rationalized
+    (call,) = [
+        call for call in ast.walk(fit)
+        if isinstance(call, ast.Call) and _is_name_call("frequentist_predictor")(call)
+    ]
+    assert [getattr(arg, "id", None) for arg in call.args] == ["train", "gain"]
+    assigned = {
+        target.id
+        for node in ast.walk(fit)
+        if isinstance(node, ast.Assign)
+        for target in ast.walk(node)
+        if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
+    }
+    assert "gain" not in assigned
 
 
 def test_weighted_sets_are_built_only_by_data_preprocess():
