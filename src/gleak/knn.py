@@ -290,7 +290,8 @@ class KnnClassifier:
         cols = np.ascontiguousarray(rows.T)  # reduced in one pass per dimension
         lows = np.minimum(self._box[0], cols.min(axis=1, initial=np.inf))
         highs = np.maximum(self._box[1], cols.max(axis=1, initial=-np.inf))
-        lo, hi, power = lows.tolist(), highs.tolist(), 2 if self.metric.kind == "euclidean" else 1
+        lo, hi = lows.tolist(), highs.tolist()
+        power = 2 if self.metric.kind == "euclidean" else 1
         _require(
             max(-min(lo), max(hi)) < EXACT_INTEGER
             and sum((int(b) - int(a)) ** power for a, b in zip(lo, hi)) <= EXACT_INTEGER,
