@@ -42,7 +42,7 @@ from .harness import (
 )
 from .knn import DistanceMetric
 from .mlp import MlpConfig
-from .preprocess import channel_preprocess, data_preprocess, rationalize_gain
+from .preprocess import channel_preprocess, data_table, rationalize_gain
 from .rng import stream
 from .scenarios import SCENARIO_NAMES, Scenario, build_scenario
 
@@ -194,18 +194,11 @@ def cmd_preprocess(args) -> int:
         gain = io.read_gain(args.gain)
         samples = io.read_samples(args.samples, gain.secrets)
         rational, scale = rationalize_gain(gain)
-        weighted = data_preprocess(samples, rational)
+        table = data_table(samples, rational)
         out_path = prefix.with_name(prefix.name + ".weighted.csv")
-        io.write_weighted(weighted, out_path)
-        _emit(
-            {
-                "entries": weighted.size,
-                "total_weight": weighted.total_weight,
-                "rationalize_scale": scale,
-                "file": str(out_path),
-            },
-            None,
-        )
+        entries = io.write_weighted(table, out_path)
+        payload = {"entries": entries, "total_weight": table.total_weight}
+        _emit({**payload, "rationalize_scale": scale, "file": str(out_path)}, None)
         return 0
     _require(args.prior and args.gain, "channel mode needs --prior and --gain")
     gain = io.read_gain(args.gain)
@@ -314,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out_directory(out: str | None) -> None:
-    """Refuse an output path whose directory is missing before any work runs."""
+    """Refuse an empty output path, or one in a missing directory, before any work."""
+    _require(out != "", "--out given an empty path, which names no file")
     if out and not Path(out).parent.exists():
         raise ValidationError(f"output directory {Path(out).parent} does not exist")
 

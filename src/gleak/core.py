@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ DENSE_SPAN_PER_ROW = 4
 DENSE_SPAN_SLACK = 4096
 # an estimate may leave the gain's range by this much, for rounding
 RANGE_SLACK = 1e-9
+EXACT_INTEGER = 2**53  # float64 holds every integer of magnitude up to this
 
 
 class ValidationError(ValueError):
@@ -50,6 +51,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.flags.writeable = False
     return out
+
+
+def _as_counts(tallies: np.ndarray, learner: str) -> np.ndarray:
+    """``tallies`` as float64, checked to be counts: non-negative integers
+    whose column totals are below 2**53, so every sum of them is exact."""
+    tallies = np.asarray(tallies, dtype=np.float64)
+    _require(
+        bool((tallies >= 0).all())
+        and bool((tallies == np.round(tallies)).all())
+        and bool((tallies.sum(axis=0) < EXACT_INTEGER).all()),
+        f"{learner} tallies must be non-negative integer counts below 2**53",
+    )
+    return tallies
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +284,21 @@ class SampleSet:
     def counts(self) -> tuple[np.ndarray, np.ndarray]:
         distinct, table = _count_table(self.ys, self.xs, self.secrets.size)
         return _freeze(distinct), _freeze(table)
+
+
+class PairTable(NamedTuple):
+    """(guess, observable) pairs as one table, which both learners train on:
+    the distinct observable rows and the (l, |guesses|) integer weight of
+    each pair, weight k standing for k copies of it."""
+
+    guesses: Alphabet
+    distinct: np.ndarray
+    tallies: np.ndarray
+
+    @property
+    def total_weight(self) -> int:
+        """The number of pairs: each guess's total, exact, summed."""
+        return sum(int(v) for v in self.tallies.sum(axis=0).tolist())
 
 
 # ---------------------------------------------------------------------------

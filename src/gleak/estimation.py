@@ -5,12 +5,11 @@ observable) data and evaluate it with the ORIGINAL gain on held-out
 (secret, observable) pairs — the scaling constants of the reductions are
 then implicit in the evaluation and never multiplied in explicitly.
 
-Both methods give their learners a ``SampleSet`` and an integer gain: the
-pi |> C samples and the rationalized gain, or the (w, y) pairs of tau |>
-RC and the identity.  Every learner reads the set's count table,
-``SampleSet.counts``, which one set counts once for all of them: the data
-method's k-NN as its data pre-processing table (``data_table``), the MLP
-as that table's positive cells (``data_preprocess``).
+Both learners train on one (guess, observable) table, ``PairTable``: the
+data pre-processing of the pi |> C samples under the rationalized gain
+(``data_table``), or the (w, y) pairs of tau |> RC with their count table
+as the weights.  Both tables read a set's count table, ``SampleSet.counts``,
+which one set counts once for all of its learners.
 """
 
 from __future__ import annotations
@@ -25,12 +24,12 @@ from .core import (
     Channel,
     GainFunction,
     GenerativeChannel,
+    PairTable,
     Prior,
     SampleSet,
     _freeze,
     _require,
     empirical_functional,
-    identity_gain,
     sample_joint,
     sample_prior,
 )
@@ -39,7 +38,6 @@ from .mlp import MlpConfig, mlp_train
 from .preprocess import (
     ChannelPreprocDerivation,
     channel_preprocess,
-    data_preprocess,
     data_table,
     rationalize_gain,
 )
@@ -138,22 +136,17 @@ def fit(
             "rationalize_scale": scale,
             "descale": "not needed: evaluation uses the original gain",
         }
-    if not knn:
-        # the channel method's pairs under the identity gain: their count table
-        integer_gain = rational if method == "data" else identity_gain(train.secrets)
-        data = data_preprocess(train, integer_gain)
-        del train  # a set drawn here goes, with its count table, before training
-        model = mlp_train(data, learner_config, learner_stream)
-        total = data.total_weight
-    elif method == "channel":
-        # each pair's weight is 1: the tallies are its (observable, guess) counts
-        model = knn_train(*train.counts, learner_config)
-    else:
-        model = knn_train(*data_table(train, rational), learner_config)
-        # each column sum is exact (KnnClassifier checks it is below 2**53)
-        total = sum(int(v) for v in model.tallies.sum(axis=0).tolist())
+    table = (
+        PairTable(train.secrets, *train.counts) if method == "channel"  # each pair weighs 1
+        else data_table(train, rational)
+    )
     if method == "data":
+        total = table.total_weight
         details.update(expanded_total_weight=total, expansion_factor=total / m)
+    model = (
+        knn_train(table.distinct, table.tallies, learner_config) if knn
+        else mlp_train(table, learner_config, learner_stream)
+    )
     return model, details
 
 

@@ -4,8 +4,8 @@ Channel file: first line ``|X| |Y|``, then |X| lines of |Y| decimals.
 Prior file: a single line of |X| decimals.
 Gain file: first line ``|W| |X|``, then |W| lines (original, unshifted units).
 SampleSet file (read): CSV lines ``x_label,y_encoding``.
-WeightedSampleSet file (written): CSV lines ``w_label,y_encoding,weight``,
-one per (guess, observable) pair, its weights merged.
+Weighted file (written): CSV lines ``w_label,y_encoding,weight``, one per
+positive cell of a (guess, observable) table, guess-major, then by row.
 
 Tuple observable encodings are serialized with ``|`` between components.
 Floats are written with repr, which round-trips exactly.
@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Alphabet, Channel, GainFunction, Prior, SampleSet, ValidationError
-from .preprocess import WeightedSampleSet
+from .core import Alphabet, Channel, GainFunction, PairTable, Prior, SampleSet, ValidationError
 
 ENCODING_RANGE = range(-(2**63), 2**63)  # an encoding component is an int64
 
@@ -40,8 +39,8 @@ def _read_matrix(path: Path, kind: str) -> np.ndarray:
     if not lines:
         raise ValidationError(f"{path}: empty {kind} file")
     header = lines[0].split()
-    if len(header) != 2 or not all(tok.isdigit() for tok in header):
-        raise ValidationError(f"{path}: expected '<rows> <cols>' header")
+    if len(header) != 2 or not all(tok.isdecimal() and int(tok) > 0 for tok in header):
+        raise ValidationError(f"{path}: expected a '<rows> <cols>' header of positive sizes")
     n_rows, n_cols = int(header[0]), int(header[1])
     if len(lines) != 1 + n_rows:
         raise ValidationError(f"{path}: expected {n_rows} matrix rows")
@@ -114,9 +113,12 @@ def read_samples(path: str | Path, secrets: Alphabet) -> SampleSet:
     return SampleSet(secrets, np.array(xs), np.array(ys))
 
 
-def write_weighted(weighted: WeightedSampleSet, path: str | Path) -> None:
+def write_weighted(table: PairTable, path: str | Path) -> int:
+    """Write the table's positive cells; returns how many."""
+    ws, rows = np.nonzero(table.tallies.T)  # guess-major, then row order
+    weights = table.tallies[rows, ws].tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        for w, y, wt in zip(weighted.ws, weighted.ys, weighted.weights):
-            encoding = "|".join(str(int(v)) for v in y)
-            writer.writerow([weighted.guesses.label(int(w)), encoding, int(wt)])
+        for w, y, wt in zip(ws.tolist(), table.distinct[rows].tolist(), weights):
+            writer.writerow([table.guesses.label(w), "|".join(map(str, y)), int(wt)])
+    return len(weights)

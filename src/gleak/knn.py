@@ -45,12 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _freeze, _key_frame, _KeyFrame, _require
+from .core import EXACT_INTEGER, _as_counts, _freeze, _key_frame, _KeyFrame, _require
 from .features import FeatureCodec
 
 METRIC_KINDS = ("absolute", "euclidean", "manhattan")
 QUERY_CHUNK = 32  # queries per (q, l) distance block: 1 MB at l = 4,000, in cache
-EXACT_INTEGER = 2**53  # float64 holds every integer of magnitude up to this
 # shell keys looked up per step of the lattice search: 256 kB of int64
 LATTICE_CANDIDATES = 2**15
 MAX_RADIUS = 16  # shells walked at most, which bounds a search's numpy calls
@@ -234,11 +233,10 @@ class KnnClassifier:
     """Immutable trained model: distinct-observable index + tallies.
 
     ``features`` are the codec's integer points, as floats.  ``tallies``
-    are counts, non-negative integers with each guess's total below 2**53,
-    kept as float64: every sum of them is exact whatever its order.  Under
-    the 1-D ``absolute`` metric the features are also kept sorted, with
-    prefix sums of their tallies; under ``manhattan`` over distinct integer
-    rows, their lattice keys.
+    are counts (``core._as_counts``), kept as float64.  Under the 1-D
+    ``absolute`` metric the features are also kept sorted, with prefix sums
+    of their tallies; under ``manhattan`` over distinct integer rows, their
+    lattice keys.
     """
 
     __slots__ = (
@@ -253,16 +251,10 @@ class KnnClassifier:
         metric: DistanceMetric,
     ) -> None:
         self.features = _freeze(features)
-        self.tallies = _freeze(np.asarray(tallies, dtype=np.float64))
+        self.tallies = _freeze(_as_counts(tallies, "k-NN"))
         self.k = k
         self.metric = metric
         self.n_guesses = tallies.shape[1]
-        _require(
-            bool((self.tallies >= 0).all())
-            and bool((self.tallies == np.round(self.tallies)).all())
-            and bool((self.tallies.sum(axis=0) < EXACT_INTEGER).all()),
-            "k-NN tallies must be non-negative integer counts below 2**53",
-        )
         _require(
             bool((self.features == np.trunc(self.features)).all()),
             "k-NN features must be integer points",

@@ -1,12 +1,14 @@
 """Feed-forward network trained from scratch for the Bayes-classifier step.
 
 Architecture: fully connected, rectifier hidden layers, softmax output,
-cross-entropy loss.  Mini-batches are drawn with probability proportional to
-entry weight by inverting the cumulative weight vector, which makes training
-on a weighted set bitwise-identical to training on the physically expanded
-multiset with the same stream.  Parameters update with mini-batch gradient
-descent using first/second-moment adaptive scaling (decay 0.9/0.999,
-epsilon 1e-8) — the paper-silent optimizer choice, flagged in reports.
+cross-entropy loss.  It trains on a (guess, observable) table,
+``core.PairTable``, drawing mini-batches with probability proportional to
+weight by inverting the cumulative weights of its positive cells, read
+guess-major and then by observable: bitwise the same as training on the
+expanded multiset listed in that order, with the same stream.  Parameters
+update with mini-batch gradient descent using first/second-moment adaptive
+scaling (decay 0.9/0.999, epsilon 1e-8) — the paper-silent optimizer
+choice, flagged in reports.
 Training and prediction run one forward pass, ``_propagate``.
 """
 
@@ -17,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, _freeze, _require
+from .core import NumericalError, PairTable, _as_counts, _freeze, _require
 from .features import FeatureCodec
-from .preprocess import WeightedSampleSet
 from .rng import Stream
 
 ADAM_BETA1 = 0.9
@@ -163,15 +164,15 @@ class MlpClassifier:
         return np.argmax(self.predict_proba(ys), axis=1)
 
 
-def mlp_train(
-    data: WeightedSampleSet, config: MlpConfig, stream: Stream
-) -> MlpClassifier:
-    """Train on a weighted sample set; deterministic given the stream."""
-    x_all = config.codec.encode(data.ys)
-    labels_all = data.ws
-    cum_weights = np.cumsum(data.weights)
+def mlp_train(data: PairTable, config: MlpConfig, stream: Stream) -> MlpClassifier:
+    """Train on a (guess, observable) table; deterministic given the stream."""
+    tallies = _as_counts(data.tallies, "MLP")
+    labels_all, rows = np.nonzero(tallies.T)  # guess-major, then row order
+    _require(labels_all.size > 0, "MLP tallies hold no positive weight")
+    x_all = config.codec.encode(data.distinct)[rows]  # the codec maps rows one by one
+    cum_weights = np.cumsum(tallies[rows, labels_all].astype(np.int64))
     total = int(cum_weights[-1])
-    layer_sizes = (config.codec.dim, *config.hidden, data.guesses.size)
+    layer_sizes = (config.codec.dim, *config.hidden, tallies.shape[1])
     gen = stream.gen
     net = _Network(layer_sizes, config.batch_size, gen)
     params, grads = net.params, net.grads

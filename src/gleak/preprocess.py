@@ -3,9 +3,9 @@
 Data pre-processing turns a set of (secret, observable) samples into a
 weighted multiset of (guess, observable) pairs: each (x, y) contributes
 g(w, x) copies of (w, y) for every guess w, held as one table of the total
-weight of each (observable, guess) pair.  Training a Bayes classifier on
-the expanded set and evaluating it with the original gain on held-out (x, y)
-pairs estimates the posterior g-vulnerability.
+weight of each (observable, guess) pair, ``data_table``.  Either learner
+trains a Bayes classifier on that table; evaluating it with the original
+gain on held-out (x, y) pairs estimates the posterior g-vulnerability.
 
 Channel pre-processing instead builds, from the prior and the gain alone, a
 scalar beta, a prior tau over guesses and a channel R from guesses to
@@ -25,56 +25,16 @@ from .core import (
     Alphabet,
     Channel,
     GainFunction,
+    PairTable,
     Prior,
     SampleSet,
     ValidationError,
-    _freeze,
     _require,
 )
 
 SNAP_DENOMINATOR = 10**6
 SNAP_TOL = 1e-9
 EXPANSION_CAP = 10**6
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedSampleSet:
-    """Multiset of (guess, observable, weight) entries.
-
-    Weight k is semantically identical to k physical copies of the pair;
-    consumers (MLP batch sampling, ``leak preprocess`` output) must honor
-    that equivalence.  ``data_preprocess`` builds every such set.
-    """
-
-    guesses: Alphabet
-    ws: np.ndarray
-    ys: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        ws = np.asarray(self.ws, dtype=np.int64)
-        ys = np.asarray(self.ys, dtype=np.int64)
-        weights = np.asarray(self.weights, dtype=np.int64)
-        _require(ws.ndim == 1, "ws must be one-dimensional")
-        _require(ys.ndim == 2 and ys.shape[0] == ws.shape[0], "ys shape mismatch")
-        _require(weights.shape == ws.shape, "weights shape mismatch")
-        _require(ws.size > 0, "weighted sample set is empty")
-        _require(bool((weights >= 1).all()), "weights must be >= 1")
-        _require(
-            0 <= int(ws.min()) and int(ws.max()) < self.guesses.size,
-            "guess index out of range",
-        )
-        object.__setattr__(self, "ws", _freeze(ws))
-        object.__setattr__(self, "ys", _freeze(ys))
-        object.__setattr__(self, "weights", _freeze(weights))
-
-    @property
-    def size(self) -> int:
-        return int(self.ws.shape[0])
-
-    @property
-    def total_weight(self) -> int:
-        return int(self.weights.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,18 +46,18 @@ class ChannelPreprocDerivation:
     R: Channel
 
 
-def data_table(train: SampleSet, gain: GainFunction) -> tuple[np.ndarray, np.ndarray]:
+def data_table(train: SampleSet, gain: GainFunction) -> PairTable:
     """The data pre-processing of ``train`` under an integer gain, as one
-    table: the distinct observables y and the (l, W) weights
-    sum_x n(x, y) g(w, x) of each (observable, guess) pair, in float64.
+    table over ``gain.guesses``: the distinct observables y and the (l, W)
+    weights sum_x n(x, y) g(w, x), in float64.
 
     The weights are the set's (l, X) table of secret counts n,
     ``train.counts``, times G^T: non-negative integers, exact in any
     summation order below 2**53, which a cell passes only past 9 * 10**9
-    samples at entries up to ``EXPANSION_CAP`` (the k-NN checks its column
-    totals).  An observable seen only with zero-gain secrets is not in the
-    expansion: its all-zero row is dropped.  Raises if the stored gain
-    entries are not integers (rationalize first).
+    samples at entries up to ``EXPANSION_CAP`` (both learners check their
+    column totals).  An observable seen only with zero-gain secrets is not
+    in the expansion: its all-zero row is dropped.  Raises if the stored
+    gain entries are not integers (rationalize first).
     """
     _require(train.size > 0, "training set is empty")
     if not gain.is_integer_valued():
@@ -112,18 +72,7 @@ def data_table(train: SampleSet, gain: GainFunction) -> tuple[np.ndarray, np.nda
         raise ValidationError("gain is zero on every sampled secret")
     if not seen.all():  # otherwise no copy: the set keeps its count table meanwhile
         distinct, tallies = distinct[seen], tallies[seen]
-    return distinct, tallies
-
-
-def data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
-    """The positive cells of ``data_table``: one entry of weight
-    sum_x n(x, y) g(w, x) per (guess, observable) pair, guess-major and
-    then in the order of the distinct observables.  The MLP batch draw
-    depends on that order.
-    """
-    distinct, tallies = data_table(train, gain)
-    ws, rows = np.nonzero(tallies.T)
-    return WeightedSampleSet(gain.guesses, ws, distinct[rows], tallies[rows, ws])
+    return PairTable(gain.guesses, distinct, tallies)
 
 
 def rationalize_gain(gain: GainFunction) -> tuple[GainFunction, int]:

@@ -10,8 +10,11 @@ pre-processing listed per (guess, secret, observable) through a dense
 matrix and then merged, the data method's k-NN tallies from that listing,
 CDF inversion in the uniforms' own order, rationalization through an
 entry-to-value index, the location matrices evaluated on every cell pair,
-the channel method's pairs merged into a weighted set and the network's
-forward pass with fresh temporaries among them.
+the channel method's pairs merged into weighted entries and the network's
+forward pass with fresh temporaries among them.  The references take
+plain weighted entries (``Entries``); ``table_entries`` lists a
+(guess, observable) table's positive cells in the order the MLP reads them
+and ``expanded_entries`` writes each entry of weight k as k copies.
 
 They are kept out of the package because no command, scenario or pipeline
 uses them.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from gleak.core import (
     Channel,
     GainFunction,
     NumericalError,
+    PairTable,
     Prior,
     SampleSet,
     ValidationError,
@@ -55,13 +60,51 @@ from gleak.preprocess import (
     ChannelPreprocDerivation,
     SNAP_DENOMINATOR,
     SNAP_TOL,
-    WeightedSampleSet,
     _renormalize,
     _split,
     rationalize_gain,
 )
 from gleak.rng import Stream
 from gleak.scenarios.location import ALPHA, CELL_M, GAMMA, GRID_SIDE
+
+
+class Entries(NamedTuple):
+    """(guess, observable, weight) entries over ``guesses``, unchecked: entry
+    i is ``weights[i]`` copies of the pair (``ws[i]``, ``ys[i]``)."""
+
+    guesses: Alphabet
+    ws: np.ndarray
+    ys: np.ndarray
+    weights: np.ndarray
+
+
+def table_entries(table: PairTable) -> Entries:
+    """The positive cells of a (guess, observable) table, in the order the
+    MLP's batch draw and ``leak preprocess`` read them: guess-major, then in
+    the order of the table's distinct observables; int64 weights."""
+    ws, rows = np.nonzero(np.asarray(table.tallies).T)
+    weights = np.asarray(table.tallies)[rows, ws].astype(np.int64)
+    return Entries(table.guesses, ws, np.asarray(table.distinct)[rows], weights)
+
+
+def entries_table(entries: Entries) -> PairTable:
+    """The (guess, observable) table of weighted entries: their weights
+    summed per pair, over their distinct observables in sorted order."""
+    distinct, inverse = reference_unique_rows(np.asarray(entries.ys), return_inverse=True)
+    tallies = np.zeros((distinct.shape[0], entries.guesses.size))
+    np.add.at(tallies, (inverse, np.asarray(entries.ws)), np.asarray(entries.weights))
+    return PairTable(entries.guesses, distinct, tallies)
+
+
+def expanded_entries(entries: Entries) -> Entries:
+    """Each entry of weight k as k physical copies of weight 1, in order."""
+    ones = np.ones(int(entries.weights.sum()), dtype=np.int64)
+    return Entries(
+        entries.guesses,
+        np.repeat(entries.ws, entries.weights),
+        np.repeat(entries.ys, entries.weights, axis=0),
+        ones,
+    )
 
 
 def fixed_strategy(mapping) -> TablePredictor:
@@ -269,8 +312,8 @@ def reference_inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def reference_sample_preprocessed_pairs(
     deriv: ChannelPreprocDerivation, channel, m: int, stream: Stream
-) -> WeightedSampleSet:
-    """The channel method's training pairs as a weighted set: m draws
+) -> Entries:
+    """The channel method's training pairs as weighted entries: m draws
     w ~ tau, x ~ R[w], y ~ C[x], with duplicate (w, y) pairs merged into
     weights."""
     _require(m >= 1, "m must be >= 1")
@@ -280,10 +323,10 @@ def reference_sample_preprocessed_pairs(
     ys = channel.sample(xs, gen)
     combined = np.concatenate([ws[:, None], ys], axis=1)
     distinct, counts = reference_unique_rows(combined, return_counts=True)
-    return WeightedSampleSet(deriv.tau.alphabet, distinct[:, 0], distinct[:, 1:], counts)
+    return Entries(deriv.tau.alphabet, distinct[:, 0], distinct[:, 1:], counts)
 
 
-def reference_knn_train(data: WeightedSampleSet, metric: DistanceMetric) -> KnnClassifier:
+def reference_knn_train(data: Entries, metric: DistanceMetric) -> KnnClassifier:
     """The k-NN index with its tallies accumulated one entry at a time."""
     distinct, inverse = reference_unique_rows(data.ys, return_inverse=True)
     l = distinct.shape[0]
@@ -310,8 +353,8 @@ def reference_data_knn_train(
     details = {
         "rationalize_scale": scale,
         "descale": "not needed: evaluation uses the original gain",
-        "expanded_total_weight": data.total_weight,
-        "expansion_factor": data.total_weight / train.size,
+        "expanded_total_weight": int(data.weights.sum()),
+        "expansion_factor": int(data.weights.sum()) / train.size,
     }
     return KnnClassifier(features, tallies, k_for(l), metric), details
 
@@ -328,7 +371,7 @@ def reference_frequentist_predictor(train: SampleSet, gain: GainFunction) -> Tab
     return TablePredictor(y_distinct, np.argmax(scores, axis=1), fallback)
 
 
-def reference_pair_expansion(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
+def reference_pair_expansion(train: SampleSet, gain: GainFunction) -> Entries:
     """Data pre-processing through the dense (W, P) weight matrix over the
     distinct (x, y) pairs: one entry per (w, x, y), its non-zeros in
     row-major order, guess-major, then distinct pair."""
@@ -341,10 +384,10 @@ def reference_pair_expansion(train: SampleSet, gain: GainFunction) -> WeightedSa
     w_idx, p_idx = np.nonzero(weights_full)
     if w_idx.size == 0:
         raise ValidationError("gain is zero on every sampled secret")
-    return WeightedSampleSet(gain.guesses, w_idx, ys_d[p_idx], weights_full[w_idx, p_idx])
+    return Entries(gain.guesses, w_idx, ys_d[p_idx], weights_full[w_idx, p_idx])
 
 
-def reference_data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedSampleSet:
+def reference_data_preprocess(train: SampleSet, gain: GainFunction) -> Entries:
     """The per-(w, x, y) entries of ``reference_pair_expansion`` merged per
     (w, y), their weights summed: one entry per distinct [w | y] row, in
     sorted order, guess-major and then observable."""
@@ -353,7 +396,7 @@ def reference_data_preprocess(train: SampleSet, gain: GainFunction) -> WeightedS
     merged, inverse = reference_unique_rows(keyed, return_inverse=True)
     weights = np.zeros(merged.shape[0], dtype=np.int64)
     np.add.at(weights, inverse, pairs.weights)
-    return WeightedSampleSet(gain.guesses, merged[:, 0], merged[:, 1:], weights)
+    return Entries(gain.guesses, merged[:, 0], merged[:, 1:], weights)
 
 
 def reference_channel_sample(
@@ -465,7 +508,7 @@ def _reference_loss_and_grads(weights, biases, x, labels):
 
 
 def reference_mlp_train(
-    data: WeightedSampleSet, config: MlpConfig, stream: Stream
+    data: Entries, config: MlpConfig, stream: Stream
 ) -> MlpClassifier:
     """The training loop with per-layer arrays, fresh temporaries every step
     and a per-array optimizer update."""

@@ -27,6 +27,7 @@ from oracles import (
 from gleak import Alphabet
 from gleak.cli import main
 from gleak.core import (
+    PairTable,
     _count_table,
     empirical_functional,
     identity_gain,
@@ -37,7 +38,7 @@ from gleak.estimation import sample_preprocessed_pairs
 from gleak.features import scalar_codec
 from gleak.io import read_channel, write_channel, write_prior
 from gleak.knn import DistanceMetric, KnnClassifier, k_for, knn_train
-from gleak.preprocess import channel_preprocess, data_preprocess
+from gleak.preprocess import channel_preprocess, data_table
 from gleak.rng import stream
 from gleak.scenarios import build_scenario
 from gleak.scenarios.password import DELAY_NU, KNOWN_PREFIX, TOTAL_BITS, reduced_channel
@@ -266,16 +267,16 @@ def test_criterion_7_partition_gain_coincidence():
     train = sample_joint(
         (scenario.prior, scenario.channel), count, stream(7, "acceptance/pw/data")
     )
-    weighted = data_preprocess(train, scenario.gain)
+    weighted = data_table(train, scenario.gain)
     pairs = sample_preprocessed_pairs(
         channel_preprocess(scenario.prior, scenario.gain), scenario.channel, count,
         stream(7, "acceptance/pw/chan"),
     )
-    pairs = data_preprocess(pairs, identity_gain(pairs.secrets))  # weight 1 per pair
+    pairs = PairTable(pairs.secrets, *pairs.counts)  # weight 1 per pair
 
-    def histogram(sample_set):
+    def histogram(table):
         h = np.zeros((2, 129))
-        np.add.at(h, (sample_set.ws, sample_set.ys[:, 0]), sample_set.weights)
+        h[:, table.distinct[:, 0]] = table.tallies.T
         return h / h.sum()
 
     tv = 0.5 * np.abs(histogram(weighted) - histogram(pairs)).sum()

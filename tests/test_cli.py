@@ -24,7 +24,6 @@ from gleak.io import (
     read_samples,
     write_channel,
     write_prior,
-    write_weighted,
 )
 from gleak.preprocess import rationalize_gain
 from oracles import reference_data_preprocess
@@ -65,6 +64,15 @@ def run_json(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def weighted_csv(entries) -> bytes:
+    """Weighted entries as ``leak preprocess`` lines, ended as ``csv`` ends them."""
+    rows = zip(entries.ws.tolist(), entries.ys.tolist(), entries.weights.tolist())
+    return "".join(
+        f"{entries.guesses.label(w)},{'|'.join(map(str, y))},{weight}\r\n"
+        for w, y, weight in rows
+    ).encode()
 
 
 def declared_script(name):
@@ -697,12 +705,33 @@ class TestPreprocess:
              "--gain", str(assets / "gain.txt"), "--out", str(prefix)],
         )
         gain, _ = rationalize_gain(read_gain(assets / "gain.txt"))
-        expected = tmp_path / "expected.csv"
-        write_weighted(
-            reference_data_preprocess(read_samples(samples, gain.secrets), gain), expected
+        reference = reference_data_preprocess(read_samples(samples, gain.secrets), gain)
+        expected = weighted_csv(reference)
+        assert Path(payload["file"]).read_bytes() == expected
+        assert f"w0,{hi}|{lo},2" in expected.decode().splitlines()
+
+    @pytest.mark.parametrize("header", ["0 0", "0 3"])
+    @pytest.mark.parametrize(
+        "mode, given",
+        [("data", ("--samples", "samples.csv")), ("channel", ("--prior", "prior.txt"))],
+    )
+    def test_gain_with_a_zero_dimension_rejected(
+        self, capsys, assets, tmp_path, mode, given, header
+    ):
+        gain = tmp_path / "g.txt"
+        gain.write_text(f"{header}\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        flag, name = given
+        code, out, err = run_cli(
+            capsys,
+            ["preprocess", "--mode", mode, flag, str(assets / name), "--gain", str(gain),
+             "--out", str(out_dir / "p")],
         )
-        assert Path(payload["file"]).read_bytes() == expected.read_bytes()
-        assert f"w0,{hi}|{lo},2" in expected.read_text().splitlines()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {gain}: expected a '<rows> <cols>' header of positive sizes\n"
+        assert list(out_dir.iterdir()) == []
 
     def test_channel_mode_needs_prior_and_gain(self, capsys, assets, tmp_path):
         code, _, err = run_cli(
@@ -735,7 +764,8 @@ class TestPreprocess:
 
 
 class TestMissingOutputDirectory:
-    """An --out whose directory is missing is refused before any work runs."""
+    """An --out that is empty, or whose directory is missing, is refused
+    before any work runs."""
 
     @pytest.fixture
     def never_called(self, monkeypatch):
@@ -765,6 +795,30 @@ class TestMissingOutputDirectory:
         code, out, err = run_cli(capsys, argv + ["--out", str(missing / "run")])
         assert code == 2
         assert err == f"error: output directory {missing} does not exist\n"
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "multi-guess", "--methods", "frequentist", "--learners", "knn"],
+            ["estimate", "--scenario", "multi-guess", "--m", "300", "--n", "300"],
+            ["exact", "--scenario", "multi-guess"],
+            ["bounds", "--m", "100", "--n", "100", "--sigma2", "0.1", "--range", "0", "1",
+             "--hypotheses", "10", "--epsilon", "0.1", "--delta", "0.05", "--split", "0.025"],
+            ["preprocess", "--mode", "data", "--samples", "{assets}/samples.csv",
+             "--gain", "{assets}/gain.txt"],
+            ["preprocess", "--mode", "channel", "--prior", "{assets}/prior.txt",
+             "--gain", "{assets}/gain.txt"],
+        ],
+        ids=["scenario", "estimate", "exact", "bounds", "preprocess-data", "preprocess-channel"],
+    )
+    def test_empty_out_refused(self, capsys, assets, tmp_path, monkeypatch, never_called, argv):
+        monkeypatch.chdir(tmp_path)
+        argv = [arg.format(assets=assets) for arg in argv]
+        code, out, err = run_cli(capsys, argv + ["--out", ""])
+        assert code == 2
+        assert err == "error: --out given an empty path, which names no file\n"
         assert out == ""
         assert not list(tmp_path.iterdir())
 

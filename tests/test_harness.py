@@ -381,7 +381,7 @@ class TestSharedTrainingSets:
     def test_mlp_expansion_reads_the_count_table(self, monkeypatch):
         # with kNN and MLP learners, each pi |> C set takes its distinct rows
         # once, for the one count table every model on it reads; the MLP is
-        # stubbed, but its data pre-processing runs
+        # stubbed, but the data table it takes is built
         calls, real = [], core._unique_rows
 
         def spy(a, *args, **kwargs):
@@ -394,7 +394,7 @@ class TestSharedTrainingSets:
         monkeypatch.setattr(
             estimation,
             "mlp_train",
-            lambda data, config, source: TablePredictor(data.ys[:1], data.ws[:1], 0),
+            lambda data, config, source: TablePredictor(data.distinct[:1], [0], 0),
         )
         run_trial_matrix(tiny_config(learners=("knn", "mlp")))
         # the validation sets' union once, then each training set once

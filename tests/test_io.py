@@ -31,7 +31,8 @@ from gleak.io import (
     write_prior,
     write_weighted,
 )
-from gleak.preprocess import data_preprocess
+from gleak.preprocess import data_table
+from oracles import table_entries
 
 
 class TestPriorFormat:
@@ -80,6 +81,14 @@ class TestChannelFormat:
         with pytest.raises(ValidationError, match="header"):
             read_channel(path)
 
+    def test_superscript_digit_header_names_the_file(self, tmp_path):
+        # "²" is a digit to str.isdigit but not to int()
+        path = tmp_path / "chan.txt"
+        path.write_text("\u00b2 2\n0.5 0.5\n0.5 0.5\n")
+        with pytest.raises(ValidationError, match="header") as err:
+            read_channel(path)
+        assert str(path) in str(err.value)
+
     def test_row_count_checked(self, tmp_path):
         path = tmp_path / "chan.txt"
         path.write_text("2 2\n0.5 0.5\n")
@@ -123,6 +132,15 @@ class TestGainFormat:
         path.write_text("2 3\n1 0 0\n0 1\n")
         with pytest.raises(ValidationError, match="width"):
             read_gain(path)
+
+    @pytest.mark.parametrize("reader", [read_gain, read_channel])
+    @pytest.mark.parametrize("header", ["0 0", "0 3", "2 0"])
+    def test_zero_dimension_rejected(self, tmp_path, reader, header):
+        path = tmp_path / "matrix.txt"
+        path.write_text(f"{header}\n")
+        with pytest.raises(ValidationError, match="header of positive sizes") as err:
+            reader(path)
+        assert str(path) in str(err.value)
 
 
 class TestSampleFormat:
@@ -209,14 +227,15 @@ class TestWeightedFormat:
         prior, channel = two_secret_example
         gain = identity_gain(prior.alphabet)
         samples = sample_joint((prior, channel), 300, stream(1, "t/io/w"))
-        return data_preprocess(samples, gain), gain
+        return data_table(samples, gain), gain
 
     def test_round_trip(self, tmp_path, two_secret_example):
-        weighted, gain = self.make_weighted(two_secret_example)
+        table, gain = self.make_weighted(two_secret_example)
         path = tmp_path / "weighted.csv"
-        write_weighted(weighted, path)
+        write_weighted(table, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
+        weighted = table_entries(table)
         assert [gain.guesses.index(row[0]) for row in rows] == weighted.ws.tolist()
         assert [[int(row[1])] for row in rows] == weighted.ys.tolist()
         assert [int(row[2]) for row in rows] == weighted.weights.tolist()

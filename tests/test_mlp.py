@@ -3,20 +3,30 @@
 import numpy as np
 import pytest
 
-from gleak import Alphabet, MlpConfig, ValidationError, scalar_codec, stream
+from gleak import Alphabet, DistanceMetric, MlpConfig, ValidationError, scalar_codec, stream
+from gleak.core import PairTable
 from gleak.features import grid_codec, tuple_codec
+from gleak.knn import knn_train
 from gleak.mlp import MlpClassifier, TrainingDiverged, _Network, mlp_train
-from gleak.preprocess import WeightedSampleSet
-from oracles import gradient_check
+from oracles import (
+    Entries,
+    entries_table,
+    expanded_entries,
+    gradient_check,
+    reference_mlp_train,
+    table_entries,
+)
 
 
 def make_weighted(ws, ys, weights, n_guesses):
-    return WeightedSampleSet(
-        Alphabet.integers(n_guesses, "w"),
-        np.asarray(ws),
-        np.asarray(ys),
-        np.asarray(weights),
-    )
+    """The (guess, observable) table of the entries, weights summed per pair."""
+    guesses = Alphabet.integers(n_guesses, "w")
+    return entries_table(Entries(guesses, np.asarray(ws), np.asarray(ys), np.asarray(weights)))
+
+
+def assert_same_weights(a, b):
+    for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
+        np.testing.assert_array_equal(wa, wb)
 
 
 def separable_data(n_per_class=30):
@@ -91,36 +101,38 @@ class TestTraining:
         )
 
     def test_weighted_equals_expanded_multiset_bitwise(self):
+        # a pair of weight k trains as k physical copies of it: the table
+        # against the reference loop on the expansion, every weight 1
         gen = np.random.default_rng(17)
         ws = gen.integers(0, 3, size=25)
         ys = gen.integers(0, 40, size=(25, 1))
         weights = gen.integers(1, 6, size=25)
-        compact = make_weighted(ws, ys, weights, 3)
-        expanded = make_weighted(
-            np.repeat(ws, weights),
-            np.repeat(ys, weights, axis=0),
-            np.ones(int(weights.sum()), dtype=int),
-            3,
-        )
+        table = make_weighted(ws, ys, weights, 3)
+        listing = expanded_entries(table_entries(table))
+        assert listing.weights.size == table.total_weight == int(weights.sum())
         config = MlpConfig(scalar_codec(0.025), (8,), 1e-3, epochs=4, batch_size=10)
-        a = mlp_train(compact, config, stream(3, "t/weq"))
-        b = mlp_train(expanded, config, stream(3, "t/weq"))
-        for wa, wb in zip(a.weights, b.weights):
-            np.testing.assert_array_equal(wa, wb)
-        for ba, bb in zip(a.biases, b.biases):
-            np.testing.assert_array_equal(ba, bb)
+        assert_same_weights(
+            mlp_train(table, config, stream(3, "t/weq")),
+            reference_mlp_train(listing, config, stream(3, "t/weq")),
+        )
 
     def test_weight_equivalence_requires_sorted_expansion_order(self):
         # the equivalence relies on cumulative-weight inversion: entry order
-        # changes the draw mapping, so a permuted expansion must use the
-        # matching order; this documents the contract rather than luck
+        # changes the draw mapping, so the expansion must list the cells
+        # guess-major, then by observable; this documents the contract
+        # rather than luck
         data = make_weighted([0, 1], [[0], [50]], [3, 1], 2)
         config = MlpConfig(scalar_codec(0.02), (4,), 1e-3, epochs=2, batch_size=4)
         a = mlp_train(data, config, stream(1, "t/order"))
-        expanded = make_weighted([0, 0, 0, 1], [[0], [0], [0], [50]], [1, 1, 1, 1], 2)
-        b = mlp_train(expanded, config, stream(1, "t/order"))
-        for wa, wb in zip(a.weights, b.weights):
-            np.testing.assert_array_equal(wa, wb)
+
+        def listing(ws, ys):
+            return Entries(data.guesses, np.array(ws), np.array(ys)[:, None], np.ones(4, int))
+
+        expanded = listing([0, 0, 0, 1], [0, 0, 0, 50])
+        assert_same_weights(a, reference_mlp_train(expanded, config, stream(1, "t/order")))
+        permuted = listing([1, 0, 0, 0], [50, 0, 0, 0])
+        b = reference_mlp_train(permuted, config, stream(1, "t/order"))
+        assert any(not np.array_equal(wa, wb) for wa, wb in zip(a.weights, b.weights))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_raises_with_epoch(self):
@@ -178,6 +190,32 @@ class TestTraining:
         proba = model.predict_proba(np.arange(0, 100, 7)[:, None])
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-6)
         assert (proba >= 0).all()
+
+    @pytest.mark.parametrize(
+        "tallies",
+        [
+            [[0.5, 0.0], [0.0, 1.0]],  # int64 would truncate the half weight
+            [[1.0, 0.0], [0.0, -1.0]],
+            [[2.0**53, 0.0], [0.0, 1.0]],  # a guess's total past float64's integers
+            [[1.0, np.nan], [0.0, 1.0]],
+        ],
+    )
+    @pytest.mark.parametrize("learner", ["k-NN", "MLP"])
+    def test_both_learners_take_only_counts(self, tallies, learner):
+        table = PairTable(Alphabet.integers(2, "w"), np.array([[0], [5]]), np.array(tallies))
+        with pytest.raises(ValidationError, match=f"{learner} tallies must be non-negative"):
+            if learner == "MLP":
+                config = MlpConfig(scalar_codec(0.1), (4,), epochs=1, batch_size=2)
+                mlp_train(table, config, stream(0, "t/counts"))
+            else:
+                metric = DistanceMetric("absolute", scalar_codec())
+                knn_train(table.distinct, table.tallies, metric)
+
+    def test_table_without_weight_rejected(self):
+        table = PairTable(Alphabet.integers(2, "w"), np.array([[0], [5]]), np.zeros((2, 2)))
+        config = MlpConfig(scalar_codec(0.1), (4,), epochs=1, batch_size=2)
+        with pytest.raises(ValidationError, match="no positive weight"):
+            mlp_train(table, config, stream(0, "t/empty"))
 
     def test_config_validation(self):
         codec = scalar_codec(1.0)

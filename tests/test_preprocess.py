@@ -22,15 +22,14 @@ from gleak.io import read_gain
 from gleak.preprocess import (
     SNAP_DENOMINATOR,
     SNAP_TOL,
-    WeightedSampleSet,
     channel_preprocess,
-    data_preprocess,
+    data_table,
     rationalize_gain,
 )
 from gleak.scenarios import build_scenario
 from gleak.scenarios.multi_guess import two_tries_gain
 from conftest import random_channel, random_gain, random_prior
-from oracles import compose, ideal_derivation, reference_rationalize_gain
+from oracles import compose, ideal_derivation, reference_rationalize_gain, table_entries
 
 
 def random_instance(gen, max_size=8, max_gain=5):
@@ -42,13 +41,18 @@ def random_instance(gen, max_size=8, max_gain=5):
     return prior, channel, gain
 
 
+def positive_cells(train, gain):
+    """The positive cells of the data pre-processing table, as entries."""
+    return table_entries(data_table(train, gain))
+
+
 class TestDataPreprocess:
     def test_single_sample_two_tries_hand_example(self):
         X = Alphabet.integers(3)
         gain = two_tries_gain(3, 2)
         train = SampleSet(X, np.array([0]), np.array([[5]]))
-        weighted = data_preprocess(train, gain)
-        assert weighted.total_weight == 2
+        assert data_table(train, gain).total_weight == 2
+        weighted = positive_cells(train, gain)
         got = sorted(
             (gain.guesses.label(int(w)), int(y), int(u))
             for w, y, u in zip(weighted.ws, weighted.ys[:, 0], weighted.weights)
@@ -61,8 +65,8 @@ class TestDataPreprocess:
         xs = gen.integers(0, 4, size=200)
         ys = gen.integers(0, 6, size=(200, 1))
         train = SampleSet(X, xs, ys)
-        weighted = data_preprocess(train, identity_gain(X))
-        assert weighted.total_weight == 200
+        assert data_table(train, identity_gain(X)).total_weight == 200
+        weighted = positive_cells(train, identity_gain(X))
         # every (w, y) weight equals the multiplicity of (x=w, y)
         for w, y, u in zip(weighted.ws, weighted.ys[:, 0], weighted.weights):
             assert int(u) == int(((xs == w) & (ys[:, 0] == y)).sum())
@@ -74,16 +78,15 @@ class TestDataPreprocess:
             train = sample_joint(
                 (prior, channel), 300, stream(int(gen.integers(1 << 30)), "t")
             )
-            weighted = data_preprocess(train, gain)
             g = gain.matrix.astype(np.int64)
             expected = int(g.sum(axis=0)[train.xs].sum())
-            assert weighted.total_weight == expected
+            assert data_table(train, gain).total_weight == expected
 
     def test_equivalent_to_physical_duplication(self):
         gen = np.random.default_rng(7)
         prior, channel, gain = random_instance(gen, max_size=4)
         train = sample_joint((prior, channel), 150, stream(1, "t/dup"))
-        weighted = data_preprocess(train, gain)
+        weighted = positive_cells(train, gain)
         g = gain.matrix.astype(np.int64)
         expanded = []
         for x, y in zip(train.xs, train.ys[:, 0]):
@@ -105,12 +108,7 @@ class TestDataPreprocess:
         train = SampleSet(X, np.array([0]), np.array([[0]]))
         frac = GainFunction(X, X, np.array([[0.5, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValidationError, match="rationalize"):
-            data_preprocess(train, frac)
-
-    def test_weighted_sample_set_validation(self):
-        W = Alphabet.integers(2, "w")
-        with pytest.raises(ValidationError):
-            WeightedSampleSet(W, np.array([0]), np.array([[0]]), np.array([0]))
+            data_table(train, frac)
 
 
 class TestRationalizeGain:
@@ -403,7 +401,7 @@ class TestEmpiricalIdealConsistency:
         prior, channel, gain = random_instance(gen, max_size=5)
         deriv = ideal_derivation(prior, channel, gain)
         train = sample_joint((prior, channel), 100_000, stream(12, "t/tv"))
-        weighted = data_preprocess(train, gain)
+        weighted = positive_cells(train, gain)
         empirical = np.zeros_like(deriv.U)
         np.add.at(
             empirical,

@@ -11,18 +11,17 @@ against the implementations they replaced (``oracles``), bit for bit.
   training set times the rationalized gain, instead of the tallies of its
   data pre-processing expansion.
 - The channel method's (w, y) pairs are a ``SampleSet``, not pairs merged
-  into a weighted set: their data pre-processing under the identity gain
-  is the merged set, and their channel k-NN tallies are their
-  (observable, guess) count table.
+  into weighted entries: both learners take their (observable, guess)
+  count table, whose positive cells are the merged entries.
 - ``core._inverse_cdf`` searches the targets in sorted order and scatters
   the indices back, instead of searching them in the uniforms' order.
 
-- ``data_preprocess`` lists the positive cells of the (observable, guess)
-  table that the data method's k-NN takes, the set's count table times
-  G^T, instead of building the dense (guess, distinct (x, y) pair) weight
-  matrix and merging its entries per (guess, observable).  Its entries
-  must come out in the merged order, guess-major and then observable,
-  because the MLP batch draw inverts the cumulative weights.
+- ``data_table`` is the (observable, guess) table that both learners
+  take, the set's count table times G^T, instead of the dense (guess,
+  distinct (x, y) pair) weight matrix with its entries merged per (guess,
+  observable).  Its positive cells, read guess-major and then by
+  observable as the MLP batch draw reads them, must come out in the merged
+  order, because the draw inverts their cumulative weights.
 - ``Channel.sample`` inverts every row in one search instead of one mask
   per distinct secret.
 - ``mlp_train`` writes into buffers allocated once per call and updates one
@@ -50,7 +49,6 @@ from gleak import (
     GainFunction,
     MlpConfig,
     Prior,
-    identity_gain,
     SampleSet,
     ValidationError,
     posterior_vulnerability,
@@ -62,6 +60,7 @@ from gleak.core import (
     DENSE_SPAN_PER_ROW,
     DENSE_SPAN_SLACK,
     KEY_LIMIT,
+    PairTable,
     _count_table,
     _inverse_cdf,
     _unique_rows,
@@ -74,9 +73,8 @@ from gleak.mlp import MlpClassifier, mlp_train
 from gleak.preprocess import (
     EXPANSION_CAP,
     SNAP_TOL,
-    WeightedSampleSet,
     channel_preprocess,
-    data_preprocess,
+    data_table,
     rationalize_gain,
 )
 from gleak.scenarios import build_scenario
@@ -90,6 +88,8 @@ from gleak.scenarios.location import (
     grid_geometric_mechanism,
 )
 from oracles import (
+    Entries,
+    entries_table,
     reference_center_distances,
     reference_channel_sample,
     reference_data_knn_train,
@@ -106,6 +106,7 @@ from oracles import (
     reference_rationalize_gain,
     reference_sample_preprocessed_pairs,
     reference_unique_rows,
+    table_entries,
 )
 
 SCENARIOS = ("multi-guess", "location", "dp", "password")
@@ -166,10 +167,13 @@ def assert_same_preprocessing(train, gain):
     """The fast path equals the merged reference, which holds every (w, y)
     at the weight of its per-(w, x, y) entries."""
     merged = reference_data_preprocess(train, gain)
-    assert_same_entries(data_preprocess(train, gain), merged)
+    table = data_table(train, gain)
+    assert table.tallies.dtype == np.float64 and table.guesses == gain.guesses
+    assert_same_entries(table_entries(table), merged)
+    assert table.total_weight == int(merged.weights.sum())
     pairs = reference_pair_expansion(train, gain)
     assert weight_per_pair(pairs) == weight_per_pair(merged)
-    assert merged.size == len(weight_per_pair(pairs)) <= pairs.size
+    assert merged.ws.size == len(weight_per_pair(pairs)) <= pairs.ws.size
 
 
 class TestDataPreprocess:
@@ -197,7 +201,7 @@ class TestDataPreprocess:
             Alphabet.integers(2, "w"), secrets, [[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]]
         )
         train = SampleSet(secrets, np.array([0, 1, 1, 0]), np.arange(4)[:, None])
-        for preprocess in (data_preprocess, reference_data_preprocess, reference_pair_expansion):
+        for preprocess in (data_table, reference_data_preprocess, reference_pair_expansion):
             with pytest.raises(ValidationError, match="zero on every sampled secret"):
                 preprocess(train, gain)
 
@@ -264,11 +268,11 @@ class TestChannelSample:
 class TestMlpTrain:
     def test_scenarios(self, scenario):
         train, gain = scenario_training_set(scenario, 1500)
-        data = data_preprocess(train, gain)
+        table = data_table(train, gain)
         config = MlpConfig(scenario.metric.codec, (12, 7), epochs=2, batch_size=64)
         assert_same_network(
-            mlp_train(data, config, stream(5, "t/ref/mlp")),
-            reference_mlp_train(data, config, stream(5, "t/ref/mlp")),
+            mlp_train(table, config, stream(5, "t/ref/mlp")),
+            reference_mlp_train(table_entries(table), config, stream(5, "t/ref/mlp")),
         )
 
     @pytest.mark.parametrize("seed", range(8))
@@ -279,18 +283,18 @@ class TestMlpTrain:
         n_w = int(gen.integers(2, 9))
         n = int(gen.integers(5, 60))
         codec = scalar_codec(0.1) if dim == 1 else tuple_codec(dim, 0.1)
-        data = WeightedSampleSet(
+        table = entries_table(Entries(
             Alphabet.integers(n_w, "w"),
             gen.integers(0, n_w, size=n),
             gen.integers(-20, 20, size=(n, dim)),
             gen.integers(1, 6, size=n),
-        )
+        ))
         config = MlpConfig(
             codec, hidden, learning_rate=1e-2, epochs=3, batch_size=int(gen.integers(1, 40))
         )
         assert_same_network(
-            mlp_train(data, config, stream(seed, "t/ref/arch")),
-            reference_mlp_train(data, config, stream(seed, "t/ref/arch")),
+            mlp_train(table, config, stream(seed, "t/ref/arch")),
+            reference_mlp_train(table_entries(table), config, stream(seed, "t/ref/arch")),
         )
 
 
@@ -484,7 +488,7 @@ def fit_channel(scenario, m, config, learner_stream=None):
 
 
 def reference_pairs(scenario, m):
-    """The pairs ``fit_channel`` draws, merged into a weighted set."""
+    """The pairs ``fit_channel`` draws, merged into weighted entries."""
     deriv = channel_preprocess(scenario.prior, scenario.gain)
     return reference_sample_preprocessed_pairs(deriv, scenario.channel, m, stream(0, "t/ref/pairs"))
 
@@ -495,8 +499,8 @@ class TestChannelPairs:
         deriv = channel_preprocess(scenario.prior, scenario.gain)
         pairs = sample_preprocessed_pairs(deriv, scenario.channel, m, stream(0, "t/ref/pairs"))
         assert pairs.secrets == deriv.tau.alphabet and pairs.size == m
-        expanded = data_preprocess(pairs, identity_gain(pairs.secrets))
-        assert_same_entries(expanded, reference_pairs(scenario, m))
+        table = PairTable(pairs.secrets, *pairs.counts)  # the table ``fit`` trains on
+        assert_same_entries(table_entries(table), reference_pairs(scenario, m))
 
     @pytest.mark.parametrize("m", [2000, 10000])
     def test_knn_fit(self, scenario, m):
@@ -528,7 +532,7 @@ class TestTallies:
         n = 1 if seed % 8 == 5 else int(gen.integers(2, 500))
         n_w = int(gen.integers(1, 9))
         ys = gen.integers(-30, 30, size=(n, width)) * int(gen.choice([1, 10**7]))
-        data = WeightedSampleSet(
+        data = Entries(
             Alphabet.integers(n_w, "w"),
             gen.integers(0, n_w, size=n),
             ys,

@@ -15,7 +15,7 @@ from gleak import (
     sample_joint,
     stream,
 )
-from gleak.preprocess import channel_preprocess, data_preprocess
+from gleak.preprocess import channel_preprocess, data_table
 from gleak.scenarios import SCENARIO_NAMES, build_scenario, geometric_lambda
 from oracles import enumerate_strategies_vulnerability
 from gleak.scenarios import dp
@@ -413,8 +413,7 @@ class TestDpScenario:
         scenario = build_scenario("dp")
         prior, channel, gain = scenario.prior, scenario.channel, scenario.gain
         train = sample_joint((prior, channel), 2000, stream(2, "t/dp/exp"))
-        weighted = data_preprocess(train, gain)
-        assert weighted.total_weight == 2 * train.size
+        assert data_table(train, gain).total_weight == 2 * train.size
 
     def test_build_scenario_codec(self):
         scenario = build_scenario("dp")

@@ -26,14 +26,13 @@ accumulates with ``np.add.at``: counts over integer keys are one
 in one place, ``core._count_table``; the data pre-processing expansion
 reads them from ``SampleSet.counts`` like the counting learners.
 
-The data pre-processing is one table, ``preprocess.data_table``: the data
-method's k-NN trains on it, and ``data_preprocess`` lists its positive
-cells for the MLP and ``leak preprocess``.  No other library function
+The data pre-processing is one table, ``preprocess.data_table``, built
+only by ``fit`` and ``leak preprocess``.  No other library function
 multiplies a count table by an integer gain; the frequentist's one product
-takes the original gain.  ``fit`` builds the weighted entries at one call
-for both methods, and ``data_preprocess`` is the only library code that
-constructs a ``WeightedSampleSet``.  The k-NN takes count tables, so
-``gleak/knn.py`` imports nothing from the pre-processing module.
+takes the original gain.  ``fit`` assigns one (guess, observable) table,
+the data table or the channel method's count table, and trains either
+learner on it.  Both learners take tables, so neither ``gleak/knn.py`` nor
+``gleak/mlp.py`` imports the pre-processing module.
 
 The MLP has one forward pass, ``mlp._propagate``: training and prediction
 both run it, and no other function computes a log-softmax.
@@ -261,36 +260,38 @@ def test_observable_label_counts_are_taken_in_one_place():
     assert callers == [("gleak/core.py", "_count_table"), ("gleak/core.py", "_distinct_rows")]
 
 
-def test_expansion_is_built_only_for_the_mlp_and_leak_preprocess():
-    found = sorted((path, scope) for path, scope, _ in _found(_is_name_call("data_preprocess")))
+def test_data_table_is_built_only_by_fit_and_leak_preprocess():
+    found = sorted((path, scope) for path, scope, _ in _found(_is_name_call("data_table")))
     assert found == [("gleak/cli.py", "cmd_preprocess"), ("gleak/estimation.py", "fit")]
+
+
+def _fit() -> ast.FunctionDef:
     tree = ast.parse((SOURCE / "estimation.py").read_text())
-    fit = next(
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "fit"
-    )
-    # the innermost if-branch that expands (ast.walk is breadth-first, so
-    # the last found) also trains the MLP, and no k-NN
-    branches = [
-        branch
+    (fit,) = [f for f in _function_defs(tree) if f.name == "fit"]
+    return fit
+
+
+def test_both_learners_train_on_one_table():
+    fit = _fit()
+    assigned = [
+        target.id
         for node in ast.walk(fit)
-        if isinstance(node, ast.If)
-        for branch in (node.body, node.orelse)
-        if any(
-            _is_name_call("data_preprocess")(call)
-            for stmt in branch
-            for call in ast.walk(stmt)
-            if isinstance(call, ast.Call)
-        )
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
     ]
-    assert branches, "fit calls data_preprocess outside any branch"
-    called = {
-        call.func.id
-        for stmt in branches[-1]
-        for call in ast.walk(stmt)
-        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-    }
-    assert "mlp_train" in called
-    assert not called & {"knn_train", "data_table"}
+    assert assigned.count("table") == 1 and assigned.count("model") == 1
+    # each learner is called once, and every argument it takes from the
+    # training data is read off the one table
+    for learner in ("knn_train", "mlp_train"):
+        (call,) = [
+            c for c in ast.walk(fit) if isinstance(c, ast.Call) and _is_name_call(learner)(c)
+        ]
+        names = {n.id for arg in call.args for n in ast.walk(arg) if isinstance(n, ast.Name)}
+        assert "table" in names and not names & {"train", "data", "counts"}, (learner, names)
+    called = {c.func.id for c in ast.walk(fit) if isinstance(c, ast.Call)
+              and isinstance(c.func, ast.Name)}
+    assert "identity_gain" not in called
 
 
 def _function_defs(tree: ast.AST):
@@ -316,21 +317,7 @@ def _multiplies_counts_by_a_gain(function: ast.FunctionDef) -> bool:
 
 
 def test_one_data_preprocessing_table():
-    callers = sorted((path, scope) for path, scope, _ in _found(_is_name_call("data_table")))
-    assert callers == [("gleak/estimation.py", "fit"), ("gleak/preprocess.py", "data_preprocess")]
-    tree = ast.parse((SOURCE / "estimation.py").read_text())
-    (fit,) = [f for f in _function_defs(tree) if f.name == "fit"]
-    # fit's call is the data-method k-NN's training table: knn_train(*data_table(...), ...)
-    tables = [
-        call
-        for call in ast.walk(fit)
-        if isinstance(call, ast.Call) and _is_name_call("knn_train")(call)
-        for arg in call.args
-        if isinstance(arg, ast.Starred)
-        and isinstance(arg.value, ast.Call)
-        and _is_name_call("data_table")(arg.value)
-    ]
-    assert len(tables) == 1
+    fit = _fit()
     products = sorted(
         (str(path.relative_to(SOURCE.parent)), f.name)
         for path in SOURCE.rglob("*.py")
@@ -356,19 +343,24 @@ def test_one_data_preprocessing_table():
     assert "gain" not in assigned
 
 
-def test_weighted_sets_are_built_only_by_data_preprocess():
-    found = [(path, scope) for path, scope, _ in _found(_is_name_call("WeightedSampleSet"))]
-    assert found == [("gleak/preprocess.py", "data_preprocess")]
-
-
-def test_knn_takes_no_preprocessed_input():
-    tree = ast.parse((SOURCE / "knn.py").read_text())
+def _imports(name: str) -> set[str]:
+    tree = ast.parse((SOURCE / name).read_text())
     modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             modules.add("." * node.level + (node.module or ""))
         elif isinstance(node, ast.Import):
             modules.update(alias.name for alias in node.names)
+    return modules
+
+
+def test_knn_takes_no_preprocessed_input():
+    modules = _imports("knn.py")
+    assert not modules & {".preprocess", "gleak.preprocess"}, sorted(modules)
+
+
+def test_mlp_takes_no_preprocessed_input():
+    modules = _imports("mlp.py")
     assert not modules & {".preprocess", "gleak.preprocess"}, sorted(modules)
 
 
