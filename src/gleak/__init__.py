@@ -10,7 +10,6 @@ The names exported here are the library surface that README "Library use"
 documents; everything else is imported from its submodule.
 """
 
-from .bounds import plugin_sigma2
 from .core import (
     Alphabet,
     Channel,
@@ -23,6 +22,7 @@ from .core import (
     empirical_functional,
     identity_gain,
     leakage,
+    plugin_sigma2,
     posterior_vulnerability,
     prior_vulnerability,
     sample_joint,

@@ -13,19 +13,13 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-from .core import NumericalError, _pair_gains, _require
+from .core import NumericalError, _require
 
 _SQRT_PI = math.sqrt(math.pi)
 
 
 def _clip01(p: float) -> float:
     return min(1.0, max(0.0, p))
-
-
-def plugin_sigma2(predictor, validation, gain) -> float:
-    """Plug-in variance of g(f(y), x) for a fixed predictor on held-out
-    pairs: the mean squared deviation, dividing by n (ddof 0)."""
-    return float((_pair_gains(predictor, [validation], gain)[0] - gain.shift).var())
 
 
 @dataclass(frozen=True)
@@ -37,7 +31,8 @@ class BoundInputs:
     (finite) hypothesis-class size |H| and must be supplied by the caller;
     for learners over huge observable spaces the resulting bounds are
     documented as vacuous rather than silently truncated.  The closed forms
-    are evaluated in floating point, so |H| may not exceed the largest float.
+    are evaluated in floating point, so |H| may not exceed the largest float,
+    and every real input must be finite.
     """
 
     m: int
@@ -51,6 +46,10 @@ class BoundInputs:
 
     def __post_init__(self) -> None:
         a, b = self.range
+        reals = (("sigma2", self.sigma2), ("range", a), ("range", b), ("epsilon", self.epsilon),
+                 ("delta", self.delta), ("split", self.split))
+        for name, value in reals:
+            _require(math.isfinite(value), f"{name} must be finite, got {value!r}")
         _require(self.m >= 1 and self.n >= 1, "m and n must be >= 1")
         _require(self.sigma2 > 0, "sigma2 must be positive")
         _require(b > a, "range must satisfy a < b")

@@ -19,7 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-from .bounds import BoundInputs, bound_report
 from .core import (
     NumericalError,
     ValidationError,
@@ -168,6 +167,8 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import BoundInputs, bound_report  # only leak bounds pays for the calculators
+
     _require(args.delta <= 1, f"--delta is a failure probability, must be <= 1, got {args.delta}")
     inputs = BoundInputs(
         m=args.m,

@@ -525,6 +525,13 @@ def _pair_gains(
     return [gain.matrix[guesses[inv], s.xs] for inv, s in zip(inverses, sets)]
 
 
+def plugin_sigma2(predictor, validation: SampleSet, gain: GainFunction) -> float:
+    """Plug-in variance of g(f(y), x) for a fixed predictor on held-out
+    pairs: the mean squared deviation, dividing by n (ddof 0).  It is the
+    variance proxy that the bounds of ``gleak.bounds`` take."""
+    return float((_pair_gains(predictor, [validation], gain)[0] - gain.shift).var())
+
+
 def _check_range(estimate: float, gain: GainFunction) -> None:
     a, b = gain.range
     if not a - RANGE_SLACK <= estimate <= b + RANGE_SLACK:

@@ -14,6 +14,7 @@ validation sets before the next fit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -331,6 +332,27 @@ def run_trial_matrix(
     return metrics, rows
 
 
+def _quartiles(values: np.ndarray) -> list[float]:
+    """Min, q1, median, q3 and max of NaN-free values, bit for bit as
+    ``np.quantile(values, [0, .25, .5, .75, 1])`` returns them.
+
+    This is numpy's "linear" method written out: the virtual index
+    (n - 1) q, the index -1 for one at or past the last value, and numpy's
+    ``_lerp``, which interpolates from above when the weight t >= 0.5.
+    ``np.quantile`` imports ``numpy.ma`` (about 16 ms per process); this does not.
+    """
+    ordered = np.sort(values, axis=None).tolist()
+    last = len(ordered) - 1
+    out = []
+    for q in (0.0, 0.25, 0.5, 0.75, 1.0):
+        index = last * q
+        below = -1 if index >= last else math.floor(index)
+        a, b = ordered[below], ordered[-1 if below == -1 else below + 1]
+        t, diff = index - below, b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
+
+
 def emit_reports(
     metrics: list[MetricsReport],
     rows: list[TrialRow],
@@ -365,10 +387,9 @@ def emit_reports(
 
     box_lines = ["scenario,method,learner,m,min,q1,median,q3,max"]
     for report in metrics:
-        q = np.quantile(report.deltas.ravel(), [0.0, 0.25, 0.5, 0.75, 1.0])
         box_lines.append(
             f"{report.scenario},{report.method},{report.learner},{report.m},"
-            + ",".join(repr(float(v)) for v in q)
+            + ",".join(repr(v) for v in _quartiles(report.deltas))
         )
     boxplot_path.write_text("\n".join(box_lines) + "\n")
     return [summary_path, trials_path, boxplot_path]

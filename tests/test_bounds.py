@@ -172,6 +172,20 @@ class TestBoundInputs:
         with pytest.raises(ValidationError, match="failure probability"):
             inputs(delta=delta, split=split)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma2", math.nan),
+        ("range", (0.0, math.inf)),
+        ("range", (-math.inf, 1.0)),
+        ("range", (math.nan, 1.0)),
+        ("epsilon", math.inf),
+        ("epsilon", math.nan),
+        ("delta", -math.inf),
+        ("split", math.nan),
+    ])
+    def test_non_finite_rejection(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+            inputs(**{field: value})
+
     def test_popoviciu_rejection(self):
         with pytest.raises(ValidationError, match="Popoviciu"):
             inputs(sigma2=0.3)  # > (1-0)^2/4

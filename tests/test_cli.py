@@ -586,6 +586,24 @@ class TestBounds:
         assert out == ""
         assert err.startswith("error:") and "--delta" in err
 
+    @pytest.mark.parametrize("flag, values", [
+        ("--range", ["0", "inf"]),
+        ("--range", ["nan", "1"]),
+        ("--epsilon", ["inf"]),
+        ("--sigma2", ["nan"]),
+        ("--split", ["nan"]),
+    ])
+    def test_non_finite_input_rejected(self, capsys, flag, values):
+        # an infinite range end or epsilon reached math.ceil as inf or NaN:
+        # exit 3 or 2 with a conversion message that named no flag
+        argv = self.base()
+        at = argv.index(flag) + 1
+        argv[at:at + len(values)] = values
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"{flag[2:]} must be finite" in err
+
     def test_oversized_hypothesis_count_rejected(self, capsys):
         # |H| beyond the largest float is an input the closed forms cannot
         # take: a validation error naming the limit, exit 2

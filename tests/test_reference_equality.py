@@ -31,6 +31,11 @@ against the implementations they replaced (``oracles``), bit for bit.
   buffers sized to its queries, instead of a pass of fresh temporaries.
 - ``rationalize_gain`` scales the whole matrix with ``rint(G * K)`` instead
   of gathering the scaled distinct values through an inverse index.
+- ``preprocess._distinct_values`` sorts a gain's entries and masks each
+  that equals the one before it, instead of ``np.unique``, and
+  ``harness._quartiles`` interpolates the sorted deltas as numpy's "linear"
+  method does, instead of ``np.quantile``: both numpy calls import
+  ``numpy.ma``.
 - The location gain and mechanism are evaluated once per (row, column)
   offset and gathered, instead of on every cell pair.
 - The k-NN's blocked path sums, per block of queries, the tallies of the
@@ -67,12 +72,14 @@ from gleak.core import (
     sample_prior,
 )
 from gleak.estimation import fit, frequentist_predictor, sample_preprocessed_pairs
+from gleak.harness import PROFILES, _quartiles
 from gleak.features import tuple_codec
 from gleak.knn import EXACT_INTEGER, MAX_RADIUS, DistanceMetric, KnnClassifier, knn_train
 from gleak.mlp import MlpClassifier, mlp_train
 from gleak.preprocess import (
     EXPANSION_CAP,
     SNAP_TOL,
+    _distinct_values,
     channel_preprocess,
     data_table,
     rationalize_gain,
@@ -865,7 +872,62 @@ class TestRationalizeGain:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np, "unique", spy_unique)
             rationalize_gain(scenario.gain)
-        assert calls and not any(kwargs.get("return_inverse") for kwargs in calls)
+        assert not calls  # np.unique is not called at all, with or without an inverse
+
+
+def assert_same_distinct(matrix):
+    fast, reference = _distinct_values(matrix), np.unique(matrix)
+    assert fast.dtype == reference.dtype and fast.shape == reference.shape
+    assert fast.tobytes() == reference.tobytes()
+
+
+class TestDistinctValues:
+    def test_scenarios(self, scenario):
+        assert_same_distinct(scenario.gain.matrix)
+
+    def test_file_gain_of_halves_and_thirds(self):
+        assert_same_distinct(
+            np.array([
+                [1.0, 0.5, 0.0, 0.3333333333333333],
+                [0.0, 0.0, 0.0, 0.0],
+                [0.5, 1.0, 0.6666666666666666, 0.25],
+            ])
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_gains_with_repeated_entries(self, seed):
+        gen = np.random.default_rng(900 + seed)
+        shape = tuple(int(d) for d in gen.integers(1, 30, size=2))
+        denominators = gen.choice([1, 2, 3, 7, 10], size=2)
+        assert_same_distinct(random_rational(gen, shape, denominators))
+
+    def test_single_entry_signed_zeros_and_one_value(self):
+        for values in ([[0.75]], [[0.0, -0.0, 1.0]], [[-0.0, 0.0, 1.0]], np.full((4, 5), 2.5)):
+            assert_same_distinct(np.array(values))
+
+
+def assert_same_quartiles(values):
+    reference = np.quantile(values.ravel(), [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.array(_quartiles(values)).tobytes() == reference.tobytes()
+
+
+class TestQuartiles:
+    def test_sizes_one_to_three_hundred(self):
+        gen = np.random.default_rng(950)
+        for n in range(1, 301):
+            assert_same_quartiles(np.abs(gen.standard_normal(n)))  # distinct values
+            assert_same_quartiles(gen.integers(0, 3, n) / 3)  # ties
+            # magnitudes far apart, where the two lerp branches round differently
+            assert_same_quartiles(gen.random(n) * 10.0 ** gen.integers(-12, 13, n))
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_trial_matrix_shapes(self, profile, seed):
+        gen = np.random.default_rng(960 + seed)
+        shape = (PROFILES[profile].num_train_sets, PROFILES[profile].num_valid_sets)
+        assert_same_quartiles(np.abs(gen.standard_normal(shape)) * 0.02)
+        assert_same_quartiles(gen.integers(0, 4, shape) / 7)
+        assert_same_quartiles(np.zeros(shape))
 
 
 LOCATION_SHAPES = ((1, 1), (2, 3), (5, 7), (7, 5), (13, 4), (GRID_SIDE, GRID_SIDE))

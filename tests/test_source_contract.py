@@ -50,7 +50,11 @@ run search holds no loop: the two sorted searches of q -/+ kth are exact.
 A ``leak`` process imports only what its command runs: a built-in
 scenario's estimate loads no thread pool (``leak scenario --workers`` above
 1 does), no file formats (file inputs and ``leak preprocess`` do) and no
-other scenario's module.
+other scenario's module.  No estimate or trial matrix loads the bound
+calculators, ``gleak.bounds`` (``leak bounds`` does), or ``numpy.ma``:
+library code calls no ``np.quantile``, ``np.percentile`` or ``np.median``
+and no ``np.unique`` without a ``return_*`` flag, each of which imports
+``numpy.ma`` (about 16 ms of a process's start).
 """
 
 import ast
@@ -416,28 +420,52 @@ def test_knn_measures_integer_points_one_way():
     assert not [node for node in ast.walk(run) if isinstance(node, loops) and node is not run]
 
 
+def _imports_numpy_ma(call: ast.Call) -> bool:
+    """``np.quantile``, ``np.percentile``, ``np.median``, or ``np.unique``
+    with no ``return_*`` flag: numpy 2.4 imports ``numpy.ma`` in each."""
+    flagged = any((keyword.arg or "").startswith("return_") for keyword in call.keywords)
+    return any(_is_numpy_call(call, name) for name in ("quantile", "percentile", "median")) or (
+        _is_numpy_call(call, "unique") and not flagged and len(call.args) == 1
+    )
+
+
+def test_no_numpy_call_that_imports_numpy_ma():
+    found = [f"{path}:{line} in {scope}" for path, scope, line in _found(_imports_numpy_ma)]
+    assert not found, "numpy call that imports numpy.ma: " + ", ".join(found)
+
+
 _STARTUP = """
 import contextlib, io, json, sys
 import gleak, gleak.cli, gleak.harness
 from gleak.scenarios import build_scenario
 
 build_scenario("dp")
-argv = ["estimate", "--scenario", "dp", "--method", "frequentist", "--m", "500", "--n", "500"]
 with contextlib.redirect_stdout(io.StringIO()):
-    code = gleak.cli.main(argv)
+    code = gleak.cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
-def test_an_estimate_imports_only_what_it_runs():
+def _modules_after(argv: list[str]) -> set[str]:
+    """The modules a fresh process holds after ``leak <argv>`` exits 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCE.parent), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP], capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, "-c", _STARTUP, json.dumps(argv)],
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0
+    return set(result["modules"])
+
+
+_ESTIMATE = ["estimate", "--scenario", "dp", "--m", "500", "--n", "500"]
+_LOADED_ON_DEMAND = {"numpy.ma", "gleak.bounds"}
+
+
+def test_an_estimate_imports_only_what_it_runs():
+    modules = _modules_after([*_ESTIMATE, "--method", "frequentist"])
     unused = {
         "concurrent.futures",
         "csv",
@@ -446,5 +474,27 @@ def test_an_estimate_imports_only_what_it_runs():
         "gleak.scenarios.multi_guess",
         "gleak.scenarios.password",
     }
-    assert not unused & set(result["modules"]), sorted(unused & set(result["modules"]))
-    assert "gleak.scenarios.dp" in result["modules"]
+    assert not unused & modules, sorted(unused & modules)
+    assert "gleak.scenarios.dp" in modules
+
+
+def test_a_data_estimate_loads_neither_numpy_ma_nor_the_bounds():
+    loaded = _LOADED_ON_DEMAND & _modules_after([*_ESTIMATE, "--method", "data"])
+    assert not loaded, sorted(loaded)
+
+
+def test_a_trial_matrix_loads_neither_numpy_ma_nor_the_bounds(tmp_path):
+    loaded = _LOADED_ON_DEMAND & _modules_after([
+        "scenario", "dp", "--methods", "data,frequentist", "--learners", "knn",
+        "--sizes", "200", "--train-sets", "1", "--valid-sets", "2", "--valid-size", "200",
+        "--out", str(tmp_path / "dp"),
+    ])
+    assert not loaded, sorted(loaded)
+    assert (tmp_path / "dp.boxplot.csv").read_text().count("\n") == 3  # emit_reports ran
+
+
+def test_leak_bounds_loads_the_bounds():
+    assert "gleak.bounds" in _modules_after([
+        "bounds", "--m", "10", "--n", "10", "--sigma2", "0.1", "--range", "0", "1",
+        "--hypotheses", "1", "--epsilon", "0.1", "--delta", "0.05", "--split", "0.025",
+    ])
