@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -295,6 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bnd.add_argument("--split", type=float, required=True)
     p_bnd.add_argument("--out")
     p_bnd.set_defaults(func=cmd_bounds)
+    # argparse takes a value that starts with "-" for an option unless it
+    # looks like "-1" or "-.5"; here "-1e3" and "-inf" are values too
+    p_bnd._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     p_pre = sub.add_parser("preprocess", help="emit pre-processing artifacts")
     p_pre.add_argument("--mode", choices=("data", "channel"), required=True)

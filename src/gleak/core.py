@@ -236,10 +236,6 @@ class GainFunction:
         """Gain entries in original (unshifted) units."""
         return self.matrix - self.shift
 
-    def is_integer_valued(self) -> bool:
-        """True if the stored (shifted) entries are all integers."""
-        return bool(np.all(self.matrix == np.round(self.matrix)))
-
 
 def identity_gain(alphabet: Alphabet) -> GainFunction:
     """g(w, x) = 1 iff w == x; recovers Bayes vulnerability."""

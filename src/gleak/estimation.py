@@ -1,15 +1,17 @@
 """End-to-end black-box estimation pipelines and the frequentist baseline.
 
-Both learner pipelines train a Bayes classifier on pre-processed (guess,
-observable) data and evaluate it with the ORIGINAL gain on held-out
+Every pipeline trains a Bayes classifier on pre-processed (guess,
+observable) data and evaluates it with the ORIGINAL gain on held-out
 (secret, observable) pairs — the scaling constants of the reductions are
 then implicit in the evaluation and never multiplied in explicitly.
 
-Both learners train on one (guess, observable) table, ``PairTable``: the
-data pre-processing of the pi |> C samples under the rationalized gain
-(``data_table``), or the (w, y) pairs of tau |> RC with their count table
-as the weights.  Both tables read a set's count table, ``SampleSet.counts``,
-which one set counts once for all of its learners.
+All three learners read one (guess, observable) table, ``PairTable``: the
+data pre-processing of the pi |> C samples (``data_table``) under the
+rationalized gain for the data method and under the original gain for the
+frequentist, or the (w, y) pairs of tau |> RC with their count table as
+the weights.  The k-NN and the MLP train on it; the frequentist is its
+argmax per row.  Every table reads a set's count table,
+``SampleSet.counts``, which one set counts once for all of its learners.
 """
 
 from __future__ import annotations
@@ -104,12 +106,12 @@ def fit(
 
     ``"data"`` samples pi |> C and rationalizes the gain; ``"channel"``
     samples (w, y) pairs from tau |> RC, whose gain is the identity;
-    ``"frequentist"`` counts pi |> C samples into a decision table and
-    needs no learner.  Only the MLP draws from ``learner_stream``.
-    ``train`` is the m samples of pi |> C already drawn from
-    ``train_stream``, for a caller that fits the data and frequentist
-    methods on one set.  Returns the predictor and the method's report
-    details.
+    ``"frequentist"`` takes, for each observable of the data table under
+    the original gain, its best guess, and needs no learner.  Only the MLP
+    draws from ``learner_stream``.  ``train`` is the m samples of pi |> C
+    already drawn from ``train_stream``, for a caller that fits the data
+    and frequentist methods on one set.  Returns the predictor and the
+    method's report details.
     """
     _require(method in METHOD_NAMES, f"unknown method {method!r}")
     knn = isinstance(learner_config, DistanceMetric)
@@ -129,22 +131,30 @@ def fit(
         if train is None:
             train = sample_joint((prior, channel), m, train_stream)
         _require(train.size == m, f"training set has {train.size} samples, expected m = {m}")
-        if method == "frequentist":
-            return frequentist_predictor(train, gain), {}
-        rational, scale = rationalize_gain(gain)
-        details = {
-            "rationalize_scale": scale,
-            "descale": "not needed: evaluation uses the original gain",
-        }
+        details = {}
+        if method == "data":
+            rational, scale = rationalize_gain(gain)
+            details = {
+                "rationalize_scale": scale,
+                "descale": "not needed: evaluation uses the original gain",
+            }
+        elif method == "frequentist":
+            # an unseen observable is taken for the most frequent training
+            # secret, so its guess is argmax_w g(w, x_mode); ties break low
+            x_mode = int(np.argmax(train.counts[1].sum(axis=0)))
+            fallback = int(np.argmax(gain.matrix[:, x_mode]))
     table = (
         PairTable(train.secrets, *train.counts) if method == "channel"  # each pair weighs 1
-        else data_table(train, rational)
+        # the frequentist's table takes the gain as given, never rationalized
+        else data_table(train, rational if method == "data" else gain)
     )
     if method == "data":
         total = table.total_weight
         details.update(expanded_total_weight=total, expansion_factor=total / m)
     model = (
-        knn_train(table.distinct, table.tallies, learner_config) if knn
+        TablePredictor(table.distinct, np.argmax(table.tallies, axis=1), fallback)
+        if method == "frequentist"
+        else knn_train(table.distinct, table.tallies, learner_config) if knn
         else mlp_train(table, learner_config, learner_stream)
     )
     return model, details
@@ -199,9 +209,9 @@ def estimate(
 class TablePredictor:
     """Decision table: one guess per listed observable row, a fallback guess
     for every other row.  ``keys`` are the distinct rows, ``guesses`` their
-    guesses.  The frequentist baseline is such a table over the seen rows; a
-    fixed strategy of a matrix channel is one keyed by output index,
-    ``keys = arange(|Y|)[:, None]``."""
+    guesses.  The frequentist baseline is such a table over the rows of its
+    data table; a fixed strategy of a matrix channel is one keyed by output
+    index, ``keys = arange(|Y|)[:, None]``."""
 
     __slots__ = ("keys", "guesses", "fallback", "_sorted", "_sorted_guesses")
 
@@ -241,22 +251,3 @@ def _as_bytes(rows: np.ndarray) -> np.ndarray:
     """One fixed-size byte string per int64 row; equal rows, equal strings."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
-
-
-def frequentist_predictor(train: SampleSet, gain: GainFunction) -> TablePredictor:
-    """Decision table from empirical conditionals on the training set.
-
-    For each seen y: w(y) = argmax_w sum_x P_hat(x|y) g(w, x).  Observables
-    never seen in training are assigned the most frequent training secret
-    with probability one, so their guess is argmax_w g(w, x_mode).  Ties
-    break toward the lowest index throughout.
-    """
-    _require(train.size > 0, "training set is empty")
-    y_distinct, counts = train.counts
-    # argmax_w sum_x counts(x|y) g(w,x); normalization by count(y) cancels
-    scores = counts.astype(np.float64) @ gain.matrix.T
-    # the count table's column sums are each secret's count in training
-    x_mode = int(np.argmax(counts.sum(axis=0)))
-    fallback = int(np.argmax(gain.matrix[:, x_mode]))
-    return TablePredictor(y_distinct, np.argmax(scores, axis=1), fallback)
-

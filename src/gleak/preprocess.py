@@ -4,8 +4,10 @@ Data pre-processing turns a set of (secret, observable) samples into a
 weighted multiset of (guess, observable) pairs: each (x, y) contributes
 g(w, x) copies of (w, y) for every guess w, held as one table of the total
 weight of each (observable, guess) pair, ``data_table``.  Either learner
-trains a Bayes classifier on that table; evaluating it with the original
-gain on held-out (x, y) pairs estimates the posterior g-vulnerability.
+trains a Bayes classifier on that table of the rationalized gain;
+evaluating it with the original gain on held-out (x, y) pairs estimates
+the posterior g-vulnerability.  The frequentist baseline is the argmax of
+each row of the table of the original gain.
 
 Channel pre-processing instead builds, from the prior and the gain alone, a
 scalar beta, a prior tau over guesses and a channel R from guesses to
@@ -47,24 +49,20 @@ class ChannelPreprocDerivation:
 
 
 def data_table(train: SampleSet, gain: GainFunction) -> PairTable:
-    """The data pre-processing of ``train`` under an integer gain, as one
-    table over ``gain.guesses``: the distinct observables y and the (l, W)
-    weights sum_x n(x, y) g(w, x), in float64.
+    """The data pre-processing of ``train``, as one table over
+    ``gain.guesses``: the distinct observables y and the (l, W) weights
+    sum_x n(x, y) g(w, x), in float64.
 
     The weights are the set's (l, X) table of secret counts n,
-    ``train.counts``, times G^T: non-negative integers, exact in any
-    summation order below 2**53, which a cell passes only past 9 * 10**9
-    samples at entries up to ``EXPANSION_CAP`` (both learners check their
-    column totals).  An observable seen only with zero-gain secrets is not
-    in the expansion: its all-zero row is dropped.  Raises if the stored
-    gain entries are not integers (rationalize first).
+    ``train.counts``, times G^T.  Under an integer gain they are
+    non-negative integers, exact in any summation order below 2**53, which
+    a cell passes only past 9 * 10**9 samples at entries up to
+    ``EXPANSION_CAP``; both learners check that their tallies are such
+    counts, and the frequentist reads only each row's argmax.  An
+    observable seen only with zero-gain secrets is not in the expansion:
+    its all-zero row is dropped.  Raises if every row is.
     """
     _require(train.size > 0, "training set is empty")
-    if not gain.is_integer_valued():
-        raise ValidationError(
-            "data pre-processing needs an integer-valued gain; "
-            "apply rationalize_gain first"
-        )
     distinct, counts = train.counts
     tallies = counts.astype(np.float64) @ gain.matrix.T
     seen = tallies.any(axis=1)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gleak import Alphabet, Channel, GainFunction, Prior, SampleSet
+from gleak import Alphabet, Channel, GainFunction, Prior, SampleSet, fit, stream
 
 
 def random_prior(gen: np.random.Generator, n: int, allow_zero: bool = False) -> Prior:
@@ -103,6 +103,17 @@ def two_secret_example():
         X, Alphabet(("y1", "y2")), np.array([[0.8, 0.2], [0.4, 0.6]])
     )
     return prior, channel
+
+
+def fit_frequentist(train: SampleSet, gain: GainFunction):
+    """``fit("frequentist", ...)`` on a drawn set; the source is nominal, as
+    the set is given.  Its details are empty."""
+    model, details = fit(
+        "frequentist", Prior.uniform(gain.secrets), Channel.identity(gain.secrets), gain,
+        train.size, None, stream(0, "t/unused"), train=train,
+    )
+    assert details == {}
+    return model
 
 
 def gains_of(value: float):

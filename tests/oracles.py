@@ -361,14 +361,18 @@ def reference_data_knn_train(
 
 def reference_frequentist_predictor(train: SampleSet, gain: GainFunction) -> TablePredictor:
     """The frequentist decision table with its (y, x) counts accumulated one
-    pair at a time."""
+    pair at a time.  An observable whose scores are all zero is left out of
+    the table, to take the fallback; raises if every one is."""
     y_distinct, y_inverse = reference_unique_rows(train.ys, return_inverse=True)
     cond_counts = np.zeros((y_distinct.shape[0], train.secrets.size))
     np.add.at(cond_counts, (y_inverse, train.xs), 1.0)
     scores = cond_counts @ gain.matrix.T
+    kept = scores.any(axis=1)
+    if not kept.any():
+        raise ValidationError("gain is zero on every sampled secret")
     x_mode = int(np.argmax(np.bincount(train.xs, minlength=train.secrets.size)))
     fallback = int(np.argmax(gain.matrix[:, x_mode]))
-    return TablePredictor(y_distinct, np.argmax(scores, axis=1), fallback)
+    return TablePredictor(y_distinct[kept], np.argmax(scores[kept], axis=1), fallback)
 
 
 def reference_pair_expansion(train: SampleSet, gain: GainFunction) -> Entries:

@@ -276,19 +276,32 @@ class TestEstimate:
         assert payload["exact"] == exact
         assert payload["normalized_error"] == abs(payload["estimate"] - exact) / exact
 
-    @pytest.mark.parametrize(
-        "gain, method",
-        [("zero.txt", "frequentist")]
-        + [("negative.txt", method) for method in ("data", "channel", "frequentist")],
-    )
-    def test_nonpositive_exact_gives_null_error(self, capsys, assets, gain, method):
+    @pytest.mark.parametrize("method", ["data", "channel", "frequentist"])
+    def test_nonpositive_exact_gives_null_error(self, capsys, assets, method):
         payload = run_json(
             capsys,
             ["estimate"] + self.files(assets)
-            + ["--gain", str(assets / gain), "--method", method, "--m", "300", "--n", "300"],
+            + ["--gain", str(assets / "negative.txt"), "--method", method,
+               "--m", "300", "--n", "300"],
         )
         assert payload["exact"] <= 0.0
         assert payload["normalized_error"] is None
+
+    @pytest.mark.parametrize("method, message", [
+        ("data", "gain is zero on every sampled secret"),
+        ("channel", "zero everywhere"),
+        ("frequentist", "gain is zero on every sampled secret"),
+    ])
+    def test_zero_gain_refused(self, capsys, assets, method, message):
+        # the frequentist reads the data table, so it refuses the gain as
+        # the data method does
+        code, out, err = run_cli(
+            capsys,
+            ["estimate"] + self.files(assets)
+            + ["--gain", str(assets / "zero.txt"), "--method", method, "--m", "300", "--n", "300"],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
 
     def test_files_and_scenarios_share_one_key_set(self, capsys, assets):
         sizes = ["--m", "300", "--n", "300"]
@@ -603,6 +616,22 @@ class TestBounds:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and f"{flag[2:]} must be finite" in err
+
+    def test_range_takes_any_negative_float(self, capsys):
+        # argparse took "-1e3" for an option string: "expected 2 arguments"
+        payloads = []
+        for low in ("-1e3", "-1000"):
+            argv = self.base()
+            argv[argv.index("--range") + 1] = low
+            payloads.append(run_json(capsys, argv))
+        assert payloads[0] == payloads[1]
+
+    def test_negative_infinite_range_end_rejected(self, capsys):
+        argv = self.base()
+        argv[argv.index("--range") + 1] = "-inf"
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "range must be finite, got -inf" in err
 
     def test_oversized_hypothesis_count_rejected(self, capsys):
         # |H| beyond the largest float is an input the closed forms cannot

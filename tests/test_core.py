@@ -67,12 +67,6 @@ class TestDomainTypes:
         np.testing.assert_allclose(g.original(), [[-1.0, 1.0], [0.5, -0.5]])
         assert g.range == (-1.0, 1.0)
 
-    def test_gain_integer_detection(self):
-        X = Alphabet.integers(2)
-        assert identity_gain(X).is_integer_valued()
-        frac = GainFunction(X, X, np.array([[0.5, 0.0], [0.0, 1.0]]))
-        assert not frac.is_integer_valued()
-
     def test_sample_set_validation(self):
         X = Alphabet.integers(2)
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 """Black-box estimation pipelines and the frequentist baseline."""
 
+import functools
 import json
 
 import numpy as np
@@ -23,17 +24,16 @@ from gleak import (
     posterior_vulnerability,
     sample_joint,
     scalar_codec,
+    strategy_gain,
     stream,
 )
 from gleak.core import _check_range
-from gleak.estimation import (
-    TablePredictor,
-    frequentist_predictor,
-    sample_preprocessed_pairs,
-)
-from gleak.preprocess import channel_preprocess
+from gleak.estimation import TablePredictor, sample_preprocessed_pairs
+from gleak.preprocess import channel_preprocess, rationalize_gain
+from gleak.scenarios import Scenario, build_scenario
+from gleak.scenarios.password import DELAY_NU, KNOWN_PREFIX, TOTAL_BITS, reduced_channel
 
-from conftest import random_channel, random_gain, random_prior
+from conftest import fit_frequentist, random_channel, random_gain, random_prior
 
 
 def scalar_knn():
@@ -231,7 +231,7 @@ class TestFrequentist:
         xs = np.array([0, 0, 1, 1, 1, 0])
         ys = np.array([[0], [0], [0], [1], [1], [1]])
         train = SampleSet(X, xs, ys)
-        predictor = frequentist_predictor(train, identity_gain(X))
+        predictor = fit_frequentist(train, identity_gain(X))
         # y=0 saw x: {0: 2, 1: 1} -> guess 0; y=1 saw {0: 1, 1: 2} -> guess 1
         assert predictor.predict(np.array([[0], [1]])).tolist() == [0, 1]
 
@@ -240,7 +240,7 @@ class TestFrequentist:
         xs = np.array([1, 1, 1, 0, 2])
         ys = np.array([[0], [0], [1], [2], [3]])
         train = SampleSet(X, xs, ys)
-        predictor = frequentist_predictor(train, identity_gain(X))
+        predictor = fit_frequentist(train, identity_gain(X))
         assert predictor.fallback == 1  # argmax_w g(w, x_mode) with x_mode = 1
         assert predictor.predict(np.array([[9]])).tolist() == [1]
 
@@ -251,8 +251,30 @@ class TestFrequentist:
             Alphabet.integers(2, "w"), X, np.array([[1.0, 0.0], [5.0, 1.0]])
         )
         train = SampleSet(X, np.array([0, 0, 1]), np.array([[0], [1], [2]]))
-        predictor = frequentist_predictor(train, gain)
+        predictor = fit_frequentist(train, gain)
         assert predictor.fallback == 1
+
+    def test_observable_seen_only_with_zero_gain_secrets_falls_back(self):
+        X = Alphabet.integers(3)
+        # no guess gains anything on secret 2, the one secret y = 5 was seen with
+        gain = GainFunction(Alphabet.integers(2, "w"), X, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        train = SampleSet(X, np.array([0, 0, 1, 2]), np.array([[0], [1], [1], [5]]))
+        predictor = fit_frequentist(train, gain)
+        # y = 5 has an all-zero row, which the data table drops: it takes the
+        # fallback argmax_w g(w, x_mode = 0) = 1, where its row's argmax was 0
+        assert predictor.keys.tolist() == [[0], [1]]
+        assert predictor.fallback == 1
+        assert predictor.predict(np.array([[0], [1], [5]])).tolist() == [1, 0, 1]
+
+    def test_gain_that_cannot_be_rationalized_gets_a_frequentist(self):
+        X = Alphabet.integers(2)
+        # 1e-7 has no denominator <= 10**6: the data method refuses this gain
+        gain = GainFunction(Alphabet.integers(2, "w"), X, [[1e-7, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match="cannot rationalize"):
+            rationalize_gain(gain)
+        train = SampleSet(X, np.array([0, 0, 1]), np.array([[0], [1], [1]]))
+        predictor = fit_frequentist(train, gain)
+        assert predictor.predict(np.array([[0], [1]])).tolist() == [0, 1]
 
     def test_score_ties_break_low(self):
         X = Alphabet.integers(2)
@@ -260,7 +282,7 @@ class TestFrequentist:
             Alphabet.integers(2, "w"), X, np.array([[1.0, 1.0], [1.0, 1.0]])
         )
         train = SampleSet(X, np.array([0, 1]), np.array([[0], [0]]))
-        predictor = frequentist_predictor(train, gain)
+        predictor = fit_frequentist(train, gain)
         assert predictor.predict(np.array([[0]])).tolist() == [0]
 
     def test_estimate_converges_on_small_example(self, two_secret):
@@ -285,7 +307,7 @@ class TestFrequentist:
             Alphabet.integers(4), xs, gen.integers(0, 3, size=(300, width)) + xs[:, None] % 2
         )
         gain = random_gain(gen, 5, train.secrets)
-        predictor = frequentist_predictor(train, gain)
+        predictor = fit_frequentist(train, gain)
         # queries hold seen and unseen rows, repeats, and rows beyond the seen range
         queries = gen.integers(-1, 5, size=(500, width))
         assert (predictor.predict(queries) == reference_table_predict(predictor, queries)).all()
@@ -348,3 +370,60 @@ class TestFrequentistVersusTruthDirection:
             for m, name in ((50, "t/freq/small"), (50_000, "t/freq/large"))
         )
         assert abs(large - exact) < abs(small - exact)
+
+
+class Buckets:
+    """f read at bucket = output index + 1, as the password sampler encodes them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def predict(self, ys):
+        return self.inner.predict(ys + 1)
+
+
+@functools.cache
+def matrix_law(name):
+    """The scenario, the matrix law of its observables, and f read on that
+    law's output indices."""
+    if name == "files":  # the instance of test_cli.py's ``assets`` files
+        secrets = Alphabet.integers(2)
+        prior = Prior(secrets, np.array([0.3, 0.7]))
+        channel = Channel(
+            secrets, Alphabet.integers(3), np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
+        )
+        gain = identity_gain(secrets)
+        exact = posterior_vulnerability(prior, channel, gain)
+        assert exact == pytest.approx(0.84)
+        metric = DistanceMetric("absolute", scalar_codec(1.0))
+        return Scenario("files", prior, channel, gain, exact, metric), channel, lambda f: f
+    scenario = build_scenario(name)
+    if name == "password":
+        return scenario, reduced_channel(TOTAL_BITS, KNOWN_PREFIX, DELAY_NU), Buckets
+    return scenario, scenario.channel, lambda f: f
+
+
+@pytest.mark.parametrize("name, method, learner", [
+    (name, method, learner)
+    for name in ("multi-guess", "location", "password", "files")
+    for method, learner in (
+        ("data", "knn"), ("channel", "knn"), ("frequentist", "none"),
+        ("data", "mlp"), ("channel", "mlp"),
+    )
+    if learner != "mlp" or name in ("multi-guess", "password")
+])
+def test_fitted_strategy_is_never_above_v_g(name, method, learner):
+    # Bayes optimality: V(f), the exact expected gain of the fitted f under
+    # the matrix law, is at most V_g for every method and learner
+    scenario, law, read = matrix_law(name)
+    config = {
+        "knn": scenario.metric,
+        "mlp": MlpConfig(scenario.metric.codec, (8,), epochs=2, batch_size=16),
+        "none": None,
+    }[learner]
+    f, _ = fit(
+        method, scenario.prior, scenario.channel, scenario.gain, 2000, config,
+        stream(0, f"t/vf/{name}/{method}"), stream(0, f"t/vf/{name}/{method}/learner"),
+    )
+    value = strategy_gain(read(f), scenario.prior, law, scenario.gain)
+    assert value <= scenario.exact_vg + 1e-12

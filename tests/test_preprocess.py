@@ -9,16 +9,21 @@ import pytest
 from gleak import (
     Alphabet,
     Channel,
+    DistanceMetric,
     GainFunction,
+    MlpConfig,
     Prior,
     SampleSet,
     ValidationError,
     identity_gain,
     posterior_vulnerability,
     sample_joint,
+    scalar_codec,
     stream,
 )
 from gleak.io import read_gain
+from gleak.knn import knn_train
+from gleak.mlp import mlp_train
 from gleak.preprocess import (
     SNAP_DENOMINATOR,
     SNAP_TOL,
@@ -103,12 +108,19 @@ class TestDataPreprocess:
             got[key] = got.get(key, 0) + int(u)
         assert got == expected
 
-    def test_rejects_non_integer_gain(self):
+    def test_non_integer_gain_is_refused_by_the_learners(self):
+        # the table takes any gain (the frequentist reads its argmax); its
+        # weights are then no counts, which both learners refuse
         X = Alphabet.integers(2)
-        train = SampleSet(X, np.array([0]), np.array([[0]]))
+        train = SampleSet(X, np.array([0, 1]), np.array([[0], [0]]))
         frac = GainFunction(X, X, np.array([[0.5, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValidationError, match="rationalize"):
-            data_table(train, frac)
+        table = data_table(train, frac)
+        np.testing.assert_array_equal(table.tallies, [[0.5, 1.0]])
+        with pytest.raises(ValidationError, match="integer counts"):
+            knn_train(table.distinct, table.tallies, DistanceMetric("absolute", scalar_codec()))
+        config = MlpConfig(scalar_codec(), (4,), epochs=1, batch_size=2)
+        with pytest.raises(ValidationError, match="integer counts"):
+            mlp_train(table, config, stream(0, "t/pre/frac"))
 
 
 class TestRationalizeGain:
@@ -241,7 +253,7 @@ class TestIntegerGainIsItsOwnRationalization:
         rational, scale = rationalize_gain(gain)
         assert rational is not gain and scale == 1
         np.testing.assert_array_equal(rational.matrix, [[1.0, 2.0], [0.0, 3.0]])
-        assert rational.is_integer_valued() and not gain.is_integer_valued()
+        assert (gain.matrix != np.rint(gain.matrix)).any()
 
     def test_shifted_integer_gain_is_rebuilt(self):
         # stored entries shifted to be non-negative: the rationalized gain

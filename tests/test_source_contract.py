@@ -28,11 +28,12 @@ reads them from ``SampleSet.counts`` like the counting learners.
 
 The data pre-processing is one table, ``preprocess.data_table``, built
 only by ``fit`` and ``leak preprocess``.  No other library function
-multiplies a count table by an integer gain; the frequentist's one product
-takes the original gain.  ``fit`` assigns one (guess, observable) table,
-the data table or the channel method's count table, and trains either
-learner on it.  Both learners take tables, so neither ``gleak/knn.py`` nor
-``gleak/mlp.py`` imports the pre-processing module.
+multiplies a count table by a gain.  ``fit`` assigns one (guess,
+observable) table, the data table or the channel method's count table,
+and one model from it: the k-NN, the MLP, or the frequentist's decision
+table of its row argmaxes, whose data table takes the original gain.  Both
+learners take tables, so neither ``gleak/knn.py`` nor ``gleak/mlp.py``
+imports the pre-processing module.
 
 The MLP has one forward pass, ``mlp._propagate``: training and prediction
 both run it, and no other function computes a log-softmax.
@@ -285,9 +286,9 @@ def test_both_learners_train_on_one_table():
         if isinstance(target, ast.Name)
     ]
     assert assigned.count("table") == 1 and assigned.count("model") == 1
-    # each learner is called once, and every argument it takes from the
-    # training data is read off the one table
-    for learner in ("knn_train", "mlp_train"):
+    # each of the three learners is called once, and every argument it
+    # takes from the training data is read off the one table
+    for learner in ("knn_train", "mlp_train", "TablePredictor"):
         (call,) = [
             c for c in ast.walk(fit) if isinstance(c, ast.Call) and _is_name_call(learner)(c)
         ]
@@ -296,6 +297,9 @@ def test_both_learners_train_on_one_table():
     called = {c.func.id for c in ast.walk(fit) if isinstance(c, ast.Call)
               and isinstance(c.func, ast.Name)}
     assert "identity_gain" not in called
+    # one path for every method: no return but the last statement
+    returns = [node for node in ast.walk(fit) if isinstance(node, ast.Return)]
+    assert returns == [fit.body[-1]]
 
 
 def _function_defs(tree: ast.AST):
@@ -328,15 +332,13 @@ def test_one_data_preprocessing_table():
         for f in _function_defs(ast.parse(path.read_text()))
         if _multiplies_counts_by_a_gain(f)
     )
-    assert products == [
-        ("gleak/estimation.py", "frequentist_predictor"), ("gleak/preprocess.py", "data_table")
-    ]
-    # the frequentist multiplies by the gain ``fit`` was given, never rationalized
+    assert products == [("gleak/preprocess.py", "data_table")]
+    # the frequentist's table takes the gain ``fit`` was given, never rationalized
     (call,) = [
         call for call in ast.walk(fit)
-        if isinstance(call, ast.Call) and _is_name_call("frequentist_predictor")(call)
+        if isinstance(call, ast.Call) and _is_name_call("data_table")(call)
     ]
-    assert [getattr(arg, "id", None) for arg in call.args] == ["train", "gain"]
+    assert ast.unparse(call) == "data_table(train, rational if method == 'data' else gain)"
     assigned = {
         target.id
         for node in ast.walk(fit)
