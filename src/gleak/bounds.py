@@ -4,7 +4,9 @@ Covers the two uniform-deviation probabilities (validation-side and
 training-side), the expected-error bounds whose closed forms combine an
 exponential tail term with an erf integral term, and the (M, N) sample
 complexity pair.  All bounds are evaluated verbatim from their derivations;
-nothing is re-proved here.
+nothing is re-proved here.  Every calculator takes one ``BoundInputs``,
+which has checked every field, and reads the two Bernstein denominators
+from it, so (M, N) inverts the two probabilities by construction.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ class BoundInputs:
     for learners over huge observable spaces the resulting bounds are
     documented as vacuous rather than silently truncated.  The closed forms
     are evaluated in floating point, so |H| may not exceed the largest float,
-    and every real input must be finite.
+    and every real input must be finite.  The width b-a may still overflow
+    to infinity; the calculators then report the bounds it makes infinite.
     """
 
     m: int
@@ -53,10 +56,8 @@ class BoundInputs:
         _require(self.m >= 1 and self.n >= 1, "m and n must be >= 1")
         _require(self.sigma2 > 0, "sigma2 must be positive")
         _require(b > a, "range must satisfy a < b")
-        _require(
-            self.sigma2 <= (b - a) ** 2 / 4 + 1e-12,
-            "sigma2 exceeds Popoviciu bound (b-a)^2/4",
-        )
+        half = self.width / 2  # squared as a product: a float ** raises on overflow
+        _require(self.sigma2 <= half * half + 1e-12, "sigma2 exceeds Popoviciu bound (b-a)^2/4")
         _require(self.hypothesis_count >= 1, "hypothesis count must be >= 1")
         _require(
             self.hypothesis_count <= sys.float_info.max,
@@ -67,9 +68,20 @@ class BoundInputs:
         _require(0 < self.split < self.delta, "need 0 < split < delta")
 
     @property
+    def width(self) -> float:
+        return self.range[1] - self.range[0]
+
+    @property
     def eta(self) -> float:
-        a, b = self.range
-        return 1.0 + (b - a) / 3.0
+        return 1.0 + self.width / 3.0
+
+    @property
+    def validation_denominator(self) -> float:  # D_v = 2 s^2 + 2(b-a) eps / 3
+        return 2.0 * self.sigma2 + 2.0 * self.width * self.epsilon / 3.0
+
+    @property
+    def training_denominator(self) -> float:  # D_t = 8 s^2 + 4(b-a) eps / 3
+        return 8.0 * self.sigma2 + 4.0 * self.width * self.epsilon / 3.0
 
 
 @dataclass(frozen=True)
@@ -86,36 +98,15 @@ class BoundReport:
         return asdict(self)
 
 
-def validation_deviation_prob(
-    n: int, sigma2: float, value_range: tuple[float, float], epsilon: float
-) -> float:
-    """P(|empirical - true| >= eps) <= 2 exp(-n eps^2 / (2 s^2 + 2(b-a) eps / 3))."""
-    _require(n >= 1 and sigma2 > 0 and epsilon > 0, "inputs must be positive")
-    a, b = value_range
-    _require(b > a, "range must satisfy a < b")
-    return _clip01(
-        2.0
-        * math.exp(-n * epsilon**2 / (2.0 * sigma2 + 2.0 * (b - a) * epsilon / 3.0))
-    )
+def validation_deviation_prob(inputs: BoundInputs) -> float:
+    """P(|empirical - true| >= eps) <= 2 exp(-n eps^2 / D_v)."""
+    return _clip01(2.0 * math.exp(-inputs.n * inputs.epsilon**2 / inputs.validation_denominator))
 
 
-def training_suboptimality_prob(
-    m: int,
-    sigma2: float,
-    hypothesis_count: int,
-    value_range: tuple[float, float],
-    epsilon: float,
-) -> float:
-    """P(V_g - V(f*_m) >= eps) <= 2|H| exp(-m eps^2 / (8 s^2 + 4(b-a) eps / 3))."""
-    _require(m >= 1 and sigma2 > 0 and epsilon > 0, "inputs must be positive")
-    _require(hypothesis_count >= 1, "hypothesis count must be >= 1")
-    a, b = value_range
-    _require(b > a, "range must satisfy a < b")
-    return _clip01(
-        2.0
-        * hypothesis_count
-        * math.exp(-m * epsilon**2 / (8.0 * sigma2 + 4.0 * (b - a) * epsilon / 3.0))
-    )
+def training_suboptimality_prob(inputs: BoundInputs) -> float:
+    """P(V_g - V(f*_m) >= eps) <= 2|H| exp(-m eps^2 / D_t)."""
+    tail = math.exp(-inputs.m * inputs.epsilon**2 / inputs.training_denominator)
+    return _clip01(2.0 * inputs.hypothesis_count * tail)
 
 
 def expected_error_bounds(inputs: BoundInputs) -> tuple[float, float]:
@@ -150,73 +141,44 @@ def expected_error_bounds(inputs: BoundInputs) -> tuple[float, float]:
     return validation_gap, training_gap
 
 
-def sample_complexity(
-    epsilon: float,
-    delta: float,
-    split: float,
-    sigma2: float,
-    value_range: tuple[float, float],
-    hypothesis_count: int,
-) -> tuple[int, int]:
+def _ceil_size(denominator: float, epsilon: float, log_term: float) -> int | float:
+    """ceil(denominator / eps^2 * log_term); inf if eps^2 underflows to 0 or it overflows."""
+    eps2 = epsilon**2
+    size = denominator / eps2 * log_term if eps2 else math.inf
+    return math.ceil(size) if math.isfinite(size) else size
+
+
+def sample_complexity(inputs: BoundInputs) -> tuple[int | float, int | float]:
     """Smallest (M, N) guaranteeing total failure probability <= delta.
 
-    M = ceil[(8 s^2 + 4(b-a) eps/3) / eps^2 * ln(2|H| / (delta - split))]
-    N = ceil[(2 s^2 + 2(b-a) eps/3) / eps^2 * ln(2 / split)]
+    M = ceil[D_t / eps^2 * ln(2|H| / (delta - split))]
+    N = ceil[D_v / eps^2 * ln(2 / split)]
 
     The log of M is taken as a sum of logs, so no |H| up to the largest
-    float overflows the quotient 2|H| / (delta - split).
+    float overflows the quotient 2|H| / (delta - split).  A size too large
+    for a float comes back as inf, which ``bound_report`` names.
     """
-    _require(epsilon > 0, "epsilon must be positive")
-    _require(delta <= 1, f"delta is a failure probability, must be <= 1, got {delta}")
-    _require(0 < split < delta, "need 0 < split < delta")
-    _require(sigma2 > 0 and hypothesis_count >= 1, "inputs must be positive")
-    a, b = value_range
-    _require(b > a, "range must satisfy a < b")
-    m_bound = (
-        (8.0 * sigma2 + 4.0 * (b - a) * epsilon / 3.0)
-        / epsilon**2
-        * (math.log(2.0) + math.log(hypothesis_count) - math.log(delta - split))
+    h, delta, split = inputs.hypothesis_count, inputs.delta, inputs.split
+    log_m = math.log(2.0) + math.log(h) - math.log(delta - split)
+    return (
+        _ceil_size(inputs.training_denominator, inputs.epsilon, log_m),
+        _ceil_size(inputs.validation_denominator, inputs.epsilon, math.log(2.0 / split)),
     )
-    n_bound = (
-        (2.0 * sigma2 + 2.0 * (b - a) * epsilon / 3.0)
-        / epsilon**2
-        * math.log(2.0 / split)
-    )
-    return math.ceil(m_bound), math.ceil(n_bound)
 
 
 def bound_report(inputs: BoundInputs) -> BoundReport:
     """Evaluate every calculator on one BoundInputs.
 
     A field that comes out infinite or NaN (the expected training gap grows
-    with |H| and overflows near the largest float) is a numerical failure:
-    JSON has no token for it.
+    with |H| and overflows near the largest float; M and N overflow as eps
+    shrinks or b-a grows) is a numerical failure: JSON has no token for it.
     """
-    v_gap, t_gap = expected_error_bounds(inputs)
-    m_req, n_req = sample_complexity(
-        inputs.epsilon,
-        inputs.delta,
-        inputs.split,
-        inputs.sigma2,
-        inputs.range,
-        inputs.hypothesis_count,
-    )
     report = BoundReport(
-        validation_deviation_prob=validation_deviation_prob(
-            inputs.n, inputs.sigma2, inputs.range, inputs.epsilon
-        ),
-        training_suboptimality_prob=training_suboptimality_prob(
-            inputs.m,
-            inputs.sigma2,
-            inputs.hypothesis_count,
-            inputs.range,
-            inputs.epsilon,
-        ),
-        expected_validation_gap=v_gap,
-        expected_training_gap=t_gap,
-        branch="small-variance" if inputs.sigma2 <= inputs.epsilon else "erf",
-        M=m_req,
-        N=n_req,
+        validation_deviation_prob(inputs),
+        training_suboptimality_prob(inputs),
+        *expected_error_bounds(inputs),
+        "small-variance" if inputs.sigma2 <= inputs.epsilon else "erf",
+        *sample_complexity(inputs),
     )
     unbounded = [
         name for name, value in report.as_dict().items()

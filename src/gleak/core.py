@@ -148,10 +148,6 @@ class Channel:
         )
         object.__setattr__(self, "rows", _freeze(rows))
 
-    @staticmethod
-    def identity(alphabet: Alphabet) -> "Channel":
-        return Channel(alphabet, alphabet, np.eye(alphabet.size))
-
     def sample(self, xs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         """Draw y ~ C[x, .] for each x in xs as an (n, 1) array.
 
@@ -231,10 +227,6 @@ class GainFunction:
         self.matrix = _freeze(arr + shift)
         self.shift = shift
         self.range = (lo, float(arr.max()))
-
-    def original(self) -> np.ndarray:
-        """Gain entries in original (unshifted) units."""
-        return self.matrix - self.shift
 
 
 def identity_gain(alphabet: Alphabet) -> GainFunction:

@@ -51,9 +51,19 @@ def random_gain(
     return GainFunction(Alphabet.integers(n_guess, prefix="w"), secrets, values)
 
 
+def identity_channel(alphabet: Alphabet) -> Channel:
+    """The channel that reveals its secret: y = x."""
+    return Channel(alphabet, alphabet, np.eye(alphabet.size))
+
+
+def original_gain(gain: GainFunction) -> np.ndarray:
+    """Gain entries in original (unshifted) units."""
+    return gain.matrix - gain.shift
+
+
 def write_gain(gain: GainFunction, path) -> None:
     """A gain file: a ``|W| |X|`` header, then the rows in original units."""
-    rows = (" ".join(repr(float(v)) for v in row) for row in gain.original())
+    rows = (" ".join(repr(float(v)) for v in row) for row in original_gain(gain))
     Path(path).write_text(f"{gain.guesses.size} {gain.secrets.size}\n" + "\n".join(rows) + "\n")
 
 
@@ -68,7 +78,7 @@ def write_samples(samples: SampleSet, path) -> None:
 
 
 def loop_prior_vulnerability(prior: Prior, gain: GainFunction) -> float:
-    g = gain.original()
+    g = original_gain(gain)
     best = -math.inf
     for w in range(gain.guesses.size):
         best = max(best, sum(prior.probs[x] * g[w, x] for x in range(gain.secrets.size)))
@@ -78,7 +88,7 @@ def loop_prior_vulnerability(prior: Prior, gain: GainFunction) -> float:
 def loop_posterior_vulnerability(
     prior: Prior, channel: Channel, gain: GainFunction
 ) -> float:
-    g = gain.original()
+    g = original_gain(gain)
     total = 0.0
     for y in range(channel.output.size):
         best = -math.inf
@@ -109,7 +119,7 @@ def fit_frequentist(train: SampleSet, gain: GainFunction):
     """``fit("frequentist", ...)`` on a drawn set; the source is nominal, as
     the set is given.  Its details are empty."""
     model, details = fit(
-        "frequentist", Prior.uniform(gain.secrets), Channel.identity(gain.secrets), gain,
+        "frequentist", Prior.uniform(gain.secrets), identity_channel(gain.secrets), gain,
         train.size, None, stream(0, "t/unused"), train=train,
     )
     assert details == {}

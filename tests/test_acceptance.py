@@ -16,7 +16,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_channel, random_gain, random_prior, write_gain, write_samples
+from conftest import (
+    original_gain, random_channel, random_gain, random_prior, write_gain, write_samples,
+)
 from oracles import (
     compose,
     enumerate_strategies_vulnerability,
@@ -170,7 +172,7 @@ def test_criterion_4_combinatorics(tmp_path):
     assert payload["rationalize_scale"] == 1
 
     # diamond gain: every interior cell's row sums to 20
-    grid = build_scenario("location").gain.original()
+    grid = original_gain(build_scenario("location").gain)
     side = int(math.isqrt(grid.shape[0]))
     assert grid.shape == (side * side, side * side)
     interior = [r * side + c for r in range(2, side - 2) for c in range(2, side - 2)]

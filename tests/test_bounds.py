@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from gleak import (
     Alphabet,
     Channel,
+    NumericalError,
     Prior,
     SampleSet,
     ValidationError,
     empirical_functional,
+    fit,
     identity_gain,
     plugin_sigma2,
     sample_joint,
@@ -28,6 +30,7 @@ from gleak.bounds import (
     training_suboptimality_prob,
     validation_deviation_prob,
 )
+from gleak.scenarios import build_scenario
 from oracles import fixed_strategy
 
 
@@ -48,30 +51,30 @@ def inputs(**overrides):
 
 class TestDeviationProbabilities:
     def test_validation_closed_form(self):
-        got = validation_deviation_prob(1000, 0.25, (0.0, 1.0), 0.1)
+        got = validation_deviation_prob(inputs(n=1000))
         expected = 2.0 * math.exp(-1000 * 0.01 / (2 * 0.25 + 2 * 0.1 / 3.0))
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(2.0 * math.exp(-17.647058823529413), rel=1e-9)
 
     def test_training_closed_form(self):
-        got = training_suboptimality_prob(10_000, 0.25, 45**2, (0.0, 1.0), 0.1)
+        got = training_suboptimality_prob(inputs())
         expected = (
             2.0 * 45**2 * math.exp(-10_000 * 0.01 / (8 * 0.25 + 4 * 0.1 / 3.0))
         )
         assert got == pytest.approx(min(1.0, expected), rel=1e-12)
 
     def test_single_hypothesis_reduction(self):
-        a = training_suboptimality_prob(500, 0.1, 1, (0.0, 1.0), 0.2)
+        a = training_suboptimality_prob(inputs(m=500, sigma2=0.1, hypothesis_count=1, epsilon=0.2))
         expected = 2.0 * math.exp(-500 * 0.04 / (0.8 + 4 * 0.2 / 3.0))
         assert a == pytest.approx(expected, rel=1e-12)
 
     def test_clipping_to_unit_interval(self):
-        assert validation_deviation_prob(1, 0.25, (0.0, 1.0), 1e-6) == 1.0
-        assert training_suboptimality_prob(1, 0.25, 10**6, (0.0, 1.0), 0.01) == 1.0
+        assert validation_deviation_prob(inputs(n=1, epsilon=1e-6)) == 1.0
+        assert training_suboptimality_prob(inputs(m=1, hypothesis_count=10**6, epsilon=0.01)) == 1.0
 
     def test_doubling_n_squares_the_half_bound(self):
-        p1 = validation_deviation_prob(400, 0.2, (0.0, 1.0), 0.05)
-        p2 = validation_deviation_prob(800, 0.2, (0.0, 1.0), 0.05)
+        p1 = validation_deviation_prob(inputs(n=400, sigma2=0.2, epsilon=0.05))
+        p2 = validation_deviation_prob(inputs(n=800, sigma2=0.2, epsilon=0.05))
         assert p2 / 2.0 == pytest.approx((p1 / 2.0) ** 2, rel=1e-9)
 
     @given(
@@ -81,16 +84,16 @@ class TestDeviationProbabilities:
     )
     @settings(max_examples=60, deadline=None)
     def test_validation_monotone_in_epsilon_and_n(self, n, sigma2, eps):
-        p = validation_deviation_prob(n, sigma2, (0.0, 1.0), eps)
+        p = validation_deviation_prob(inputs(n=n, sigma2=sigma2, epsilon=eps))
         assert 0.0 <= p <= 1.0
-        assert validation_deviation_prob(n, sigma2, (0.0, 1.0), eps * 1.5) <= p
-        assert validation_deviation_prob(2 * n, sigma2, (0.0, 1.0), eps) <= p
+        assert validation_deviation_prob(inputs(n=n, sigma2=sigma2, epsilon=eps * 1.5)) <= p
+        assert validation_deviation_prob(inputs(n=2 * n, sigma2=sigma2, epsilon=eps)) <= p
 
     @given(h=st.integers(1, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_training_monotone_in_hypothesis_count(self, h):
-        p = training_suboptimality_prob(5000, 0.25, h, (0.0, 1.0), 0.05)
-        q = training_suboptimality_prob(5000, 0.25, 2 * h, (0.0, 1.0), 0.05)
+        p = training_suboptimality_prob(inputs(m=5000, hypothesis_count=h, epsilon=0.05))
+        q = training_suboptimality_prob(inputs(m=5000, hypothesis_count=2 * h, epsilon=0.05))
         assert q >= p
 
 
@@ -134,7 +137,7 @@ class TestExpectedErrorBounds:
 
 class TestSampleComplexity:
     def test_frozen_validation_size(self):
-        m_req, n_req = sample_complexity(0.1, 0.05, 0.025, 0.25, (0.0, 1.0), 45**2)
+        m_req, n_req = sample_complexity(inputs())
         assert n_req == 249
         expected_n = math.ceil((2 * 0.25 + 2 * 0.1 / 3) / 0.01 * math.log(2 / 0.025))
         assert n_req == expected_n
@@ -144,33 +147,41 @@ class TestSampleComplexity:
         assert m_req == expected_m
 
     def test_halving_epsilon_roughly_quadruples_n(self):
-        _, n1 = sample_complexity(0.02, 0.05, 0.025, 0.25, (0.0, 1.0), 100)
-        _, n2 = sample_complexity(0.01, 0.05, 0.025, 0.25, (0.0, 1.0), 100)
+        _, n1 = sample_complexity(inputs(epsilon=0.02, hypothesis_count=100))
+        _, n2 = sample_complexity(inputs(epsilon=0.01, hypothesis_count=100))
         assert n2 / n1 == pytest.approx(4.0, rel=0.05)
 
     def test_split_monotonicity(self):
-        m1, n1 = sample_complexity(0.1, 0.05, 0.01, 0.25, (0.0, 1.0), 100)
-        m2, n2 = sample_complexity(0.1, 0.05, 0.04, 0.25, (0.0, 1.0), 100)
+        m1, n1 = sample_complexity(inputs(split=0.01, hypothesis_count=100))
+        m2, n2 = sample_complexity(inputs(split=0.04, hypothesis_count=100))
         assert n1 > n2  # smaller split -> larger N
         assert m1 < m2  # split closer to delta -> larger M
 
-    def test_invalid_split(self):
-        with pytest.raises(ValidationError):
-            sample_complexity(0.1, 0.05, 0.05, 0.25, (0.0, 1.0), 10)
-        with pytest.raises(ValidationError):
-            sample_complexity(0.1, 0.05, 0.08, 0.25, (0.0, 1.0), 10)
+    def test_inverts_the_deviation_probabilities(self):
+        # at m = M and n = N each probability is at most its share of delta
+        m_req, n_req = sample_complexity(inputs())
+        at_size = inputs(m=m_req, n=n_req)
+        assert validation_deviation_prob(at_size) <= at_size.split
+        assert training_suboptimality_prob(at_size) <= at_size.delta - at_size.split
 
-    def test_delta_above_one(self):
-        # delta is a failure probability: at 3 with split 2.5, N came out negative
-        with pytest.raises(ValidationError, match="failure probability"):
-            sample_complexity(0.1, 3.0, 2.5, 0.25, (0.0, 1.0), 10)
+    @pytest.mark.parametrize("epsilon", [1e-160, 1e-170])
+    def test_overflowing_size_is_infinite(self, epsilon):
+        # at 1e-160 the quotient overflows and math.ceil raised on it; at
+        # 1e-170 eps^2 underflows to 0 and the division raised
+        assert sample_complexity(inputs(epsilon=epsilon)) == (math.inf, math.inf)
 
 
 class TestBoundInputs:
     @pytest.mark.parametrize("delta, split", [(5.0, 0.5), (3.0, 2.5)])
     def test_delta_above_one_rejection(self, delta, split):
+        # delta is a failure probability: at 3 with split 2.5, N came out negative
         with pytest.raises(ValidationError, match="failure probability"):
             inputs(delta=delta, split=split)
+
+    @pytest.mark.parametrize("split", [0.05, 0.08])
+    def test_split_not_below_delta_rejection(self, split):
+        with pytest.raises(ValidationError, match="split < delta"):
+            inputs(split=split)
 
     @pytest.mark.parametrize("field, value", [
         ("sigma2", math.nan),
@@ -189,6 +200,18 @@ class TestBoundInputs:
     def test_popoviciu_rejection(self):
         with pytest.raises(ValidationError, match="Popoviciu"):
             inputs(sigma2=0.3)  # > (1-0)^2/4
+
+    @pytest.mark.parametrize("high", [1e200, 1.5e154])
+    def test_popoviciu_check_on_a_wide_range(self, high):
+        # (b - a) ** 2 raised OverflowError; every field of the report is finite
+        report = bound_report(inputs(range=(0.0, high), sigma2=0.1, m=10, n=10))
+        assert report.N > high and report.expected_training_gap < math.inf
+
+    def test_width_overflowing_to_infinity_is_named(self):
+        with pytest.raises(NumericalError, match=(
+            "^bound is not finite: expected_validation_gap, expected_training_gap, M, N$"
+        )):
+            bound_report(inputs(range=(-1e308, 1e308), sigma2=0.1))
 
     def test_eta(self):
         assert inputs().eta == pytest.approx(4.0 / 3.0)
@@ -225,7 +248,7 @@ class TestEmpiricalSoundness:
         # exact Var(g(f(Y), X)): indicator of a correct guess
         sigma2 = truth * (1.0 - truth)
         n, eps, reps = 100, 0.08, 2000
-        bound = validation_deviation_prob(n, sigma2, (0.0, 1.0), eps)
+        bound = validation_deviation_prob(inputs(n=n, sigma2=sigma2, epsilon=eps))
         hits = 0
         for r in range(reps):
             sampled = sample_joint(joint, n, stream(r, "t/sound"))
@@ -235,6 +258,31 @@ class TestEmpiricalSoundness:
         observed = hits / reps
         slack = 3.0 * math.sqrt(max(observed * (1 - observed), 1e-4) / reps)
         assert observed <= bound + slack
+
+    def test_validation_bound_on_the_multi_guess_scenario(self):
+        # f is the data-method kNN at m = 2,000; V(f) is exact and, as g is
+        # 0 or 1, so is sigma^2 = V(f) (1 - V(f))
+        scenario = build_scenario("multi-guess")
+        joint = (scenario.prior, scenario.channel)
+        knn, _ = fit(
+            "data", *joint, scenario.gain, 2000, scenario.metric, stream(0, "t/sound/knn"),
+        )
+        # the kNN read once over every output index, so each set is a table lookup
+        f = fixed_strategy(knn.predict(np.arange(scenario.channel.output.size)[:, None]))
+        truth = strategy_gain(f, *joint, scenario.gain)
+        assert set(np.unique(scenario.gain.matrix)) == {0.0, 1.0}
+        n, eps, reps = 1000, 0.03, 2000
+        bound = validation_deviation_prob(
+            inputs(n=n, sigma2=truth * (1.0 - truth), epsilon=eps)
+        )
+        hits = sum(
+            abs(empirical_functional(f, sample_joint(joint, n, stream(r, "t/sound/mg")),
+                                     scenario.gain) - truth) >= eps
+            for r in range(reps)
+        )
+        observed = hits / reps
+        slack = 3.0 * math.sqrt(max(observed * (1 - observed), 1e-4) / reps)
+        assert 0.0 < observed <= bound + slack
 
     def test_plugin_sigma2_matches_manual_variance(self):
         X = Alphabet.integers(2)

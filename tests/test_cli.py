@@ -664,6 +664,31 @@ class TestBounds:
         assert err.startswith("numerical failure:") and "expected_training_gap" in err
         assert out == ""
 
+    def small(self, *extra):
+        return ["bounds", "--m", "10", "--n", "10", "--sigma2", "0.1", "--hypotheses", "1",
+                "--delta", "0.05", "--split", "0.025", *extra]
+
+    @pytest.mark.parametrize("high", ["1e200", "1.5e154"])
+    def test_wide_finite_range_reported(self, capsys, high):
+        # (b - a) ** 2 in the Popoviciu check raised OverflowError: exit 3
+        # with "Numerical result out of range", though every field is finite
+        payload = run_json(capsys, self.small("--range", "0", high, "--epsilon", "0.1"))
+        assert payload["M"] > payload["N"] > float(high)
+        assert payload["validation_deviation_prob"] == 1.0
+
+    @pytest.mark.parametrize("extra, fields", [
+        (["--range", "0", "1", "--epsilon", "1e-160"], "M, N"),
+        (["--range", "0", "1", "--epsilon", "1e-170"], "M, N"),
+        (["--range", "-1e308", "1e308", "--epsilon", "0.1"],
+         "expected_validation_gap, expected_training_gap, M, N"),
+    ], ids=["epsilon-1e-160", "epsilon-1e-170", "range-1e308"])
+    def test_overflowing_sample_size_is_named(self, capsys, extra, fields):
+        # math.ceil of an infinite M or N, or eps^2 underflowing to 0, raised
+        # a conversion or division message that named no bound
+        code, out, err = run_cli(capsys, self.small(*extra))
+        assert code == 3 and out == ""
+        assert err.strip() == f"numerical failure: bound is not finite: {fields}"
+
     def test_out_written(self, capsys, tmp_path):
         out_path = tmp_path / "bounds.json"
         payload = run_json(capsys, self.base() + ["--out", str(out_path)])

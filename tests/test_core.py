@@ -26,8 +26,10 @@ from gleak.core import _unique_rows, leakage_of
 from gleak.estimation import TablePredictor
 from oracles import enumerate_strategies_vulnerability, fixed_strategy, optimal_strategy
 from conftest import (
+    identity_channel,
     loop_posterior_vulnerability,
     loop_prior_vulnerability,
+    original_gain,
     random_channel,
     random_gain,
     random_prior,
@@ -64,7 +66,7 @@ class TestDomainTypes:
         g = GainFunction(Alphabet.integers(2, "w"), X, np.array([[-1.0, 1.0], [0.5, -0.5]]))
         assert g.shift == 1.0
         assert (g.matrix >= 0).all()
-        np.testing.assert_allclose(g.original(), [[-1.0, 1.0], [0.5, -0.5]])
+        np.testing.assert_allclose(original_gain(g), [[-1.0, 1.0], [0.5, -0.5]])
         assert g.range == (-1.0, 1.0)
 
     def test_sample_set_validation(self):
@@ -135,7 +137,7 @@ class TestPosteriorVulnerability:
         X = Alphabet.integers(3)
         prior = Prior(X, np.array([0.2, 0.5, 0.3]))
         g = identity_gain(X)
-        assert posterior_vulnerability(prior, Channel.identity(X), g) == pytest.approx(1.0)
+        assert posterior_vulnerability(prior, identity_channel(X), g) == pytest.approx(1.0)
 
     def test_constant_channel_equals_prior_vulnerability(self):
         X = Alphabet.integers(3)
@@ -166,7 +168,7 @@ class TestPosteriorVulnerability:
             perm = gen.permutation(n)
             prior_p = Prior(prior.alphabet, prior.probs[perm])
             channel_p = Channel(channel.input, channel.output, channel.rows[perm])
-            gain_p = GainFunction(gain.guesses, gain.secrets, gain.original()[:, perm])
+            gain_p = GainFunction(gain.guesses, gain.secrets, original_gain(gain)[:, perm])
             assert posterior_vulnerability(prior_p, channel_p, gain_p) == pytest.approx(
                 posterior_vulnerability(prior, channel, gain), abs=1e-12
             )
@@ -233,7 +235,7 @@ class TestLeakage:
     def test_multiplicative_undefined_on_zero_prior_vulnerability(self):
         X = Alphabet.integers(2)
         prior = Prior(X, np.array([1.0, 0.0]))
-        channel = Channel.identity(X)
+        channel = identity_channel(X)
         # only guess w0 pays, and only on the zero-probability secret
         g = GainFunction(Alphabet.integers(1, "w"), X, np.array([[0.0, 1.0]]))
         with pytest.raises(ValidationError, match="undefined"):
@@ -329,7 +331,7 @@ class TestSampling:
 
     def test_matrix_pair_alphabet_mismatch(self):
         prior = Prior.uniform(Alphabet.integers(2))
-        channel = Channel.identity(Alphabet.integers(3))
+        channel = identity_channel(Alphabet.integers(3))
         with pytest.raises(ValidationError, match="channel input"):
             sample_joint((prior, channel), 10, stream(0, "t/bad"))
 

@@ -427,3 +427,23 @@ def test_fitted_strategy_is_never_above_v_g(name, method, learner):
     )
     value = strategy_gain(read(f), scenario.prior, law, scenario.gain)
     assert value <= scenario.exact_vg + 1e-12
+
+
+def test_knn_training_gap_falls_with_m():
+    # learnability: the median over seeds of the training gap
+    # (V_g - V(f)) / V_g of the data-method kNN on multi-guess falls from
+    # m = 2,000 to m = 10,000 (about 0.19 to 0.09)
+    scenario = build_scenario("multi-guess")
+
+    def median_gap(m):
+        gaps = []
+        for seed in range(3):
+            f, _ = fit(
+                "data", scenario.prior, scenario.channel, scenario.gain, m, scenario.metric,
+                stream(seed, f"t/learnable/{m}"),
+            )
+            value = strategy_gain(f, scenario.prior, scenario.channel, scenario.gain)
+            gaps.append((scenario.exact_vg - value) / scenario.exact_vg)
+        return float(np.median(gaps))
+
+    assert median_gap(10_000) < median_gap(2000)

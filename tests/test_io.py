@@ -10,7 +10,7 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import write_gain, write_samples
+from conftest import original_gain, write_gain, write_samples
 from gleak import (
     Alphabet,
     Channel,
@@ -123,7 +123,7 @@ class TestGainFormat:
         path = tmp_path / "gain.txt"
         write_gain(gain, path)
         back = read_gain(path)
-        assert (back.original() == matrix).all()
+        assert (original_gain(back) == matrix).all()
         assert back.shift == gain.shift
         assert back.range == gain.range
 

@@ -33,7 +33,7 @@ from gleak.preprocess import (
 )
 from gleak.scenarios import build_scenario
 from gleak.scenarios.multi_guess import two_tries_gain
-from conftest import random_channel, random_gain, random_prior
+from conftest import identity_channel, random_channel, random_gain, random_prior
 from oracles import compose, ideal_derivation, reference_rationalize_gain, table_entries
 
 
@@ -291,7 +291,7 @@ class TestIdealDerivation:
         gain = GainFunction(
             Alphabet.integers(2, "w"), X, np.array([[2.0, 0.0], [0.0, 2.0]])
         )
-        deriv = ideal_derivation(prior, Channel.identity(X), gain)
+        deriv = ideal_derivation(prior, identity_channel(X), gain)
         assert deriv.alpha == pytest.approx(2.0, abs=1e-12)
         np.testing.assert_allclose(deriv.xi.probs, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(deriv.E.rows, np.eye(2), atol=1e-12)
@@ -319,7 +319,7 @@ class TestIdealDerivation:
     def test_zero_effective_gain_rejected(self):
         X = Alphabet.integers(2)
         prior = Prior(X, np.array([1.0, 0.0]))
-        channel = Channel.identity(X)
+        channel = identity_channel(X)
         gain = GainFunction(Alphabet.integers(1, "w"), X, np.array([[0.0, 3.0]]))
         with pytest.raises(ValidationError, match="degenerate|alpha"):
             ideal_derivation(prior, channel, gain)
@@ -393,7 +393,7 @@ class TestCompose:
         gen = np.random.default_rng(43)
         X = Alphabet.integers(3)
         c = random_channel(gen, X, 4)
-        np.testing.assert_allclose(compose(Channel.identity(X), c).rows, c.rows)
+        np.testing.assert_allclose(compose(identity_channel(X), c).rows, c.rows)
         r = Channel(Alphabet.integers(2, "w"), X, np.array([[0.2, 0.3, 0.5], [1.0, 0, 0]]))
         ident_out = Channel(X, X, np.eye(3))
         np.testing.assert_allclose(compose(r, ident_out).rows, r.rows)

@@ -119,7 +119,7 @@ from oracles import (
     reference_unique_rows,
     table_entries,
 )
-from conftest import fit_frequentist
+from conftest import fit_frequentist, identity_channel, original_gain
 
 SCENARIOS = ("multi-guess", "location", "dp", "password")
 
@@ -571,7 +571,7 @@ class TestTallies:
 def fit_data_knn(train, gain, metric, prior=None, channel=None):
     """``fit("data", ...)`` on a drawn set; the source is nominal, as a set is given."""
     prior = prior or Prior.uniform(gain.secrets)
-    channel = channel or Channel.identity(gain.secrets)
+    channel = channel or identity_channel(gain.secrets)
     return fit(
         "data", prior, channel, gain, train.size, metric, stream(0, "t/ref/unused"), train=train
     )
@@ -817,7 +817,7 @@ def random_rational(gen, shape, denominators):
 class TestRationalizeGain:
     def test_scenarios(self, scenario):
         assert isinstance(
-            assert_same_rationalization(scenario.gain.original())[1], int
+            assert_same_rationalization(original_gain(scenario.gain))[1], int
         )
 
     @pytest.mark.parametrize("seed", range(40))

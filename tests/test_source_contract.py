@@ -7,8 +7,9 @@ as an ``AssertionError`` with exit code 1; library checks raise
 
 ``gleak.__all__`` lists each public name the package imports, once, and
 every one of them is documented in README "Library use".  Every other
-public module-level function or class is reached from other library code:
-what only tests call belongs in the tests.
+public module-level function or class is reached from other library code,
+and so is every public method of a library class, exported or not: what
+only tests call belongs in the tests.
 
 Every predictor is scored through one call, ``core._decide``, which asks it
 once per distinct observable and checks its guesses; no other library code
@@ -34,6 +35,10 @@ and one model from it: the k-NN, the MLP, or the frequentist's decision
 table of its row argmaxes, whose data table takes the original gain.  Both
 learners take tables, so neither ``gleak/knn.py`` nor ``gleak/mlp.py``
 imports the pre-processing module.
+
+The bound calculators each take one ``BoundInputs`` and nothing else, and
+check nothing themselves: every ``_require`` of ``gleak/bounds.py`` is in
+``BoundInputs.__post_init__``.
 
 The MLP has one forward pass, ``mlp._propagate``: training and prediction
 both run it, and no other function computes a log-softmax.
@@ -121,9 +126,11 @@ def _names_used(node: ast.AST) -> set[str]:
 
 def test_every_public_definition_is_reached():
     """A public module-level def or class that no other library code names
-    must be exported; re-exports in ``__init__.py`` do not count as uses."""
-    definitions = []  # (file, name) of each public module-level def or class
-    uses = []  # (file, enclosing top-level name or None, names used)
+    must be exported, and a public method of a library class must be named
+    by library code outside its own body, whether or not its class is
+    exported; re-exports in ``__init__.py`` do not count as uses."""
+    definitions = []  # (file, scope, name) of each public def, class or method
+    uses = []  # (file, scope, names used); a method's scope is (class, method)
     for path in sorted(SOURCE.rglob("*.py")):
         if path.name == "__init__.py" and path.parent == SOURCE:
             continue
@@ -131,14 +138,22 @@ def test_every_public_definition_is_reached():
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             name = getattr(node, "name", None)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_"):
-                definitions.append((where, name))
-            uses.append((where, name, _names_used(node)))
+                if name not in gleak.__all__:
+                    definitions.append((where, (name,), name))
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for member in members:
+                scope = (name,)
+                if member is not node and isinstance(member, ast.FunctionDef):
+                    scope = (name, member.name)
+                    if not member.name.startswith("_"):
+                        definitions.append((where, scope, member.name))
+                uses.append((where, scope, _names_used(member)))
     unreached = sorted(
-        f"{where}:{name}"
-        for where, name in definitions
-        if name not in gleak.__all__
-        and not any(
-            name in used and (path, owner) != (where, name) for path, owner, used in uses
+        f"{where}:{'.'.join(scope)}"
+        for where, scope, name in definitions
+        if not any(
+            name in used and (path, owner[:len(scope)]) != (where, scope)
+            for path, owner, used in uses
         )
     )
     assert not unreached, "public but reached by no library code: " + ", ".join(unreached)
@@ -268,6 +283,22 @@ def test_observable_label_counts_are_taken_in_one_place():
 def test_data_table_is_built_only_by_fit_and_leak_preprocess():
     found = sorted((path, scope) for path, scope, _ in _found(_is_name_call("data_table")))
     assert found == [("gleak/cli.py", "cmd_preprocess"), ("gleak/estimation.py", "fit")]
+
+
+def test_bound_calculators_take_one_checked_bound_inputs():
+    tree = ast.parse((SOURCE / "bounds.py").read_text())
+    (inputs,) = [node for node in tree.body if getattr(node, "name", None) == "BoundInputs"]
+    (post_init,) = [f for f in inputs.body if getattr(f, "name", None) == "__post_init__"]
+    checks = list(_calls(tree, _is_name_call("_require")))
+    assert checks and checks == list(_calls(post_init, _is_name_call("_require"), "__post_init__"))
+    calculators = [
+        f for f in tree.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+    ]
+    assert len(calculators) == 5
+    for f in calculators:
+        params = f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+        assert not (f.args.vararg or f.args.kwarg), f.name
+        assert [ast.unparse(p.annotation) for p in params] == ["BoundInputs"], f.name
 
 
 def _fit() -> ast.FunctionDef:
