@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 from .core import NumericalError, _require
 
 _SQRT_PI = math.sqrt(math.pi)
+POPOVICIU_SLACK = 1e-12  # sigma2 may pass (b-a)^2/4 by this fraction of it, for rounding
 
 
 def _clip01(p: float) -> float:
@@ -29,8 +30,9 @@ class BoundInputs:
     """Inputs shared by the bound calculators.
 
     sigma2 is a variance proxy for Var(g(f(Y), X)); by Popoviciu it can
-    never exceed (b-a)^2/4, which is asserted.  hypothesis_count is the
-    (finite) hypothesis-class size |H| and must be supplied by the caller;
+    never exceed (b-a)^2/4, which is checked up to a rounding slack relative
+    to it, ``POPOVICIU_SLACK``.  hypothesis_count is the (finite)
+    hypothesis-class size |H| and must be supplied by the caller;
     for learners over huge observable spaces the resulting bounds are
     documented as vacuous rather than silently truncated.  The closed forms
     are evaluated in floating point, so |H| may not exceed the largest float,
@@ -57,7 +59,8 @@ class BoundInputs:
         _require(self.sigma2 > 0, "sigma2 must be positive")
         _require(b > a, "range must satisfy a < b")
         half = self.width / 2  # squared as a product: a float ** raises on overflow
-        _require(self.sigma2 <= half * half + 1e-12, "sigma2 exceeds Popoviciu bound (b-a)^2/4")
+        _require(self.sigma2 <= half * half * (1.0 + POPOVICIU_SLACK),
+                 "sigma2 exceeds Popoviciu bound (b-a)^2/4")
         _require(self.hypothesis_count >= 1, "hypothesis count must be >= 1")
         _require(
             self.hypothesis_count <= sys.float_info.max,

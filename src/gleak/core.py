@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -244,12 +244,18 @@ class SampleSet:
     observable rows and the (l, |secrets|) int64 table of how often each
     secret occurs with each, both read-only.  It is computed on first use
     and kept with the set, so every learner trained on one set counts it
-    once.
+    once.  Next to it the set keeps the last data table built on it,
+    ``preprocess.data_table``, as one (gain, table) pair: a set builds one
+    table per gain object, which its frequentist and data fits share when
+    the rationalized gain is the gain itself.
     """
 
     secrets: Alphabet
     xs: np.ndarray
     ys: np.ndarray
+    _data_table: tuple[GainFunction, PairTable] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=np.int64)

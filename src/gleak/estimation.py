@@ -12,6 +12,10 @@ frequentist, or the (w, y) pairs of tau |> RC with their count table as
 the weights.  The k-NN and the MLP train on it; the frequentist is its
 argmax per row.  Every table reads a set's count table,
 ``SampleSet.counts``, which one set counts once for all of its learners.
+A set builds one data table per gain object, which its frequentist and
+data fits share when the rationalized gain is the gain itself, as under
+every built-in scenario; a gain of scale above 1 builds two, because the
+frequentist keeps the float ties of the original gain.
 """
 
 from __future__ import annotations

@@ -279,8 +279,10 @@ def run_trial_matrix(
 
     # a job fits the frequentist, the data and then the channel models, and
     # scores each before the next fit.  The pi |> C set is held once per
-    # model that takes it and the last of them pops it, so the set and its
-    # count table are freed before that model is scored
+    # model that takes it and the last of them pops it, so the set, its
+    # count table and the data table it keeps (one for the frequentist and
+    # the data fits under a gain that is its own rationalization) are freed
+    # before that model is scored
     combos = sorted(_combos(config), key=lambda combo: _TASK_ORDER.index(combo[0]))
     shared = sum(method != "channel" for method, _ in combos)
 

@@ -31,6 +31,7 @@ from .core import (
     Prior,
     SampleSet,
     ValidationError,
+    _freeze,
     _require,
 )
 
@@ -51,7 +52,7 @@ class ChannelPreprocDerivation:
 def data_table(train: SampleSet, gain: GainFunction) -> PairTable:
     """The data pre-processing of ``train``, as one table over
     ``gain.guesses``: the distinct observables y and the (l, W) weights
-    sum_x n(x, y) g(w, x), in float64.
+    sum_x n(x, y) g(w, x), in float64, both read-only.
 
     The weights are the set's (l, X) table of secret counts n,
     ``train.counts``, times G^T.  Under an integer gain they are
@@ -61,7 +62,15 @@ def data_table(train: SampleSet, gain: GainFunction) -> PairTable:
     counts, and the frequentist reads only each row's argmax.  An
     observable seen only with zero-gain secrets is not in the expansion:
     its all-zero row is dropped.  Raises if every row is.
+
+    The set keeps the table it built last, with its gain: asked again for
+    the same gain object (``is``, never an equal value), it returns that
+    table.  So a set builds one table per gain object, and its frequentist
+    and data fits share one when the rationalized gain is the gain itself.
     """
+    kept = train._data_table
+    if kept is not None and kept[0] is gain:
+        return kept[1]
     _require(train.size > 0, "training set is empty")
     distinct, counts = train.counts
     tallies = counts.astype(np.float64) @ gain.matrix.T
@@ -70,7 +79,9 @@ def data_table(train: SampleSet, gain: GainFunction) -> PairTable:
         raise ValidationError("gain is zero on every sampled secret")
     if not seen.all():  # otherwise no copy: the set keeps its count table meanwhile
         distinct, tallies = distinct[seen], tallies[seen]
-    return PairTable(gain.guesses, distinct, tallies)
+    table = PairTable(gain.guesses, _freeze(distinct), _freeze(tallies))
+    object.__setattr__(train, "_data_table", (gain, table))  # SampleSet is frozen
+    return table
 
 
 def _distinct_values(matrix: np.ndarray) -> np.ndarray:

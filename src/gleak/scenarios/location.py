@@ -61,8 +61,8 @@ def _by_offset(table: np.ndarray) -> np.ndarray:
     rows, cols = table.shape
     dr = np.abs(np.subtract.outer(np.arange(rows), np.arange(rows)))
     dc = np.abs(np.subtract.outer(np.arange(cols), np.arange(cols)))
-    by_pair = table[:, dc][dr]  # indexed (r, r', c, c')
-    return by_pair.transpose(0, 2, 1, 3).reshape(rows * cols, rows * cols)
+    by_pair = table[dr[:, None, :, None], dc[None, :, None, :]]  # indexed (r, c, r', c')
+    return by_pair.reshape(rows * cols, rows * cols)
 
 
 def _cell_alphabet(rows: int, cols: int, cells: Alphabet | None) -> Alphabet:

@@ -201,6 +201,15 @@ class TestBoundInputs:
         with pytest.raises(ValidationError, match="Popoviciu"):
             inputs(sigma2=0.3)  # > (1-0)^2/4
 
+    def test_popoviciu_check_on_a_narrow_range(self):
+        # an absolute slack of 1e-12 let sigma2 = 200 (b - a)^2/4 through
+        with pytest.raises(ValidationError, match="Popoviciu"):
+            inputs(range=(0.0, 1e-7), sigma2=5e-13, m=10, n=10, hypothesis_count=1)
+
+    def test_popoviciu_slack_covers_one_rounding_step(self):
+        above = float(np.nextafter(0.25, 1.0))  # (1 - 0)^2/4, one step up
+        assert inputs(sigma2=above).sigma2 == above
+
     @pytest.mark.parametrize("high", [1e200, 1.5e154])
     def test_popoviciu_check_on_a_wide_range(self, high):
         # (b - a) ** 2 raised OverflowError; every field of the report is finite

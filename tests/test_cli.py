@@ -617,6 +617,20 @@ class TestBounds:
         assert out == ""
         assert err.startswith("error:") and f"{flag[2:]} must be finite" in err
 
+    def test_popoviciu_check_on_a_narrow_range(self, capsys):
+        # sigma2 is 200 times (b - a)^2/4: an absolute slack of 1e-12 let it pass
+        code, out, err = run_cli(capsys, [
+            "bounds", "--m", "10", "--n", "10", "--sigma2", "5e-13", "--range", "0", "1e-7",
+            "--hypotheses", "1", "--epsilon", "0.1", "--delta", "0.05", "--split", "0.025",
+        ])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Popoviciu" in err
+
+    def test_popoviciu_slack_covers_one_rounding_step(self, capsys):
+        argv = self.base()
+        argv[argv.index("--sigma2") + 1] = repr(float(np.nextafter(0.25, 1.0)))
+        assert run_json(capsys, argv)["N"] == 249
+
     def test_range_takes_any_negative_float(self, capsys):
         # argparse took "-1e3" for an option string: "expected 2 arguments"
         payloads = []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gleak import NumericalError, ValidationError, sample_joint, stream
-from gleak import core, estimation, harness
+from gleak import core, estimation, harness, preprocess
 from gleak.estimation import TablePredictor
 from gleak.harness import (
     METHODS,
@@ -377,6 +377,21 @@ class TestSharedTrainingSets:
         monkeypatch.setattr(core, "_count_table", spy)
         run_trial_matrix(tiny_config(scenario=scenario, methods=methods))
         assert sorted(calls) == sorted([300, 600] * 2 * counts_per_set)
+
+    @pytest.mark.parametrize("methods", [("data", "frequentist"), METHODS])
+    def test_each_training_set_builds_one_data_table(self, monkeypatch, methods):
+        # location's gain is its own rationalization: the frequentist's table
+        # under the gain is the data method's, one N G^T product per set
+        built, real = [], preprocess.PairTable
+
+        def spy(guesses, distinct, tallies):
+            built.append(distinct.shape[0])
+            return real(guesses, distinct, tallies)
+
+        monkeypatch.setattr(preprocess, "PairTable", spy)
+        config = tiny_config(scenario="location", methods=methods, num_valid_sets=1)
+        run_trial_matrix(config)
+        assert len(built) == len(config.sizes) * config.num_train_sets
 
     def test_mlp_expansion_reads_the_count_table(self, monkeypatch):
         # with kNN and MLP learners, each pi |> C set takes its distinct rows

@@ -15,12 +15,14 @@ from gleak import (
     Prior,
     SampleSet,
     ValidationError,
+    fit,
     identity_gain,
     posterior_vulnerability,
     sample_joint,
     scalar_codec,
     stream,
 )
+from gleak import preprocess
 from gleak.io import read_gain
 from gleak.knn import knn_train
 from gleak.mlp import mlp_train
@@ -121,6 +123,73 @@ class TestDataPreprocess:
         config = MlpConfig(scalar_codec(), (4,), epochs=1, batch_size=2)
         with pytest.raises(ValidationError, match="integer counts"):
             mlp_train(table, config, stream(0, "t/pre/frac"))
+
+
+def count_tables(monkeypatch) -> list:
+    """The tallies of each table ``data_table`` builds from now on."""
+    built, real = [], preprocess.PairTable
+
+    def spy(guesses, distinct, tallies):
+        built.append(tallies.copy())
+        return real(guesses, distinct, tallies)
+
+    monkeypatch.setattr(preprocess, "PairTable", spy)
+    return built
+
+
+class TestDataTableIsKept:
+    """A set builds one data table per gain object and keeps the last one."""
+
+    @pytest.fixture
+    def train(self):
+        gen = np.random.default_rng(11)
+        xs, ys = gen.integers(0, 4, 300), gen.integers(0, 9, (300, 1))
+        return SampleSet(Alphabet.integers(4), xs, ys)
+
+    def test_same_gain_object_returns_the_kept_table(self, train, monkeypatch):
+        gain = random_gain(np.random.default_rng(2), 3, train.secrets, max_value=5)
+        built = count_tables(monkeypatch)
+        table = data_table(train, gain)
+        assert data_table(train, gain) is table and len(built) == 1
+        for array in (table.distinct, table.tallies):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_equal_or_other_gain_rebuilds(self, train, monkeypatch):
+        gain = random_gain(np.random.default_rng(2), 3, train.secrets, max_value=5)
+        equal = GainFunction(gain.guesses, gain.secrets, gain.matrix.copy())
+        built = count_tables(monkeypatch)
+        first = data_table(train, gain)
+        again = data_table(train, equal)  # equal values, another object
+        assert again is not first and len(built) == 2
+        assert again.tallies.tobytes() == first.tallies.tobytes()
+        other = data_table(train, identity_gain(train.secrets))
+        assert len(built) == 3 and other.tallies.shape[1] == 4
+        # one kept pair: the first gain now builds its table again
+        assert data_table(train, gain) is not first and len(built) == 4
+
+    def test_gain_of_halves_builds_two_tables(self, train, monkeypatch, tmp_path):
+        # scale 2: the data table takes the rationalized gain, the frequentist
+        # the float table of the original gain, which the set does not share
+        path = tmp_path / "gain.txt"
+        path.write_text("3 4\n1.0 0.5 0.0 0.0\n0.0 0.5 1.0 0.5\n0.5 0.0 0.5 1.0\n")
+        gain = read_gain(path, train.secrets)
+        rational, scale = rationalize_gain(gain)
+        assert scale == 2 and rational is not gain
+        built = count_tables(monkeypatch)
+        prior = Prior.uniform(train.secrets)
+        channel = Channel(train.secrets, Alphabet.integers(9), np.full((4, 9), 1 / 9))
+        metric = DistanceMetric("absolute", scalar_codec())
+        frequentist, _ = fit(
+            "frequentist", prior, channel, gain, 300, None, stream(0, "t/unused"), train=train
+        )
+        fit("data", prior, channel, gain, 300, metric, stream(0, "t/unused"), train=train)
+        distinct, counts = train.counts
+        product = counts.astype(np.float64) @ gain.matrix.T
+        assert [t.tobytes() for t in built] == [product.tobytes(), (product * 2).tobytes()]
+        np.testing.assert_array_equal(frequentist.keys, distinct)
+        np.testing.assert_array_equal(frequentist.guesses, np.argmax(product, axis=1))
 
 
 class TestRationalizeGain:

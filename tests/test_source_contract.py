@@ -17,6 +17,9 @@ calls ``.predict(``.
 
 No function takes a ``**`` catch-all: each parameter a caller may set is
 named in the signature, so a misspelt or unread setting fails at the call.
+``functools.lru_cache`` and ``functools.cache`` decorate only functions
+whose parameters are ints, so no cache that outlives a call holds a prior,
+channel, gain, sample set or scenario.
 
 Distinct rows are taken in one place, ``core._unique_rows``; no other
 library code calls ``np.unique(..., axis=...)``, which sorts the rows as a
@@ -239,6 +242,58 @@ def test_no_catch_all_keyword_parameters():
             and node.args.kwarg is not None
         )
     assert not found, "** parameter in library code: " + ", ".join(found)
+
+
+_MEMOIZERS = {"lru_cache", "cache"}
+
+
+def _is_memoizer(node: ast.expr) -> bool:
+    """``functools.lru_cache`` or ``functools.cache``, called or not."""
+    func = node.func if isinstance(node, ast.Call) else node
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in _MEMOIZERS
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "functools"
+    )
+
+
+def _memoized(tree: ast.AST) -> dict[str, list[str]]:
+    """Each memoized function's parameter annotations, ``*`` / ``**`` marked."""
+    found = {}
+    for f in _function_defs(tree):
+        if any(_is_memoizer(d) for d in f.decorator_list):
+            params = f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+            found[f.name] = [ast.unparse(p.annotation) if p.annotation else "" for p in params]
+            found[f.name] += ["*"] * bool(f.args.vararg) + ["**"] * bool(f.args.kwarg)
+    return found
+
+
+def test_only_functions_of_ints_are_memoized():
+    # a cache that outlives a call may hold no Prior, Channel, GainFunction,
+    # SampleSet or scenario: only functions of ints are memoized
+    example = ast.parse(
+        "@functools.lru_cache(maxsize=None)\ndef f(a: int, b: Prior): pass\n"
+        "@functools.cache\ndef g(*a): pass\n"
+    )
+    assert _memoized(example) == {"f": ["int", "Prior"], "g": ["*"]}
+    found, uses = {}, 0
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for alias in node.names
+        }
+        assert not imported & _MEMOIZERS, f"{path.name} imports a cache by name"
+        uses += sum(_is_memoizer(n) for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+        found.update(
+            (f"{path.relative_to(SOURCE.parent)}::{name}", params)
+            for name, params in _memoized(tree).items()
+        )
+    assert uses == len(found), "a cache used other than as a decorator"
+    assert found and all(params and set(params) == {"int"} for params in found.values()), found
 
 
 def _is_numpy_call(call: ast.Call, *path: str) -> bool:
