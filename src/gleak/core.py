@@ -32,6 +32,8 @@ DENSE_SPAN_SLACK = 4096
 # an estimate may leave the gain's range by this much, for rounding
 RANGE_SLACK = 1e-9
 EXACT_INTEGER = 2**53  # float64 holds every integer of magnitude up to this
+# _as_counts checks a table in row blocks of about this many entries
+COUNT_CHECK_ENTRIES = 8192
 
 
 class ValidationError(ValueError):
@@ -55,11 +57,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _as_counts(tallies: np.ndarray, learner: str) -> np.ndarray:
     """``tallies`` as float64, checked to be counts: non-negative integers
-    whose column totals are below 2**53, so every sum of them is exact."""
+    whose column totals are below 2**53, so every sum of them is exact.
+    The entries are checked in blocks of rows, so no temporary is as large
+    as the table."""
     tallies = np.asarray(tallies, dtype=np.float64)
+    step = max(1, COUNT_CHECK_ENTRIES // max(1, tallies.shape[-1]))
+    blocks = (tallies[i : i + step] for i in range(0, tallies.shape[0], step))
     _require(
-        bool((tallies >= 0).all())
-        and bool((tallies == np.round(tallies)).all())
+        all(bool((b >= 0).all()) and bool((b == np.round(b)).all()) for b in blocks)
         and bool((tallies.sum(axis=0) < EXACT_INTEGER).all()),
         f"{learner} tallies must be non-negative integer counts below 2**53",
     )

@@ -5,7 +5,13 @@ cross-entropy loss.  It trains on a (guess, observable) table,
 ``core.PairTable``, drawing mini-batches with probability proportional to
 weight by inverting the cumulative weights of its positive cells, read
 guess-major and then by observable: bitwise the same as training on the
-expanded multiset listed in that order, with the same stream.  Parameters
+expanded multiset listed in that order, with the same stream.  A batch
+repeats observable rows, and everything up to the logits is a function of
+the row alone, so each step runs its forward and backward pass once per
+distinct row of the batch, in table-row order; row u, drawn c_u times,
+takes the output delta c_u·softmax_u less the draws of each of its labels,
+over the batch size.  In exact arithmetic that is the gradient of the
+per-draw step; in floating point it sums in another order.  Parameters
 update with mini-batch gradient descent using first/second-moment adaptive
 scaling (decay 0.9/0.999, epsilon 1e-8) — the paper-silent optimizer
 choice, flagged in reports.
@@ -85,7 +91,9 @@ class _Network:
     views into another of the same layout, so the optimizer updates all of
     them in a few whole-vector operations.  ``loss_and_grads`` is the
     training step's forward and backward pass; it writes every batch-sized
-    intermediate into buffers allocated here, once per training call.
+    intermediate into the leading rows of buffers allocated here, once per
+    training call, with ``batch`` rows: at least the distinct rows of any
+    batch.
     """
 
     def __init__(
@@ -111,22 +119,39 @@ class _Network:
         self.active = [np.empty((batch, width), dtype=bool) for width in hidden]
         self.logp = np.empty((batch, layer_sizes[-1]))
         self.probs = np.empty((batch, layer_sizes[-1]))
-        self.rows = np.arange(batch)
 
-    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray) -> float:
-        """Mean cross-entropy of the batch; its gradients go to ``grads``."""
-        logp = _propagate(self, x, self.acts, self.logp, self.probs)
-        loss = -float(logp[self.rows, labels].mean())
-        delta = np.exp(logp, out=self.probs)
-        delta[self.rows, labels] -= 1.0
-        delta /= x.shape[0]
-        inputs = [x, *self.acts]
+    def loss_and_grads(
+        self, x_rows: np.ndarray, rows: np.ndarray, labels: np.ndarray, idx: np.ndarray
+    ) -> float:
+        """Mean cross-entropy of the batch that draws the cells ``idx``, cell
+        c being label ``labels[c]`` on row ``rows[c]`` of ``x_rows``; its
+        gradients go to ``grads``.  The cells must be distinct (row, label)
+        pairs.  The pass runs once per distinct row of the batch."""
+        batch = idx.size
+        per_cell = np.bincount(idx, minlength=labels.size)
+        per_row = np.bincount(rows, weights=per_cell, minlength=x_rows.shape[0])
+        drawn_rows = np.flatnonzero(per_row)
+        drawn = np.flatnonzero(per_cell)
+        d = drawn_rows.size
+        # drawn_rows is in range by construction; "clip" lets take write unbuffered
+        x = np.take(x_rows, drawn_rows, axis=0, out=self.x[:d], mode="clip")
+        acts = [a[:d] for a in self.acts]
+        logp = _propagate(self, x, acts, self.logp[:d], self.probs[:d])
+        # the drawn cells are distinct, so one fancy-indexed subtract is exact
+        at = (np.searchsorted(drawn_rows, rows[drawn]), labels[drawn])
+        draws = per_cell[drawn]
+        loss = -float((draws * logp[at]).sum()) / batch
+        delta = np.exp(logp, out=self.probs[:d])
+        delta *= per_row[drawn_rows, None]
+        delta[at] -= draws
+        delta /= batch
+        inputs = [x, *acts]
         for layer in range(len(self.weights) - 1, -1, -1):
             np.matmul(inputs[layer].T, delta, out=self.grads_w[layer])
             np.sum(delta, axis=0, out=self.grads_b[layer])
             if layer > 0:
-                below = np.matmul(delta, self.weights[layer].T, out=self.deltas[layer - 1])
-                active = np.greater(inputs[layer], 0.0, out=self.active[layer - 1])
+                below = np.matmul(delta, self.weights[layer].T, out=self.deltas[layer - 1][:d])
+                active = np.greater(inputs[layer], 0.0, out=self.active[layer - 1][:d])
                 delta = np.multiply(below, active, out=below)
         return loss
 
@@ -167,14 +192,14 @@ class MlpClassifier:
 def mlp_train(data: PairTable, config: MlpConfig, stream: Stream) -> MlpClassifier:
     """Train on a (guess, observable) table; deterministic given the stream."""
     tallies = _as_counts(data.tallies, "MLP")
-    labels_all, rows = np.nonzero(tallies.T)  # guess-major, then row order
-    _require(labels_all.size > 0, "MLP tallies hold no positive weight")
-    x_all = config.codec.encode(data.distinct)[rows]  # the codec maps rows one by one
-    cum_weights = np.cumsum(tallies[rows, labels_all].astype(np.int64))
+    labels, rows = np.nonzero(tallies.T)  # guess-major, then row order
+    _require(labels.size > 0, "MLP tallies hold no positive weight")
+    x_rows = config.codec.encode(data.distinct)
+    cum_weights = np.cumsum(tallies[rows, labels].astype(np.int64))
     total = int(cum_weights[-1])
     layer_sizes = (config.codec.dim, *config.hidden, tallies.shape[1])
     gen = stream.gen
-    net = _Network(layer_sizes, config.batch_size, gen)
+    net = _Network(layer_sizes, min(config.batch_size, x_rows.shape[0]), gen)
     params, grads = net.params, net.grads
     m1, m2 = np.zeros_like(params), np.zeros_like(params)
     step, denom = np.empty_like(params), np.empty_like(params)
@@ -186,9 +211,7 @@ def mlp_train(data: PairTable, config: MlpConfig, stream: Stream) -> MlpClassifi
         for i in range(steps_per_epoch):
             draws = gen.integers(0, total, size=config.batch_size)
             idx = np.searchsorted(cum_weights, draws, side="right")
-            # idx is in range by construction; "clip" lets take write unbuffered
-            x = np.take(x_all, idx, axis=0, out=net.x, mode="clip")
-            epoch_losses[i] = net.loss_and_grads(x, labels_all[idx])
+            epoch_losses[i] = net.loss_and_grads(x_rows, rows, labels, idx)
             step_count += 1
             # Adam, elementwise over the flat parameter vector
             m1 *= ADAM_BETA1

@@ -10,8 +10,11 @@ pre-processing listed per (guess, secret, observable) through a dense
 matrix and then merged, the data method's k-NN tallies from that listing,
 CDF inversion in the uniforms' own order, rationalization through an
 entry-to-value index, the location matrices evaluated on every cell pair,
-the channel method's pairs merged into weighted entries and the network's
-forward pass with fresh temporaries among them.  The references take
+the channel method's pairs merged into weighted entries, the network's
+forward pass with fresh temporaries and its training step on a dense
+matrix of the batch's draws per distinct observable among them.  The
+training step run once per draw is kept as a check of the distinct-row
+step that sums in another order.  The references take
 plain weighted entries (``Entries``); ``table_entries`` lists a
 (guess, observable) table's positive cells in the order the MLP reads them
 and ``expanded_entries`` writes each entry of weight k as k copies.
@@ -494,29 +497,53 @@ def reference_predict_proba(model: MlpClassifier, ys: np.ndarray) -> np.ndarray:
     return np.exp(logp)
 
 
-def _reference_loss_and_grads(weights, biases, x, labels):
+def _reference_backward(weights, acts, delta):
+    grads_w = [np.empty(0)] * len(weights)
+    grads_b = [np.empty(0)] * len(weights)
+    for layer in range(len(weights) - 1, -1, -1):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * (acts[layer] > 0.0)
+    return grads_w, grads_b
+
+
+def reference_per_draw_loss_and_grads(weights, biases, x, labels):
+    """The training step once per draw: the batch's rows ``x`` with their
+    ``labels``, repeated rows and all.  Returns the mean cross-entropy and
+    the weight and bias gradients."""
     acts, logp = reference_forward(weights, biases, x)
     batch = x.shape[0]
     loss = -float(logp[np.arange(batch), labels].mean())
     delta = np.exp(logp)
     delta[np.arange(batch), labels] -= 1.0
     delta /= batch
-    grads_w = [np.empty(0)] * len(weights)
-    grads_b = [np.empty(0)] * len(biases)
-    for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ weights[layer].T) * (acts[layer] > 0.0)
-    return loss, grads_w, grads_b
+    return (loss, *_reference_backward(weights, acts, delta))
+
+
+def reference_distinct_loss_and_grads(weights, biases, codec, ys, labels, n_labels):
+    """The training step once per distinct row of the drawn observables
+    ``ys``, in lexicographic order, on the dense count matrix of the draws:
+    row u, drawn c_u times, takes c_u·softmax_u less its label counts, over
+    the batch size; the loss sums count × log-probability over the drawn
+    (row, label) cells, guess-major."""
+    distinct, inverse = reference_unique_rows(ys, return_inverse=True)
+    counts = np.zeros((distinct.shape[0], n_labels))
+    np.add.at(counts, (inverse, labels), 1.0)
+    acts, logp = reference_forward(weights, biases, codec.encode(distinct))
+    batch = ys.shape[0]
+    cell_labels, cell_rows = np.nonzero(counts.T)
+    loss = -float((counts[cell_rows, cell_labels] * logp[cell_rows, cell_labels]).sum()) / batch
+    delta = (counts.sum(axis=1)[:, None] * np.exp(logp) - counts) / batch
+    return (loss, *_reference_backward(weights, acts, delta))
 
 
 def reference_mlp_train(
     data: Entries, config: MlpConfig, stream: Stream
 ) -> MlpClassifier:
     """The training loop with per-layer arrays, fresh temporaries every step
-    and a per-array optimizer update."""
-    x_all = config.codec.encode(data.ys)
+    and a per-array optimizer update; each step runs once per distinct
+    drawn observable (``reference_distinct_loss_and_grads``)."""
     cum_weights = np.cumsum(data.weights)
     total = int(cum_weights[-1])
     layer_sizes = (config.codec.dim, *config.hidden, data.guesses.size)
@@ -536,8 +563,8 @@ def reference_mlp_train(
         for step in range(steps_per_epoch):
             draws = gen.integers(0, total, size=config.batch_size)
             idx = np.searchsorted(cum_weights, draws, side="right")
-            loss, grads_w, grads_b = _reference_loss_and_grads(
-                weights, biases, x_all[idx], data.ws[idx]
+            loss, grads_w, grads_b = reference_distinct_loss_and_grads(
+                weights, biases, config.codec, data.ys[idx], data.ws[idx], data.guesses.size
             )
             epoch_losses[step] = loss
             step_count += 1
@@ -558,8 +585,8 @@ def reference_mlp_train(
     return MlpClassifier(config.codec, weights, biases, loss_first, loss_final)
 
 
-def _loss_and_pattern(net: _Network, x, labels) -> tuple[float, bytes]:
-    loss = net.loss_and_grads(x, labels)
+def _loss_and_pattern(net: _Network, x, cells, labels, idx) -> tuple[float, bytes]:
+    loss = net.loss_and_grads(x, cells, labels, idx)
     pattern = b"".join((a > 0.0).tobytes() for a in net.acts)
     return loss, pattern
 
@@ -570,12 +597,15 @@ def gradient_check(
     labels: np.ndarray,
     stream: Stream,
     h: float = 1e-5,
+    idx: np.ndarray | None = None,
 ) -> float:
     """Max relative error of the training step's analytic gradients against
     central finite differences of its loss.
 
     Both come from ``_Network.loss_and_grads``, the buffered forward and
-    backward pass that ``mlp_train`` runs every step.  Relative to gradient
+    backward pass that ``mlp_train`` runs every step, on the batch that
+    draws row i of ``x`` with label ``labels[i]`` as often as ``idx`` lists
+    i (default: each once).  Relative to gradient
     magnitude floored at 1, so near-zero components are compared absolutely.
     Coordinates whose +/-h perturbations land on different rectifier
     activation patterns are skipped: the loss is not differentiable across
@@ -583,8 +613,10 @@ def gradient_check(
     small architectures (a few dozen parameters); cost is two passes per
     parameter.
     """
+    cells = np.arange(x.shape[0])
+    idx = cells if idx is None else idx
     net = _Network(layer_sizes, x.shape[0], stream.gen)
-    net.loss_and_grads(x, labels)
+    net.loss_and_grads(x, cells, labels, idx)
     analytic = net.grads.copy()
     flat = net.params
     worst = 0.0
@@ -592,9 +624,9 @@ def gradient_check(
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        up, pattern_up = _loss_and_pattern(net, x, labels)
+        up, pattern_up = _loss_and_pattern(net, x, cells, labels, idx)
         flat[i] = orig - h
-        down, pattern_down = _loss_and_pattern(net, x, labels)
+        down, pattern_down = _loss_and_pattern(net, x, cells, labels, idx)
         flat[i] = orig
         if pattern_up != pattern_down:
             continue

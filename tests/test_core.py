@@ -1,5 +1,7 @@
 """Exact vulnerability, leakage, strategies and sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,7 @@ from gleak import (
     stream,
     strategy_gain,
 )
-from gleak.core import _unique_rows, leakage_of
+from gleak.core import COUNT_CHECK_ENTRIES, _as_counts, _unique_rows, leakage_of
 from gleak.estimation import TablePredictor
 from oracles import enumerate_strategies_vulnerability, fixed_strategy, optimal_strategy
 from conftest import (
@@ -471,3 +473,34 @@ class TestUniqueRows:
         for g, e in zip(got, expected):
             assert g.dtype == e.dtype and g.shape == e.shape
             np.testing.assert_array_equal(g, e)
+
+
+class TestAsCounts:
+    """``_as_counts`` checks a table in blocks of rows, never all at once."""
+
+    SHAPE = (3 * COUNT_CHECK_ENTRIES // 40 + 7, 40)  # four blocks, the last one short
+
+    @pytest.mark.parametrize("bad", [0.5, -1.0, np.nan, np.inf])
+    def test_last_entry_of_last_block_is_checked(self, bad):
+        tallies = np.ones(self.SHAPE)
+        tallies[-1, -1] = bad
+        with pytest.raises(ValidationError, match="non-negative integer counts"):
+            _as_counts(tallies, "k-NN")
+
+    def test_a_non_contiguous_table(self):
+        tallies = np.ones((self.SHAPE[1], self.SHAPE[0])).T
+        assert _as_counts(tallies, "k-NN") is tallies
+        tallies = tallies.copy(order="F")
+        tallies[-1, -1] = 0.5
+        with pytest.raises(ValidationError):
+            _as_counts(tallies, "k-NN")
+
+    def test_no_full_size_temporary(self):
+        tallies = np.ones((2000, 45))  # 720 KB
+        tracemalloc.start()
+        try:
+            _as_counts(tallies, "MLP")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tallies.nbytes / 4, peak

@@ -62,6 +62,15 @@ class TestGradients:
         err = gradient_check((2, 5, 2), x, labels, stream(0, "t/grad-const"))
         assert err <= 1e-4
 
+    def test_repeated_draws(self):
+        # the distinct-row step weights each row and cell by its draws
+        gen = np.random.default_rng(62)
+        x = gen.standard_normal((5, 2))
+        labels = np.array([0, 2, 1, 1, 0])
+        idx = np.array([0, 0, 3, 1, 0, 4, 4, 1, 0])
+        err = gradient_check((2, 6, 3), x, labels, stream(0, "t/grad-draws"), idx=idx)
+        assert err <= 1e-4
+
     def test_zero_weight_network_symmetry(self):
         # balanced labels + zero parameters: output gradients cancel exactly
         x = np.array([[0.4], [-0.2], [0.9], [-0.7]])
@@ -69,7 +78,8 @@ class TestGradients:
         net = _Network((1, 3, 2), x.shape[0], np.random.default_rng(0))
         net.params[:] = 0.0
         net.grads[:] = np.nan  # every gradient must be written by the pass
-        net.loss_and_grads(x, labels)
+        cells = np.arange(4)
+        net.loss_and_grads(x, cells, labels, cells)
         assert np.isfinite(net.grads).all()
         np.testing.assert_allclose(net.grads_b[-1], 0.0, atol=1e-15)
         np.testing.assert_allclose(net.grads_w[-1], 0.0, atol=1e-15)

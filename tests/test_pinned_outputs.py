@@ -136,10 +136,10 @@ CODEC_FEATURE_SHA256 = {
 # (scenario, method) -> sha256 of the weights and biases of a small MLP
 # that ``fit`` trains at m = 2,000 (see ``test_small_mlp_weights``)
 MLP_WEIGHT_SHA256 = {
-    ("dp", "data"): "505a3fe6c7b17321288c4e569b2aa1ee92040b6d7ef98dff62c0beb830d144ca",
-    ("location", "channel"): "1c9a6bd88041e22039cbbe0ddb21db3ad077064b3898be4572721d9c2b0699d9",
-    ("multi-guess", "channel"): "e321a97e2868a8e9032b5234f2b9c5b0d14dd37d4d9677f73138651da9233118",
-    ("password", "data"): "ee25af754fd6f269ec479929b2faec64f31dac565433985e924166f0f5423161",
+    ("dp", "data"): "7e85a8cdafd116da27759a3b541bb7aa47191440b58612c658bd8511fb49bb85",
+    ("location", "channel"): "03923bf3c47c246216cbbb8f1d557b50440949ebe78affa96aa3a70ba8aca04a",
+    ("multi-guess", "channel"): "66a0652e03f182dfd51bdef3b30318c9f0b47855101439fecb2a71d60f7d5c41",
+    ("password", "data"): "743917e841f7411b5455e5bb4b6bec2b0184ed3481490bcf1056c8eb736719ef",
 }
 
 DATA_DETAILS = {

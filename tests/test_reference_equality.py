@@ -30,7 +30,12 @@ against the implementations they replaced (``oracles``), bit for bit.
   per distinct secret.
 - ``mlp_train`` writes into buffers allocated once per call and updates one
   flat parameter vector, instead of fresh temporaries every step and a
-  per-array optimizer update.
+  per-array optimizer update.  Both run each step once per distinct
+  observable of the batch; the reference finds them by sorting the drawn
+  observables and counts the draws in a dense matrix.  The distinct-row
+  step is also checked against the step run once per draw, which sums in
+  another order: within 1e-12 of the largest gradient entry, and bit for
+  bit at batch size 1.
 - ``MlpClassifier.predict_proba`` runs the training forward pass into
   buffers sized to its queries, instead of a pass of fresh temporaries.
 - ``rationalize_gain`` scales the whole matrix with ``rint(G * K)`` instead
@@ -79,7 +84,7 @@ from gleak.estimation import fit, sample_preprocessed_pairs
 from gleak.harness import PROFILES, _quartiles
 from gleak.features import tuple_codec
 from gleak.knn import EXACT_INTEGER, MAX_RADIUS, DistanceMetric, KnnClassifier, knn_train
-from gleak.mlp import MlpClassifier, mlp_train
+from gleak.mlp import MlpClassifier, _Network, mlp_train
 from gleak.preprocess import (
     EXPANSION_CAP,
     SNAP_TOL,
@@ -113,6 +118,7 @@ from oracles import (
     reference_knn_train,
     reference_mlp_train,
     reference_pair_expansion,
+    reference_per_draw_loss_and_grads,
     reference_predict_proba,
     reference_rationalize_gain,
     reference_sample_preprocessed_pairs,
@@ -308,6 +314,95 @@ class TestMlpTrain:
             mlp_train(table, config, stream(seed, "t/ref/arch")),
             reference_mlp_train(table_entries(table), config, stream(seed, "t/ref/arch")),
         )
+
+
+def channel_table(scenario, m):
+    """The channel method's (guess, observable) table at m pairs."""
+    deriv = channel_preprocess(scenario.prior, scenario.gain)
+    pairs = sample_preprocessed_pairs(deriv, scenario.channel, m, stream(0, "t/ref/pairs"))
+    return PairTable(pairs.secrets, *pairs.counts)
+
+
+def batch_draws(table, batch, gen):
+    """A batch of cell indices drawn as ``mlp_train`` draws them."""
+    cells = np.asarray(table.tallies).T
+    cum_weights = np.cumsum(cells[cells > 0].astype(np.int64))
+    return np.searchsorted(cum_weights, gen.integers(0, cum_weights[-1], size=batch), side="right")
+
+
+def both_steps(table, codec, idx, seed, hidden=(16, 9)):
+    """The network's step on the cells ``idx`` of ``table`` and the
+    per-draw reference step on the same weights: (loss, gradients) each."""
+    labels, rows = np.nonzero(np.asarray(table.tallies).T)
+    x_rows = codec.encode(table.distinct)
+    sizes = (codec.dim, *hidden, table.guesses.size)
+    net = _Network(sizes, idx.size, np.random.default_rng(seed))
+    loss = net.loss_and_grads(x_rows, rows, labels, idx)
+    ref_loss, grads_w, grads_b = reference_per_draw_loss_and_grads(
+        net.weights, net.biases, x_rows[rows[idx]], labels[idx]
+    )
+    return (loss, net.grads), (ref_loss, np.concatenate([g.ravel() for g in grads_w + grads_b]))
+
+
+def assert_close_to_per_draw(table, codec, idx, seed, hidden=(16, 9)):
+    """Within 1e-12 of the largest gradient entry, and of the loss."""
+    (loss, grads), (ref_loss, reference) = both_steps(table, codec, idx, seed, hidden)
+    assert np.abs(grads - reference).max() <= 1e-12 * np.abs(reference).max()
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+
+
+class TestMlpStepAgainstPerDraw:
+    @pytest.mark.parametrize("method", ["data", "channel"])
+    def test_scenario_tables(self, scenario, method):
+        if method == "data":
+            table = data_table(*scenario_training_set(scenario, 2000))
+        else:
+            table = channel_table(scenario, 2000)
+        idx = batch_draws(table, 500, np.random.default_rng(3))
+        assert_close_to_per_draw(table, scenario.metric.codec, idx, 0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_shapes(self, seed):
+        gen = np.random.default_rng(700 + seed)
+        dim = int(gen.integers(1, 4))
+        n_w = int(gen.integers(2, 9))
+        n = int(gen.integers(2, 80))
+        table = entries_table(Entries(
+            Alphabet.integers(n_w, "w"),
+            gen.integers(0, n_w, size=n),
+            gen.integers(-6, 6, size=(n, dim)),
+            gen.integers(1, 9, size=n),
+        ))
+        hidden = tuple(int(h) for h in gen.integers(1, 30, size=int(gen.integers(1, 4))))
+        idx = batch_draws(table, int(gen.integers(1, 300)), gen)
+        codec = scalar_codec(0.1) if dim == 1 else tuple_codec(dim, 0.1)
+        assert_close_to_per_draw(table, codec, idx, seed, hidden)
+
+    def test_every_draw_on_one_row(self, scenario):
+        # d = 1: the batch draws only the cells of the table's busiest row
+        table = data_table(*scenario_training_set(scenario, 2000))
+        _, rows = np.nonzero(np.asarray(table.tallies).T)
+        busiest = np.flatnonzero(rows == np.bincount(rows).argmax())
+        idx = np.random.default_rng(1).choice(busiest, size=64)
+        assert np.unique(rows[idx]).size == 1
+        assert_close_to_per_draw(table, scenario.metric.codec, idx, 1)
+
+    def test_no_repeated_row(self, scenario):
+        # d = B: the first cell of each of up to 64 rows, in shuffled order
+        table = data_table(*scenario_training_set(scenario, 2000))
+        _, rows = np.nonzero(np.asarray(table.tallies).T)
+        _, first = np.unique(rows, return_index=True)
+        idx = first[:64]
+        np.random.default_rng(2).shuffle(idx)
+        assert np.unique(rows[idx]).size == idx.size > 1
+        assert_close_to_per_draw(table, scenario.metric.codec, idx, 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_of_one_is_the_per_draw_step(self, scenario, seed):
+        table = data_table(*scenario_training_set(scenario, 2000))
+        idx = batch_draws(table, 1, np.random.default_rng(seed))
+        (loss, grads), (ref_loss, reference) = both_steps(table, scenario.metric.codec, idx, seed)
+        assert grads.tobytes() == reference.tobytes() and loss == ref_loss
 
 
 def assert_same_proba(model, ys):
