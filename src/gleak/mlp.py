@@ -128,21 +128,20 @@ class _Network:
         gradients go to ``grads``.  The cells must be distinct (row, label)
         pairs.  The pass runs once per distinct row of the batch."""
         batch = idx.size
-        per_cell = np.bincount(idx, minlength=labels.size)
-        per_row = np.bincount(rows, weights=per_cell, minlength=x_rows.shape[0])
-        drawn_rows = np.flatnonzero(per_row)
-        drawn = np.flatnonzero(per_cell)
+        # sorting the batch keeps this bookkeeping O(B log B), whatever the table's size
+        drawn, draws = np.unique(idx, return_counts=True)
+        drawn_rows, pos = np.unique(rows[drawn], return_inverse=True)
+        per_row = np.bincount(pos, weights=draws)
         d = drawn_rows.size
         # drawn_rows is in range by construction; "clip" lets take write unbuffered
         x = np.take(x_rows, drawn_rows, axis=0, out=self.x[:d], mode="clip")
         acts = [a[:d] for a in self.acts]
         logp = _propagate(self, x, acts, self.logp[:d], self.probs[:d])
         # the drawn cells are distinct, so one fancy-indexed subtract is exact
-        at = (np.searchsorted(drawn_rows, rows[drawn]), labels[drawn])
-        draws = per_cell[drawn]
+        at = (pos, labels[drawn])
         loss = -float((draws * logp[at]).sum()) / batch
         delta = np.exp(logp, out=self.probs[:d])
-        delta *= per_row[drawn_rows, None]
+        delta *= per_row[:, None]
         delta[at] -= draws
         delta /= batch
         inputs = [x, *acts]
