@@ -373,41 +373,68 @@ def strategy_gain(
 # sampling
 
 
-def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The number of CDF entries <= u * cdf[-1] for each uniform, capped at
-    the last index.  The targets are searched in sorted order, where each
-    search starts near the last one, and the indices scattered back."""
-    cum = np.cumsum(probs)
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The number of entries of the CDF ``cum`` <= u * cum[-1] for each
+    uniform, capped at the last index.  The targets are searched in sorted
+    order, where each search starts near the last one, and the indices
+    scattered back."""
     target = u * cum[-1]
     order = np.argsort(target)
     idx = np.empty(target.size, dtype=np.intp)
     idx[order] = np.searchsorted(cum, target[order], side="right")
-    return np.minimum(idx, probs.size - 1)
+    return np.minimum(idx, cum.size - 1)
 
 
 def sample_prior(prior: Prior, count: int, gen: np.random.Generator) -> np.ndarray:
-    return _inverse_cdf(prior.probs, gen.random(count))
+    return _inverse_cdf(np.cumsum(prior.probs), gen.random(count))
+
+
+def joint_cdf(source: tuple[Prior, Channel | GenerativeChannel]) -> np.ndarray | None:
+    """The flat CDF that ``sample_joint`` inverts for a (Prior, matrix
+    channel) pair, read-only: the running sums of pi_x C[x, y] over the
+    (x, y) in row-major order, built in one buffer.  None for a generative
+    channel, which has no such table.
+
+    It depends only on the pair, so a caller that draws several sets from
+    one law builds it once and passes it to each draw.
+    """
+    prior, channel = source
+    _require(channel.input == prior.alphabet, "channel input != prior alphabet")
+    if not isinstance(channel, Channel):
+        return None
+    cdf = np.multiply(prior.probs[:, None], channel.rows).reshape(-1)
+    np.cumsum(cdf, out=cdf)
+    cdf.flags.writeable = False
+    return cdf
 
 
 def sample_joint(
-    source: tuple[Prior, Channel | GenerativeChannel], count: int, stream: Stream
+    source: tuple[Prior, Channel | GenerativeChannel],
+    count: int,
+    stream: Stream,
+    cdf: np.ndarray | None = None,
 ) -> SampleSet:
     """Draw ``count`` i.i.d. (secret, observable) pairs from a (Prior, channel) pair.
 
     A matrix channel is sampled from its flat joint pi_x C[x, y] with one
-    uniform per sample; a generative channel draws the secrets from the
-    prior, then runs its sampler.  Deterministic given the stream's
-    (master seed, name).
+    uniform per sample, inverted through ``cdf``, which is
+    ``joint_cdf(source)``: a caller drawing several sets from one pair
+    passes it, and it is built for this draw otherwise.  A generative
+    channel draws the secrets from the prior, then runs its sampler, and
+    takes no ``cdf``.  Deterministic given the stream's (master seed, name)
+    and the same whether or not ``cdf`` is passed.
     """
     _require(count >= 1, "count must be >= 1")
     prior, channel = source
     _require(channel.input == prior.alphabet, "channel input != prior alphabet")
     if isinstance(channel, Channel):
         n_y = channel.output.size
-        flat = (prior.probs[:, None] * channel.rows).ravel()
-        idx = _inverse_cdf(flat, stream.gen.random(count))
+        cdf = joint_cdf(source) if cdf is None else cdf
+        _require(cdf.shape == (prior.alphabet.size * n_y,), "joint CDF shape mismatch")
+        idx = _inverse_cdf(cdf, stream.gen.random(count))
         xs, ys = idx // n_y, (idx % n_y)[:, None]
     else:
+        _require(cdf is None, "a generative channel has no joint CDF")
         xs = sample_prior(prior, count, stream.gen)
         ys = channel.sample(xs, stream.gen)
     return SampleSet(prior.alphabet, xs, ys)

@@ -36,6 +36,7 @@ from .core import (
     _freeze,
     _require,
     empirical_functional,
+    joint_cdf,
     sample_joint,
     sample_prior,
 )
@@ -105,6 +106,7 @@ def fit(
     train_stream: Stream,
     learner_stream: Stream | None = None,
     train: SampleSet | None = None,
+    deriv: ChannelPreprocDerivation | None = None,
 ) -> tuple[object, dict]:
     """Draw m training samples for ``method`` and train its predictor.
 
@@ -114,8 +116,11 @@ def fit(
     the original gain, its best guess, and needs no learner.  Only the MLP
     draws from ``learner_stream``.  ``train`` is the m samples of pi |> C
     already drawn from ``train_stream``, for a caller that fits the data
-    and frequentist methods on one set.  Returns the predictor and the
-    method's report details.
+    and frequentist methods on one set or draws it from a shared CDF.
+    ``deriv`` is the channel method's ``channel_preprocess(prior, gain)``,
+    for a caller that fits the channel method more than once; it is
+    derived here when None.  Returns the predictor and the method's report
+    details.
     """
     _require(method in METHOD_NAMES, f"unknown method {method!r}")
     knn = isinstance(learner_config, DistanceMetric)
@@ -127,7 +132,8 @@ def fit(
     )
     if method == "channel":
         _require(train is None, "the channel method draws its own (w, y) pairs")
-        deriv = channel_preprocess(prior, gain)
+        if deriv is None:
+            deriv = channel_preprocess(prior, gain)
         train = sample_preprocessed_pairs(deriv, channel, m, train_stream)
         handling = "implicit: evaluation uses the original gain on (x, y) pairs"
         details = {"beta": deriv.beta, "beta_handling": handling}
@@ -180,7 +186,8 @@ def estimate(
     fresh (x, y) pairs from pi |> C, so neither the rationalization scale
     nor beta ever multiplies the result.  Draws from the children ``train``
     (``pairs`` for the channel method), ``valid`` and ``learner`` of
-    ``stream``.
+    ``stream``.  The validation set and the pi |> C training set are drawn
+    from one ``joint_cdf``, which is dropped before the fit.
     """
     started = time.perf_counter()
     seeds = {
@@ -188,9 +195,14 @@ def estimate(
         "valid": stream.child("valid"),
         "learner": stream.child("learner"),
     }
-    valid = sample_joint((prior, channel), n, seeds["valid"])
+    source = (prior, channel)
+    cdf = joint_cdf(source)
+    valid = sample_joint(source, n, seeds["valid"], cdf)
+    train = None if method == "channel" else sample_joint(source, m, seeds["train"], cdf)
+    del cdf  # the fit runs without it
     predictor, details = fit(
-        method, prior, channel, gain, m, learner_config, seeds["train"], seeds["learner"]
+        method, prior, channel, gain, m, learner_config, seeds["train"], seeds["learner"],
+        train=train,
     )
     value = empirical_functional(predictor, valid, gain)
     if method == "frequentist":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -28,11 +29,13 @@ from .core import (
     _estimates,
     _freeze,
     _require,
+    joint_cdf,
     sample_joint,
 )
 from .estimation import METHOD_NAMES, fit
 from .knn import DistanceMetric
 from .mlp import MlpConfig
+from .preprocess import ChannelPreprocDerivation, channel_preprocess
 from .rng import stream
 from .scenarios import SCENARIO_NAMES, Scenario, build_scenario
 
@@ -243,7 +246,16 @@ def _combos(config: TrialMatrixConfig) -> list[tuple[str, str]]:
 def run_trial_matrix(
     config: TrialMatrixConfig,
 ) -> tuple[list[MetricsReport], list[TrialRow]]:
-    """Execute the full grid; returns per-cell metrics and per-trial rows."""
+    """Execute the full grid; returns per-cell metrics and per-trial rows.
+
+    What depends only on (pi, C, g) is derived once per matrix, passed
+    down and released after its last use; nothing outlives the call.
+    Every validation and training set of a matrix channel is drawn from
+    one ``joint_cdf``, held once per draw: the last draw drops it, so in a
+    one-job matrix it is freed before the first fit.  The channel method's
+    (beta, tau, R) is derived by the first channel fit, so the fits before
+    it run without it, and handed to the later ones.
+    """
     scenario = build_scenario(config.scenario, config.profile, config.gowalla_path)
     if scenario.exact_vg <= 0:
         raise ValidationError("exact V_g must be positive to normalize errors")
@@ -252,30 +264,8 @@ def run_trial_matrix(
     num_j = config.num_valid_sets
     n = config.valid_size
     seed, name = config.master_seed, scenario.name
-
-    valid_sets: list[SampleSet] = [
-        sample_joint((scenario.prior, scenario.channel), n, stream(seed, f"{name}/valid/j{j}"))
-        for j in range(num_j)
-    ]
-
-    # every model is asked once, on the distinct observables of all J sets
-    distinct = _distinct_rows(valid_sets)
+    source = (scenario.prior, scenario.channel)
     gain = scenario.gain
-
-    def fit_model(method: str, learner: str, m: int, i: int, train: SampleSet | None):
-        source = f"{name}/{'chan' if method == 'channel' else 'train'}/m{m}/i{i}"
-        model, _ = fit(
-            method, scenario.prior, scenario.channel, gain, m,
-            learner_config(scenario, method, learner, config.profile, m),
-            stream(seed, source),
-            stream(seed, f"{name}/{method}/mlp/m{m}/i{i}"),  # only the MLP draws from it
-            train=train,
-        )
-        return model
-
-    def training_set(m: int, i: int) -> SampleSet:
-        source = stream(seed, f"{name}/train/m{m}/i{i}")
-        return sample_joint((scenario.prior, scenario.channel), m, source)
 
     # a job fits the frequentist, the data and then the channel models, and
     # scores each before the next fit.  The pi |> C set is held once per
@@ -285,10 +275,44 @@ def run_trial_matrix(
     # before that model is scored
     combos = sorted(_combos(config), key=lambda combo: _TASK_ORDER.index(combo[0]))
     shared = sum(method != "channel" for method, _ in combos)
+    jobs = [(m, i) for m in sizes for i in range(num_i)]
+
+    # the CDF is held once per draw in the same way (None for a generative
+    # channel); list.pop is atomic, so concurrent jobs take one copy each
+    cdfs = [joint_cdf(source)] * (num_j + (len(jobs) if shared else 0))
+
+    def draw(count: int, source_name: str) -> SampleSet:
+        return sample_joint(source, count, stream(seed, source_name), cdfs.pop())
+
+    valid_sets = [draw(n, f"{name}/valid/j{j}") for j in range(num_j)]
+
+    # every model is asked once, on the distinct observables of all J sets
+    distinct = _distinct_rows(valid_sets)
+
+    derived: list[ChannelPreprocDerivation] = []
+    deriving = threading.Lock()
+
+    def derivation() -> ChannelPreprocDerivation:
+        with deriving:  # concurrent jobs share the first one's
+            if not derived:
+                derived.append(channel_preprocess(scenario.prior, gain))
+        return derived[0]
+
+    def fit_model(method: str, learner: str, m: int, i: int, train: SampleSet | None):
+        source_name = f"{name}/{'chan' if method == 'channel' else 'train'}/m{m}/i{i}"
+        model, _ = fit(
+            method, scenario.prior, scenario.channel, gain, m,
+            learner_config(scenario, method, learner, config.profile, m),
+            stream(seed, source_name),
+            stream(seed, f"{name}/{method}/mlp/m{m}/i{i}"),  # only the MLP draws from it
+            train=train,
+            deriv=derivation() if method == "channel" else None,
+        )
+        return model
 
     def run_job(job: tuple[int, int]) -> dict:
         m, i = job
-        held = [training_set(m, i)] * shared if shared else []
+        held = [draw(m, f"{name}/train/m{m}/i{i}")] * shared if shared else []
         return {
             (method, learner, m, i): _estimates(
                 fit_model(method, learner, m, i, None if method == "channel" else held.pop()),
@@ -299,7 +323,6 @@ def run_trial_matrix(
             for method, learner in combos
         }
 
-    jobs = [(m, i) for m in sizes for i in range(num_i)]
     if config.workers == 1:
         parts = [run_job(job) for job in jobs]
     else:

@@ -147,25 +147,34 @@ def _split(
 ) -> tuple[float, Prior, Channel]:
     """Total mass, row marginal and normalized rows of a (W, .) score matrix.
 
-    A zero row belongs to a guess of marginal 0, so its content is irrelevant;
-    it is kept uniform.
+    The rows are normalized in place: the returned channel's rows are
+    ``scores`` itself, read-only, so a caller that reads the scores
+    afterwards passes a copy.  A zero row belongs to a guess of marginal 0,
+    so its content is irrelevant; it is made uniform.
     """
     mass = math.fsum(scores[scores != 0.0].tolist())  # zeros add nothing to the exact sum
     if mass <= 0.0:
         raise ValidationError("degenerate input: pi_x * g(w,x) is zero everywhere")
     row_sums = scores.sum(axis=1)
-    rows = np.full_like(scores, 1.0 / outputs.size)
-    np.divide(scores, row_sums[:, None], out=rows, where=row_sums[:, None] > 0.0)
+    positive = row_sums > 0.0
+    np.divide(scores, row_sums[:, None], out=scores, where=positive[:, None])
+    scores[~positive] = 1.0 / outputs.size
     marginal = row_sums / mass
     return (
         mass,
         Prior(guesses, marginal / marginal.sum()),  # absorb rounding before the 1e-9 check
-        Channel(guesses, outputs, _renormalize(rows)),
+        Channel(guesses, outputs, _renormalize(scores)),
     )
 
 
 def channel_preprocess(prior: Prior, gain: GainFunction) -> ChannelPreprocDerivation:
-    """(beta, tau, R) from the prior and gain alone (independent of C)."""
+    """(beta, tau, R) from the prior and gain alone (independent of C).
+
+    R's rows are written over the one (W, X) buffer of the scores
+    pi_x g(w, x).  The triple depends only on (prior, gain), so a caller
+    that fits the channel method several times derives it once and passes
+    it to ``estimation.fit``.
+    """
     _require(gain.secrets == prior.alphabet, "gain secrets != prior alphabet")
     scores = gain.matrix * prior.probs[None, :]  # (W, X): pi_x g(w, x)
     beta, tau, R = _split(scores, gain.guesses, prior.alphabet)
@@ -173,5 +182,7 @@ def channel_preprocess(prior: Prior, gain: GainFunction) -> ChannelPreprocDeriva
 
 
 def _renormalize(rows: np.ndarray) -> np.ndarray:
-    """Divide rows by their sums to absorb float rounding (sums already ~1)."""
-    return rows / rows.sum(axis=1, keepdims=True)
+    """Divide rows in place by their sums to absorb float rounding (sums
+    already ~1), and return them."""
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows

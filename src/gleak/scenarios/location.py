@@ -57,12 +57,20 @@ def _offset_distances(rows: int, cols: int, cell_m: float) -> np.ndarray:
 
 def _by_offset(table: np.ndarray) -> np.ndarray:
     """(cells, cells) matrix over the row-major cells of a (rows, cols) grid
-    whose entry for cells (r, c) and (r', c') is table[|r - r'|, |c - c'|]."""
+    whose entry for cells (r, c) and (r', c') is table[|r - r'|, |c - c'|].
+
+    It is filled one grid row r at a time from the column blocks
+    blocks[d, c, c'] = table[d, |c - c'|]: the (cols, cells) rows of cells
+    in grid row r are blocks[|r - r'|, c, c'], read in (c, r', c') order.
+    """
     rows, cols = table.shape
     dr = np.abs(np.subtract.outer(np.arange(rows), np.arange(rows)))
     dc = np.abs(np.subtract.outer(np.arange(cols), np.arange(cols)))
-    by_pair = table[dr[:, None, :, None], dc[None, :, None, :]]  # indexed (r, c, r', c')
-    return by_pair.reshape(rows * cols, rows * cols)
+    blocks = table[:, dc]
+    out = np.empty((rows, cols, rows, cols), dtype=table.dtype)
+    for r in range(rows):
+        out[r] = blocks[dr[r]].transpose(1, 0, 2)
+    return out.reshape(rows * cols, rows * cols)
 
 
 def _cell_alphabet(rows: int, cols: int, cells: Alphabet | None) -> Alphabet:

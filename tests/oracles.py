@@ -10,7 +10,8 @@ pre-processing listed per (guess, secret, observable) through a dense
 matrix and then merged, the data method's k-NN tallies from that listing,
 CDF inversion in the uniforms' own order, rationalization through an
 entry-to-value index, the location matrices evaluated on every cell pair,
-the channel method's pairs merged into weighted entries, the network's
+the channel method's pairs merged into weighted entries, the channel
+pre-processing's rows normalized into fresh arrays, the network's
 forward pass with fresh temporaries and its training step on a dense
 matrix of the batch's draws per distinct observable among them.  The
 training step run once per draw is kept as a check of the distinct-row
@@ -245,8 +246,26 @@ def ideal_derivation(
     """
     _check_triple(prior, channel, gain)
     U = _score_matrix(prior, channel, gain)
-    alpha, xi, E = _split(U, gain.guesses, channel.output)
+    alpha, xi, E = _split(U.copy(), gain.guesses, channel.output)  # _split writes over its input
     return DataPreprocDerivation(U=_freeze(U), alpha=alpha, xi=xi, E=E)
+
+
+def reference_channel_preprocess(prior: Prior, gain: GainFunction) -> ChannelPreprocDerivation:
+    """(beta, tau, R) with R's rows in fresh arrays: a uniform buffer that
+    the positive rows of the scores are divided into, then renormalized
+    into another, leaving the scores as they were."""
+    _require(gain.secrets == prior.alphabet, "gain secrets != prior alphabet")
+    scores = gain.matrix * prior.probs[None, :]
+    mass = math.fsum(scores[scores != 0.0].tolist())
+    if mass <= 0.0:
+        raise ValidationError("degenerate input: pi_x * g(w,x) is zero everywhere")
+    row_sums = scores.sum(axis=1)
+    rows = np.full_like(scores, 1.0 / prior.alphabet.size)
+    np.divide(scores, row_sums[:, None], out=rows, where=row_sums[:, None] > 0.0)
+    marginal = row_sums / mass
+    tau = Prior(gain.guesses, marginal / marginal.sum())
+    R = Channel(gain.guesses, prior.alphabet, rows / rows.sum(axis=1, keepdims=True))
+    return ChannelPreprocDerivation(beta=mass, tau=tau, R=R)
 
 
 def compose(r: Channel, c: Channel) -> Channel:

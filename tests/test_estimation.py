@@ -27,6 +27,7 @@ from gleak import (
     strategy_gain,
     stream,
 )
+from gleak import core, estimation, preprocess
 from gleak.core import _check_range
 from gleak.estimation import TablePredictor, sample_preprocessed_pairs
 from gleak.preprocess import channel_preprocess, rationalize_gain
@@ -223,6 +224,33 @@ class TestChannelPipeline:
         )
         scale = max(abs(exact), 1.0)
         assert abs(report.estimate - exact) / scale < 0.1
+
+
+class TestFixedInputsOncePerEstimate:
+    @pytest.mark.parametrize("method", ["data", "channel", "frequentist"])
+    def test_one_cdf_and_at_most_one_derivation(self, monkeypatch, method):
+        # the validation and the pi |> C training sets share one CDF
+        calls = []
+        real_cdf, real_derive = core.joint_cdf, preprocess.channel_preprocess
+
+        def cdf_spy(source):
+            calls.append("cdf")
+            return real_cdf(source)
+
+        def derive_spy(prior, gain):
+            calls.append("derivation")
+            return real_derive(prior, gain)
+
+        for module in (core, estimation):
+            monkeypatch.setattr(module, "joint_cdf", cdf_spy)
+        monkeypatch.setattr(estimation, "channel_preprocess", derive_spy)
+        scenario = build_scenario("multi-guess")
+        report = estimate(
+            method, scenario.prior, scenario.channel, scenario.gain, 700, 900,
+            scenario.metric, stream(0, "t/estimate/once"),
+        )
+        assert sorted(calls) == ["cdf"] + ["derivation"] * (method == "channel")
+        assert report.m == 700 and report.n == 900
 
 
 class TestFrequentist:

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ class TestLearnerConfigTables:
         # paper table, as `leak estimate --m 50000` does, not the first ones
         seen = []
 
-        def fake_fit(method, prior, channel, gain, m, config, *streams, train=None):
+        def fake_fit(method, prior, channel, gain, m, config, *streams, train=None, deriv=None):
             seen.append((m, config.epochs, config.batch_size))
             return TablePredictor(np.zeros((1, 1)), np.zeros(1), fallback=0), {}
 
@@ -341,9 +342,9 @@ class TestSharedTrainingSets:
         config, (_, rows) = run
         calls, real = [], harness.sample_joint
 
-        def spy(source, count, train_stream):
+        def spy(source, count, train_stream, cdf=None):
             calls.append(train_stream.name)
-            return real(source, count, train_stream)
+            return real(source, count, train_stream, cdf)
 
         monkeypatch.setattr(harness, "sample_joint", spy)
         monkeypatch.setattr(estimation, "sample_joint", spy)
@@ -426,6 +427,90 @@ class TestSharedTrainingSets:
         # summary.json records the worker count and nothing else differs
         assert summary.replace(b'"workers": 2', b'"workers": 1') == written[1][0]
         assert [trials, boxplot] == written[1][1:]
+
+
+class TestFixedInputsOncePerMatrix:
+    """The pi |> C CDF and the channel pre-processing depend only on (pi, C,
+    g): a matrix derives each once, and frees the CDF after its last draw."""
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        """The sources of every ``joint_cdf`` and the gains of every
+        ``channel_preprocess`` call, wherever the library makes them."""
+        calls = {"cdf": [], "derivation": []}
+        real_cdf, real_derive = core.joint_cdf, preprocess.channel_preprocess
+
+        def cdf_spy(source):
+            calls["cdf"].append(source)
+            return real_cdf(source)
+
+        def derive_spy(prior, gain):
+            calls["derivation"].append(gain)
+            return real_derive(prior, gain)
+
+        for module in (core, estimation, harness):
+            monkeypatch.setattr(module, "joint_cdf", cdf_spy)
+        for module in (preprocess, estimation, harness):
+            monkeypatch.setattr(module, "channel_preprocess", derive_spy)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_desk_location_matrix_derives_each_once(self, derived, workers):
+        config = TrialMatrixConfig(
+            scenario="location", methods=METHODS, learners=("knn",), workers=workers
+        )
+        # more workers than cores, switching often: jobs that raced to the
+        # first channel fit would derive twice
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, rows = run_trial_matrix(config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert {r.j for r in rows} == set(range(10))
+        assert {(r.m, r.i) for r in rows} == {(m, i) for m in (2000, 10000, 30000) for i in range(3)}
+        assert len(derived["cdf"]) == 1 and len(derived["derivation"]) == 1
+
+    def test_each_fit_deriving_its_own_gives_the_same_rows(self, monkeypatch):
+        config = tiny_config(scenario="location", methods=METHODS, num_valid_sets=2)
+        _, rows = run_trial_matrix(config)
+        real_sample, real_fit = harness.sample_joint, harness.fit
+        monkeypatch.setattr(  # the CDF built per draw ...
+            harness, "sample_joint", lambda source, count, s, cdf: real_sample(source, count, s)
+        )
+        monkeypatch.setattr(  # ... and (beta, tau, R) per channel fit
+            harness, "fit", lambda *args, deriv=None, **kwargs: real_fit(*args, **kwargs)
+        )
+        assert run_trial_matrix(config)[1] == rows
+
+    @pytest.mark.parametrize("methods", [METHODS, ("data", "frequentist"), ("channel",)])
+    @pytest.mark.parametrize("sizes", [(500,), (300, 600)])
+    def test_the_cdf_is_freed_after_the_last_draw(self, monkeypatch, methods, sizes):
+        refs, alive_at_fit = [], []
+        real_cdf, real_fit = harness.joint_cdf, harness.fit
+
+        def cdf_spy(source):
+            cdf = real_cdf(source)
+            refs.append(weakref.ref(cdf))
+            return cdf
+
+        def fit_spy(method, *args, **kwargs):
+            alive_at_fit.append(refs[0]() is not None)
+            return real_fit(method, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "joint_cdf", cdf_spy)
+        monkeypatch.setattr(harness, "fit", fit_spy)
+        run_trial_matrix(tiny_config(
+            scenario="location", methods=methods, sizes=sizes, num_train_sets=1,
+            num_valid_sets=2,
+        ))
+        assert len(refs) == 1 and refs[0]() is None
+        # in a one-job matrix it is dead when the first fit starts; with two
+        # jobs each drawing a pi |> C set, the first job's fits run before
+        # the second job's draw
+        fits = len(alive_at_fit) // len(sizes)
+        held = len(sizes) > 1 and methods != ("channel",)
+        assert alive_at_fit == [held] * fits + [False] * (len(alive_at_fit) - fits)
 
 
 class TestEmitReports:

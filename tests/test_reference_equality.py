@@ -15,6 +15,10 @@ against the implementations they replaced (``oracles``), bit for bit.
   count table, whose positive cells are the merged entries.
 - ``core._inverse_cdf`` searches the targets in sorted order and scatters
   the indices back, instead of searching them in the uniforms' order.
+- ``sample_joint`` inverts a ``joint_cdf`` that its caller built once for
+  several draws, instead of the flat joint's CDF built per draw.
+- ``channel_preprocess`` normalizes R's rows over its score buffer,
+  instead of into a uniform buffer and then a renormalized copy.
 
 - ``data_table`` is the (observable, guess) table that both learners
   take, the set's count table times G^T, instead of the dense (guess,
@@ -77,12 +81,15 @@ from gleak.core import (
     PairTable,
     _count_table,
     _inverse_cdf,
+    _score_matrix,
     _unique_rows,
+    joint_cdf,
     sample_prior,
 )
 from gleak.estimation import fit, sample_preprocessed_pairs
 from gleak.harness import PROFILES, _quartiles
 from gleak.features import tuple_codec
+from gleak.io import read_channel, read_prior, write_channel, write_prior
 from gleak.knn import EXACT_INTEGER, MAX_RADIUS, DistanceMetric, KnnClassifier, knn_train
 from gleak.mlp import MlpClassifier, _Network, mlp_train
 from gleak.preprocess import (
@@ -106,7 +113,9 @@ from gleak.scenarios.location import (
 from oracles import (
     Entries,
     entries_table,
+    ideal_derivation,
     reference_center_distances,
+    reference_channel_preprocess,
     reference_channel_sample,
     reference_data_knn_train,
     reference_data_preprocess,
@@ -623,6 +632,71 @@ class TestChannelPairs:
         assert_same_network(model, reference)
 
 
+def assert_same_derivation(prior, gain):
+    fast, reference = channel_preprocess(prior, gain), reference_channel_preprocess(prior, gain)
+    assert np.float64(fast.beta).tobytes() == np.float64(reference.beta).tobytes()
+    assert fast.tau.probs.tobytes() == reference.tau.probs.tobytes()
+    assert fast.R.rows.tobytes() == reference.R.rows.tobytes()
+    assert fast.tau.alphabet == reference.tau.alphabet and fast.R.output == reference.R.output
+    assert not fast.R.rows.flags.writeable
+    return fast
+
+
+class TestChannelPreprocess:
+    def test_scenarios(self, scenario):
+        assert_same_derivation(scenario.prior, scenario.gain)
+
+    def test_all_zero_guess_row_gets_a_uniform_row(self):
+        secrets = Alphabet.integers(4)
+        gain = GainFunction(Alphabet.integers(3, "w"), secrets, [
+            [1.0, 0.5, 0.0, 2.0],
+            [0.0, 0.0, 0.0, 0.0],  # a guess that gains nothing
+            [0.25, 0.0, 3.0, 1.0],
+        ])
+        deriv = assert_same_derivation(Prior.uniform(secrets), gain)
+        assert deriv.tau.probs[1] == 0.0
+        assert deriv.R.rows[1].tolist() == [0.25] * 4
+
+    def test_prior_with_zero_entries(self):
+        secrets = Alphabet.integers(5)
+        prior = Prior(secrets, [0.5, 0.0, 0.25, 0.0, 0.25])
+        gain = GainFunction(Alphabet.integers(3, "w"), secrets, [
+            [0.0, 3.0, 0.0, 1.0, 0.0],  # positive only on zero-probability secrets
+            [1.0, 1.0, 0.5, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 2.0, 1.0],
+        ])
+        deriv = assert_same_derivation(prior, gain)
+        assert deriv.R.rows[0].tolist() == [0.2] * 5
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_gains(self, seed):
+        gen = np.random.default_rng(900 + seed)
+        n_w, n_x = (int(v) for v in gen.integers(1, 40, size=2))
+        probs = gen.random(n_x) * (gen.random(n_x) < 0.7)
+        probs[0] += 0.1
+        prior = Prior(Alphabet.integers(n_x), probs / probs.sum())
+        values = gen.random((n_w, n_x)) * (gen.random((n_w, n_x)) < 0.5) - 0.3 * (seed % 2)
+        values[:, 0] += 0.5  # every row positive on the secret of positive probability
+        values[gen.random(n_w) < 0.2] = -0.3 * (seed % 2)  # rows at the stored zero
+        assert_same_derivation(prior, GainFunction(Alphabet.integers(n_w, "w"), prior.alphabet, values))
+
+    def test_degenerate_input_is_refused_by_both(self):
+        secrets = Alphabet.integers(2)
+        gain = GainFunction(Alphabet.integers(2, "w"), secrets, [[0.0, 1.0], [0.0, 2.0]])
+        prior = Prior(secrets, [1.0, 0.0])
+        for derive in (channel_preprocess, reference_channel_preprocess):
+            with pytest.raises(ValidationError, match="zero everywhere"):
+                derive(prior, gain)
+
+    @pytest.mark.parametrize("name", ["multi-guess", "location"])  # the matrix channels
+    def test_ideal_derivation_keeps_its_scores(self, name):
+        # ``_split`` writes the rows over its input; the oracle hands it a copy
+        scenario = build_scenario(name)
+        prior, channel, gain = scenario.prior, scenario.channel, scenario.gain
+        deriv = ideal_derivation(prior, channel, gain)
+        assert deriv.U.tobytes() == _score_matrix(prior, channel, gain).tobytes()
+
+
 class TestTallies:
 
     def test_frequentist_scenarios(self, scenario):
@@ -846,7 +920,7 @@ class TestKnnPredict:
 
 
 def assert_same_inversion(probs, u):
-    fast, reference = _inverse_cdf(probs, u), reference_inverse_cdf(probs, u)
+    fast, reference = _inverse_cdf(np.cumsum(probs), u), reference_inverse_cdf(probs, u)
     assert fast.dtype == reference.dtype == np.intp and fast.shape == reference.shape
     assert np.array_equal(fast, reference)
 
@@ -877,8 +951,70 @@ class TestInverseCdf:
         probs = np.array([0.0, 0.25, 0.5, 0.0, 0.25, 0.0])
         u = np.array([0.75, 0.0, 0.25, 1.0 - 2.0**-53, 0.5, 0.2499999999, 0.0, 0.75])
         assert_same_inversion(probs, u)
-        assert _inverse_cdf(probs, u).tolist() == [4, 1, 2, 4, 2, 1, 1, 4]
+        assert _inverse_cdf(np.cumsum(probs), u).tolist() == [4, 1, 2, 4, 2, 1, 1, 4]
         assert_same_inversion(probs, np.empty(0))
+
+
+def assert_same_set(fast, reference):
+    assert fast.secrets == reference.secrets
+    for field in ("xs", "ys"):
+        a, b = getattr(fast, field), getattr(reference, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def parent_joint_draw(source, count, draw_stream):
+    """The pairs the flat joint's CDF, built for this one draw, inverts to."""
+    prior, channel = source
+    n_y = channel.output.size
+    flat = (prior.probs[:, None] * channel.rows).ravel()
+    idx = reference_inverse_cdf(flat, draw_stream.gen.random(count))
+    return SampleSet(prior.alphabet, idx // n_y, (idx % n_y)[:, None])
+
+
+def assert_shared_cdf_draws(source, m, name):
+    cdf = joint_cdf(source)
+    matrix = isinstance(source[1], Channel)
+    assert (cdf is not None) == matrix
+    if matrix:
+        flat = (source[0].probs[:, None] * source[1].rows).ravel()
+        assert not cdf.flags.writeable and cdf.tobytes() == np.cumsum(flat).tobytes()
+    for k in range(3):  # several sets from the one CDF
+        label = f"t/ref/cdf/{name}/{m}/{k}"
+        shared = sample_joint(source, m, stream(0, label), cdf)
+        assert_same_set(shared, sample_joint(source, m, stream(0, label)))
+        if matrix:
+            assert_same_set(shared, parent_joint_draw(source, m, stream(0, label)))
+
+
+class TestSharedJointCdf:
+    @pytest.mark.parametrize("m", [1, 7, 500, 10000])
+    def test_scenarios(self, scenario, m):
+        assert_shared_cdf_draws((scenario.prior, scenario.channel), m, scenario.name)
+
+    @pytest.mark.parametrize("m", [1, 7, 500, 10000])
+    def test_file_channel_with_zero_probability_cells(self, tmp_path, m):
+        secrets, outputs = Alphabet.integers(4), Alphabet.integers(5, "y")
+        rows = np.array([
+            [0.0, 0.5, 0.0, 0.5, 0.0],
+            [0.2, 0.2, 0.2, 0.2, 0.2],  # a secret of prior 0
+            [1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.25, 0.75],
+        ])
+        write_prior(Prior(secrets, [0.25, 0.0, 0.5, 0.25]), tmp_path / "prior.txt")
+        write_channel(Channel(secrets, outputs, rows), tmp_path / "channel.txt")
+        channel = read_channel(tmp_path / "channel.txt")
+        source = (read_prior(tmp_path / "prior.txt", channel.input), channel)
+        assert_shared_cdf_draws(source, m, "file")
+        drawn = sample_joint(source, m, stream(1, "t/ref/cdf/zeros"), joint_cdf(source))
+        joint = source[0].probs[:, None] * channel.rows
+        assert (joint[drawn.xs, drawn.ys[:, 0]] > 0.0).all()  # no zero-probability cell
+
+    def test_a_cdf_of_another_shape_is_refused(self):
+        source = (Prior.uniform(Alphabet.integers(3)), Channel(
+            Alphabet.integers(3), Alphabet.integers(2, "y"), np.full((3, 2), 0.5)
+        ))
+        with pytest.raises(ValidationError, match="joint CDF shape"):
+            sample_joint(source, 5, stream(0, "t/ref/cdf/shape"), np.linspace(0.1, 1.0, 5))
 
 
 def rationalized(rationalize, gain):
