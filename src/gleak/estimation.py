@@ -106,7 +106,6 @@ def fit(
     train_stream: Stream,
     learner_stream: Stream | None = None,
     train: SampleSet | None = None,
-    deriv: ChannelPreprocDerivation | None = None,
 ) -> tuple[object, dict]:
     """Draw m training samples for ``method`` and train its predictor.
 
@@ -117,10 +116,7 @@ def fit(
     draws from ``learner_stream``.  ``train`` is the m samples of pi |> C
     already drawn from ``train_stream``, for a caller that fits the data
     and frequentist methods on one set or draws it from a shared CDF.
-    ``deriv`` is the channel method's ``channel_preprocess(prior, gain)``,
-    for a caller that fits the channel method more than once; it is
-    derived here when None.  Returns the predictor and the method's report
-    details.
+    Returns the predictor and the method's report details.
     """
     _require(method in METHOD_NAMES, f"unknown method {method!r}")
     knn = isinstance(learner_config, DistanceMetric)
@@ -132,8 +128,7 @@ def fit(
     )
     if method == "channel":
         _require(train is None, "the channel method draws its own (w, y) pairs")
-        if deriv is None:
-            deriv = channel_preprocess(prior, gain)
+        deriv = channel_preprocess(prior, gain)
         train = sample_preprocessed_pairs(deriv, channel, m, train_stream)
         handling = "implicit: evaluation uses the original gain on (x, y) pairs"
         details = {"beta": deriv.beta, "beta_handling": handling}

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -35,7 +34,6 @@ from .core import (
 from .estimation import METHOD_NAMES, fit
 from .knn import DistanceMetric
 from .mlp import MlpConfig
-from .preprocess import ChannelPreprocDerivation, channel_preprocess
 from .rng import stream
 from .scenarios import SCENARIO_NAMES, Scenario, build_scenario
 
@@ -248,13 +246,10 @@ def run_trial_matrix(
 ) -> tuple[list[MetricsReport], list[TrialRow]]:
     """Execute the full grid; returns per-cell metrics and per-trial rows.
 
-    What depends only on (pi, C, g) is derived once per matrix, passed
-    down and released after its last use; nothing outlives the call.
     Every validation and training set of a matrix channel is drawn from
-    one ``joint_cdf``, held once per draw: the last draw drops it, so in a
-    one-job matrix it is freed before the first fit.  The channel method's
-    (beta, tau, R) is derived by the first channel fit, so the fits before
-    it run without it, and handed to the later ones.
+    one ``joint_cdf``, built once per matrix and held once per draw: the
+    last draw drops it, so in a one-job matrix it is freed before the
+    first fit, and nothing outlives the call.
     """
     scenario = build_scenario(config.scenario, config.profile, config.gowalla_path)
     if scenario.exact_vg <= 0:
@@ -289,15 +284,6 @@ def run_trial_matrix(
     # every model is asked once, on the distinct observables of all J sets
     distinct = _distinct_rows(valid_sets)
 
-    derived: list[ChannelPreprocDerivation] = []
-    deriving = threading.Lock()
-
-    def derivation() -> ChannelPreprocDerivation:
-        with deriving:  # concurrent jobs share the first one's
-            if not derived:
-                derived.append(channel_preprocess(scenario.prior, gain))
-        return derived[0]
-
     def fit_model(method: str, learner: str, m: int, i: int, train: SampleSet | None):
         source_name = f"{name}/{'chan' if method == 'channel' else 'train'}/m{m}/i{i}"
         model, _ = fit(
@@ -306,7 +292,6 @@ def run_trial_matrix(
             stream(seed, source_name),
             stream(seed, f"{name}/{method}/mlp/m{m}/i{i}"),  # only the MLP draws from it
             train=train,
-            deriv=derivation() if method == "channel" else None,
         )
         return model
 

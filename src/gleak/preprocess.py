@@ -143,27 +143,28 @@ def rationalize_gain(gain: GainFunction) -> tuple[GainFunction, int]:
 
 
 def _split(
-    scores: np.ndarray, guesses: Alphabet, outputs: Alphabet
+    scores: np.ndarray, guesses: Alphabet, outputs: Alphabet, out: np.ndarray | None = None
 ) -> tuple[float, Prior, Channel]:
     """Total mass, row marginal and normalized rows of a (W, .) score matrix.
 
-    The rows are normalized in place: the returned channel's rows are
-    ``scores`` itself, read-only, so a caller that reads the scores
-    afterwards passes a copy.  A zero row belongs to a guess of marginal 0,
-    so its content is irrelevant; it is made uniform.
+    The rows are normalized into ``out``, a new array by default; a caller
+    that owns ``scores`` and has no further use for them passes ``scores``
+    itself.  A zero row belongs to a guess of marginal 0, so its content is
+    irrelevant; it is made uniform.
     """
     mass = math.fsum(scores[scores != 0.0].tolist())  # zeros add nothing to the exact sum
     if mass <= 0.0:
         raise ValidationError("degenerate input: pi_x * g(w,x) is zero everywhere")
     row_sums = scores.sum(axis=1)
     positive = row_sums > 0.0
-    np.divide(scores, row_sums[:, None], out=scores, where=positive[:, None])
-    scores[~positive] = 1.0 / outputs.size
+    rows = np.empty_like(scores) if out is None else out
+    np.divide(scores, row_sums[:, None], out=rows, where=positive[:, None])
+    rows[~positive] = 1.0 / outputs.size
     marginal = row_sums / mass
     return (
         mass,
         Prior(guesses, marginal / marginal.sum()),  # absorb rounding before the 1e-9 check
-        Channel(guesses, outputs, _renormalize(scores)),
+        Channel(guesses, outputs, _renormalize(rows)),
     )
 
 
@@ -171,13 +172,11 @@ def channel_preprocess(prior: Prior, gain: GainFunction) -> ChannelPreprocDeriva
     """(beta, tau, R) from the prior and gain alone (independent of C).
 
     R's rows are written over the one (W, X) buffer of the scores
-    pi_x g(w, x).  The triple depends only on (prior, gain), so a caller
-    that fits the channel method several times derives it once and passes
-    it to ``estimation.fit``.
+    pi_x g(w, x).
     """
     _require(gain.secrets == prior.alphabet, "gain secrets != prior alphabet")
     scores = gain.matrix * prior.probs[None, :]  # (W, X): pi_x g(w, x)
-    beta, tau, R = _split(scores, gain.guesses, prior.alphabet)
+    beta, tau, R = _split(scores, gain.guesses, prior.alphabet, out=scores)
     return ChannelPreprocDerivation(beta=beta, tau=tau, R=R)
 
 

@@ -246,7 +246,7 @@ def ideal_derivation(
     """
     _check_triple(prior, channel, gain)
     U = _score_matrix(prior, channel, gain)
-    alpha, xi, E = _split(U.copy(), gain.guesses, channel.output)  # _split writes over its input
+    alpha, xi, E = _split(U, gain.guesses, channel.output)
     return DataPreprocDerivation(U=_freeze(U), alpha=alpha, xi=xi, E=E)
 
 

@@ -180,7 +180,7 @@ class TestLearnerConfigTables:
         # paper table, as `leak estimate --m 50000` does, not the first ones
         seen = []
 
-        def fake_fit(method, prior, channel, gain, m, config, *streams, train=None, deriv=None):
+        def fake_fit(method, prior, channel, gain, m, config, *streams, train=None):
             seen.append((m, config.epochs, config.batch_size))
             return TablePredictor(np.zeros((1, 1)), np.zeros(1), fallback=0), {}
 
@@ -430,56 +430,33 @@ class TestSharedTrainingSets:
 
 
 class TestFixedInputsOncePerMatrix:
-    """The pi |> C CDF and the channel pre-processing depend only on (pi, C,
-    g): a matrix derives each once, and frees the CDF after its last draw."""
+    """The pi |> C CDF depends only on (pi, C): a matrix builds it once,
+    and frees it after its last draw."""
 
-    @pytest.fixture
-    def derived(self, monkeypatch):
-        """The sources of every ``joint_cdf`` and the gains of every
-        ``channel_preprocess`` call, wherever the library makes them."""
-        calls = {"cdf": [], "derivation": []}
-        real_cdf, real_derive = core.joint_cdf, preprocess.channel_preprocess
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_desk_location_matrix_builds_one_cdf(self, monkeypatch, workers):
+        sources, real_cdf = [], core.joint_cdf
 
         def cdf_spy(source):
-            calls["cdf"].append(source)
+            sources.append(source)
             return real_cdf(source)
-
-        def derive_spy(prior, gain):
-            calls["derivation"].append(gain)
-            return real_derive(prior, gain)
 
         for module in (core, estimation, harness):
             monkeypatch.setattr(module, "joint_cdf", cdf_spy)
-        for module in (preprocess, estimation, harness):
-            monkeypatch.setattr(module, "channel_preprocess", derive_spy)
-        return calls
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_desk_location_matrix_derives_each_once(self, derived, workers):
         config = TrialMatrixConfig(
             scenario="location", methods=METHODS, learners=("knn",), workers=workers
         )
-        # more workers than cores, switching often: jobs that raced to the
-        # first channel fit would derive twice
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            _, rows = run_trial_matrix(config)
-        finally:
-            sys.setswitchinterval(interval)
+        _, rows = run_trial_matrix(config)
         assert {r.j for r in rows} == set(range(10))
         assert {(r.m, r.i) for r in rows} == {(m, i) for m in (2000, 10000, 30000) for i in range(3)}
-        assert len(derived["cdf"]) == 1 and len(derived["derivation"]) == 1
+        assert len(sources) == 1
 
-    def test_each_fit_deriving_its_own_gives_the_same_rows(self, monkeypatch):
+    def test_a_cdf_built_per_draw_gives_the_same_rows(self, monkeypatch):
         config = tiny_config(scenario="location", methods=METHODS, num_valid_sets=2)
         _, rows = run_trial_matrix(config)
-        real_sample, real_fit = harness.sample_joint, harness.fit
-        monkeypatch.setattr(  # the CDF built per draw ...
+        real_sample = harness.sample_joint
+        monkeypatch.setattr(
             harness, "sample_joint", lambda source, count, s, cdf: real_sample(source, count, s)
-        )
-        monkeypatch.setattr(  # ... and (beta, tau, R) per channel fit
-            harness, "fit", lambda *args, deriv=None, **kwargs: real_fit(*args, **kwargs)
         )
         assert run_trial_matrix(config)[1] == rows
 

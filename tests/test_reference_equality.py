@@ -690,7 +690,7 @@ class TestChannelPreprocess:
 
     @pytest.mark.parametrize("name", ["multi-guess", "location"])  # the matrix channels
     def test_ideal_derivation_keeps_its_scores(self, name):
-        # ``_split`` writes the rows over its input; the oracle hands it a copy
+        # ``_split`` normalizes into a new array unless it is given ``out``
         scenario = build_scenario(name)
         prior, channel, gain = scenario.prior, scenario.channel, scenario.gain
         deriv = ideal_derivation(prior, channel, gain)
