@@ -25,11 +25,14 @@ Three kernels answer queries, all to the same bits:
   (``core._key_frame``) up among the rows' keys, and stops at the first
   radius whose ball holds k rows; all rows of that last shell lie at the
   k-th distance, so they all vote, and no distance is computed.  Most
-  candidate keys are misses: an occupancy table of the rows' hashed keys,
-  16 or more slots per row, turns nearly all of them away before the
-  sorted search, and passes every row's key (see ``_Lattice.find``).  Each
-  shell's offsets are built once per (dim, radius) in lexicographic order,
-  which is their key order in every frame the lattice builds;
+  candidate keys are misses.  A row table of the rows' hashed keys, 16 or
+  more slots per row, holds in each slot the row whose key lies there: one
+  gather turns nearly every miss away and names each other key's one
+  candidate row, which a key comparison confirms; only the keys of the few
+  slots that two rows' keys share go to a sorted search (see
+  ``_Lattice.find``).  Each shell's offsets are built once per (dim,
+  radius) in lexicographic order, which is their key order in every frame
+  the lattice builds;
 * every other query, and every query whose k nearest lie beyond the
   lattice's radius (its ball would hold more than l points), is answered in
   blocks of ``QUERY_CHUNK`` against every indexed observable, by the one
@@ -53,11 +56,12 @@ QUERY_CHUNK = 32  # queries per (q, l) distance block: 1 MB at l = 4,000, in cac
 # shell keys looked up per step of the lattice search: 256 kB of int64
 LATTICE_CANDIDATES = 2**15
 MAX_RADIUS = 16  # shells walked at most, which bounds a search's numpy calls
-# the occupancy table has the least power-of-two number of slots >= this
-# many per indexed row; a key's slot is the top bits of key * HASH_MULTIPLIER
+# the row table has the least power-of-two number of slots >= this many
+# per indexed row; a key's slot is the top bits of key * HASH_MULTIPLIER
 # mod 2**64 (Fibonacci hashing: 2**64 over the golden ratio, odd)
 OCCUPANCY_SLOTS_PER_ROW = 16
 HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+EMPTY, SHARED = -1, -2  # row-table entries of a slot with no row's key, and with several
 
 
 def _distances(kind: str, left, right, shape: tuple[int, ...]) -> np.ndarray:
@@ -114,25 +118,27 @@ def k_for(l: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Lattice:
-    """An index's integer rows as sorted mixed-radix keys, with an
-    occupancy table of their hashed keys.
+    """An index's integer rows as sorted mixed-radix keys, with a row table
+    of their hashed keys.
 
     The key frame reaches ``2 * radius`` past the rows' box, so it holds
     every point within ``radius`` of a query within ``radius`` of the box.
-    ``occupied[slot(key)]`` is set for every row's key, where ``slot`` is
-    the top bits of the key times ``HASH_MULTIPLIER``, wrapped mod 2**64
-    and shifted right by ``shift``.
+    A key's slot is the top bits of the key times ``HASH_MULTIPLIER``,
+    wrapped mod 2**64 and shifted right by ``shift``.  ``occupied[slot]``
+    holds the row whose key lies in that slot, ``EMPTY`` where no row's key
+    does and ``SHARED`` where two or more rows' keys do.
     """
 
     radius: int
     frame: _KeyFrame
     keys: np.ndarray  # sorted, then a sentinel above every key
     order: np.ndarray  # the row of each sorted key
-    occupied: np.ndarray  # bool, one entry per slot
+    row_keys: np.ndarray  # the key of each row
+    occupied: np.ndarray  # int32, one entry per slot: a row, EMPTY or SHARED
     shift: np.uint64  # 64 less the slot bits
 
     def slots(self, keys: np.ndarray) -> np.ndarray:
-        """The occupancy slot of each int64 key, negative ones included."""
+        """The slot of each int64 key, negative ones included."""
         slot = keys.view(np.uint64) * HASH_MULTIPLIER
         slot >>= self.shift
         return slot.view(np.intp)  # below 2**63: indexes without a cast
@@ -141,18 +147,27 @@ class _Lattice:
         """The flat positions in ``wanted`` (ascending) of the keys that are
         rows' keys, and those rows.
 
-        Only the keys whose slot is occupied go on to the sorted search;
-        the others cannot be rows' keys, as every row's key sets its slot.
-        Each survivor is then confirmed by an equality against the key the
-        search lands on.  Any int64 key but the sentinel may be asked, also
-        one outside the frame.
+        One gather reads each key's slot, and only the keys whose slot is
+        not ``EMPTY`` stay: the others cannot be rows' keys, as every row's
+        key lies in its slot.  A slot's row is the candidate for its keys;
+        the keys of a ``SHARED`` slot find theirs by the sorted search.
+        Every candidate is then confirmed by an equality against its row's
+        key.  Any int64 key but the sentinel may be asked, also one outside
+        the frame.
         """
         flat = wanted.ravel()
-        maybe = np.flatnonzero(self.occupied[self.slots(flat)])
+        entries = self.occupied[self.slots(flat)]
+        maybe = np.flatnonzero(entries != EMPTY)
+        rows = entries[maybe].astype(np.intp)
         candidates = flat[maybe]
-        pos = np.searchsorted(self.keys, candidates)
-        hit = self.keys[pos] == candidates
-        return maybe[hit], self.order[pos[hit]]
+        shared = np.flatnonzero(rows == SHARED)
+        if shared.size:
+            pos = np.searchsorted(self.keys, candidates[shared])
+            # past the last key the sentinel's position has no row: any row
+            # serves there, as the confirmation turns the key away
+            rows[shared] = self.order[np.minimum(pos, self.order.size - 1)]
+        hit = self.row_keys[rows] == candidates
+        return maybe[hit], rows[hit]
 
 
 def _ball_size(dim: int, r: int) -> int:
@@ -194,12 +209,15 @@ def _lattice_index(points: np.ndarray, metric: DistanceMetric) -> _Lattice | Non
     to the blocked path.  The frame's spans are at least 4 * radius
     + 1, so every shell walked is in key order (``_shell``).
 
-    The occupancy table has 2**b slots, 2**b the least power of two at
-    least ``OCCUPANCY_SLOTS_PER_ROW`` * l (64 kB of bools at l = 4,000), so
-    at most one slot in 16 is set and about 15 in 16 missing keys stop
-    there.  It is exact, not a guess: a row's key always finds its slot set,
-    so no hit is lost, and a key that passes is still confirmed against the
-    sorted keys.
+    The row table has 2**b slots, 2**b the least power of two at least
+    ``OCCUPANCY_SLOTS_PER_ROW`` * l (256 kB of int32 at l = 4,000), so at
+    most one slot in 16 holds a row and about 15 in 16 missing keys stop
+    there.  The slots that two or more rows' keys share (26 and 370 of
+    65,536 in two dp indexes at m = 10,000) are found by sorting the l
+    rows' slots, with no temporary the table's size, and marked ``SHARED``.
+    The table is exact, not a guess: a row's key always finds its row or
+    ``SHARED`` in its slot, so no hit is lost, and every candidate is
+    confirmed against its row's key.
     """
     l, dim = points.shape
     if metric.kind != "manhattan":
@@ -211,9 +229,9 @@ def _lattice_index(points: np.ndarray, metric: DistanceMetric) -> _Lattice | Non
     frame = _key_frame(rows.min(axis=0) - 2 * radius, rows.max(axis=0) + 2 * radius)
     if frame is None:
         return None
-    keys = frame.keys(rows)
-    order = np.argsort(keys)
-    keys = keys[order]
+    row_keys = frame.keys(rows)
+    order = np.argsort(row_keys)
+    keys = row_keys[order]
     if (keys[1:] == keys[:-1]).any():
         return None
     bits = (OCCUPANCY_SLOTS_PER_ROW * l - 1).bit_length()
@@ -222,10 +240,14 @@ def _lattice_index(points: np.ndarray, metric: DistanceMetric) -> _Lattice | Non
         frame,
         np.append(keys, np.iinfo(np.int64).max),
         order,
-        np.zeros(2**bits, dtype=bool),
+        row_keys,
+        np.full(2**bits, EMPTY, dtype=np.int32),
         np.uint64(64 - bits),
     )
-    lattice.occupied[lattice.slots(keys)] = True
+    slots = lattice.slots(row_keys)
+    lattice.occupied[slots] = np.arange(l, dtype=np.int32)
+    slots.sort()
+    lattice.occupied[slots[1:][slots[1:] == slots[:-1]]] = SHARED
     return lattice
 
 

@@ -39,11 +39,12 @@ def two_sided_geometric(
     shape: int | tuple[int, ...], nu: float, gen: np.random.Generator
 ) -> np.ndarray:
     """Two-sided geometric (discrete Laplace) draws with P(d) ~ exp(-nu |d|),
-    sampled as the difference of two geometrics."""
+    sampled as the difference of two int64 geometrics, in the first one's
+    buffer."""
     p = 1.0 - math.exp(-nu)
-    return (gen.geometric(p, size=shape) - gen.geometric(p, size=shape)).astype(
-        np.int64
-    )
+    noise = gen.geometric(p, size=shape)
+    noise -= gen.geometric(p, size=shape)
+    return noise
 
 
 SCENARIO_NAMES = ("multi-guess", "location", "dp", "password")

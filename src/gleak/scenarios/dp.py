@@ -64,7 +64,9 @@ def build() -> Scenario:
     table[1, REMOVED_LABEL] -= 1
 
     def sampler(xs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        return table[xs] + two_sided_geometric((len(xs), 5), NU, gen)
+        noisy = two_sided_geometric((len(xs), 5), NU, gen)
+        noisy += table[xs]
+        return noisy
 
     exact = exact_dp_vulnerability(
         prior, CLEVELAND_COUNTS[REMOVED_LABEL], NU, GAIN_VALUE, TAIL_EPS

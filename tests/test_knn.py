@@ -12,7 +12,8 @@ distance through a (q, l, dim) temporary, a partition for the k-th and the
 included rows' tallies summed by one product.  The ball search is also
 checked against ``oracles.reference_blocked_knn_predict``, the blocked
 kernel it falls back to, while a spy counts the queries each path answers;
-its occupancy-filtered key lookup against a sorted search of every key,
+its key lookup (a row table of hashed keys, with a sorted search for the
+slots that rows' keys share) against a sorted search of every key,
 and its shell tables against shells built afresh and sorted by key.
 """
 
@@ -573,9 +574,9 @@ def dp_lattice(m):
 
 
 def slot_aliases(lat, keys):
-    """Those of ``keys`` that find their slot set but are no row's key."""
+    """Those of ``keys`` whose slot is not empty but that are no row's key."""
     stored = lat.keys[:-1]
-    return keys[lat.occupied[lat.slots(keys)] & ~np.isin(keys, stored)]
+    return keys[(lat.occupied[lat.slots(keys)] != knn.EMPTY) & ~np.isin(keys, stored)]
 
 
 def assert_finds_as_sorted_search(lat, wanted):
@@ -586,20 +587,41 @@ def assert_finds_as_sorted_search(lat, wanted):
     return got_flat
 
 
+def assert_row_table(lat, l):
+    """The table has the least power-of-two number of slots >= 16 l; each
+    row's key lies in a slot holding that row or ``SHARED``, ``SHARED``
+    marks exactly the slots of two or more row keys, and every slot of no
+    row key is ``EMPTY``."""
+    size = lat.occupied.size
+    assert size >= 16 * l and size // 2 < 16 * l and size & (size - 1) == 0
+    assert lat.occupied.dtype == np.int32
+    np.testing.assert_array_equal(lat.row_keys[lat.order], lat.keys[:-1])
+    slots = lat.slots(lat.row_keys)
+    entries = lat.occupied[slots]
+    assert ((entries == np.arange(l)) | (entries == knn.SHARED)).all()
+    sharers = np.bincount(slots, minlength=size)
+    np.testing.assert_array_equal(
+        np.flatnonzero(lat.occupied == knn.SHARED), np.flatnonzero(sharers >= 2)
+    )
+    np.testing.assert_array_equal(
+        np.flatnonzero(lat.occupied != knn.EMPTY), np.flatnonzero(sharers)
+    )
+    assert (lat.occupied != knn.EMPTY).sum() <= l
+
+
 class TestOccupancyPrefilter:
     @pytest.mark.parametrize("l", [1, 2, 5, 16, 17, 300])
     def test_table_size_and_every_row_key_set(self, l):
         rows = np.stack([np.arange(l), np.arange(l) % 7], axis=1)
-        lat = manhattan_model(rows, np.ones((l, 2)), 1)._lattice
-        size = lat.occupied.size
-        assert size >= 16 * l and size // 2 < 16 * l and size & (size - 1) == 0
-        assert lat.occupied[lat.slots(lat.keys[:-1])].all()
-        assert lat.occupied.sum() <= l
+        assert_row_table(manhattan_model(rows, np.ones((l, 2)), 1)._lattice, l)
 
     @pytest.mark.parametrize("m", [2000, 10000])
     def test_dp_keys_found_as_by_the_sorted_search(self, m):
         lat = dp_lattice(m)
         stored = lat.keys[:-1]
+        assert_row_table(lat, stored.size)
+        # some rows' keys share a slot, so the sorted search runs
+        assert (lat.occupied == knn.SHARED).any()
         gen = np.random.default_rng(m)
         inside = gen.integers(0, lat.frame.size, 20000)
         aliases = slot_aliases(lat, np.arange(200000))
@@ -613,8 +635,45 @@ class TestOccupancyPrefilter:
             [stored, stored + 1, inside, aliases, negative[::97], negative_aliases, extremes]
         )
         gen.shuffle(wanted)
-        flat = assert_finds_as_sorted_search(lat, wanted[: wanted.size // 64 * 64].reshape(64, -1))
+        wanted = wanted[: wanted.size // 64 * 64]
+        shared = lat.occupied[lat.slots(wanted)] == knn.SHARED
+        assert np.isin(wanted[shared], stored).any() and not np.isin(wanted[shared], stored).all()
+        flat = assert_finds_as_sorted_search(lat, wanted.reshape(64, -1))
         assert flat.size >= stored.size
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_sharing_a_slot_are_found_and_aliases_turned_away(self, dim):
+        """Two rows whose keys share a slot, found by searching the slots of
+        every point of a box whose corners are rows: both are found, and
+        other keys of that slot are not."""
+        side = {1: 80, 2: 10, 3: 5}[dim]  # more points than the 64 slots of l = 4
+        corners = np.stack([np.zeros(dim, dtype=np.int64), np.full(dim, side - 1)])
+        # a lattice over the corners and two more rows has the frame and the
+        # slots of any such lattice, as it has the same box and l
+        box = np.stack(np.meshgrid(*[np.arange(side)] * dim, indexing="ij"), -1).reshape(-1, dim)
+        box = box[1:-1]  # the corners are first and last
+        probe = manhattan_model(np.concatenate([corners, box[:2]]), np.ones((4, 2)), 1)._lattice
+        slots = probe.slots(probe.frame.keys(box))
+        order = np.argsort(slots, kind="stable")
+        first = np.flatnonzero(slots[order][1:] == slots[order][:-1])[0]
+        pair = box[order[first : first + 2]]
+        rows = np.concatenate([corners, pair])
+        lat = manhattan_model(rows, np.ones((4, 2)), 1)._lattice
+        assert lat.shift == probe.shift
+        np.testing.assert_array_equal(lat.frame.keys(box), probe.frame.keys(box))
+        assert_row_table(lat, 4)
+        keys = lat.frame.keys(pair)
+        (slot,) = np.unique(lat.slots(keys))
+        assert lat.occupied[slot] == knn.SHARED
+        near = np.arange(-(2**20), 2**20)
+        aliases = near[(lat.slots(near) == slot) & ~np.isin(near, lat.keys[:-1])]
+        assert aliases.size > 100
+        wanted = np.concatenate([aliases[:50], keys[::-1], aliases[50:]])
+        flat, found = lat.find(wanted)
+        np.testing.assert_array_equal(flat, [50, 51])
+        np.testing.assert_array_equal(found, [3, 2])
+        assert_finds_as_sorted_search(lat, wanted)
+        assert_finds_as_sorted_search(lat, np.concatenate([lat.keys[:-1], aliases]))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

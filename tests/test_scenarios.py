@@ -16,7 +16,12 @@ from gleak import (
     stream,
 )
 from gleak.preprocess import channel_preprocess, data_table
-from gleak.scenarios import SCENARIO_NAMES, build_scenario, geometric_lambda
+from gleak.scenarios import (
+    SCENARIO_NAMES,
+    build_scenario,
+    geometric_lambda,
+    two_sided_geometric,
+)
 from oracles import enumerate_strategies_vulnerability
 from gleak.scenarios import dp
 from gleak.scenarios.dp import exact_dp_vulnerability
@@ -408,6 +413,35 @@ class TestDpScenario:
             observed = float((noise == d).mean())
             sigma = math.sqrt(expected * (1 - expected) / n)
             assert abs(observed - expected) < 4 * sigma
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("nu", [dp.NU, 0.002, 2.5])
+    @pytest.mark.parametrize("shape", [1, 1000, (3, 5), (2000, 5), (4, 2, 3)])
+    def test_two_sided_geometric_bytes(self, seed, nu, shape):
+        """The difference of two int64 geometrics, drawn in the same order:
+        the same bytes as the expression cast to int64."""
+        got = two_sided_geometric(shape, nu, np.random.default_rng(seed))
+        gen = np.random.default_rng(seed)
+        p = 1.0 - math.exp(-nu)
+        want = (gen.geometric(p, size=shape) - gen.geometric(p, size=shape)).astype(np.int64)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("n", [1, 5, 3000])
+    def test_sampler_bytes(self, seed, n):
+        """The noisy counts are each secret's counts plus the noise, byte for
+        byte."""
+        channel = build_scenario("dp").channel
+        xs = np.random.default_rng(seed + 100).integers(0, 2, n)
+        got = channel.sample(xs, np.random.default_rng(seed))
+        table = np.array([dp.CLEVELAND_COUNTS, dp.CLEVELAND_COUNTS], dtype=np.int64)
+        table[1, dp.REMOVED_LABEL] -= 1
+        gen = np.random.default_rng(seed)
+        p = 1.0 - math.exp(-dp.NU)
+        noise = gen.geometric(p, size=(n, 5)) - gen.geometric(p, size=(n, 5))
+        want = table[xs] + noise.astype(np.int64)
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
 
     def test_data_preproc_expansion_factor_equals_gain_value(self):
         scenario = build_scenario("dp")
